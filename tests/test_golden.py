@@ -1,0 +1,62 @@
+"""Byte-for-byte comparison against the golden corpus in tests/golden/.
+
+A failure here means the program's output changed. If the change is
+deliberate, rewrite the corpus with `python3 tests/golden/regen.py` and say
+so in CHANGES.md.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_corpus", Path(__file__).resolve().parent / "golden" / "corpus.py"
+)
+corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus)
+
+LIBRARY = json.loads((corpus.GOLDEN / "library.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(corpus.INPUTS))
+def test_input_files_match_generators(name):
+    assert (corpus.GOLDEN / "inputs" / f"{name}.txt").read_text() == corpus.input_text(name)
+
+
+@pytest.mark.parametrize("case,argv", corpus.CLI_CASES, ids=[c for c, _ in corpus.CLI_CASES])
+def test_cli_bytes(case, argv):
+    meta = json.loads((corpus.GOLDEN / "cli" / f"{case}.json").read_text())
+    assert meta["argv"] == argv
+    code, out = corpus.run_cli(argv)
+    assert code == meta["exit"]
+    assert out == (corpus.GOLDEN / "cli" / f"{case}.stdout").read_bytes()
+
+
+def test_cli_exit_codes_cover_every_outcome():
+    codes = {
+        case: json.loads((corpus.GOLDEN / "cli" / f"{case}.json").read_text())["exit"]
+        for case, _ in corpus.CLI_CASES
+    }
+    assert codes["ap-subsetsum-exhausted"] == 4
+    assert codes["ap-subsetsum-paper"] == 1
+    assert codes["dense-evens-no"] == 3
+    assert sorted(set(codes.values())) == [0, 1, 3, 4]
+    out = (corpus.GOLDEN / "cli" / "ap-subsetsum-exhausted.stdout").read_text()
+    assert "gap 1 needs multiplicity 40, uniform set has 9" in out
+
+
+@pytest.mark.parametrize("case", corpus.LIBRARY_CASES, ids=[c[0] for c in corpus.LIBRARY_CASES])
+def test_certificate_hashes(case):
+    assert corpus.library_record(case) == LIBRARY[case[0]]
+
+
+def test_inputs_take_the_pinned_paths():
+    # the ladder input lengthens its progression through a residue ladder
+    ladder = corpus.build_witness("ap-subsetsum", "evens_odds", 899, None)
+    assert any(type(layer).__name__ == "LadderLayer" for layer in ladder.layers)
+    # the bridge progression of the gcd-2 input has difference gcd(gaps) = 2,
+    # and that of the consecutive input difference 1
+    assert corpus.build_witness("ap-subsetsum", "one_evens", 600, None).leaf.ap.diff == 2
+    assert corpus.build_witness("ap-subsetsum", "consecutive300", 300, None).leaf.ap.diff == 1
