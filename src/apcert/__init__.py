@@ -10,7 +10,6 @@ from .core import (
     ArithProgression,
     CapExceeded,
     CompactSolution,
-    Density,
     EmptySet,
     Exhausted,
     InternalContract,
@@ -43,7 +42,6 @@ __all__ = [
     "CapExceeded",
     "CompactSolution",
     "ConstantsProfile",
-    "Density",
     "EmptySet",
     "Exhausted",
     "InternalContract",

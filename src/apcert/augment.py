@@ -17,6 +17,7 @@ at query time and memoized per ladder index.
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Optional, Protocol, Sequence
 
 from .core import (
@@ -120,13 +121,8 @@ class ApWitness:
         return sol
 
     def truncated(self, length: int) -> "ApWitness":
-        w = ApWitness.__new__(ApWitness)
-        w.base_set = self.base_set
-        w.leaf = self.leaf
-        w.layers = self.layers
-        w.fold_budget = self.fold_budget
+        w = copy(self)
         w.ap = self.ap.truncate(length)
-        w.parts_per_query = self.parts_per_query
         return w
 
 
@@ -183,10 +179,6 @@ class PairLadder:
         if j:
             parts.append((self.a + self.g, j))
         return q, tuple(parts)
-
-
-def ladder_from_pair(d: int, a: int, g: int) -> PairLadder:
-    return PairLadder(d, a, g)
 
 
 # ---------------------------------------------------------------------------

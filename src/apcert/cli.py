@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from .core import (
     ApcertError,
+    CompactSolution,
     Exhausted,
     PreconditionViolated,
     RandomSource,
@@ -268,29 +269,78 @@ def cmd_dense(args) -> int:
     return EXIT_OK
 
 
+def _report_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise PreconditionViolated("malformed-report", f"{what} is not an integer: {value!r}")
+    return value
+
+
+def _report_certificate(cert) -> tuple[int, CompactSolution]:
+    """(index, certificate) from one report entry; malformed entries raise
+    the named precondition "malformed-report"."""
+    try:
+        parts = tuple(
+            (_report_int(v, "part value"), _report_int(c, "part count")) for v, c in cert["parts"]
+        )
+        sol = CompactSolution(
+            parts, _report_int(cert["target"], "target"),
+            _report_int(cert["fold_budget"], "fold_budget"),
+        )
+        return _report_int(cert["index"], "index"), sol
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionViolated(
+            "malformed-report", f"certificate {cert!r}: {type(exc).__name__} {exc}"
+        ) from exc
+
+
 def cmd_verify(args) -> int:
+    """Check each certificate against the input and against what the report
+    claims: ap-sumset certificates carry the declared fold budget;
+    ap-subsetsum certificates are subsets (budget 0) of the reported coreset,
+    which must lie inside the input."""
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    raw = load_int_set(args.input)
-    base = normalize(raw)[0]
-    certs = report.get("certificates", [])
+    if not isinstance(report, dict):
+        raise PreconditionViolated("malformed-report", "report is not a JSON object")
+    base = normalize(load_int_set(args.input))[0]
+    entries = report.get("certificates", [])
+    if not isinstance(entries, list):
+        raise PreconditionViolated("malformed-report", "certificates is not a list")
+    certs = [_report_certificate(c) for c in entries]
     ap = report.get("ap")
-    failures = []
-    from .core import CompactSolution
-
-    for cert in certs:
-        sol = CompactSolution(
-            tuple((int(v), int(c)) for v, c in cert["parts"]),
-            int(cert["target"]),
-            int(cert["fold_budget"]),
+    if ap is not None:
+        if not isinstance(ap, dict):
+            raise PreconditionViolated("malformed-report", "ap is not a JSON object")
+        start = _report_int(ap.get("start"), "ap start")
+        diff = _report_int(ap.get("diff"), "ap diff")
+    command = report.get("command")
+    base_error = None
+    if command == "ap-sumset":
+        budget = _report_int(report.get("fold_budget"), "fold_budget")
+    elif command == "ap-subsetsum":
+        budget = 0
+        coreset = report.get("coreset")
+        if not isinstance(coreset, list):
+            raise PreconditionViolated("malformed-report", "coreset is not a list")
+        coreset = [_report_int(v, "coreset value") for v in coreset]
+        if not all(v in base for v in coreset):
+            base_error = "coreset-not-in-input"
+        base = SortedIntSet.from_iterable(coreset)
+    elif certs:
+        raise PreconditionViolated(
+            "malformed-report", f"certificates in a report of command {command!r}"
         )
-        reason = check_solution(base, sol)
-        if reason is None and ap is not None:
-            expect = ap["start"] + cert["index"] * ap["diff"]
-            if sol.target != expect:
-                reason = "target-mismatch"
+    failures = []
+    for index, sol in certs:
+        reason = base_error
+        if reason is None and sol.fold_budget != budget:
+            reason = "fold-budget-mismatch"
+        if reason is None:
+            reason = check_solution(base, sol)
+        if reason is None and ap is not None and sol.target != start + index * diff:
+            reason = "target-mismatch"
         if reason is not None:
-            failures.append((cert["index"], reason))
+            failures.append((index, reason))
     out = {
         "schema": SCHEMA,
         "command": "verify",

@@ -19,6 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_ELEMENT = 2**62  # any sum of <= 2**32 elements stays well inside 128 bits
@@ -115,19 +116,6 @@ def ceil_log2(x: int) -> int:
     if x < 1:
         raise ValueError("ceil_log2 needs x >= 1")
     return (x - 1).bit_length()
-
-
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +230,10 @@ def gcd_all(a: SortedIntSet) -> int:
         raise EmptySet()
     g = 0
     for e in a:
-        g = _gcd(g, e)
+        g = gcd(g, e)
         if g == 1:
             return 1
     return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def shift_scale_normalize(a: SortedIntSet) -> tuple[SortedIntSet, int, int]:
@@ -264,7 +246,7 @@ def shift_scale_normalize(a: SortedIntSet) -> tuple[SortedIntSet, int, int]:
     offset = a.min
     scale = 0
     for e in a:
-        scale = _gcd(scale, e - offset)
+        scale = gcd(scale, e - offset)
     # |A| >= 2 and elements distinct, so some e - offset > 0
     contract(scale >= 1, "scale must be positive for a set of size >= 2")
     return SortedIntSet(tuple((e - offset) // scale for e in a)), offset, scale
@@ -301,12 +283,8 @@ def density(a: SortedIntSet, z: int) -> Fraction:
     return density_with_argmin(a, z)[0]
 
 
-# densities are exact rationals throughout; no decision path touches floats
-Density = Fraction
-
-
 # ---------------------------------------------------------------------------
-# Residue coefficient (extended Euclid)
+# Residue coefficient
 # ---------------------------------------------------------------------------
 
 def solve_residue_coefficient(d: int, g: int) -> tuple[int, int]:
@@ -317,15 +295,11 @@ def solve_residue_coefficient(d: int, g: int) -> tuple[int, int]:
     """
     require(d >= 2, "modulus-at-least-2", f"d={d}")
     require(g >= 1, "gap-positive", f"g={g}")
-    dp = _gcd(d, g)
+    dp = gcd(d, g)
     d1 = d // dp
-    g1 = (g // dp) % d1
     if d1 == 1:
         return dp, 0
-    gg, x, _ = egcd(g1, d1)
-    contract(gg == 1, "g/d' and d/d' must be coprime")
-    jstar = x % d1
-    return dp, jstar
+    return dp, pow(g // dp, -1, d1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,10 @@ witness supplies the exact remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import (
-    CapExceeded,
     Exhausted,
     OutOfRegion,
     RandomSource,
@@ -36,68 +34,50 @@ from .core import (
 from .profiles import TUNED, ConstantsProfile
 from .subsetsum_ap import SubsetSumApResult, ap_in_subset_sums
 
-SIEVE_CAP = 10**7
-
-
-# ---------------------------------------------------------------------------
-# Factorization
-# ---------------------------------------------------------------------------
-
-def smallest_prime_factors(limit: int) -> np.ndarray:
-    """spf[i] = smallest prime factor of i, for 2 <= i <= limit."""
-    if limit > SIEVE_CAP:
-        raise CapExceeded(f"sieve limit {limit} exceeds {SIEVE_CAP}")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, int(limit**0.5) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p:: p]
-            sl[sl == 0] = p
-    mask = spf == 0
-    spf[mask] = np.arange(limit + 1, dtype=np.int64)[mask]
-    if limit >= 1:
-        spf[1] = 1
-    if limit >= 0:
-        spf[0] = 1
-    return spf
-
-
-def factorize_all(a: SortedIntSet, cap: int = SIEVE_CAP) -> dict[int, list[int]]:
-    """Prime factor lists (with multiplicity) for every element of A."""
-    if len(a) and a.max > cap:
-        raise CapExceeded(f"max element {a.max} exceeds cap {cap}")
-    spf = smallest_prime_factors(a.max if len(a) else 1)
-    out: dict[int, list[int]] = {}
-    for v in a:
-        out[v] = _factor_with_spf(v, spf)
-    return out
-
-
-def _factor_with_spf(v: int, spf: np.ndarray) -> list[int]:
-    fs: list[int] = []
-    while v > 1:
-        p = int(spf[v])
-        fs.append(p)
-        v //= p
-    return fs
-
 
 # ---------------------------------------------------------------------------
 # Almost divisors
 # ---------------------------------------------------------------------------
 
+def prime_factors(v: int) -> list[int]:
+    """Prime factors of v >= 1 with multiplicity, ascending, by trial division."""
+    out: list[int] = []
+    p = 2
+    while p * p <= v:
+        while v % p == 0:
+            out.append(p)
+            v //= p
+        p += 1 if p == 2 else 2
+    if v > 1:
+        out.append(v)
+    return out
+
+
+def _misses_at_most(vals: Sequence[int], p: int, tau: int) -> bool:
+    """Whether at most tau of vals are not multiples of p."""
+    missed = 0
+    for v in vals:
+        if v % p:
+            missed += 1
+            if missed > tau:
+                return False
+    return True
+
+
 def find_gamma(a: SortedIntSet, profile: ConstantsProfile = TUNED) -> tuple[int, SortedIntSet]:
-    """Strip almost divisors: repeatedly find a prime p such that at most
-    alpha*Sigma/N^2 elements are not multiples of p, keep the multiples
-    divided by p, and accumulate gamma as the product.
+    """Strip almost divisors: repeatedly find the smallest prime p such that
+    at most tau = alpha*Sigma/N^2 elements are not multiples of p, keep the
+    multiples divided by p, and accumulate gamma as the product.
 
     A composite almost divisor always has a prime factor that is one (fewer
-    non-multiples), so scanning primes suffices. The classical size bounds
-    (gamma <= 4*Sigma/N^2, at least 3/4 of elements and of Sigma/gamma
-    survive) are asserted, not assumed.
+    non-multiples), so scanning primes suffices. Such a prime divides one of
+    any tau+1 elements, and both elements of one of any tau+1 disjoint pairs,
+    so the prime factors of such a probe hold every candidate. The classical
+    size bounds (gamma <= 4*Sigma/N^2, at least 3/4 of elements and of
+    Sigma/gamma survive) are asserted, not assumed.
     """
     require(len(a) >= 1, "set-nonempty")
     require(a.min >= 1, "positive-elements")
-    spf = smallest_prime_factors(a.max)
     vals = list(a.elems)
     n0 = len(vals)
     sigma0 = sum(vals)
@@ -105,16 +85,13 @@ def find_gamma(a: SortedIntSet, profile: ConstantsProfile = TUNED) -> tuple[int,
     gamma = 1
     while True:
         n = len(vals)
-        sigma = sum(vals)
-        counts: dict[int, int] = {}
-        for v in vals:
-            for p in set(_factor_with_spf(v, spf)):
-                counts[p] = counts.get(p, 0) + 1
-        candidate = None
-        for p in sorted(counts):
-            if (n - counts[p]) * n * n <= alpha * sigma:
-                candidate = p
-                break
+        tau = alpha * sum(vals) // (n * n)
+        if 2 * tau + 2 <= n:
+            probe = [gcd(vals[2 * i], vals[2 * i + 1]) for i in range(tau + 1)]
+        else:
+            probe = vals[: tau + 1]
+        primes = sorted({p for v in probe for p in prime_factors(v)})
+        candidate = next((p for p in primes if _misses_at_most(vals, p, tau)), None)
         if candidate is None:
             break
         vals = [v // candidate for v in vals if v % candidate == 0]

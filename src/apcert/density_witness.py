@@ -42,7 +42,9 @@ class DensityWitness:
         return 2 * self.k_inner
 
     def query(self, z: int, rng: RandomSource) -> CompactSolution:
-        return query_density_witness(self, z, rng)
+        """Certificate for z as a sum of 2*k_inner elements of the base (zeros pad)."""
+        counts = merge_counts(self.query_parts(z, rng))
+        return CompactSolution.from_counts(counts, z, self.fold_budget)
 
     def query_parts(self, z: int, rng: RandomSource) -> list[tuple[int, int]]:
         """Raw greedy runs for z (values may repeat across the two halves);
@@ -83,9 +85,3 @@ def build_density_witness(a: SortedIntSet, m: int, k: int) -> DensityWitness:
         )
     k_inner = ceil_div(2 * rho.denominator, rho.numerator)
     return DensityWitness(a, m, k_inner)
-
-
-def query_density_witness(w: DensityWitness, z: int, rng: RandomSource) -> CompactSolution:
-    """Certificate for z as a sum of 2*k_inner elements of the base (zeros pad)."""
-    counts = merge_counts(w.query_parts(z, rng))
-    return CompactSolution.from_counts(counts, z, 2 * w.k_inner)

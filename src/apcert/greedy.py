@@ -75,11 +75,6 @@ def kfold_greedy_steps(a: SortedIntSet, k: int, z: int) -> Optional[list[tuple[i
     return runs if residual == 0 else None
 
 
-def kfold_greedy_contains(a: SortedIntSet, k: int, z: int) -> bool:
-    """Membership-only fast path for z in the k-fold greedy sumset."""
-    return kfold_greedy_steps(a, k, z) is not None
-
-
 def kfold_greedy_query(a: SortedIntSet, k: int, z: int) -> Optional[CompactSolution]:
     """Certificate for z in the k-fold greedy sumset of A, or None."""
     runs = kfold_greedy_steps(a, k, z)

@@ -11,7 +11,7 @@ relaxed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,6 @@ class ConstantsProfile:
     # caps the pair budget of bridge/ladder coresets (|T*| <= pair_cap * bound)
     # and the thresholds bound <= |T| / (pair_cap * log2(2|T|))
     pair_cap: int
-    # fold margin for the gcd-difference progression (k >= ka_margin * bound / |G|)
-    ka_margin: int
-    # elements of the short-progression coreset (|A*| <= coreset_pair_cap * l)
-    coreset_pair_cap: int
     # gap window: qualifying gaps lie in [l*d/(window_lo_div*gamma), l*d/window_div],
     # and gamma = m/n + l/(window_div*n)
     window_div: int
@@ -46,16 +42,11 @@ class ConstantsProfile:
     delta_c: int
     lambda_c: int
 
-    def with_overrides(self, **kw) -> "ConstantsProfile":
-        return replace(self, **kw)
-
 
 PAPER = ConstantsProfile(
     name="paper",
     enforce_caps=True,
     pair_cap=1000,
-    ka_margin=996,
-    coreset_pair_cap=2000,
     window_div=4000,
     window_lo_div=8000,
     min_len_factor=16000,
@@ -72,8 +63,6 @@ TUNED = ConstantsProfile(
     name="tuned",
     enforce_caps=False,
     pair_cap=8,
-    ka_margin=4,
-    coreset_pair_cap=8,
     window_div=8,
     window_lo_div=16,
     min_len_factor=32,

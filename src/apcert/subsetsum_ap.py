@@ -17,12 +17,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .augment import ApWitness, Layer, augment_by_ladder, augment_div_pair
 from .core import (
     ArithProgression,
-    CompactSolution,
     Exhausted,
     MultiplicityExceeded,
     RandomSource,
@@ -30,7 +30,6 @@ from .core import (
     ceil_div,
     ceil_log2,
     contract,
-    gcd_all,
     normalize,
     require,
 )
@@ -99,126 +98,121 @@ def gen_pairs(a: SortedIntSet) -> tuple[PairSet, int]:
     return PairSet(tuple(chosen)), dropped
 
 
-def _uniformize_multiplicity(keys: Sequence[int]) -> int:
+def uniformize(keys: Sequence[int]) -> tuple[int, list[int]]:
     """The multiplicity u maximizing u * #{key : multiplicity >= u} (smallest
-    u on ties).
+    u on ties), and the indices of the first u occurrences of every key that
+    occurs at least u times; at least len(keys) / log2(2*len(keys)) survive.
 
     The count of keys with multiplicity >= u is constant between consecutive
     distinct multiplicities, so the score is maximized at a distinct value.
     """
+    require(len(keys) >= 1, "pairs-nonempty")
     mult: dict[int, int] = {}
     for k in keys:
         mult[k] = mult.get(k, 0) + 1
     asc = sorted(mult.values())
-    best_u, best_score = 1, 0
-    for i, u in enumerate(asc):
-        if i and u == asc[i - 1]:
+    u, best_score = 1, 0
+    for i, v in enumerate(asc):
+        if i and v == asc[i - 1]:
             continue
-        score = u * (len(asc) - i)
+        score = v * (len(asc) - i)
         if score > best_score:
-            best_u, best_score = u, score
-    return best_u
-
-
-def uniformize(t: PairSet) -> tuple[int, PairSet]:
-    """Keep exactly u pairs per surviving gap, maximizing the kept size;
-    |T'| >= |T| / log2(2|T|)."""
-    require(len(t) >= 1, "pairs-nonempty")
-    gaps = [hi - lo for lo, hi in t.pairs]
-    u = _uniformize_multiplicity(gaps)
-    mult = t.gap_multiset()
+            u, best_score = v, score
     taken: dict[int, int] = {}
-    kept: list[Pair] = []
-    for lo, hi in t.pairs:
-        g = hi - lo
-        if mult[g] < u or taken.get(g, 0) >= u:
-            continue
-        taken[g] = taken.get(g, 0) + 1
-        kept.append((lo, hi))
-    out = PairSet(tuple(kept))
+    kept: list[int] = []
+    for i, k in enumerate(keys):
+        if mult[k] >= u and taken.get(k, 0) < u:
+            taken[k] = taken.get(k, 0) + 1
+            kept.append(i)
     contract(
-        len(out) * ceil_log2(2 * len(t)) >= len(t),
+        len(kept) * ceil_log2(2 * len(keys)) >= len(keys),
         "uniform subset below |T|/log2(2|T|)",
     )
-    return u, out
-
-
-def _flip_pairs(
-    pairs: Sequence[Pair],
-    by_gap: dict[int, list[int]],
-    gap_counts: Sequence[tuple[int, int]],
-) -> tuple[list[tuple[int, int]], int]:
-    """Choose `count` pairs per gap and emit hi for chosen, lo for the rest.
-
-    Returns (subset-sum parts, sum of chosen gaps)."""
-    chosen: set[int] = set()
-    shift = 0
-    for g, c in gap_counts:
-        if g == 0 or c == 0:
-            continue
-        idxs = by_gap.get(g, ())
-        if c > len(idxs):
-            raise MultiplicityExceeded(f"gap {g} needs {c} pairs, only {len(idxs)} present")
-        for i in idxs[:c]:
-            chosen.add(i)
-            shift += g
-    parts = []
-    for i, (lo, hi) in enumerate(pairs):
-        parts.append((hi if i in chosen else lo, 1))
-    return parts, shift
-
-
-def pairs_to_subsetsum(t: PairSet, z: int, sol_z: CompactSolution) -> CompactSolution:
-    """Convert a solution for z over the gaps (budget u) into a subset of the
-    endpoints summing to base_sum + z."""
-    require(sol_z.target == z, "solution-target-matches", f"{sol_z.target} != {z}")
-    by_gap: dict[int, list[int]] = {}
-    for i, (lo, hi) in enumerate(t.pairs):
-        by_gap.setdefault(hi - lo, []).append(i)
-    parts, shift = _flip_pairs(t.pairs, by_gap, sol_z.parts)
-    contract(shift == z, f"chosen gaps sum to {shift}, wanted {z}")
-    return CompactSolution(tuple(sorted(parts)), t.base_sum + z, 0)
+    return u, kept
 
 
 # ---------------------------------------------------------------------------
-# Progressions in the k-fold sumset of a set with arbitrary gcd
+# The pair bank: pairs kept for flipping, and the one flip routine
 # ---------------------------------------------------------------------------
 
-class _ScaledWitness:
-    """Witness for c*A obtained by scaling a witness for A by c."""
+@dataclass(frozen=True)
+class PairBank:
+    """Pairs banked behind a progression over their keys.
 
-    def __init__(self, inner: ApWitness, scale: int):
-        self.inner = inner
-        self.scale = scale
-        self.ap = ArithProgression(
-            inner.ap.start * scale, inner.ap.diff * scale, inner.ap.length
-        )
-        self.fold_budget = inner.fold_budget
-        self.parts_per_query = inner.parts_per_query
-
-    def query(self, j: int, rng: RandomSource) -> CompactSolution:
-        sol = self.inner.query(j, rng)
-        parts = tuple((v * self.scale, c) for v, c in sol.parts)
-        return CompactSolution(parts, sol.target * self.scale, sol.fold_budget)
-
-
-def ap_with_gcd_diff(g_set: SortedIntSet, bound: int):
-    """{s} + {0, d, ..., bound*d} in the k-fold sumset of G, d = gcd(G).
-
-    G must contain 0 and a positive element no larger than bound. The fold k
-    is the clamped ceil((bound+1)/|G|) of the underlying pipeline.
+    `witness` certifies {s} + {0, 1, ..., bound} in a k-fold sumset of the
+    keys divided by `scale` (their gcd together with the free values).
+    `buckets` maps each reduced key to the indices of its pairs in `pairs`;
+    reduced values in `free` need no pair when they occur in a certificate.
     """
-    require(0 in g_set, "zero-in-set")
-    require(len(g_set) >= 2, "set-at-least-two")
-    c = gcd_all(g_set)
-    require(c >= 1, "positive-element")
-    require(g_set.max // c <= bound,
-            "elements-within-interval", f"max={g_set.max}, bound={bound}, gcd={c}")
-    reduced = SortedIntSet(tuple(e // c for e in g_set.elems))
-    res = ap_in_kfold_sumset(reduced, bound, ceil_div(bound + 1, len(reduced)))
-    if c == 1:
-        return res.witness
-    return _ScaledWitness(res.witness, c)
+
+    witness: ApWitness
+    scale: int
+    pairs: tuple[Pair, ...]
+    buckets: dict[int, tuple[int, ...]]
+    free: frozenset[int]
+
+    @property
+    def ap(self) -> ArithProgression:
+        """The witness's progression in key units."""
+        ap = self.witness.ap
+        return ArithProgression(ap.start * self.scale, ap.diff * self.scale, ap.length)
+
+    @property
+    def base_sum(self) -> int:
+        return sum(lo for lo, _ in self.pairs)
+
+
+def bank_pairs(
+    pairs: Sequence[Pair], keys: Sequence[int], bound: int, free: Sequence[int], noun: str
+) -> PairBank:
+    """Uniformize the keys, build the progression of length `bound` over the
+    gcd-reduced kept keys and `free` values, and keep for each key as many
+    pairs as one certificate can use. `noun` names a key in Exhausted."""
+    _, kept = uniformize(keys)
+    by_key: dict[int, list[Pair]] = {}
+    for i in kept:
+        by_key.setdefault(keys[i], []).append(pairs[i])
+    values = set(free) | set(by_key)
+    scale = gcd(*values)
+    reduced = SortedIntSet.from_iterable(v // scale for v in values)
+    witness = ap_in_kfold_sumset(reduced, bound, ceil_div(bound + 1, len(reduced))).witness
+    banked: list[Pair] = []
+    buckets: dict[int, tuple[int, ...]] = {}
+    for key, plist in sorted(by_key.items()):
+        # a key occurs at most parts_per_query times, and at most last/key
+        need = min(witness.parts_per_query, witness.ap.last * scale // key)
+        if need > len(plist):
+            raise Exhausted(
+                f"{noun} {key} needs multiplicity {need}, uniform set has {len(plist)}"
+            )
+        buckets[key // scale] = tuple(range(len(banked), len(banked) + need))
+        banked.extend(plist[:need])
+    return PairBank(witness, scale, tuple(banked), buckets, frozenset(v // scale for v in free))
+
+
+def flip_pairs(
+    bank: PairBank, parts: Sequence[tuple[int, int]]
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Flip `count` pairs of each reduced key in `parts` from lo to hi.
+
+    Returns the subset-sum parts (hi for flipped pairs, lo for the rest) and
+    the sum of the flipped gaps."""
+    flipped: set[int] = set()
+    shift = 0
+    for key, c in parts:
+        if key in bank.free:
+            continue
+        idxs = bank.buckets.get(key, ())
+        if c > len(idxs):
+            raise MultiplicityExceeded(
+                f"key {key * bank.scale} needs {c} pairs, only {len(idxs)} present"
+            )
+        for i in idxs[:c]:
+            flipped.add(i)
+            lo, hi = bank.pairs[i]
+            shift += hi - lo
+    out = tuple((hi if i in flipped else lo, 1) for i, (lo, hi) in enumerate(bank.pairs))
+    return out, shift
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +222,18 @@ def ap_with_gcd_diff(g_set: SortedIntSet, bound: int):
 class PairBridgeLeaf:
     """Leaf translating gap-sumset certificates into endpoint subsets."""
 
-    def __init__(self, inner, pairs: Sequence[Pair]):
-        self.inner = inner
-        self.pairs = tuple(pairs)
-        self.by_gap: dict[int, list[int]] = {}
-        for i, (lo, hi) in enumerate(self.pairs):
-            self.by_gap.setdefault(hi - lo, []).append(i)
-        self.base_sum = sum(lo for lo, _ in self.pairs)
-        self.ap = ArithProgression(
-            inner.ap.start + self.base_sum, inner.ap.diff, inner.ap.length
-        )
-        self.parts_per_query = len(self.pairs)
+    def __init__(self, bank: PairBank):
+        self.bank = bank
+        ap = bank.ap
+        self.ap = ArithProgression(ap.start + bank.base_sum, ap.diff, ap.length)
+        self.parts_per_query = len(bank.pairs)
 
     def query_parts(self, j: int, rng: RandomSource):
-        sol = self.inner.query(j, rng)
-        parts, shift = _flip_pairs(self.pairs, self.by_gap, sol.parts)
-        contract(shift == sol.target, "flipped gaps must reproduce the inner target")
+        sol = self.bank.witness.query(j, rng)
+        parts, shift = flip_pairs(self.bank, sol.parts)
+        contract(shift == sol.target * self.bank.scale,
+                 "flipped gaps must reproduce the inner target")
         return parts
-
-
-def _needed_per_value(witness, value: int) -> int:
-    """Upper bound on how often `value` can appear in any certificate of the
-    witness: at most the fixed total multiplicity, and at most target/value."""
-    return min(witness.parts_per_query, witness.ap.last // value)
 
 
 @dataclass(frozen=True)
@@ -277,24 +260,11 @@ def ap_by_pairs(
             "pairs-vs-gap-cap",
             f"g_bound={g_bound}, |T|={len(t)}",
         )
-    u, t_uni = uniformize(t)
-    g_set = SortedIntSet.from_iterable({0} | set(t_uni.gap_multiset()))
-    inner = ap_with_gcd_diff(g_set, g_bound)
-    by_gap: dict[int, list[Pair]] = {}
-    for lo, hi in t_uni.pairs:
-        by_gap.setdefault(hi - lo, []).append((lo, hi))
-    star: list[Pair] = []
-    for g, plist in sorted(by_gap.items()):
-        need = _needed_per_value(inner, g)
-        if need > len(plist):
-            raise Exhausted(
-                f"gap {g} needs multiplicity {need}, uniform set has {len(plist)}"
-            )
-        star.extend(plist[:need])
-    t_star = PairSet(tuple(star))
+    bank = bank_pairs(t.pairs, [hi - lo for lo, hi in t.pairs], g_bound, (0,), "gap")
+    t_star = PairSet(bank.pairs)
     if profile.enforce_caps:
         contract(len(t_star) <= profile.pair_cap * g_bound, "pair coreset above cap")
-    leaf = PairBridgeLeaf(inner, t_star.pairs)
+    leaf = PairBridgeLeaf(bank)
     witness = ApWitness(t_star.endpoints(), leaf, (), fold_budget=0)
     return PairApResult(leaf.ap, witness, t_star)
 
@@ -524,40 +494,27 @@ def extract_aug_pairs(
 class ResidueLadderAccessor:
     """Ladder whose rungs are subset sums of pair endpoints: rung i is
     congruent to s_q + i*d' modulo d, realized by flipping pairs whose gap
-    residues solve the inner progression over the residues."""
+    residues solve the bank's progression over the residues."""
 
-    def __init__(self, inner, t_star: PairSet, d: int, seed: int):
-        self.inner = inner
-        self.t_star = t_star
+    def __init__(self, bank: PairBank, d: int, seed: int):
+        self.bank = bank
         self.d = d
-        self.dp = inner.ap.diff
+        ap = bank.ap
+        self.dp = ap.diff
         self.seed = seed
-        self.pairs = t_star.pairs
-        self.by_res: dict[int, list[int]] = {}
-        for idx, (lo, hi) in enumerate(self.pairs):
-            self.by_res.setdefault((hi - lo) % d, []).append(idx)
-        self.base_sum = t_star.base_sum
-        self.s_q = self.base_sum + inner.ap.start
-        u_parts = min(inner.parts_per_query, inner.ap.last)
-        g_max = max((hi - lo for lo, hi in self.pairs), default=0)
-        self.h_min = -ceil_div(inner.ap.start, d)
-        self.h_max = (u_parts * g_max - inner.ap.start) // d
+        self.base_sum = bank.base_sum
+        self.s_q = self.base_sum + ap.start
+        u_parts = min(bank.witness.parts_per_query, ap.last)
+        g_max = max((hi - lo for lo, hi in bank.pairs), default=0)
+        self.h_min = -ceil_div(ap.start, d)
+        self.h_max = (u_parts * g_max - ap.start) // d
         self.budget = 0
-        self.parts_per_lookup = len(self.pairs)
+        self.parts_per_lookup = len(bank.pairs)
 
     def lookup(self, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         rng = RandomSource(self.seed).derive("ladder", i)
-        sol = self.inner.query(i, rng)
-        chosen: set[int] = set()
-        shift = 0
-        for r, c in sol.parts:
-            if r == 0 or r == self.d:
-                continue
-            idxs = self.by_res.get(r, ())
-            contract(c <= len(idxs), f"residue {r} lacks pairs for count {c}")
-            for idx in idxs[:c]:
-                chosen.add(idx)
-                shift += self.pairs[idx][1] - self.pairs[idx][0]
+        sol = self.bank.witness.query(i, rng)
+        parts, shift = flip_pairs(self.bank, sol.parts)
         q = self.base_sum + shift
         contract(
             (q - self.s_q) % self.d == (i * self.dp) % self.d,
@@ -566,10 +523,6 @@ class ResidueLadderAccessor:
         contract(
             self.h_min <= (q - self.s_q) // self.d <= self.h_max,
             "ladder rung outside its height window",
-        )
-        parts = tuple(
-            (hi if idx in chosen else lo, 1)
-            for idx, (lo, hi) in enumerate(self.pairs)
         )
         return q, parts
 
@@ -604,34 +557,14 @@ def residue_ladder(
             "pairs-vs-modulus-cap",
             f"d={d}, |T|={len(t)}",
         )
-    residues = [(hi - lo) % d for lo, hi in t.pairs]
-    u = _uniformize_multiplicity(residues)
-    mult: dict[int, int] = {}
-    for r in residues:
-        mult[r] = mult.get(r, 0) + 1
-    kept: dict[int, list[Pair]] = {}
-    for (lo, hi), r in zip(t.pairs, residues):
-        if mult[r] < u:
-            continue
-        bucket = kept.setdefault(r, [])
-        if len(bucket) < u:
-            bucket.append((lo, hi))
-    r_set = SortedIntSet.from_iterable({0, d} | set(kept))
-    inner = ap_with_gcd_diff(r_set, d)
-    dp = inner.ap.diff
+    # d joins the residues, so the progression's difference is gcd(residues, d)
+    bank = bank_pairs(t.pairs, [(hi - lo) % d for lo, hi in t.pairs], d, (0, d), "residue")
+    dp = bank.ap.diff
     contract(1 <= dp < d and d % dp == 0, "residue gcd must properly divide d")
-    star: list[Pair] = []
-    for r, plist in sorted(kept.items()):
-        need = _needed_per_value(inner, r)
-        if need > len(plist):
-            raise Exhausted(
-                f"residue {r} needs multiplicity {need}, uniform set has {len(plist)}"
-            )
-        star.extend(plist[:need])
-    t_star = PairSet(tuple(star))
+    t_star = PairSet(bank.pairs)
     if profile.enforce_caps:
         contract(len(t_star) <= profile.pair_cap * d, "ladder coreset above cap")
-    accessor = ResidueLadderAccessor(inner, t_star, d, seed)
+    accessor = ResidueLadderAccessor(bank, d, seed)
     return ResidueLadderResult(accessor, t_star, dp)
 
 

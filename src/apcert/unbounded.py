@@ -10,6 +10,7 @@ i_t * a_n = t (mod d), and floor-division copies of a_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .core import (
@@ -47,10 +48,8 @@ class UnboundedSolver:
         n = len(values)
         a_n = values[-1]
         lower = SortedIntSet((0,) + values[:-1])
-        d = 0
-        for v in values[:-1]:
-            d = _gcd(d, v)
-        require(_gcd(d, a_n) == 1, "gcd-one", f"gcd of all values is {_gcd(d, a_n)}")
+        d = gcd(*values[:-1])
+        require(gcd(d, a_n) == 1, "gcd-one", f"gcd of all values is {gcd(d, a_n)}")
         self.d = d
         self.a_n = a_n
         reduced = SortedIntSet(tuple(v // d for v in lower.elems))
@@ -81,12 +80,6 @@ class UnboundedSolver:
         out = UnboundedSolution(multipliers, t)
         contract(out.total() == t, f"multipliers sum to {out.total()}, wanted {t}")
         return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def solve_unbounded(a: Sequence[int], t: int, rng: RandomSource) -> UnboundedSolution:

@@ -7,13 +7,13 @@ import pytest
 from apcert.augment import (
     ApWitness,
     ExplicitLeaf,
+    PairLadder,
     augment_by_ladder,
     augment_div_pair,
     augment_nondiv_pair,
     augment_once,
     augment_to_full,
     find_gap_pairs,
-    ladder_from_pair,
 )
 from apcert.core import (
     ArithProgression,
@@ -44,7 +44,7 @@ class FixedLadder:
 
 class TestPairLadder:
     def test_example_d6_g4(self):
-        lad = ladder_from_pair(6, 0, 4)
+        lad = PairLadder(6, 0, 4)
         assert lad.dp == 2
         q1, parts1 = lad.lookup(1)
         assert q1 == 8 and dict(parts1) == {0: 1, 4: 2}
@@ -52,13 +52,13 @@ class TestPairLadder:
         assert q2 == 4
 
     def test_example_d6_g5(self):
-        lad = ladder_from_pair(6, 0, 5)
+        lad = PairLadder(6, 0, 5)
         assert lad.dp == 1
         q3, _ = lad.lookup(3)
         assert q3 == 15 and q3 % 6 == 3
 
     def test_example_d2_g1(self):
-        lad = ladder_from_pair(2, 1, 1)
+        lad = PairLadder(2, 1, 1)
         assert lad.dp == 1
         q1, parts = lad.lookup(1)
         assert q1 == 3 and dict(parts) == {1: 1, 2: 1}
@@ -69,7 +69,7 @@ class TestPairLadder:
                 if g % d == 0:
                     continue
                 for a in range(0, 6):
-                    lad = ladder_from_pair(d, a, g)
+                    lad = PairLadder(d, a, g)
                     dp = lad.dp
                     assert dp == math.gcd(d, g)
                     for i in range(d // dp):
@@ -81,7 +81,7 @@ class TestPairLadder:
 
     def test_divisible_gap_rejected(self):
         with pytest.raises(PreconditionViolated):
-            ladder_from_pair(4, 0, 8)
+            PairLadder(4, 0, 8)
 
 
 class TestAugmentByLadder:
@@ -112,7 +112,7 @@ class TestAugmentByLadder:
                     continue
                 for ell in range(0, 9):
                     for a in (0, 3):
-                        lad = ladder_from_pair(d, a, g)
+                        lad = PairLadder(d, a, g)
                         p = AP(5, d, ell)
                         if ell < lad.h_max - lad.h_min:
                             continue

@@ -165,3 +165,77 @@ class TestVerifyCommand:
         report.write_text(json.dumps(rep))
         code, _ = run(capsys, "verify", "--report", report, "--input", workdir / "a.txt")
         assert code == 2
+
+    def _verify(self, capsys, tmp_path, rep, inp):
+        report = tmp_path / "edited.json"
+        report.write_text(json.dumps(rep))
+        code, out = run(capsys, "verify", "--report", report, "--input", inp, "--json")
+        return code, json.loads(out)
+
+    def _sumset_report(self, workdir, capsys):
+        _, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt",
+                     "--m", "1000", "--k", "101", "--sample", "3",
+                     "--seed", "3", "--json")
+        return json.loads(out)
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.pop("parts"),
+        lambda c: c.pop("index"),
+        lambda c: c.update(target=str(c["target"])),
+        lambda c: c.update(fold_budget=1.5),
+        lambda c: c.update(parts=[[0, 1, 2]]),
+        lambda c: c.update(parts=7),
+    ], ids=["missing-parts", "missing-index", "string-target", "float-budget",
+            "three-field-part", "scalar-parts"])
+    def test_malformed_certificate_is_a_named_error(self, workdir, capsys, tmp_path, edit):
+        rep = self._sumset_report(workdir, capsys)
+        edit(rep["certificates"][1])
+        code, out = self._verify(capsys, tmp_path, rep, workdir / "a.txt")
+        assert code == 1
+        assert out["error"] == "precondition" and out["name"] == "malformed-report"
+
+    def test_malformed_report_shapes(self, workdir, capsys, tmp_path):
+        rep = self._sumset_report(workdir, capsys)
+        for bad in ([rep], dict(rep, certificates=5), dict(rep, fold_budget=None),
+                    dict(rep, ap={"start": 0})):
+            code, out = self._verify(capsys, tmp_path, bad, workdir / "a.txt")
+            assert code == 1 and out["name"] == "malformed-report"
+
+    def test_fold_budget_bound_to_the_report(self, workdir, capsys, tmp_path):
+        rep = self._sumset_report(workdir, capsys)
+        cert = rep["certificates"][0]
+        # 10^6 extra zeros under a budget of 10^9 still sum to the target
+        counts = {v: c for v, c in cert["parts"]}
+        counts[0] = counts.get(0, 0) + 10**6
+        cert["parts"] = sorted([v, c] for v, c in counts.items())
+        cert["fold_budget"] = 10**9
+        code, out = self._verify(capsys, tmp_path, rep, workdir / "a.txt")
+        assert code == 2
+        assert out["failures"] == [[cert["index"], "fold-budget-mismatch"]]
+
+    def test_subsetsum_report_claims(self, workdir, capsys, tmp_path):
+        _, out = run(capsys, "ap-subsetsum", "--input", workdir / "b.txt", "--ell", "60",
+                     "--seed", "3", "--sample", "4", "--json")
+        rep = json.loads(out)
+        inp = workdir / "b.txt"
+        code, ok = self._verify(capsys, tmp_path, rep, inp)
+        assert code == 0 and ok["passed"] == ok["checked"] == 4
+
+        budget = json.loads(out)
+        budget["certificates"][2]["fold_budget"] = 5
+        code, res = self._verify(capsys, tmp_path, budget, inp)
+        assert code == 2 and res["failures"] == [[budget["certificates"][2]["index"],
+                                                  "fold-budget-mismatch"]]
+
+        outside = json.loads(out)
+        used = outside["certificates"][-1]["parts"][0][0]
+        outside["coreset"].remove(used)
+        code, res = self._verify(capsys, tmp_path, outside, inp)
+        assert code == 2
+        assert [outside["certificates"][-1]["index"], "value-not-in-base"] in res["failures"]
+
+        foreign = json.loads(out)
+        foreign["coreset"].append(10**6)
+        code, res = self._verify(capsys, tmp_path, foreign, inp)
+        assert code == 2 and res["passed"] == 0
+        assert {r for _, r in res["failures"]} == {"coreset-not-in-input"}

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,12 +13,11 @@ from apcert.dense import (
     build_rpg,
     dense_decide,
     dense_search,
-    factorize_all,
     find_gamma,
     modular_subset_sum,
+    prime_factors,
     reachable_residues,
     shrink_mod,
-    smallest_prime_factors,
 )
 from apcert.oracle import brute_subset_sums
 from apcert.profiles import PAPER, TUNED
@@ -27,17 +27,16 @@ S = SortedIntSet.from_iterable
 
 class TestFactorize:
     def test_examples(self):
-        out = factorize_all(S([1, 12, 97]))
-        assert out[12] == [2, 2, 3]
-        assert out[1] == []
-        assert out[97] == [97]
+        assert prime_factors(12) == [2, 2, 3]
+        assert prime_factors(1) == []
+        assert prime_factors(97) == [97]
 
-    def test_sieve_consistency(self):
-        spf = smallest_prime_factors(1000)
-        for v in range(2, 1001):
-            p = int(spf[v])
-            assert v % p == 0
-            assert all(p <= q or v % q for q in range(2, p))
+    def test_factor_consistency(self):
+        for v in range(1, 1001):
+            fs = prime_factors(v)
+            assert math.prod(fs) == v
+            assert fs == sorted(fs)
+            assert all(all(p % q for q in range(2, p)) for p in fs)
 
 
 class TestFindGamma:
@@ -62,6 +61,35 @@ class TestFindGamma:
         g, reduced = find_gamma(S(vals), TUNED)
         assert g % 3 == 0
         assert all(v % 3 for v in (7, 11))  # strays dropped, not divided
+
+    def test_max_beyond_ten_million(self):
+        g, reduced = find_gamma(S(list(range(1, 1001)) + [2 * 10**7]), TUNED)
+        assert g == 1 and len(reduced) == 1001
+        g, reduced = find_gamma(S([3 * x for x in range(1, 1001)] + [3 * 10**7 + 3]), TUNED)
+        assert g == 3 and reduced.max == 10**7 + 1
+
+    def test_matches_scan_over_all_primes(self):
+        def reference(vals):
+            # smallest prime dividing some element that misses at most tau
+            gamma = 1
+            while True:
+                tau = TUNED.alpha_c * sum(vals) // len(vals) ** 2
+                primes = sorted({p for v in vals for p in prime_factors(v)})
+                hit = next((p for p in primes if sum(v % p != 0 for v in vals) <= tau), None)
+                if hit is None:
+                    return gamma, vals
+                vals = [v // hit for v in vals if v % hit == 0]
+                gamma *= hit
+
+        # delta-dense inputs (N^2 >= delta*m), as build_rpg admits them
+        rnd = random.Random(11)
+        n = 2000
+        for scale in (1, 2, 3, 4, 5, 6, 10, 12, 15):
+            vals = rnd.sample(range(1, n + n // 4), n - 3)
+            strays = rnd.sample(range(1, scale * n), 3)
+            a = S([scale * v for v in vals] + strays)
+            g, reduced = find_gamma(a, TUNED)
+            assert (g, list(reduced.elems)) == reference(list(a.elems))
 
 
 class TestModularSubsetSum:

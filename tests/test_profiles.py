@@ -13,8 +13,6 @@ def test_lookup():
 def test_paper_constants_verbatim():
     assert PAPER.enforce_caps
     assert PAPER.pair_cap == 1000
-    assert PAPER.ka_margin == 996
-    assert PAPER.coreset_pair_cap == 2000
     assert PAPER.window_div == 4000
     assert PAPER.window_lo_div == 8000
     assert PAPER.min_len_factor == 16000
@@ -26,14 +24,9 @@ def test_paper_constants_verbatim():
 
 def test_tuned_is_scaled_down_and_advisory():
     assert not TUNED.enforce_caps
-    for field in ("pair_cap", "ka_margin", "coreset_pair_cap", "window_div",
-                  "window_lo_div", "min_len_factor", "case1_pair_factor",
-                  "coreset_factor", "length_cap_factor", "alpha_c", "delta_c"):
+    for field in ("pair_cap", "window_div", "window_lo_div", "min_len_factor",
+                  "case1_pair_factor", "coreset_factor", "length_cap_factor", "alpha_c",
+                  "delta_c"):
         assert getattr(TUNED, field) < getattr(PAPER, field), field
     # the window ratio that drives the 3/2 growth argument is preserved
     assert PAPER.window_lo_div * TUNED.window_div == TUNED.window_lo_div * PAPER.window_div
-
-
-def test_overrides():
-    custom = TUNED.with_overrides(coreset_factor=64)
-    assert custom.coreset_factor == 64 and TUNED.coreset_factor == 32

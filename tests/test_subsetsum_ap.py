@@ -1,10 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from apcert.core import (
-    CompactSolution,
     Exhausted,
     MultiplicityExceeded,
     PreconditionViolated,
@@ -15,14 +15,15 @@ from apcert.core import (
 from apcert.oracle import brute_subset_sums
 from apcert.profiles import PAPER, TUNED
 from apcert.subsetsum_ap import (
+    PairBank,
     PairSet,
     ap_by_pairs,
     ap_in_subset_sums,
     coreset_size_bound,
     extend_ap_once,
     extract_aug_pairs,
+    flip_pairs,
     gen_pairs,
-    pairs_to_subsetsum,
     residue_ladder,
     short_ap_in_subset_sums,
     uniformize,
@@ -72,72 +73,77 @@ class TestGenPairs:
             assert all((hi - lo) * n <= a.max for lo, hi in t.pairs)
 
 
+def gaps(pairs):
+    return [hi - lo for lo, hi in pairs]
+
+
 class TestUniformize:
     def test_mixed_gaps(self):
-        t = PairSet(((0, 1), (2, 3), (5, 6), (10, 12)))
-        u, kept = uniformize(t)
+        keys = gaps(((0, 1), (2, 3), (5, 6), (10, 12)))
+        u, kept = uniformize(keys)
         assert u == 3
-        assert [hi - lo for lo, hi in kept.pairs] == [1, 1, 1]
+        assert [keys[i] for i in kept] == [1, 1, 1]
 
     def test_all_distinct(self):
-        t = PairSet(tuple((10 * i, 10 * i + i + 1) for i in range(8)))
-        u, kept = uniformize(t)
+        u, kept = uniformize(gaps((10 * i, 10 * i + i + 1) for i in range(8)))
         assert u == 1 and len(kept) == 8
 
     def test_all_equal(self):
-        t = PairSet(tuple((10 * i, 10 * i + 3) for i in range(8)))
-        u, kept = uniformize(t)
+        u, kept = uniformize(gaps((10 * i, 10 * i + 3) for i in range(8)))
         assert u == 8 and len(kept) == 8
 
     def test_size_bound_random(self):
         rnd = random.Random(4)
         for _ in range(50):
-            pairs = []
-            v = 0
-            for _ in range(rnd.randint(1, 400)):
-                g = rnd.randint(1, 6)
-                pairs.append((v, v + g))
-                v += g + rnd.randint(1, 4)
-            t = PairSet(tuple(pairs))
-            u, kept = uniformize(t)
-            assert len(kept) * math.log2(2 * len(t)) >= len(t) - 1e-9
+            keys = [rnd.randint(1, 6) for _ in range(rnd.randint(1, 400))]
+            u, kept = uniformize(keys)
+            assert len(kept) * math.log2(2 * len(keys)) >= len(keys) - 1e-9
 
     def test_size_bound_ten_thousand_pairs(self):
         rnd = random.Random(6)
-        pairs = []
-        v = 0
-        for _ in range(10**4):
-            g = rnd.randint(1, 40)
-            pairs.append((v, v + g))
-            v += g + 1
-        t = PairSet(tuple(pairs))
-        u, kept = uniformize(t)
-        assert len(kept) * math.log2(2 * len(t)) >= len(t) - 1e-9
-        mult = t.gap_multiset()
-        assert all(mult[hi - lo] >= u for lo, hi in kept.pairs)
+        keys = [rnd.randint(1, 40) for _ in range(10**4)]
+        u, kept = uniformize(keys)
+        assert len(kept) * math.log2(2 * len(keys)) >= len(keys) - 1e-9
+        mult = Counter(keys)
+        assert all(mult[keys[i]] >= u for i in kept)
+
+
+def two_pair_bank(scale=1):
+    """Bank of the pairs (1, 1+s), (5, 5+s) for s = scale, both under reduced key 1."""
+    pairs = ((1, 1 + scale), (5, 5 + scale))
+    return PairBank(None, scale, pairs, {1: (0, 1)}, frozenset({0}))
 
 
 class TestPairsToSubsetSum:
+    """Gap certificates become endpoint subsets through flip_pairs."""
+
     def test_example_two_ones(self):
-        t = PairSet(((1, 2), (5, 6)))
-        sol = pairs_to_subsetsum(t, 2, CompactSolution(((1, 2),), 2, 2))
-        assert sol.parts == ((2, 1), (6, 1)) and sol.target == 8
+        bank = two_pair_bank()
+        parts, shift = flip_pairs(bank, ((1, 2),))
+        assert parts == ((2, 1), (6, 1)) and bank.base_sum + shift == 8
 
     def test_zero(self):
-        t = PairSet(((1, 2), (5, 6)))
-        sol = pairs_to_subsetsum(t, 0, CompactSolution((), 0, 2))
-        assert sol.parts == ((1, 1), (5, 1)) and sol.target == 6
+        bank = two_pair_bank()
+        for free in ((), ((0, 2),)):
+            parts, shift = flip_pairs(bank, free)
+            assert parts == ((1, 1), (5, 1)) and bank.base_sum + shift == 6
 
     def test_single_flip(self):
-        t = PairSet(((1, 2), (5, 6)))
-        sol = pairs_to_subsetsum(t, 1, CompactSolution(((1, 1),), 1, 2))
-        assert sol.target == 7
-        assert sum(v for v, _ in sol.parts) == 7
+        parts, shift = flip_pairs(two_pair_bank(), ((1, 1),))
+        assert shift == 1
+        assert sum(v for v, _ in parts) == 7
+
+    def test_scaled_keys(self):
+        # reduced key 1 stands for gap 2; the shift is in gap units
+        parts, shift = flip_pairs(two_pair_bank(scale=2), ((1, 1),))
+        assert parts == ((3, 1), (5, 1)) and shift == 2
 
     def test_multiplicity_guard(self):
-        t = PairSet(((1, 2),))
+        bank = PairBank(None, 1, ((1, 2),), {1: (0,)}, frozenset({0}))
         with pytest.raises(MultiplicityExceeded):
-            pairs_to_subsetsum(t, 2, CompactSolution(((1, 2),), 2, 2))
+            flip_pairs(bank, ((1, 2),))
+        with pytest.raises(MultiplicityExceeded):
+            flip_pairs(bank, ((3, 1),))
 
 
 def make_pairs(gap_counts, spacing=5):
