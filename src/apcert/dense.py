@@ -1,4 +1,4 @@
-"""Dense Subset Sum: O(1) decision after preprocessing, plus search.
+"""Dense Subset Sum: O(1) decision after preprocessing, plus linear search.
 
 Preprocessing on a dense set A: strip almost divisors to get gamma and the
 reduced set A1 = A(gamma)/gamma, split A1 into
@@ -8,15 +8,24 @@ reduced set A1 = A(gamma)/gamma, split A1 into
   P -- a coreset whose subset sums contain a progression {s, s+d, ..., s+2md},
   G -- the bulk, holding at least half the total sum,
 
-and record the residues of S(A) modulo gamma. Deciding t is a bitmap lookup;
-searching walks t down: a small Y fixes t mod gamma, a greedy prefix of G
-lands in a window of width m, R fixes the residue mod d, and the progression
-witness supplies the exact remainder.
+and record everything a target does not change: the target region, the
+residues of S(A) modulo gamma, Sigma(A1), a predecessor table of subset sums
+modulo gamma over the non-multiples of gamma, one modulo d over R, and every
+BULK_BLOCK-th prefix sum of G taken from its largest element down.
+
+Deciding t is a bounds check and one bit test. Searching walks t down: a
+small Y read off the gamma table fixes t mod gamma, a greedy prefix of G found
+by bisecting the block sums lands in a window of width m, a subset of R read
+off the d table fixes the residue mod d, and the progression witness supplies
+the exact remainder. Search is linear in N; most of its cost is writing and
+checking a subset of up to N elements.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from math import gcd
 from typing import Optional, Sequence
 
@@ -33,6 +42,9 @@ from .core import (
 )
 from .profiles import TUNED, ConstantsProfile
 from .subsetsum_ap import SubsetSumApResult, ap_in_subset_sums
+
+# the bulk keeps the sum of every BULK_BLOCK largest elements
+BULK_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +76,14 @@ def _misses_at_most(vals: Sequence[int], p: int, tau: int) -> bool:
     return True
 
 
+def _require_delta_dense(a: SortedIntSet, profile: ConstantsProfile) -> None:
+    """N^2 >= delta*m with delta = delta_c*log2(2N): the density the
+    decomposition and the almost-divisor bounds are proven for."""
+    n, m = len(a), a.max
+    delta = profile.delta_c * ceil_log2(2 * n)
+    require(n * n >= delta * m, "delta-dense", f"n^2 = {n * n} < delta*m = {delta * m}")
+
+
 def find_gamma(a: SortedIntSet, profile: ConstantsProfile = TUNED) -> tuple[int, SortedIntSet]:
     """Strip almost divisors: repeatedly find the smallest prime p such that
     at most tau = alpha*Sigma/N^2 elements are not multiples of p, keep the
@@ -74,7 +94,9 @@ def find_gamma(a: SortedIntSet, profile: ConstantsProfile = TUNED) -> tuple[int,
     any tau+1 elements, and both elements of one of any tau+1 disjoint pairs,
     so the prime factors of such a probe hold every candidate. The classical
     size bounds (gamma <= 4*Sigma/N^2, at least 3/4 of elements and of
-    Sigma/gamma survive) are asserted, not assumed.
+    Sigma/gamma survive) are asserted, not assumed. They are proven for
+    delta-dense input only: where one fails, input that is not delta-dense
+    is refused as such, and only a failure on delta-dense input is a bug.
     """
     require(len(a) >= 1, "set-nonempty")
     require(a.min >= 1, "positive-elements")
@@ -98,10 +120,14 @@ def find_gamma(a: SortedIntSet, profile: ConstantsProfile = TUNED) -> tuple[int,
         gamma *= candidate
         contract(len(vals) >= 1, "almost divisor stripped every element")
     reduced = SortedIntSet(tuple(vals))
-    if gamma > 1:
-        contract(gamma * n0 * n0 <= 4 * sigma0, "gamma above 4*Sigma/N^2")
-    contract(4 * len(reduced) >= 3 * n0, "fewer than 3/4 of the elements survive")
-    contract(4 * sum(vals) * gamma >= 3 * sigma0, "less than 3/4 of Sigma/gamma survives")
+    for holds, msg in (
+        (gamma == 1 or gamma * n0 * n0 <= 4 * sigma0, "gamma above 4*Sigma/N^2"),
+        (4 * len(reduced) >= 3 * n0, "fewer than 3/4 of the elements survive"),
+        (4 * sum(vals) * gamma >= 3 * sigma0, "less than 3/4 of Sigma/gamma survives"),
+    ):
+        if not holds:
+            _require_delta_dense(a, profile)
+        contract(holds, msg)
     return gamma, reduced
 
 
@@ -109,18 +135,24 @@ def find_gamma(a: SortedIntSet, profile: ConstantsProfile = TUNED) -> tuple[int,
 # Modular subset sum (desk-scale DP with reconstruction)
 # ---------------------------------------------------------------------------
 
-def modular_subset_sum(values: Sequence[int], modulus: int, r: int) -> Optional[list[int]]:
-    """Any subset of `values` (each used once) summing to r modulo `modulus`,
-    or None. Plain O(N * modulus) dynamic program with predecessor tracking."""
+# pred[t] = (v, s): residue t was first reached by adding v to residue s;
+# pred[0] and the unreached residues are None
+ResidueTable = tuple[Optional[tuple[int, int]], ...]
+
+
+def residue_table(values: Sequence[int], modulus: int) -> ResidueTable:
+    """Plain O(N * modulus) dynamic program over subsets of `values` (each
+    used once) modulo `modulus`, in the order given. A residue's predecessor
+    is fixed when it is first reached, so the walk from r gives the subset a
+    DP that stopped as soon as it reached r would give."""
     require(modulus >= 1, "modulus-positive", f"modulus={modulus}")
-    r %= modulus
-    if modulus == 1 or r == 0:
-        return []
     pred: list[Optional[tuple[int, int]]] = [None] * modulus
     reached = bytearray(modulus)
     reached[0] = 1
     frontier = [0]
-    for idx, v in enumerate(values):
+    for v in values:
+        if len(frontier) == modulus:
+            break
         vm = v % modulus
         if vm == 0:
             continue
@@ -129,21 +161,30 @@ def modular_subset_sum(values: Sequence[int], modulus: int, r: int) -> Optional[
             t = (s + vm) % modulus
             if not reached[t]:
                 reached[t] = 1
-                pred[t] = (idx, s)
+                pred[t] = (v, s)
                 new.append(t)
         frontier.extend(new)
-        if reached[r]:
-            break
-    if not reached[r]:
+    return tuple(pred)
+
+
+def walk_residue_table(table: ResidueTable, r: int) -> Optional[list[int]]:
+    """The subset whose sum first reached r modulo len(table), or None."""
+    r %= len(table)
+    if r and table[r] is None:
         return None
     out: list[int] = []
     cur = r
-    while pred[cur] is not None:
-        idx, prev = pred[cur]
-        out.append(values[idx])
-        cur = prev
+    while table[cur] is not None:
+        v, cur = table[cur]
+        out.append(v)
     contract(cur == 0, "backtracking must end at the empty subset")
     return out
+
+
+def modular_subset_sum(values: Sequence[int], modulus: int, r: int) -> Optional[list[int]]:
+    """Any subset of `values` (each used once) summing to r modulo `modulus`,
+    or None."""
+    return walk_residue_table(residue_table(values, modulus), r)
 
 
 def shrink_mod(values: Sequence[int], modulus: int) -> list[int]:
@@ -179,13 +220,44 @@ def reachable_residues(values: Sequence[int], modulus: int) -> int:
     return bits
 
 
+def block_sums(elems: Sequence[int]) -> tuple[int, ...]:
+    """Entry i: the sum of the BULK_BLOCK*(i+1) largest of the ascending
+    `elems`."""
+    return tuple(islice(accumulate(reversed(elems)), BULK_BLOCK - 1, None, BULK_BLOCK))
+
+
+def greedy_fill(elems: Sequence[int], blocks: Sequence[int], upper: int) -> tuple[list[int], int]:
+    """(taken, sum of taken): the elements a scan of the ascending positive
+    `elems` from the largest down takes when it takes each one that still
+    fits under `upper`; `blocks` is block_sums(elems).
+
+    The scan first takes the longest run of largest elements that fits,
+    found by bisecting the block sums and then stepping at most
+    BULK_BLOCK - 1 elements; after it, each element taken is the largest
+    one not yet scanned that fits the gap left."""
+    b = bisect_right(blocks, upper)
+    acc = blocks[b - 1] if b else 0
+    hi = len(elems) - BULK_BLOCK * b
+    while hi and acc + elems[hi - 1] <= upper:
+        hi -= 1
+        acc += elems[hi]
+    taken = list(elems[hi:])
+    while acc < upper:
+        hi = bisect_right(elems, upper - acc, 0, hi) - 1
+        if hi < 0:
+            break
+        taken.append(elems[hi])
+        acc += elems[hi]
+    return taken, acc
+
+
 # ---------------------------------------------------------------------------
 # Decomposition
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DenseDecomposition:
-    """Preprocessed state for O(1) decide and near-linear search."""
+    """Preprocessed state for O(1) decide and linear search."""
 
     original: SortedIntSet
     gamma: int
@@ -195,6 +267,12 @@ class DenseDecomposition:
     bulk: SortedIntSet              # G: carries at least half the sum
     residue_bits: int               # S(A) mod gamma
     profile: ConstantsProfile
+    lo: int                         # target region [lo, hi], see build_rpg
+    hi: int
+    reduced_sum: int                # Sigma(A1)
+    y_table: ResidueTable           # S(non-multiples of gamma) mod gamma
+    r_table: ResidueTable           # S(R) mod the diff
+    bulk_blocks: tuple[int, ...]    # block_sums(G)
 
     @property
     def diff(self) -> int:
@@ -205,22 +283,8 @@ class DenseDecomposition:
         return self.progression.ap.start
 
     def region(self) -> tuple[int, int]:
-        """Inclusive target region [lo, hi].
-
-        lo is the published (4 + 2*C_lambda)*m*Sigma/N^2 bound intersected
-        with what this decomposition can actually reconstruct: after paying
-        for Y (at most gamma*m) the reduced target must still clear the
-        greedy window above the progression start.
-        """
-        n = len(self.original)
-        sigma = sum(self.original.elems)
-        m = self.original.max
-        c_lambda = self.profile.lambda_c * ceil_log2(2 * n)
-        lo = ceil_div((4 + 2 * c_lambda) * m * sigma, n * n)
-        m1 = self.reduced.max
-        offset = self.diff * (m1 + 1) if self.diff > 1 else 0
-        construct_lo = self.gamma * (self.start + offset + m1 + m)
-        return max(lo, construct_lo), sigma // 2
+        """Inclusive target region [lo, hi]."""
+        return self.lo, self.hi
 
 
 def build_rpg(
@@ -234,11 +298,7 @@ def build_rpg(
     require(dups == 0, "set-input", f"{dups} duplicate values (multisets unsupported)")
     require(len(a) >= 1, "set-nonempty")
     require(a.min >= 1, "positive-elements")
-    big_n = len(a)
-    m = a.max
-    delta = profile.delta_c * ceil_log2(2 * big_n)
-    require(big_n * big_n >= delta * m, "delta-dense",
-            f"n^2 = {big_n * big_n} < delta*m = {delta * m}")
+    _require_delta_dense(a, profile)
     gamma, reduced = find_gamma(a, profile)
     n1 = len(reduced)
     sigma1 = sum(reduced.elems)
@@ -273,11 +333,20 @@ def build_rpg(
     sigma_g = sum(bulk.elems)
     contract(2 * sigma_g >= sigma1, "bulk keeps less than half the sum")
     d = prog.ap.diff
-    if d > 1:
-        require(d <= 10**4, "diff-completeness-checkable", f"d={d}")
-        if reachable_residues(remainder.elems, d) != (1 << d) - 1:
-            raise Exhausted(f"remainder set does not cover all residues modulo {d}")
-    bits = reachable_residues(a.elems, gamma)
+    require(d <= 10**4, "diff-completeness-checkable", f"d={d}")
+    r_table = residue_table(remainder.elems, d)
+    if None in r_table[1:]:
+        raise Exhausted(f"remainder set does not cover all residues modulo {d}")
+    # lo is the published (4 + 2*C_lambda)*m*Sigma/N^2 bound intersected with
+    # what this decomposition can actually reconstruct: after paying for Y
+    # (at most gamma*m) the reduced target must still clear the greedy window
+    # above the progression start
+    big_n, m = len(a), a.max
+    sigma = sum(a.elems)
+    c_lambda = profile.lambda_c * ceil_log2(2 * big_n)
+    offset = d * (m1 + 1) if d > 1 else 0
+    lo = max(ceil_div((4 + 2 * c_lambda) * m * sigma, big_n * big_n),
+             gamma * (prog.ap.start + offset + m1 + m))
     return DenseDecomposition(
         original=a,
         gamma=gamma,
@@ -285,8 +354,15 @@ def build_rpg(
         remainder=remainder,
         progression=prog,
         bulk=bulk,
-        residue_bits=bits,
+        residue_bits=reachable_residues(a.elems, gamma),
         profile=profile,
+        lo=lo,
+        hi=sigma // 2,
+        reduced_sum=sigma1,
+        # the DP skips multiples of the modulus: a table over the non-multiples
+        y_table=residue_table(a.elems, gamma),
+        r_table=r_table,
+        bulk_blocks=block_sums(bulk.elems),
     )
 
 
@@ -296,9 +372,8 @@ def build_rpg(
 
 def dense_decide(d: DenseDecomposition, t: int) -> bool:
     """t in S(A) iff t mod gamma is a reachable residue, for t in the region."""
-    lo, hi = d.region()
-    if not lo <= t <= hi:
-        raise OutOfRegion(f"t={t} outside [{lo}, {hi}]")
+    if not d.lo <= t <= d.hi:
+        raise OutOfRegion(f"t={t} outside [{d.lo}, {d.hi}]")
     return bool(d.residue_bits >> (t % d.gamma) & 1)
 
 
@@ -307,19 +382,14 @@ def dense_search(d: DenseDecomposition, t: int, rng: RandomSource) -> list[int]:
     if not dense_decide(d, t):
         raise OutOfRegion(f"t={t} has an unreachable residue modulo {d.gamma}")
     gamma = d.gamma
-    outside = [v for v in d.original if v % gamma]
-    if gamma == 1:
-        y: list[int] = []
-    else:
-        y_raw = modular_subset_sum(outside, gamma, t % gamma)
-        contract(y_raw is not None, "decide said yes but no Y subset exists")
-        y = shrink_mod(y_raw, gamma)
+    y_raw = walk_residue_table(d.y_table, t)
+    contract(y_raw is not None, "decide said yes but no Y subset exists")
+    y = shrink_mod(y_raw, gamma)
     rest = t - sum(y)
     contract(rest % gamma == 0, "Y must clear the residue modulo gamma")
     z = rest // gamma
-    sigma1 = sum(d.reduced.elems)
-    flip = 2 * z > sigma1
-    z_work = sigma1 - z if flip else z
+    flip = 2 * z > d.reduced_sum
+    z_work = d.reduced_sum - z if flip else z
     picked = _search_reduced(d, z_work)
     if flip:
         picked_set = set(picked)
@@ -341,22 +411,11 @@ def _search_reduced(d: DenseDecomposition, z: int) -> list[int]:
     offset = diff * (m1 + 1) if diff > 1 else 0
     upper = z - s - offset
     contract(upper >= 0, "target below the greedy window; region too loose")
-    g_taken: list[int] = []
-    acc = 0
-    for v in reversed(d.bulk.elems):
-        if acc + v <= upper:
-            acc += v
-            g_taken.append(v)
-        if acc == upper:
-            break
+    g_taken, acc = greedy_fill(d.bulk.elems, d.bulk_blocks, upper)
     contract(upper - m1 < acc <= upper, "greedy bulk prefix missed its window")
-    rho = (z - acc - s) % diff
-    if diff == 1 or rho == 0:
-        r_taken: list[int] = []
-    else:
-        r_raw = modular_subset_sum(d.remainder.elems, diff, rho)
-        contract(r_raw is not None, "remainder set is not complete for the diff")
-        r_taken = shrink_mod(r_raw, diff)
+    r_raw = walk_residue_table(d.r_table, z - acc - s)
+    contract(r_raw is not None, "remainder set is not complete for the diff")
+    r_taken = shrink_mod(r_raw, diff)
     t_p = z - acc - sum(r_taken)
     contract((t_p - s) % diff == 0, "progression residue mismatch")
     j = (t_p - s) // diff

@@ -141,6 +141,23 @@ class TestDense:
         _, out2 = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("values, target, code, error", [
+        (range(1, 501), 30000, 0, None),
+        (range(2, 881, 2), 80001, 3, None),
+        (range(1, 501), 21041, 1, "target-out-of-region"),
+        ([1, 10**6], 10, 1, "delta-dense"),
+        ([4, 4, 5, 6], 10, 1, "set-input"),
+    ], ids=["yes", "no", "out-of-region", "not-dense", "duplicates"])
+    def test_exit_codes(self, tmp_path, capsys, values, target, code, error):
+        inp = tmp_path / "in.txt"
+        inp.write_text(" ".join(map(str, values)) + "\n")
+        got, out = run(capsys, "dense", "--input", inp, "--target", target,
+                       "--seed", "0", "--json")
+        assert got == code
+        rep = json.loads(out)
+        assert rep.get("name") == error
+        assert ("decision" in rep) == (error is None)
+
 
 class TestVerifyCommand:
     def test_round_trip(self, workdir, capsys, tmp_path):

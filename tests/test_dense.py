@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,19 +11,29 @@ from apcert.core import (
     SortedIntSet,
 )
 from apcert.dense import (
+    BULK_BLOCK,
+    block_sums,
     build_rpg,
     dense_decide,
     dense_search,
     find_gamma,
+    greedy_fill,
     modular_subset_sum,
     prime_factors,
     reachable_residues,
     shrink_mod,
+    walk_residue_table,
 )
 from apcert.oracle import brute_subset_sums
 from apcert.profiles import PAPER, TUNED
 
 S = SortedIntSet.from_iterable
+
+
+def multiples_plus_top(q, n, k):
+    """The n multiples of q up to q*n and the k smallest non-multiples above."""
+    top = [v for v in range(q * n + 1, q * n + 4 * k) if v % q][:k]
+    return list(range(q, q * n + 1, q)) + top
 
 
 class TestFactorize:
@@ -91,6 +102,27 @@ class TestFindGamma:
             g, reduced = find_gamma(a, TUNED)
             assert (g, list(reduced.elems)) == reference(list(a.elems))
 
+    def _refused_like_build(self, a):
+        with pytest.raises(PreconditionViolated) as got:
+            find_gamma(a, TUNED)
+        with pytest.raises(PreconditionViolated) as want:
+            build_rpg(a, TUNED)
+        assert got.value.name == want.value.name == "delta-dense"
+        assert got.value.detail == want.value.detail
+
+    def test_not_delta_dense_is_refused_by_name(self):
+        # 2 strips four times: gamma = 16, above 4*Sigma/N^2 = 6.6
+        self._refused_like_build(SortedIntSet((2, 9, 10, 13, 14, 16, 17, 24)))
+
+    def test_sparse_multiples_of_49_are_refused_by_name(self):
+        # after 49, the factor 2 strips again and again: gamma reaches
+        # 11776 to 50176, where 4*Sigma/N^2 is below 300
+        for seed in range(6):
+            rnd = random.Random(seed)
+            vals = {49 * v for v in rnd.sample(range(1, 1201), 400)}
+            strays = rnd.sample(range(1, 49 * 1200), 5)
+            self._refused_like_build(S(vals | set(strays)))
+
 
 class TestModularSubsetSum:
     def test_examples(self):
@@ -141,6 +173,125 @@ class TestShrinkMod:
             out = shrink_mod(y, g)
             assert len(out) <= g
             assert sum(out) % g == sum(y) % g
+
+
+def descending_scan(elems, upper):
+    """Take each element, largest first, that still fits under upper."""
+    taken, acc = [], 0
+    for v in reversed(elems):
+        if acc + v <= upper:
+            acc += v
+            taken.append(v)
+        if acc == upper:
+            break
+    return taken, acc
+
+
+class TestGreedyFill:
+    def _check(self, elems, upper):
+        got, acc = greedy_fill(elems, block_sums(elems), upper)
+        want, want_acc = descending_scan(elems, upper)
+        assert (sorted(got), acc) == (sorted(want), want_acc)
+        assert len(set(got)) == len(got) and sum(got) == acc
+
+    def test_block_sums(self):
+        elems = tuple(range(1, 200))
+        assert block_sums(elems) == (
+            sum(elems[-BULK_BLOCK:]), sum(elems[-2 * BULK_BLOCK:]), sum(elems[-3 * BULK_BLOCK:]))
+        assert block_sums(elems[:BULK_BLOCK - 1]) == ()
+
+    def test_edge_targets(self):
+        rnd = random.Random(21)
+        for size in (BULK_BLOCK - 1, 1000, 4 * BULK_BLOCK):
+            elems = tuple(sorted(rnd.sample(range(1, 5 * size), size)))
+            blocks = block_sums(elems)
+            total = sum(elems)
+            uppers = [0, elems[0] - 1, elems[0], total - 1, total, total + 7]
+            for k in (BULK_BLOCK, 2 * BULK_BLOCK):
+                if k < size:
+                    uppers += [blocks[k // BULK_BLOCK - 1] + e for e in (-1, 0, 1)]
+            for upper in uppers:
+                self._check(elems, upper)
+
+    def test_seeded_bulks(self):
+        rnd = random.Random(22)
+        for _ in range(30):
+            size = rnd.randint(1, 700)
+            elems = tuple(sorted(rnd.sample(range(1, rnd.randint(size + 1, 8 * size + 2)), size)))
+            for _ in range(40):
+                self._check(elems, rnd.randint(0, sum(elems) + 5))
+
+
+def early_exit_dp(values, modulus, r):
+    """Reference: the DP that stops once it reaches r, then walks back."""
+    r %= modulus
+    if modulus == 1 or r == 0:
+        return []
+    pred = [None] * modulus
+    reached = bytearray(modulus)
+    reached[0] = 1
+    frontier = [0]
+    for idx, v in enumerate(values):
+        vm = v % modulus
+        if vm == 0:
+            continue
+        new = []
+        for s in frontier:
+            t = (s + vm) % modulus
+            if not reached[t]:
+                reached[t] = 1
+                pred[t] = (idx, s)
+                new.append(t)
+        frontier.extend(new)
+        if reached[r]:
+            break
+    if not reached[r]:
+        return None
+    out = []
+    cur = r
+    while pred[cur] is not None:
+        idx, cur = pred[cur]
+        out.append(values[idx])
+    return out
+
+
+class TestResidueTables:
+    @pytest.mark.parametrize("q, k, gamma", [(2, 4, 2), (3, 6, 3), (6, 16, 6), (6, 20, 2)])
+    def test_gamma_table_walks_match_the_dp(self, q, k, gamma):
+        d = build_rpg(multiples_plus_top(q, 1200, k), TUNED, seed=0)
+        assert d.gamma == gamma
+        outside = [v for v in d.original if v % gamma]
+        assert outside
+        for r in range(gamma):
+            assert walk_residue_table(d.y_table, r) == early_exit_dp(outside, gamma, r)
+
+    @pytest.mark.parametrize("q, k, diff", [(5, 12, 5), (6, 20, 3)])
+    def test_diff_table_walks_match_the_dp(self, q, k, diff):
+        d = build_rpg(multiples_plus_top(q, 1200, k), TUNED, seed=0)
+        assert d.diff == diff
+        for r in range(diff):
+            got = walk_residue_table(d.r_table, r)
+            assert got is not None
+            assert got == early_exit_dp(d.remainder.elems, diff, r)
+
+
+class TestDecideIsConstantTime:
+    def test_decide_reads_no_input_set(self):
+        d = build_rpg([2 * x for x in range(1, 441)], TUNED, seed=2)
+        bare = dataclasses.replace(d, original=None, reduced=None, bulk=None)
+        lo, hi = d.region()
+        rnd = random.Random(8)
+        answers = set()
+        for t in [lo, hi] + [rnd.randint(lo, hi) for _ in range(200)]:
+            answers.add(dense_decide(d, t))
+            assert dense_decide(bare, t) == dense_decide(d, t)
+        assert answers == {True, False}
+        for t in (lo - 1, hi + 1):
+            with pytest.raises(OutOfRegion) as want:
+                dense_decide(d, t)
+            with pytest.raises(OutOfRegion) as got:
+                dense_decide(bare, t)
+            assert str(got.value) == str(want.value)
 
 
 class TestBuildDecomposition:
