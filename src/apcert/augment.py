@@ -53,7 +53,6 @@ class LeafWitness(Protocol):
 class Layer(Protocol):
     outer: ArithProgression
     inner: ArithProgression
-    budget: int
     parts_per_query: int
 
     def resolve(self, j: int) -> tuple[int, Parts]: ...
@@ -79,14 +78,7 @@ class ApWitness:
     subset-sum mode, in which all emitted parts must be distinct base elements.
     """
 
-    def __init__(
-        self,
-        base_set: SortedIntSet,
-        leaf: LeafWitness,
-        layers: Sequence[Layer] = (),
-        fold_budget: int = 0,
-    ):
-        self.base_set = base_set
+    def __init__(self, leaf: LeafWitness, layers: Sequence[Layer] = (), fold_budget: int = 0):
         self.leaf = leaf
         self.layers = tuple(layers)  # outermost first
         self.fold_budget = fold_budget
@@ -136,7 +128,6 @@ class LadderAccessor(Protocol):
     s_q: int
     h_min: int
     h_max: int
-    budget: int
     parts_per_lookup: int
 
     def lookup(self, i: int) -> tuple[int, Parts]: ...
@@ -164,7 +155,6 @@ class PairLadder:
         # rung heights are floor(j*g/d) for j < d/dp; the exact maximum (at
         # most the conservative g/dp) buys a longer progression
         self.h_max = (d // dp - 1) * g // d
-        self.budget = d // dp
         self.parts_per_lookup = d // dp
 
     def lookup(self, i: int) -> tuple[int, Parts]:
@@ -208,7 +198,6 @@ class LadderLayer:
         self.outer = ArithProgression(
             inner.start + ladder.s_q + ladder.h_max * d, dp, new_len
         )
-        self.budget = ladder.budget
         self.parts_per_query = ladder.parts_per_lookup
         self._memo: dict[int, tuple[int, Parts]] = {}
 
@@ -243,7 +232,6 @@ class DivPairLayer:
         self.g = g
         self.h = h
         self.outer = ArithProgression(inner.start + h * a, d, inner.length + h * g // d)
-        self.budget = h
         self.parts_per_query = h
 
     def resolve(self, j: int) -> tuple[int, Parts]:
@@ -265,13 +253,6 @@ class DivPairLayer:
 # Augmentation operations
 # ---------------------------------------------------------------------------
 
-def augment_by_ladder(
-    p: ArithProgression, ladder: LadderAccessor
-) -> tuple[ArithProgression, LadderLayer]:
-    layer = LadderLayer(p, ladder)
-    return layer.outer, layer
-
-
 def augment_nondiv_pair(
     p: ArithProgression, a: int, g: int
 ) -> tuple[int, ArithProgression, LadderLayer]:
@@ -284,15 +265,8 @@ def augment_nondiv_pair(
         "ap-long-enough-for-pair",
         f"length {p.length} < g/d' = {g // ladder.dp}",
     )
-    p2, layer = augment_by_ladder(p, ladder)
-    return ladder.dp, p2, layer
-
-
-def augment_div_pair(
-    p: ArithProgression, a: int, g: int, h: int
-) -> tuple[ArithProgression, DivPairLayer]:
-    layer = DivPairLayer(p, a, g, h)
-    return layer.outer, layer
+    layer = LadderLayer(p, ladder)
+    return ladder.dp, layer.outer, layer
 
 
 class GapPairs:
@@ -368,7 +342,8 @@ def augment_once(
         contract(dpp == dp, "divisor mismatch between ladder and gcd")
         return dp, p2, (ladder_layer,), d // dp + h
     a2, g2 = found.pair2
-    p_mid, div_layer = augment_div_pair(p, a2, g2, h)
+    div_layer = DivPairLayer(p, a2, g2, h)
+    p_mid = div_layer.outer
     contract(
         p_mid.length >= p.length + g1 // dp,
         "divisible-pair stretch must cover the ladder loss",

@@ -187,39 +187,6 @@ def modular_subset_sum(values: Sequence[int], modulus: int, r: int) -> Optional[
     return walk_residue_table(residue_table(values, modulus), r)
 
 
-def shrink_mod(values: Sequence[int], modulus: int) -> list[int]:
-    """Drop a block between equal partial-sum residues until at most
-    `modulus` elements remain; the total stays fixed modulo `modulus`."""
-    require(modulus >= 1, "modulus-positive")
-    y = list(values)
-    while len(y) > modulus:
-        seen = {0: 0}
-        acc = 0
-        cut = None
-        for i, v in enumerate(y, start=1):
-            acc = (acc + v) % modulus
-            if acc in seen:
-                cut = (seen[acc], i)
-                break
-            seen[acc] = i
-        contract(cut is not None, "pigeonhole guarantees a repeated partial sum")
-        lo, hi = cut
-        del y[lo:hi]
-    return y
-
-
-def reachable_residues(values: Sequence[int], modulus: int) -> int:
-    """Bitmask of S(values) modulo `modulus`."""
-    mask = (1 << modulus) - 1
-    bits = 1
-    for v in values:
-        vm = v % modulus
-        if vm == 0:
-            continue
-        bits |= ((bits << vm) | (bits >> (modulus - vm))) & mask
-    return bits
-
-
 def block_sums(elems: Sequence[int]) -> tuple[int, ...]:
     """Entry i: the sum of the BULK_BLOCK*(i+1) largest of the ascending
     `elems`."""
@@ -265,8 +232,7 @@ class DenseDecomposition:
     remainder: SortedIntSet         # R: covers residues modulo the diff
     progression: SubsetSumApResult  # P: coreset + witness, start s, diff d
     bulk: SortedIntSet              # G: carries at least half the sum
-    residue_bits: int               # S(A) mod gamma
-    profile: ConstantsProfile
+    residue_bits: int               # S(A) mod gamma, read off y_table
     lo: int                         # target region [lo, hi], see build_rpg
     hi: int
     reduced_sum: int                # Sigma(A1)
@@ -347,6 +313,8 @@ def build_rpg(
     offset = d * (m1 + 1) if d > 1 else 0
     lo = max(ceil_div((4 + 2 * c_lambda) * m * sigma, big_n * big_n),
              gamma * (prog.ap.start + offset + m1 + m))
+    # the DP skips multiples of the modulus: a table over the non-multiples
+    y_table = residue_table(a.elems, gamma)
     return DenseDecomposition(
         original=a,
         gamma=gamma,
@@ -354,13 +322,11 @@ def build_rpg(
         remainder=remainder,
         progression=prog,
         bulk=bulk,
-        residue_bits=reachable_residues(a.elems, gamma),
-        profile=profile,
+        residue_bits=sum(1 << r for r, hit in enumerate(y_table) if r == 0 or hit is not None),
         lo=lo,
         hi=sigma // 2,
         reduced_sum=sigma1,
-        # the DP skips multiples of the modulus: a table over the non-multiples
-        y_table=residue_table(a.elems, gamma),
+        y_table=y_table,
         r_table=r_table,
         bulk_blocks=block_sums(bulk.elems),
     )
@@ -382,15 +348,14 @@ def dense_search(d: DenseDecomposition, t: int, rng: RandomSource) -> list[int]:
     if not dense_decide(d, t):
         raise OutOfRegion(f"t={t} has an unreachable residue modulo {d.gamma}")
     gamma = d.gamma
-    y_raw = walk_residue_table(d.y_table, t)
-    contract(y_raw is not None, "decide said yes but no Y subset exists")
-    y = shrink_mod(y_raw, gamma)
+    y = walk_residue_table(d.y_table, t)
+    contract(y is not None, "decide said yes but no Y subset exists")
     rest = t - sum(y)
     contract(rest % gamma == 0, "Y must clear the residue modulo gamma")
     z = rest // gamma
     flip = 2 * z > d.reduced_sum
     z_work = d.reduced_sum - z if flip else z
-    picked = _search_reduced(d, z_work)
+    picked = _search_reduced(d, z_work, rng)
     if flip:
         picked_set = set(picked)
         picked = [v for v in d.reduced if v not in picked_set]
@@ -401,7 +366,7 @@ def dense_search(d: DenseDecomposition, t: int, rng: RandomSource) -> list[int]:
     return out
 
 
-def _search_reduced(d: DenseDecomposition, z: int) -> list[int]:
+def _search_reduced(d: DenseDecomposition, z: int, rng: RandomSource) -> list[int]:
     """Subset of the reduced set summing to z via greedy bulk + remainder +
     progression witness."""
     m1 = d.reduced.max
@@ -413,14 +378,12 @@ def _search_reduced(d: DenseDecomposition, z: int) -> list[int]:
     contract(upper >= 0, "target below the greedy window; region too loose")
     g_taken, acc = greedy_fill(d.bulk.elems, d.bulk_blocks, upper)
     contract(upper - m1 < acc <= upper, "greedy bulk prefix missed its window")
-    r_raw = walk_residue_table(d.r_table, z - acc - s)
-    contract(r_raw is not None, "remainder set is not complete for the diff")
-    r_taken = shrink_mod(r_raw, diff)
+    r_taken = walk_residue_table(d.r_table, z - acc - s)
+    contract(r_taken is not None, "remainder set is not complete for the diff")
     t_p = z - acc - sum(r_taken)
     contract((t_p - s) % diff == 0, "progression residue mismatch")
     j = (t_p - s) // diff
     contract(0 <= j <= d.progression.ap.length, f"progression index {j} out of range")
-    rng = RandomSource(d.progression.ap.start).derive("dense-search", j)
     sol = d.progression.witness.query(j, rng)
     p_taken = [v for v, _ in sol.parts]
     out = g_taken + r_taken + p_taken

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .augment import ApWitness, Layer, augment_by_ladder, augment_div_pair
+from .augment import ApWitness, DivPairLayer, Layer, LadderLayer
 from .core import (
     ArithProgression,
     Exhausted,
@@ -67,23 +67,11 @@ class PairSet:
             vals.append(hi)
         return SortedIntSet(tuple(sorted(vals)))
 
-    def gap_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for lo, hi in self.pairs:
-            g = hi - lo
-            out[g] = out.get(g, 0) + 1
-        return out
 
-    @property
-    def base_sum(self) -> int:
-        return sum(lo for lo, _ in self.pairs)
-
-
-def gen_pairs(a: SortedIntSet) -> tuple[PairSet, int]:
+def gen_pairs(a: SortedIntSet) -> PairSet:
     """At least n conflict-free consecutive pairs with gaps <= m/n, where the
-    largest |A| mod 4 elements are dropped first (the count is returned)."""
-    dropped = len(a) % 4
-    elems = a.elems[: len(a) - dropped] if dropped else a.elems
+    largest |A| mod 4 elements are dropped first."""
+    elems = a.elems[: len(a) - len(a) % 4]
     require(len(elems) >= 4, "set-at-least-four", f"kept {len(elems)}")
     n = len(elems) // 4
     m = elems[-1]
@@ -95,7 +83,7 @@ def gen_pairs(a: SortedIntSet) -> tuple[PairSet, int]:
             (even if i % 2 == 0 else odd).append((elems[i], elems[i + 1]))
     chosen = even if len(even) >= len(odd) else odd
     contract(len(chosen) >= n, "pigeonhole guarantees n small-gap pairs")
-    return PairSet(tuple(chosen)), dropped
+    return PairSet(tuple(chosen))
 
 
 def uniformize(keys: Sequence[int]) -> tuple[int, list[int]]:
@@ -248,11 +236,11 @@ def ap_by_pairs(
 ) -> PairApResult:
     """AP of length g_bound in S(A_{T*}) for a small subset T* of the pairs."""
     require(len(t) >= 1, "pairs-nonempty")
-    gaps_all = t.gap_multiset()
+    gaps = [hi - lo for lo, hi in t.pairs]
     require(
-        all(1 <= g <= g_bound for g in gaps_all),
+        all(1 <= g <= g_bound for g in gaps),
         "gaps-within-bound",
-        f"gaps up to {max(gaps_all, default=0)} vs bound {g_bound}",
+        f"gaps up to {max(gaps)} vs bound {g_bound}",
     )
     if profile.enforce_caps:
         require(
@@ -260,12 +248,12 @@ def ap_by_pairs(
             "pairs-vs-gap-cap",
             f"g_bound={g_bound}, |T|={len(t)}",
         )
-    bank = bank_pairs(t.pairs, [hi - lo for lo, hi in t.pairs], g_bound, (0,), "gap")
+    bank = bank_pairs(t.pairs, gaps, g_bound, (0,), "gap")
     t_star = PairSet(bank.pairs)
     if profile.enforce_caps:
         contract(len(t_star) <= profile.pair_cap * g_bound, "pair coreset above cap")
     leaf = PairBridgeLeaf(bank)
-    witness = ApWitness(t_star.endpoints(), leaf, (), fold_budget=0)
+    witness = ApWitness(leaf, (), fold_budget=0)
     return PairApResult(leaf.ap, witness, t_star)
 
 
@@ -275,7 +263,6 @@ class ShortApResult:
     witness: ApWitness
     coreset: SortedIntSet
     t_star: PairSet
-    dropped: int
 
 
 def short_ap_in_subset_sums(
@@ -294,10 +281,9 @@ def short_ap_in_subset_sums(
             "length-cap",
             f"ell={ell}, n={n}",
         )
-    t, dropped = gen_pairs(a)
-    res = ap_by_pairs(t, ell, profile)
+    res = ap_by_pairs(gen_pairs(a), ell, profile)
     contract(res.ap.diff * n <= m, "short progression diff above m/n")
-    return ShortApResult(res.ap, res.witness, res.t_star.endpoints(), res.t_star, dropped)
+    return ShortApResult(res.ap, res.witness, res.t_star.endpoints(), res.t_star)
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +405,6 @@ class GapScan:
         return self.vals[i], self.vals[j]
 
 
-def find_aug_pair(scan: GapScan) -> Optional[tuple[int, int, int]]:
-    """Next qualifying pair from the scan: (case, index_lo, index_hi).
-
-    Pairs with a small non-divisible gap come first; otherwise a divisible
-    gap (possibly a run-sum) inside the window.
-    """
-    hit = scan.pop_case1()
-    if hit is not None:
-        return 1, hit[0], hit[1]
-    hit = scan.pop_case2()
-    if hit is not None:
-        return 2, hit[0], hit[1]
-    return None
-
-
 def gamma_parameter(m: int, n: int, ell: int, profile: ConstantsProfile) -> Fraction:
     return Fraction(m, n) + Fraction(ell, profile.window_div * n)
 
@@ -463,10 +434,14 @@ def extract_aug_pairs(
     case2: list[Pair] = []
     gain = 0
     while True:
-        hit = find_aug_pair(scan)
+        # a small non-divisible gap comes first; otherwise a divisible gap
+        # (possibly a run-sum) inside the window
+        case, hit = 1, scan.pop_case1()
+        if hit is None:
+            case, hit = 2, scan.pop_case2()
         if hit is None:
             break
-        case, i, j = hit
+        i, j = hit
         lo, hi = scan.value_pair(i, j)
         scan.remove_pair(i, j)
         if case == 1:
@@ -508,7 +483,6 @@ class ResidueLadderAccessor:
         g_max = max((hi - lo for lo, hi in bank.pairs), default=0)
         self.h_min = -ceil_div(ap.start, d)
         self.h_max = (u_parts * g_max - ap.start) // d
-        self.budget = 0
         self.parts_per_lookup = len(bank.pairs)
 
     def lookup(self, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -527,20 +501,14 @@ class ResidueLadderAccessor:
         return q, parts
 
 
-@dataclass(frozen=True)
-class ResidueLadderResult:
-    accessor: ResidueLadderAccessor
-    t_star: PairSet
-    dp: int
-
-
 def residue_ladder(
     pairs: Sequence[Pair],
     d: int,
     profile: ConstantsProfile = TUNED,
     seed: int = 0,
-) -> ResidueLadderResult:
-    """Ladder over S(A_{T*}) for pairs whose gaps d does not divide.
+) -> ResidueLadderAccessor:
+    """Ladder over S(A_{T*}) for pairs whose gaps d does not divide; T* is
+    the accessor's bank.pairs.
 
     d' = gcd of the gap residues together with d, a proper divisor of d.
     """
@@ -561,11 +529,9 @@ def residue_ladder(
     bank = bank_pairs(t.pairs, [(hi - lo) % d for lo, hi in t.pairs], d, (0, d), "residue")
     dp = bank.ap.diff
     contract(1 <= dp < d and d % dp == 0, "residue gcd must properly divide d")
-    t_star = PairSet(bank.pairs)
     if profile.enforce_caps:
-        contract(len(t_star) <= profile.pair_cap * d, "ladder coreset above cap")
-    accessor = ResidueLadderAccessor(bank, d, seed)
-    return ResidueLadderResult(accessor, t_star, dp)
+        contract(len(bank.pairs) <= profile.pair_cap * d, "ladder coreset above cap")
+    return ResidueLadderAccessor(bank, d, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +543,6 @@ class ExtendOnceResult:
     ap: ArithProgression
     layers: tuple[Layer, ...]
     used: SortedIntSet
-    case: int
-    new_diff: int
 
 
 def extend_ap_once(
@@ -614,27 +578,27 @@ def extend_ap_once(
         for lo, hi in pairs:
             if cur.length >= ell + gain_target:
                 break
-            cur, layer = augment_div_pair(cur, lo, hi - lo, 1)
+            layer = DivPairLayer(cur, lo, hi - lo, 1)
+            cur = layer.outer
             layers.insert(0, layer)
             used_vals.extend((lo, hi))
-        new_diff = d
     else:
         ladder = residue_ladder(pairs, d, profile, seed)
-        if p.length < ladder.accessor.h_max - ladder.accessor.h_min:
+        if p.length < ladder.h_max - ladder.h_min:
             raise Exhausted(
-                f"ladder window {ladder.accessor.h_max - ladder.accessor.h_min} "
+                f"ladder window {ladder.h_max - ladder.h_min} "
                 f"exceeds progression length {p.length}"
             )
-        cur, layer = augment_by_ladder(p, ladder.accessor)
+        layer = LadderLayer(p, ladder)
+        cur = layer.outer
         layers = [layer]
-        for lo, hi in ladder.t_star.pairs:
+        for lo, hi in ladder.bank.pairs:
             used_vals.extend((lo, hi))
-        new_diff = ladder.dp
     if cur.length < ell + gain_target:
         raise Exhausted(
             f"augmentation gained {cur.length - ell}, wanted {gain_target}"
         )
-    return ExtendOnceResult(cur, tuple(layers), SortedIntSet.from_iterable(used_vals), case, new_diff)
+    return ExtendOnceResult(cur, tuple(layers), SortedIntSet.from_iterable(used_vals))
 
 
 def coreset_size_bound(ell: int, n: int, profile: ConstantsProfile) -> int:
@@ -654,8 +618,6 @@ class SubsetSumApResult:
     witness: ApWitness
     coreset: SortedIntSet
     rounds: int
-    dropped: int
-    profile_name: str
 
 
 def ap_in_subset_sums(
@@ -727,9 +689,7 @@ def ap_in_subset_sums(
     bound = coreset_size_bound(ell, big_n, profile)
     if len(coreset) > bound:
         raise Exhausted(f"coreset size {len(coreset)} above bound {bound}", partial=p)
-    witness = ApWitness(coreset, short.witness.leaf, layers, fold_budget=0)
+    witness = ApWitness(short.witness.leaf, layers, fold_budget=0)
     contract(witness.ap == p, "assembled witness progression mismatch")
     witness = witness.truncated(ell)
-    return SubsetSumApResult(
-        witness.ap, witness, coreset, rounds, short.dropped, profile.name
-    )
+    return SubsetSumApResult(witness.ap, witness, coreset, rounds)

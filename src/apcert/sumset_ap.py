@@ -82,9 +82,8 @@ class RestrictedLeaf:
     On the right side the witness is queried at the reflected index m - j.
     """
 
-    def __init__(self, dw: DensityWitness, base: SortedIntSet, u: int, side: Side, m: int):
+    def __init__(self, dw: DensityWitness, u: int, side: Side, m: int):
         self.dw = dw
-        self.base = base
         self.u = u
         self.side = side
         self.m = m
@@ -129,16 +128,16 @@ def ap_restricted(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, Ap
         dw = build_density_witness(b_set, m, 8 * k)
     except PreconditionViolated as exc:
         raise InternalContract(f"shifted set lost the 1/(4k) density bound: {exc}") from exc
-    leaf = RestrictedLeaf(dw, a, u, side, m)
-    witness = ApWitness(a, leaf, (), fold_budget=32 * k)
+    leaf = RestrictedLeaf(dw, u, side, m)
+    witness = ApWitness(leaf, (), fold_budget=32 * k)
     return leaf.ap, witness
 
 
 class ShortLeaf:
-    """Leaf for the closest-pair reduction: each b of the inner witness over
+    """Leaf for the closest-pair reduction: each b of the inner leaf over
     gap-multiples expands to a pair of A-elements summing to b*g + a' + a*."""
 
-    def __init__(self, inner: ApWitness, base: SortedIntSet, g: int, a_prime: int, a_star: int):
+    def __init__(self, inner: RestrictedLeaf, base: SortedIntSet, g: int, a_prime: int, a_star: int):
         self.inner = inner
         self.base = base
         self.g = g
@@ -147,18 +146,11 @@ class ShortLeaf:
         self.parts_per_query = 2 * inner.parts_per_query
         start = g * inner.ap.start + inner.parts_per_query * (a_prime + a_star)
         self.ap = ArithProgression(start, g, inner.ap.length)
-        # the inner witness is layerless, so raw leaf parts can pass through
-        # without building the intermediate certificate
-        self._inner_leaf = inner.leaf if not inner.layers else None
 
     def query_parts(self, j: int, rng: RandomSource):
-        if self._inner_leaf is not None:
-            inner_parts = self._inner_leaf.query_parts(j, rng)
-        else:
-            inner_parts = self.inner.query(j, rng).parts
         g, ap_, a_star = self.g, self.a_prime, self.a_star
         parts: list[tuple[int, int]] = []
-        for b, c in inner_parts:
+        for b, c in self.inner.query_parts(j, rng):
             v = b * g + ap_
             if v in self.base:
                 parts.append((v, c))
@@ -197,8 +189,8 @@ def ap_short(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitne
     contract(len(b_set) * k2 >= m2 + 1, "shifted gap set lost the cardinality bound")
     contract(b_set.max <= m2, "shifted gap set exceeds its interval")
     p_b, w_b = ap_restricted(b_set, m2, k2)
-    leaf = ShortLeaf(w_b, a, g, a_prime, a_star)
-    witness = ApWitness(a, leaf, (), fold_budget=320 * k)
+    leaf = ShortLeaf(w_b.leaf, a, g, a_prime, a_star)
+    witness = ApWitness(leaf, (), fold_budget=320 * k)
     contract(leaf.ap.length * min(g, n) >= 5 * m, "short progression too short")
     return leaf.ap, witness
 
@@ -209,7 +201,6 @@ class KfoldApResult:
 
     ap: ArithProgression
     witness: ApWitness
-    k: int
     k_eff: int
     fold_budget: int
 
@@ -242,8 +233,8 @@ def ap_in_kfold_sumset(
         p_final, layers, budget_extra = augment_to_full(a, p0, m)
     fold_budget = 320 * k_eff + budget_extra
     contract(fold_budget <= 332 * k_eff, f"budget {fold_budget} exceeds 332*k_eff")
-    witness = ApWitness(a, w0.leaf, layers, fold_budget=fold_budget)
+    witness = ApWitness(w0.leaf, layers, fold_budget=fold_budget)
     contract(witness.ap == p_final, "assembled witness progression mismatch")
     contract(p_final.length >= m, "final progression shorter than m")
     witness = witness.truncated(m)
-    return KfoldApResult(witness.ap, witness, k, k_eff, fold_budget)
+    return KfoldApResult(witness.ap, witness, k_eff, fold_budget)

@@ -6,10 +6,10 @@ import pytest
 
 from apcert.augment import (
     ApWitness,
+    DivPairLayer,
     ExplicitLeaf,
+    LadderLayer,
     PairLadder,
-    augment_by_ladder,
-    augment_div_pair,
     augment_nondiv_pair,
     augment_once,
     augment_to_full,
@@ -35,8 +35,7 @@ class FixedLadder:
         self.d, self.dp, self.s_q = d, dp, s_q
         self.entries = entries  # i -> (q_i, parts)
         self.h_min, self.h_max = h_min, h_max
-        self.budget = max((sum(c for _, c in p) for _, p in entries.values()), default=0)
-        self.parts_per_lookup = self.budget
+        self.parts_per_lookup = max((sum(c for _, c in p) for _, p in entries.values()), default=0)
 
     def lookup(self, i):
         return self.entries[i]
@@ -93,7 +92,8 @@ class TestAugmentByLadder:
             {0: (0, ()), 1: (8, ((8, 1),)), 2: (4, ((4, 1),))},
             0, 1,
         )
-        p2, layer = augment_by_ladder(p, lad)
+        layer = LadderLayer(p, lad)
+        p2 = layer.outer
         assert (p2.start, p2.diff, p2.length) == (6, 2, 12)
         # term value 8 is index j' = 1: resolves to rung 1 with residual 0
         j_inner, parts = layer.resolve(1)
@@ -102,8 +102,7 @@ class TestAugmentByLadder:
     def test_boundary_zero_length(self):
         p = AP(0, 6, 1)
         lad = FixedLadder(6, 2, 0, {0: (0, ()), 1: (8, ()), 2: (4, ())}, 0, 1)
-        p2, _ = augment_by_ladder(p, lad)
-        assert p2.length == 0
+        assert LadderLayer(p, lad).outer.length == 0
 
     def test_terms_belong_to_p_plus_q_exhaustively(self):
         for d in (4, 6, 8, 9, 12):
@@ -116,7 +115,8 @@ class TestAugmentByLadder:
                         p = AP(5, d, ell)
                         if ell < lad.h_max - lad.h_min:
                             continue
-                        p2, layer = augment_by_ladder(p, lad)
+                        layer = LadderLayer(p, lad)
+                        p2 = layer.outer
                         q_set = {lad.lookup(i)[0] for i in range(d // lad.dp)}
                         p_plus_q = {x + q for x in p.terms() for q in q_set}
                         for j in range(p2.length + 1):
@@ -147,17 +147,17 @@ class TestAugmentNondivPair:
 
 class TestAugmentDivPair:
     def test_example_one(self):
-        p2, _ = augment_div_pair(AP(0, 2, 5), 1, 4, 1)
+        p2 = DivPairLayer(AP(0, 2, 5), 1, 4, 1).outer
         assert (p2.start, p2.diff, p2.length) == (1, 2, 7)
         assert list(p2.terms()) == list(range(1, 16, 2))
 
     def test_example_two(self):
-        p2, _ = augment_div_pair(AP(0, 1, 10), 0, 10, 3)
+        p2 = DivPairLayer(AP(0, 1, 10), 0, 10, 3).outer
         assert (p2.start, p2.diff, p2.length) == (0, 1, 40)
 
     def test_gap_above_span_rejected(self):
         with pytest.raises(PreconditionViolated):
-            augment_div_pair(AP(0, 2, 5), 1, 12, 1)
+            DivPairLayer(AP(0, 2, 5), 1, 12, 1)
 
     def test_containment_exhaustive(self):
         for d in range(1, 7):
@@ -169,7 +169,8 @@ class TestAugmentDivPair:
                     for h in range(1, 5):
                         for a in (0, 2):
                             p = AP(3, d, ell)
-                            p2, layer = augment_div_pair(p, a, g, h)
+                            layer = DivPairLayer(p, a, g, h)
+                            p2 = layer.outer
                             pair_sums = {
                                 a * (h - i) + (a + g) * i for i in range(h + 1)
                             }
@@ -307,7 +308,7 @@ class TestAugmentToFull:
             leaf = explicit_witness_over(a, p, ell)
             p2, layers, budget = augment_to_full(a, p, m)
             assert p2.diff == 1 and p2.length >= m
-            w = ApWitness(a, leaf, layers, fold_budget=ell + budget)
+            w = ApWitness(leaf, layers, fold_budget=ell + budget)
             for j in rnd.sample(range(p2.length + 1), min(25, p2.length + 1)):
                 sol = w.query(j, RandomSource(j))
                 assert verify_solution(a, sol)

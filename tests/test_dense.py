@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from apcert.augment import ApWitness
 from apcert.core import (
     OutOfRegion,
     PreconditionViolated,
@@ -20,8 +21,7 @@ from apcert.dense import (
     greedy_fill,
     modular_subset_sum,
     prime_factors,
-    reachable_residues,
-    shrink_mod,
+    residue_table,
     walk_residue_table,
 )
 from apcert.oracle import brute_subset_sums
@@ -153,26 +153,7 @@ class TestModularSubsetSum:
                     assert sum(got) % g == r % g
                     assert len(set(got)) == len(got)
                     assert all(v in vals for v in got)
-            bits = reachable_residues(vals, g)
-            assert {r for r in range(g) if bits >> r & 1} == reachable
-
-
-class TestShrinkMod:
-    def test_examples(self):
-        out = shrink_mod([1, 2, 3, 4, 5], 3)
-        assert len(out) <= 3 and sum(out) % 3 == sum([1, 2, 3, 4, 5]) % 3
-        assert shrink_mod([4, 5], 7) == [4, 5]
-        out0 = shrink_mod([3, 6, 9, 12], 3)
-        assert len(out0) <= 3 and sum(out0) % 3 == 0
-
-    def test_random(self):
-        rnd = random.Random(9)
-        for _ in range(80):
-            g = rnd.randint(1, 12)
-            y = [rnd.randint(1, 50) for _ in range(rnd.randint(0, 30))]
-            out = shrink_mod(y, g)
-            assert len(out) <= g
-            assert sum(out) % g == sum(y) % g
+            assert table_residues(residue_table(vals, g)) == reachable
 
 
 def descending_scan(elems, upper):
@@ -222,6 +203,11 @@ class TestGreedyFill:
                 self._check(elems, rnd.randint(0, sum(elems) + 5))
 
 
+def table_residues(table):
+    """The residues a predecessor table reaches: 0 and every entry set."""
+    return {r for r, hit in enumerate(table) if r == 0 or hit is not None}
+
+
 def early_exit_dp(values, modulus, r):
     """Reference: the DP that stops once it reaches r, then walks back."""
     r %= modulus
@@ -262,8 +248,16 @@ class TestResidueTables:
         assert d.gamma == gamma
         outside = [v for v in d.original if v % gamma]
         assert outside
+        reachable = set()
         for r in range(gamma):
-            assert walk_residue_table(d.y_table, r) == early_exit_dp(outside, gamma, r)
+            walk = walk_residue_table(d.y_table, r)
+            assert walk == early_exit_dp(outside, gamma, r)
+            if walk is not None:
+                # a walk visits distinct residues, so no shorter subset exists
+                assert len(walk) < gamma
+                reachable.add(r)
+        bits = {r for r in range(gamma) if d.residue_bits >> r & 1}
+        assert bits == table_residues(d.y_table) == reachable
 
     @pytest.mark.parametrize("q, k, diff", [(5, 12, 5), (6, 20, 3)])
     def test_diff_table_walks_match_the_dp(self, q, k, diff):
@@ -273,6 +267,7 @@ class TestResidueTables:
             got = walk_residue_table(d.r_table, r)
             assert got is not None
             assert got == early_exit_dp(d.remainder.elems, diff, r)
+            assert len(got) < diff
 
 
 class TestDecideIsConstantTime:
@@ -355,6 +350,20 @@ class TestDecideSearch:
                 assert sum(sol) == t
                 assert len(set(sol)) == len(sol)
                 assert all(v in self.decomp.original for v in sol)
+
+    def test_search_queries_with_the_callers_rng(self, monkeypatch):
+        seen = []
+        query = ApWitness.query
+
+        def spy(self, j, rng):
+            seen.append(rng)
+            return query(self, j, rng)
+
+        monkeypatch.setattr(ApWitness, "query", spy)
+        rng = RandomSource(11)
+        t = (self.lo + self.hi) // 2
+        assert sum(dense_search(self.decomp, t, rng)) == t
+        assert seen[0] is rng
 
     def test_boundary_targets(self):
         rng = RandomSource(5)
