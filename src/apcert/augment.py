@@ -58,19 +58,6 @@ class Layer(Protocol):
     def resolve(self, j: int) -> tuple[int, Parts]: ...
 
 
-class ExplicitLeaf:
-    """Leaf backed by a precomputed table of parts per term (tests, toys)."""
-
-    def __init__(self, ap: ArithProgression, table: dict[int, Parts]):
-        self.ap = ap
-        self.table = {j: tuple(parts) for j, parts in table.items()}
-        counts = {sum(c for _, c in p) for p in self.table.values()}
-        self.parts_per_query = max(counts) if counts else 0
-
-    def query_parts(self, j: int, rng: RandomSource) -> Parts:
-        return self.table[j]
-
-
 class ApWitness:
     """Immutable composed witness: query(j) certifies term start + j*diff.
 

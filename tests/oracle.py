@@ -1,5 +1,6 @@
 """Brute-force ground truth used by the tests: exact sumsets, subset sums,
-coin-style reachability, and materialized greedy sumsets.
+coin-style reachability, greedy sumsets (materialized and by membership) and
+k-fold greedy certificates.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import CapExceeded, SortedIntSet
-from .greedy import greedy_sumset
+from apcert.core import CapExceeded, CompactSolution, EmptySet, SortedIntSet
+from apcert.greedy import kfold_greedy_steps
 
 HARD_CAP = 10**8
 
@@ -121,6 +122,47 @@ def brute_unbounded(a: tuple[int, ...], t_max: int) -> tuple[ReachTable, int]:
                 step <<= 1
     table = ReachTable(bits, t_max)
     return table, table.frobenius
+
+
+def greedy_sumset(a: SortedIntSet, b: SortedIntSet) -> SortedIntSet:
+    """All a_i + v with v in B and 0 <= v < (successor of a_i) - a_i.
+
+    Quadratic; meant for tests and small instances.
+    """
+    if not len(a) or not len(b):
+        raise EmptySet()
+    out = set()
+    elems = a.elems
+    for i, ai in enumerate(elems):
+        limit = elems[i + 1] - ai if i + 1 < len(elems) else None
+        for v in b.elems:
+            if v < 0:
+                continue
+            if limit is not None and v >= limit:
+                break
+            out.add(ai + v)
+    return SortedIntSet.from_iterable(out)
+
+
+def greedy_membership(a: SortedIntSet, b: SortedIntSet, z: int) -> Optional[tuple[int, int]]:
+    """If z in A (+) B, return (x, z - x) with x the largest element of A <= z."""
+    x = a.predecessor(z)
+    if x is None:
+        return None
+    if (z - x) in b:
+        return (x, z - x)
+    return None
+
+
+def kfold_greedy_query(a: SortedIntSet, k: int, z: int) -> Optional[CompactSolution]:
+    """Certificate for z in the k-fold greedy sumset of A, or None."""
+    runs = kfold_greedy_steps(a, k, z)
+    if runs is None:
+        return None
+    counts: dict[int, int] = {}
+    for v, c in runs:
+        counts[v] = counts.get(v, 0) + c
+    return CompactSolution.from_counts(counts, z, k)
 
 
 def greedy_kfold_materialize(a: SortedIntSet, k: int, cap: int) -> SortedIntSet:

@@ -27,12 +27,17 @@ from apcert.core import (
     verify_solution,
 )
 from apcert.dense import build_rpg, dense_decide, dense_search
-from apcert.greedy import greedy_sumset, kfold_greedy_query
-from apcert.oracle import brute_kfold, brute_subset_sums, brute_unbounded
 from apcert.profiles import PAPER, TUNED
 from apcert.subsetsum_ap import ap_in_subset_sums, coreset_size_bound
 from apcert.sumset_ap import Side, ap_in_kfold_sumset, find_dense_endpoint
 from apcert.unbounded import UnboundedSolver
+from oracle import (
+    brute_kfold,
+    brute_subset_sums,
+    brute_unbounded,
+    greedy_sumset,
+    kfold_greedy_query,
+)
 
 WORKERS = min(8, os.cpu_count() or 1)
 S = SortedIntSet.from_iterable

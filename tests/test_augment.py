@@ -7,7 +7,6 @@ import pytest
 from apcert.augment import (
     ApWitness,
     DivPairLayer,
-    ExplicitLeaf,
     LadderLayer,
     PairLadder,
     augment_nondiv_pair,
@@ -26,6 +25,19 @@ from apcert.core import (
 
 S = SortedIntSet.from_iterable
 AP = ArithProgression
+
+
+class ExplicitLeaf:
+    """Leaf backed by a precomputed table of parts per term."""
+
+    def __init__(self, ap, table):
+        self.ap = ap
+        self.table = {j: tuple(parts) for j, parts in table.items()}
+        counts = {sum(c for _, c in p) for p in self.table.values()}
+        self.parts_per_query = max(counts) if counts else 0
+
+    def query_parts(self, j, rng):
+        return self.table[j]
 
 
 class FixedLadder:

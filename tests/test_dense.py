@@ -24,8 +24,8 @@ from apcert.dense import (
     residue_table,
     walk_residue_table,
 )
-from apcert.oracle import brute_subset_sums
 from apcert.profiles import PAPER, TUNED
+from oracle import brute_subset_sums
 
 S = SortedIntSet.from_iterable
 

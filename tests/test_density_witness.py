@@ -11,7 +11,7 @@ from apcert.core import (
     verify_solution,
 )
 from apcert.density_witness import build_density_witness
-from apcert.oracle import greedy_kfold_materialize
+from oracle import greedy_kfold_materialize
 
 S = SortedIntSet.from_iterable
 

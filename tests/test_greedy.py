@@ -6,8 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apcert.core import EmptySet, SortedIntSet, density, verify_solution
-from apcert.greedy import greedy_membership, greedy_sumset, kfold_greedy_query
-from apcert.oracle import greedy_kfold_materialize
+from oracle import (
+    greedy_kfold_materialize,
+    greedy_membership,
+    greedy_sumset,
+    kfold_greedy_query,
+)
 
 S = SortedIntSet.from_iterable
 

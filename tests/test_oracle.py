@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from apcert.core import CapExceeded, SortedIntSet
-from apcert.oracle import (
+from oracle import (
     brute_kfold,
     brute_subset_sums,
     brute_unbounded,
@@ -91,6 +91,6 @@ class TestGreedyMaterialize:
         # the (k+1)-fold greedy set composes as A (+) (k-fold set)
         a = S([0, 2, 3])
         two = greedy_kfold_materialize(a, 2, 10)
-        from apcert.greedy import greedy_sumset
+        from oracle import greedy_sumset
 
         assert two == greedy_sumset(a, greedy_sumset(a, S([0])))

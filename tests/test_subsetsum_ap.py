@@ -12,7 +12,6 @@ from apcert.core import (
     SortedIntSet,
     verify_solution,
 )
-from apcert.oracle import brute_subset_sums
 from apcert.profiles import PAPER, TUNED
 from apcert.subsetsum_ap import (
     PairBank,
@@ -28,6 +27,7 @@ from apcert.subsetsum_ap import (
     short_ap_in_subset_sums,
     uniformize,
 )
+from oracle import brute_subset_sums
 
 S = SortedIntSet.from_iterable
 

@@ -11,7 +11,6 @@ from apcert.core import (
     gcd_all,
     verify_solution,
 )
-from apcert.oracle import brute_kfold
 from apcert.sumset_ap import (
     Side,
     ap_in_kfold_sumset,
@@ -19,6 +18,7 @@ from apcert.sumset_ap import (
     ap_short,
     find_dense_endpoint,
 )
+from oracle import brute_kfold
 
 S = SortedIntSet.from_iterable
 

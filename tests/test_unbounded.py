@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 
 from apcert.core import PreconditionViolated, RandomSource
-from apcert.oracle import brute_unbounded
 from apcert.unbounded import UnboundedSolver, solve_unbounded
+from oracle import brute_unbounded
 
 
 class TestSolveUnbounded:
