@@ -262,7 +262,6 @@ class ShortApResult:
     ap: ArithProgression
     witness: ApWitness
     coreset: SortedIntSet
-    t_star: PairSet
 
 
 def short_ap_in_subset_sums(
@@ -283,7 +282,7 @@ def short_ap_in_subset_sums(
         )
     res = ap_by_pairs(gen_pairs(a), ell, profile)
     contract(res.ap.diff * n <= m, "short progression diff above m/n")
-    return ShortApResult(res.ap, res.witness, res.t_star.endpoints(), res.t_star)
+    return ShortApResult(res.ap, res.witness, res.t_star.endpoints())
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,9 @@ class ShortLeaf:
     """Leaf for the closest-pair reduction: each b of the inner leaf over
     gap-multiples expands to a pair of A-elements summing to b*g + a' + a*."""
 
-    def __init__(self, inner: RestrictedLeaf, base: SortedIntSet, g: int, a_prime: int, a_star: int):
+    def __init__(
+        self, inner: RestrictedLeaf, base: SortedIntSet, g: int, a_prime: int, a_star: int
+    ):
         self.inner = inner
         self.base = base
         self.g = g

@@ -253,7 +253,8 @@ class TestResidueTables:
             walk = walk_residue_table(d.y_table, r)
             assert walk == early_exit_dp(outside, gamma, r)
             if walk is not None:
-                # a walk visits distinct residues, so no shorter subset exists
+                # a walk visits distinct nonzero residues, so it never has
+                # as many elements as the modulus
                 assert len(walk) < gamma
                 reachable.add(r)
         bits = {r for r in range(gamma) if d.residue_bits >> r & 1}
