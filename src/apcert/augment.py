@@ -93,10 +93,8 @@ class ApWitness:
             contract(all(c == 1 for _, c in collected), "subset-sum parts must have count 1")
             contract(len(values) == len(set(values)), "subset-sum parts must be distinct")
             sol = CompactSolution(tuple(sorted((v, 1) for v in values)), target, 0)
-        contract(
-            sum(v * c for v, c in sol.parts) == target,
-            f"certificate sums to {sum(v * c for v, c in sol.parts)}, wanted {target}",
-        )
+        total = sum(v * c for v, c in sol.parts)
+        contract(total == target, f"certificate sums to {total}, wanted {target}")
         return sol
 
     def truncated(self, length: int) -> "ApWitness":

@@ -46,9 +46,13 @@ EXIT_DECISION_NO = 3
 EXIT_EXHAUSTED = 4
 
 
+def _write_json(payload: dict) -> None:
+    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def _emit(report: dict, as_json: bool, lines: Sequence[str]) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        _write_json(report)
     else:
         for line in lines:
             sys.stdout.write(line + "\n")
@@ -74,111 +78,105 @@ def _sample_indices(length: int, count: int) -> list[int]:
     return sorted({round(i * length / (count - 1)) for i in range(count)})
 
 
-def _query_term(witness, seed: int, j: int):
-    rng = RandomSource(seed).derive("query", j)
-    return witness.query(j, rng), rng.draws
+def check_certificate(base: SortedIntSet, sol: CompactSolution, budget: int,
+                      target: int) -> Optional[str]:
+    """The one per-certificate check, shared by the build commands and
+    `verify`: the declared fold budget, check_solution against `base`, then
+    the claimed term. None if all hold, else the reason code."""
+    if sol.fold_budget != budget:
+        return "fold-budget-mismatch"
+    reason = check_solution(base, sol)
+    if reason is None and sol.target != target:
+        return "target-mismatch"
+    return reason
 
 
+# Read by _pool_verify; forked workers inherit it from the parent.
 _POOL_STATE: dict = {}
 
 
-def _pool_init(witness, base, seed):
-    _POOL_STATE["witness"] = witness
-    _POOL_STATE["base"] = base
-    _POOL_STATE["seed"] = seed
-
-
-def _pool_verify(chunk: Sequence[int]) -> tuple[int, int, int, list]:
-    witness = _POOL_STATE["witness"]
-    base = _POOL_STATE["base"]
-    seed = _POOL_STATE["seed"]
-    checked = passed = draws = 0
-    failures = []
+def _pool_verify(chunk: Sequence[int]) -> tuple[int, int, int, list, list]:
+    witness, base, seed, sample = (_POOL_STATE[k] for k in ("witness", "base", "seed", "sample"))
+    passed = draws = 0
+    failures, certificates = [], []
     for j in chunk:
-        sol, d = _query_term(witness, seed, j)
-        draws += d
-        checked += 1
-        reason = check_solution(base, sol)
-        if reason is None and sol.target == witness.ap.term(j):
+        rng = RandomSource(seed).derive("query", j)
+        sol = witness.query(j, rng)
+        draws += rng.draws
+        reason = check_certificate(base, sol, witness.fold_budget, witness.ap.term(j))
+        if reason is None:
             passed += 1
         else:
-            failures.append((j, reason or "target-mismatch"))
-    return checked, passed, draws, failures
+            failures.append((j, reason))
+        if j in sample:
+            certificates.append({
+                "index": j,
+                "target": sol.target,
+                "fold_budget": sol.fold_budget,
+                "parts": [[v, c] for v, c in sol.parts],
+            })
+    return len(chunk), passed, draws, failures, certificates
 
 
 def verify_terms(witness, base: SortedIntSet, seed: int, indices: Sequence[int],
-                 workers: int = 1) -> dict:
-    """Verify certificates for the given term indices with check_solution,
-    independently of the pipeline under test. Returns a summary dict."""
+                 workers: int = 1, sample: Sequence[int] = ()) -> dict:
+    """Query and check each term index once, independently of the pipeline
+    under test, on at most os.cpu_count() forked workers. Returns a summary
+    dict whose "certificates" holds those of the `sample` indices (a subset
+    of `indices`), in index order."""
     indices = list(indices)
+    workers = min(workers, os.cpu_count() or 1)
+    _POOL_STATE.update(witness=witness, base=base, seed=seed, sample=frozenset(sample))
     if workers > 1 and len(indices) >= 4 * workers:
-        chunks = [indices[i::workers] for i in range(workers)]
-        ctx = get_context("fork")
-        with ctx.Pool(workers, _pool_init, (witness, base, seed)) as pool:
-            results = pool.map(_pool_verify, chunks)
-        checked = sum(r[0] for r in results)
-        passed = sum(r[1] for r in results)
-        draws = sum(r[2] for r in results)
-        failures = [f for r in results for f in r[3]]
+        with get_context("fork").Pool(workers) as pool:
+            results = pool.map(_pool_verify, [indices[i::workers] for i in range(workers)])
     else:
-        _pool_init(witness, base, seed)
-        checked, passed, draws, failures = _pool_verify(indices)
+        results = [_pool_verify(indices)]
     return {
-        "checked": checked,
-        "passed": passed,
-        "sampling_draws": draws,
-        "failures": failures[:16],
+        "checked": sum(r[0] for r in results),
+        "passed": sum(r[1] for r in results),
+        "sampling_draws": sum(r[2] for r in results),
+        "failures": [f for r in results for f in r[3]][:16],
+        "certificates": sorted((c for r in results for c in r[4]), key=lambda c: c["index"]),
     }
-
-
-def _certificates(witness, seed: int, indices: Sequence[int]) -> list[dict]:
-    out = []
-    for j in indices:
-        sol, _ = _query_term(witness, seed, j)
-        out.append({
-            "index": j,
-            "target": sol.target,
-            "fold_budget": sol.fold_budget,
-            "parts": [[v, c] for v, c in sol.parts],
-        })
-    return out
 
 
 def _ap_dict(ap) -> dict:
     return {"start": ap.start, "diff": ap.diff, "length": ap.length}
 
 
+def _certify(args, seed: int, witness, base: SortedIntSet, report: dict,
+             where: str, build_s: float) -> int:
+    """Shared tail of the two build commands: check every selected term once,
+    report the --sample certificates, and exit 2 if any check failed."""
+    ap = witness.ap
+    sample = _sample_indices(ap.length, args.sample)
+    indices = range(ap.length + 1) if args.verify_all else sample
+    summary = verify_terms(witness, base, seed, indices, args.workers, sample)
+    passed, checked = summary["passed"], summary["checked"]
+    report.update(
+        schema=SCHEMA, seed=seed, ap=_ap_dict(ap), certificates=summary["certificates"],
+        verification={"checked": checked, "passed": passed},
+    )
+    head = (f"{report['command']}: AP (start={ap.start}, diff={ap.diff}, length={ap.length})"
+            f" {where}")
+    lines = [head, f"verified {passed}/{checked} certificates"
+                   f" ({summary['sampling_draws']} sampling draws); build {build_s:.3f}s"]
+    _emit(report, args.json, lines)
+    return EXIT_OK if passed == checked else EXIT_CERTIFICATE
+
+
 def cmd_ap_sumset(args) -> int:
     seed = _seed_from(args)
     raw = load_int_set(args.input)
     t0 = time.perf_counter()
-    res = ap_in_kfold_sumset(raw, args.m, args.k)
     base = normalize(raw)[0]
+    res = ap_in_kfold_sumset(base, args.m, args.k)
     build_s = time.perf_counter() - t0
-    indices = list(range(res.ap.length + 1)) if args.verify_all else _sample_indices(
-        res.ap.length, args.sample
-    )
-    summary = verify_terms(res.witness, base, seed, indices, args.workers)
-    report = {
-        "schema": SCHEMA,
-        "command": "ap-sumset",
-        "seed": seed,
-        "m": args.m,
-        "k": args.k,
-        "k_eff": res.k_eff,
-        "fold_budget": res.fold_budget,
-        "ap": _ap_dict(res.ap),
-        "certificates": _certificates(res.witness, seed, _sample_indices(res.ap.length, args.sample)),
-        "verification": {"checked": summary["checked"], "passed": summary["passed"]},
-    }
-    lines = [
-        f"ap-sumset: AP (start={res.ap.start}, diff={res.ap.diff}, length={res.ap.length})"
-        f" in {332 * args.k}-fold sumset (budget {res.fold_budget})",
-        f"verified {summary['passed']}/{summary['checked']} certificates"
-        f" ({summary['sampling_draws']} sampling draws); build {build_s:.3f}s",
-    ]
-    _emit(report, args.json, lines)
-    return EXIT_OK if summary["passed"] == summary["checked"] else EXIT_CERTIFICATE
+    report = {"command": "ap-sumset", "m": args.m, "k": args.k, "k_eff": res.k_eff,
+              "fold_budget": res.fold_budget}
+    where = f"in {332 * args.k}-fold sumset (budget {res.fold_budget})"
+    return _certify(args, seed, res.witness, base, report, where, build_s)
 
 
 def cmd_ap_subsetsum(args) -> int:
@@ -188,30 +186,11 @@ def cmd_ap_subsetsum(args) -> int:
     t0 = time.perf_counter()
     res = ap_in_subset_sums(raw, args.ell, profile, seed)
     build_s = time.perf_counter() - t0
-    indices = list(range(res.ap.length + 1)) if args.verify_all else _sample_indices(
-        res.ap.length, args.sample
-    )
-    summary = verify_terms(res.witness, res.coreset, seed, indices, args.workers)
-    report = {
-        "schema": SCHEMA,
-        "command": "ap-subsetsum",
-        "profile": profile.name,
-        "seed": seed,
-        "ell": args.ell,
-        "ap": _ap_dict(res.ap),
-        "coreset_size": len(res.coreset),
-        "coreset": list(res.coreset.elems),
-        "rounds": res.rounds,
-        "certificates": _certificates(res.witness, seed, _sample_indices(res.ap.length, args.sample)),
-        "verification": {"checked": summary["checked"], "passed": summary["passed"]},
-    }
-    lines = [
-        f"ap-subsetsum: AP (start={res.ap.start}, diff={res.ap.diff}, length={res.ap.length})"
-        f" in S(coreset), coreset size {len(res.coreset)}, {res.rounds} rounds",
-        f"verified {summary['passed']}/{summary['checked']} certificates; build {build_s:.3f}s",
-    ]
-    _emit(report, args.json, lines)
-    return EXIT_OK if summary["passed"] == summary["checked"] else EXIT_CERTIFICATE
+    report = {"command": "ap-subsetsum", "profile": profile.name, "ell": args.ell,
+              "coreset_size": len(res.coreset), "coreset": list(res.coreset.elems),
+              "rounds": res.rounds}
+    where = f"in S(coreset), coreset size {len(res.coreset)}, {res.rounds} rounds"
+    return _certify(args, seed, res.witness, res.coreset, report, where, build_s)
 
 
 def cmd_unbounded(args) -> int:
@@ -241,11 +220,6 @@ def cmd_dense(args) -> int:
     raw = load_int_set(args.input)
     profile = profile_by_name(args.profile)
     decomp = build_rpg(raw, profile, seed)
-    lo, hi = decomp.region()
-    if not lo <= args.target <= hi:
-        raise PreconditionViolated(
-            "target-out-of-region", f"t={args.target} outside [{lo}, {hi}]"
-        )
     decision = dense_decide(decomp, args.target)
     report = {
         "schema": SCHEMA,
@@ -254,7 +228,7 @@ def cmd_dense(args) -> int:
         "seed": seed,
         "target": args.target,
         "gamma": decomp.gamma,
-        "region": [lo, hi],
+        "region": list(decomp.region()),
         "decision": decision,
     }
     if not decision:
@@ -297,9 +271,13 @@ def cmd_verify(args) -> int:
     """Check each certificate against the input and against what the report
     claims: ap-sumset certificates carry the declared fold budget;
     ap-subsetsum certificates are subsets (budget 0) of the reported coreset,
-    which must lie inside the input."""
+    which must lie inside the input; every certificate claims the term of
+    the report's `ap` at its index."""
     with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except ValueError as exc:
+            raise PreconditionViolated("malformed-report", f"not JSON: {exc}") from None
     if not isinstance(report, dict):
         raise PreconditionViolated("malformed-report", "report is not a JSON object")
     base = normalize(load_int_set(args.input))[0]
@@ -308,7 +286,7 @@ def cmd_verify(args) -> int:
         raise PreconditionViolated("malformed-report", "certificates is not a list")
     certs = [_report_certificate(c) for c in entries]
     ap = report.get("ap")
-    if ap is not None:
+    if certs or ap is not None:
         if not isinstance(ap, dict):
             raise PreconditionViolated("malformed-report", "ap is not a JSON object")
         start = _report_int(ap.get("start"), "ap start")
@@ -332,13 +310,7 @@ def cmd_verify(args) -> int:
         )
     failures = []
     for index, sol in certs:
-        reason = base_error
-        if reason is None and sol.fold_budget != budget:
-            reason = "fold-budget-mismatch"
-        if reason is None:
-            reason = check_solution(base, sol)
-        if reason is None and ap is not None and sol.target != start + index * diff:
-            reason = "target-mismatch"
+        reason = base_error or check_certificate(base, sol, budget, start + index * diff)
         if reason is not None:
             failures.append((index, reason))
     out = {
@@ -412,7 +384,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if exc.partial is not None:
             payload["partial_ap"] = _ap_dict(exc.partial)
         if getattr(args, "json", False):
-            sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+            _write_json(payload)
         else:
             sys.stderr.write(f"exhausted: {exc.reason}\n")
             if exc.partial is not None:
@@ -420,9 +392,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_EXHAUSTED
     except PreconditionViolated as exc:
         if getattr(args, "json", False):
-            payload = {"schema": SCHEMA, "error": "precondition", "name": exc.name,
-                       "detail": exc.detail}
-            sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+            _write_json({"schema": SCHEMA, "error": "precondition", "name": exc.name,
+                         "detail": exc.detail})
         else:
             sys.stderr.write(f"{exc}\n")
         return EXIT_PRECONDITION

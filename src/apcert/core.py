@@ -430,15 +430,24 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 
 def parse_int_set_text(text: str) -> list[int]:
-    """Whitespace-separated decimal integers; '#' starts a comment line."""
+    """Whitespace-separated decimal integers; '#' starts a comment line.
+    Any other token raises the named precondition "malformed-input"."""
     values = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        for tok in line.split():
-            values.append(int(tok))
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for tok in line.split("#", 1)[0].split():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise PreconditionViolated(
+                    "malformed-input", f"line {lineno}: {tok!r} is not an integer"
+                ) from None
     return values
 
 
 def load_int_set(path: str) -> list[int]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_int_set_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PreconditionViolated("malformed-input", f"not UTF-8: {exc}") from None
+    return parse_int_set_text(text)

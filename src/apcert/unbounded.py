@@ -78,7 +78,8 @@ class UnboundedSolver:
         counts[a_n] = counts.get(a_n, 0) + q * d + i_t
         multipliers = tuple((v, counts.get(v, 0)) for v in self.values)
         out = UnboundedSolution(multipliers, t)
-        contract(out.total() == t, f"multipliers sum to {out.total()}, wanted {t}")
+        total = out.total()
+        contract(total == t, f"multipliers sum to {total}, wanted {t}")
         return out
 
 

@@ -1,8 +1,14 @@
 import json
+import os
 
 import pytest
 
-from apcert.cli import main
+import apcert.cli
+import apcert.sumset_ap
+from apcert.augment import ApWitness
+from apcert.cli import main, verify_terms
+from apcert.core import CompactSolution, merge_counts, normalize
+from apcert.sumset_ap import ap_in_kfold_sumset
 
 
 @pytest.fixture
@@ -59,6 +65,47 @@ class TestApSumset:
         _, out1 = run(capsys, *base)
         _, out2 = run(capsys, *(base + ["--workers", "4"]))
         assert out1 == out2
+
+    @pytest.mark.parametrize("extra, queries", [([], 9), (["--verify-all"], 1001)],
+                             ids=["sample", "verify-all"])
+    def test_one_query_per_term(self, workdir, capsys, monkeypatch, extra, queries):
+        calls = []
+        query = ApWitness.query
+
+        def spy(self, j, rng):
+            calls.append(j)
+            return query(self, j, rng)
+
+        monkeypatch.setattr(ApWitness, "query", spy)
+        code, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt", "--m", "1000",
+                        "--k", "101", "--sample", "9", "--seed", "7", "--json", *extra)
+        assert code == 0
+        assert len(calls) == queries == len(set(calls))
+        assert len(json.loads(out)["certificates"]) == 9
+
+    def test_input_is_normalized_once(self, workdir, capsys, monkeypatch):
+        calls = []
+
+        def spy(raw):
+            calls.append(len(raw))
+            return normalize(raw)
+
+        monkeypatch.setattr(apcert.cli, "normalize", spy)
+        monkeypatch.setattr(apcert.sumset_ap, "normalize", spy)
+        code, _ = run(capsys, "ap-sumset", "--input", workdir / "a.txt", "--m", "1000",
+                      "--k", "101", "--sample", "3", "--json")
+        assert code == 0 and calls == [11]
+
+    def test_workers_clamped_to_the_cores(self, workdir, capsys, monkeypatch):
+        def no_fork(*_):
+            raise AssertionError("one core must not start a worker process")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(apcert.cli, "get_context", no_fork)
+        code, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt", "--m", "1000",
+                        "--k", "101", "--workers", "64", "--verify-all", "--json")
+        assert code == 0
+        assert json.loads(out)["verification"] == {"checked": 1001, "passed": 1001}
 
     def test_env_seed_fallback(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("APCERT_SEED", "99")
@@ -147,7 +194,8 @@ class TestDense:
         (range(1, 501), 21041, 1, "target-out-of-region"),
         ([1, 10**6], 10, 1, "delta-dense"),
         ([4, 4, 5, 6], 10, 1, "set-input"),
-    ], ids=["yes", "no", "out-of-region", "not-dense", "duplicates"])
+        (["1", "2", "x3"], 10, 1, "malformed-input"),
+    ], ids=["yes", "no", "out-of-region", "not-dense", "duplicates", "malformed-input"])
     def test_exit_codes(self, tmp_path, capsys, values, target, code, error):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")
@@ -211,10 +259,50 @@ class TestVerifyCommand:
         assert code == 1
         assert out["error"] == "precondition" and out["name"] == "malformed-report"
 
+    @pytest.mark.parametrize("content", [b"{\"certificates\": [", b"\xff\xfe"],
+                             ids=["truncated-json", "not-utf8"])
+    def test_unreadable_report_is_a_named_error(self, workdir, capsys, tmp_path, content):
+        report = tmp_path / "bad.json"
+        report.write_bytes(content)
+        code, out = run(capsys, "verify", "--report", report, "--input", workdir / "a.txt",
+                        "--json")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "precondition" and rep["name"] == "malformed-report"
+
+    @pytest.mark.parametrize("tamper, reason", [
+        # one more part, 2000, which is not in the base; the target follows it
+        (lambda s: CompactSolution(s.parts + ((2000, 1),), s.target + 2000, s.fold_budget),
+         "value-not-in-base"),
+        # one more copy of 1: a valid certificate of the next integer, not of the term
+        (lambda s: CompactSolution.from_counts(merge_counts(s.parts, [(1, 1)]), s.target + 1,
+                                               s.fold_budget),
+         "target-mismatch"),
+    ], ids=["part-outside-base", "shifted-target"])
+    def test_build_and_verify_agree_on_a_tampered_certificate(
+        self, workdir, capsys, tmp_path, monkeypatch, tamper, reason
+    ):
+        query = ApWitness.query
+        monkeypatch.setattr(ApWitness, "query", lambda self, j, rng: tamper(query(self, j, rng)))
+        code, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt", "--m", "1000",
+                        "--k", "101", "--sample", "5", "--seed", "3", "--json")
+        rep = json.loads(out)
+        assert code == 2 and rep["verification"] == {"checked": 5, "passed": 0}
+        base = normalize([0, 1, 65, 121, 138, 262, 345, 583, 610, 777, 901])[0]
+        res = ap_in_kfold_sumset(base, 1000, 101)
+        indices = [c["index"] for c in rep["certificates"]]
+        built = verify_terms(res.witness, base, 3, indices, 1, indices)
+        assert built["certificates"] == rep["certificates"]
+        code, out = self._verify(capsys, tmp_path, rep, workdir / "a.txt")
+        assert code == 2
+        assert out["failures"] == [[j, r] for j, r in built["failures"]]
+        assert {r for _, r in out["failures"]} == {reason}
+
     def test_malformed_report_shapes(self, workdir, capsys, tmp_path):
         rep = self._sumset_report(workdir, capsys)
+        no_ap = {k: v for k, v in rep.items() if k != "ap"}
         for bad in ([rep], dict(rep, certificates=5), dict(rep, fold_budget=None),
-                    dict(rep, ap={"start": 0})):
+                    dict(rep, ap={"start": 0}), no_ap):
             code, out = self._verify(capsys, tmp_path, bad, workdir / "a.txt")
             assert code == 1 and out["name"] == "malformed-report"
 

@@ -12,6 +12,7 @@ from apcert.core import (
     NegativeInput,
     OutOfRange,
     OverflowRisk,
+    PreconditionViolated,
     RandomSource,
     SortedIntSet,
     TooSmall,
@@ -19,6 +20,7 @@ from apcert.core import (
     density,
     density_with_argmin,
     gcd_all,
+    load_int_set,
     normalize,
     parse_int_set_text,
     shift_scale_normalize,
@@ -215,3 +217,16 @@ class TestFileFormat:
     def test_comments_and_whitespace(self):
         text = "# heading\n1 2\t3\n4 # trailing\n"
         assert parse_int_set_text(text) == [1, 2, 3, 4]
+
+    def test_non_integer_token_is_named(self):
+        with pytest.raises(PreconditionViolated) as exc:
+            parse_int_set_text("1 2\n3 4.5 # x\n")
+        assert exc.value.name == "malformed-input"
+        assert exc.value.detail == "line 2: '4.5' is not an integer"
+
+    def test_undecodable_file_is_named(self, tmp_path):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe1 2\n")
+        with pytest.raises(PreconditionViolated) as exc:
+            load_int_set(str(path))
+        assert exc.value.name == "malformed-input"
