@@ -9,7 +9,7 @@ most 2. This script measures the actual mean across density regimes.
 import argparse
 import random
 
-from apcert.core import RandomSource, SortedIntSet, density
+from apcert.core import RandomSource, SortedIntSet, density_with_argmin
 from apcert.density_witness import build_density_witness
 
 
@@ -22,7 +22,7 @@ def run(trials: int, queries: int, seed: int) -> None:
         a = SortedIntSet.from_iterable(
             {0, 1} | set(rnd.sample(range(2, m + 1), extra))
         )
-        rho = density(a, m)
+        rho = density_with_argmin(a, m)[0]
         k = (2 * rho.denominator + rho.numerator - 1) // rho.numerator
         w = build_density_witness(a, m, k)
         draws = 0

@@ -8,7 +8,6 @@ by an independent verifier; randomness only ever affects running time.
 from .core import (
     ApcertError,
     ArithProgression,
-    CapExceeded,
     CompactSolution,
     EmptySet,
     Exhausted,
@@ -21,25 +20,20 @@ from .core import (
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
-    TooSmall,
     check_solution,
-    density,
     gcd_all,
     normalize,
-    shift_scale_normalize,
     solve_residue_coefficient,
-    verify_solution,
 )
 from .dense import build_rpg, dense_decide, dense_search
-from .profiles import PAPER, TUNED, ConstantsProfile, profile_by_name
+from .profiles import PAPER, PROFILES, TUNED, ConstantsProfile
 from .subsetsum_ap import SubsetSumApResult, ap_in_subset_sums
 from .sumset_ap import KfoldApResult, ap_in_kfold_sumset
-from .unbounded import UnboundedSolver, solve_unbounded
+from .unbounded import UnboundedSolver
 
 __all__ = [
     "ApcertError",
     "ArithProgression",
-    "CapExceeded",
     "CompactSolution",
     "ConstantsProfile",
     "EmptySet",
@@ -52,11 +46,11 @@ __all__ = [
     "OutOfRegion",
     "OverflowRisk",
     "PAPER",
+    "PROFILES",
     "PreconditionViolated",
     "RandomSource",
     "SortedIntSet",
     "SubsetSumApResult",
-    "TooSmall",
     "TUNED",
     "UnboundedSolver",
     "ap_in_kfold_sumset",
@@ -65,14 +59,9 @@ __all__ = [
     "check_solution",
     "dense_decide",
     "dense_search",
-    "density",
     "gcd_all",
     "normalize",
-    "profile_by_name",
-    "shift_scale_normalize",
     "solve_residue_coefficient",
-    "solve_unbounded",
-    "verify_solution",
 ]
 
 __version__ = "0.1.0"

@@ -238,10 +238,9 @@ class DivPairLayer:
 # Augmentation operations
 # ---------------------------------------------------------------------------
 
-def augment_nondiv_pair(
-    p: ArithProgression, a: int, g: int
-) -> tuple[int, ArithProgression, LadderLayer]:
-    """Subdivide P's difference using a pair whose gap d does not divide."""
+def augment_nondiv_pair(p: ArithProgression, a: int, g: int) -> LadderLayer:
+    """Subdivide P's difference using a pair whose gap d does not divide;
+    the layer's outer progression has the new difference d' = gcd(d, g)."""
     require(p.diff > 1, "diff-above-one", f"diff={p.diff}")
     require(g >= 1 and g % p.diff != 0, "pair-gap-not-divisible", f"d={p.diff}, g={g}")
     ladder = PairLadder(p.diff, a, g)
@@ -250,8 +249,7 @@ def augment_nondiv_pair(
         "ap-long-enough-for-pair",
         f"length {p.length} < g/d' = {g // ladder.dp}",
     )
-    layer = LadderLayer(p, ladder)
-    return ladder.dp, layer.outer, layer
+    return LadderLayer(p, ladder)
 
 
 class GapPairs:
@@ -276,7 +274,8 @@ def find_gap_pairs(a: SortedIntSet, d: int, m: int) -> GapPairs:
     require(d >= 2, "modulus-at-least-2", f"d={d}")
     require(len(a) >= 2, "set-at-least-two")
     require(0 in a, "zero-in-set")
-    require(gcd_all(a) == 1, "gcd-one", f"gcd={gcd_all(a)}")
+    g = gcd_all(a)
+    require(g == 1, "gcd-one", f"gcd={g}")
     require(a.max <= m, "elements-within-interval", f"max={a.max} > m={m}")
     elems = a.elems
     n = len(elems)
@@ -308,11 +307,12 @@ def find_gap_pairs(a: SortedIntSet, d: int, m: int) -> GapPairs:
 
 def augment_once(
     a: SortedIntSet, p: ArithProgression, m: int
-) -> tuple[int, ArithProgression, tuple[Layer, ...], int]:
-    """One combined augmentation step; returns (d', P', layers, declared budget).
+) -> tuple[tuple[Layer, ...], int]:
+    """One combined augmentation step; returns (layers, declared budget).
 
-    Layers are listed outermost first. The declared budget is
-    d/d' + ceil(4m/(n d')) in both cases (zeros pad the unused half).
+    Layers are listed outermost first, so P' is layers[0].outer with
+    difference d'. The declared budget is d/d' + ceil(4m/(n d')) in both
+    cases (zeros pad the unused half).
     """
     d = p.diff
     require(d >= 2, "diff-at-least-two", f"diff={d}")
@@ -323,9 +323,7 @@ def augment_once(
     dp = solve_residue_coefficient(d, g1)[0]
     h = ceil_div(4 * m, n * dp)
     if found.case == 1:
-        dpp, p2, ladder_layer = augment_nondiv_pair(p, a1, g1)
-        contract(dpp == dp, "divisor mismatch between ladder and gcd")
-        return dp, p2, (ladder_layer,), d // dp + h
+        return (augment_nondiv_pair(p, a1, g1),), d // dp + h
     a2, g2 = found.pair2
     div_layer = DivPairLayer(p, a2, g2, h)
     p_mid = div_layer.outer
@@ -333,9 +331,7 @@ def augment_once(
         p_mid.length >= p.length + g1 // dp,
         "divisible-pair stretch must cover the ladder loss",
     )
-    dpp, p2, ladder_layer = augment_nondiv_pair(p_mid, a1, g1)
-    contract(dpp == dp, "divisor mismatch between ladder and gcd")
-    return dp, p2, (ladder_layer, div_layer), d // dp + h
+    return (augment_nondiv_pair(p_mid, a1, g1), div_layer), d // dp + h
 
 
 def augment_to_full(
@@ -362,9 +358,10 @@ def augment_to_full(
         iterations += 1
         contract(iterations <= ceil_log2(d0 + 1) + 1, "too many augmentation iterations")
         try:
-            _, p, new_layers, b = augment_once(a, p, m)
+            new_layers, b = augment_once(a, p, m)
         except PreconditionViolated as exc:
             raise InternalContract(f"augmentation step failed mid-iteration: {exc}") from exc
+        p = new_layers[0].outer
         layers = list(new_layers) + layers
         budget_extra += b
         contract(p.length * p.diff >= m, "iteration lost the span invariant l*d >= m")

@@ -32,7 +32,7 @@ from .core import (
     normalize,
 )
 from .dense import build_rpg, dense_decide, dense_search
-from .profiles import profile_by_name
+from .profiles import PROFILES
 from .subsetsum_ap import ap_in_subset_sums
 from .sumset_ap import ap_in_kfold_sumset
 from .unbounded import UnboundedSolver
@@ -61,10 +61,13 @@ def _emit(report: dict, as_json: bool, lines: Sequence[str]) -> None:
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("APCERT_SEED")
-    if env is not None:
+    env = os.environ.get("APCERT_SEED", "0")
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise PreconditionViolated(
+            "malformed-seed", f"APCERT_SEED={env!r} is not an integer"
+        ) from None
 
 
 def _sample_indices(length: int, count: int) -> list[int]:
@@ -182,7 +185,7 @@ def cmd_ap_sumset(args) -> int:
 def cmd_ap_subsetsum(args) -> int:
     seed = _seed_from(args)
     raw = load_int_set(args.input)
-    profile = profile_by_name(args.profile)
+    profile = PROFILES[args.profile]
     t0 = time.perf_counter()
     res = ap_in_subset_sums(raw, args.ell, profile, seed)
     build_s = time.perf_counter() - t0
@@ -218,7 +221,7 @@ def cmd_unbounded(args) -> int:
 def cmd_dense(args) -> int:
     seed = _seed_from(args)
     raw = load_int_set(args.input)
-    profile = profile_by_name(args.profile)
+    profile = PROFILES[args.profile]
     decomp = build_rpg(raw, profile, seed)
     decision = dense_decide(decomp, args.target)
     report = {
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: APCERT_SEED)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if profile:
-            p.add_argument("--profile", choices=["paper", "tuned"], default="tuned")
+            p.add_argument("--profile", choices=list(PROFILES), default="tuned")
 
     p = sub.add_parser("ap-sumset", help="AP of length m in the 332k-fold sumset")
     common(p)

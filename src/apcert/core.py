@@ -57,11 +57,6 @@ class EmptySet(PreconditionViolated):
         super().__init__("nonempty-set")
 
 
-class TooSmall(PreconditionViolated):
-    def __init__(self, detail: str = ""):
-        super().__init__("set-too-small", detail)
-
-
 class OutOfRange(PreconditionViolated):
     def __init__(self, detail: str = ""):
         super().__init__("query-out-of-range", detail)
@@ -73,10 +68,6 @@ class OutOfRegion(PreconditionViolated):
 
 
 class MultiplicityExceeded(ApcertError):
-    pass
-
-
-class CapExceeded(ApcertError):
     pass
 
 
@@ -165,20 +156,11 @@ class SortedIntSet:
             raise EmptySet()
         return self.elems[-1]
 
-    def predecessor(self, x: int) -> Optional[int]:
-        """Largest element <= x, or None."""
-        i = bisect_right(self.elems, x)
-        return self.elems[i - 1] if i else None
-
     def count_range(self, lo: int, hi: int) -> int:
         """|A[lo, hi]| = number of elements in [lo, hi]."""
         if hi < lo:
             return 0
         return bisect_right(self.elems, hi) - bisect_left(self.elems, lo)
-
-    def gaps(self) -> list[int]:
-        e = self.elems
-        return [e[i + 1] - e[i] for i in range(len(e) - 1)]
 
 
 @dataclass(frozen=True)
@@ -236,22 +218,6 @@ def gcd_all(a: SortedIntSet) -> int:
     return g
 
 
-def shift_scale_normalize(a: SortedIntSet) -> tuple[SortedIntSet, int, int]:
-    """Map A to A' = (A - min)/gcd so that 0 in A' and gcd(A') = 1.
-
-    Solutions over A' map back by value -> value*scale + offset.
-    """
-    if len(a) < 2:
-        raise TooSmall("shift_scale_normalize needs |A| >= 2")
-    offset = a.min
-    scale = 0
-    for e in a:
-        scale = gcd(scale, e - offset)
-    # |A| >= 2 and elements distinct, so some e - offset > 0
-    contract(scale >= 1, "scale must be positive for a set of size >= 2")
-    return SortedIntSet(tuple((e - offset) // scale for e in a)), offset, scale
-
-
 # ---------------------------------------------------------------------------
 # Density (exact rationals)
 # ---------------------------------------------------------------------------
@@ -277,10 +243,6 @@ def density_with_argmin(a: SortedIntSet, z: int) -> tuple[Fraction, int]:
         if num * best_den < best_num * zp:
             best_num, best_den, best_z = num, zp, zp
     return Fraction(best_num, best_den), best_z
-
-
-def density(a: SortedIntSet, z: int) -> Fraction:
-    return density_with_argmin(a, z)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +286,6 @@ class CompactSolution:
         parts = tuple(sorted((v, c) for v, c in counts.items() if c))
         return CompactSolution(parts, target, fold_budget)
 
-    def total_count(self) -> int:
-        return sum(c for _, c in self.parts)
-
 
 def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
     """Return None if the certificate is valid against `base`, else a reason code."""
@@ -350,10 +309,6 @@ def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
     if sol.fold_budget > 0 and total > sol.fold_budget:
         return "budget-exceeded"
     return None
-
-
-def verify_solution(base: SortedIntSet, sol: CompactSolution) -> bool:
-    return check_solution(base, sol) is None
 
 
 def merge_counts(*part_groups: Iterable[tuple[int, int]]) -> dict[int, int]:

@@ -273,8 +273,8 @@ def build_rpg(
     # non-multiples of every prime p <= tau that the base misses
     tau = ceil_div(profile.alpha_c * sigma1, n1 * n1)
     r_vals = set(reduced.elems[-2 * tau:])
-    sieve_primes = [p for p in range(2, tau + 1) if all(p % q for q in range(2, p))]
-    for p in sieve_primes:
+    primes = [p for p in range(2, tau + 1) if prime_factors(p) == [p]]
+    for p in primes:
         have = sum(1 for v in r_vals if v % p)
         if have >= tau:
             continue

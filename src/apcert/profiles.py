@@ -75,10 +75,4 @@ TUNED = ConstantsProfile(
     lambda_c=4,
 )
 
-
-def profile_by_name(name: str) -> ConstantsProfile:
-    if name == "paper":
-        return PAPER
-    if name == "tuned":
-        return TUNED
-    raise ValueError(f"unknown profile {name!r}")
+PROFILES = {p.name: p for p in (PAPER, TUNED)}

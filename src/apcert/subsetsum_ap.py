@@ -400,9 +400,6 @@ class GapScan:
             if p >= 0:
                 self._classify(p)
 
-    def value_pair(self, i: int, j: int) -> Pair:
-        return self.vals[i], self.vals[j]
-
 
 def gamma_parameter(m: int, n: int, ell: int, profile: ConstantsProfile) -> Fraction:
     return Fraction(m, n) + Fraction(ell, profile.window_div * n)
@@ -441,7 +438,7 @@ def extract_aug_pairs(
         if hit is None:
             break
         i, j = hit
-        lo, hi = scan.value_pair(i, j)
+        lo, hi = scan.vals[i], scan.vals[j]
         scan.remove_pair(i, j)
         if case == 1:
             case1.append((lo, hi))

@@ -39,7 +39,8 @@ class Side(Enum):
 
 def _scan_min_good_start(elems: Sequence[int], m: int, k: int) -> int:
     """Two-pointer scan for the smallest index i such that every pair (i, j),
-    i <= j <= n, satisfies 2k(j - i) >= a_j - a_i (sentinel a_n = m + 1).
+    i <= j <= n, satisfies 2k(j - i) >= a_j - a_i (sentinel a_n = m + 1);
+    returns the endpoint a_i - 1.
 
     The scan maintains the invariant that (i, t) is good for all i <= t <= j.
     """
@@ -48,7 +49,7 @@ def _scan_min_good_start(elems: Sequence[int], m: int, k: int) -> int:
     for j in range(1, len(a)):
         while 2 * k * (j - i) < a[j] - a[i]:
             i += 1
-    return i
+    return a[i] - 1
 
 
 def find_dense_endpoint(a: SortedIntSet, m: int, k: int) -> tuple[int, Side]:
@@ -62,15 +63,10 @@ def find_dense_endpoint(a: SortedIntSet, m: int, k: int) -> tuple[int, Side]:
     require(k >= 1, "fold-positive", f"k={k}")
     require(n * k >= m + 1, "cardinality", f"n*k = {n * k} < m+1 = {m + 1}")
     require(a.max <= m, "elements-within-interval", f"max={a.max} > m={m}")
-    aug = list(a.elems) + [m + 1]
-    i = _scan_min_good_start(a.elems, m, k)
-    u = aug[i] - 1
+    u = _scan_min_good_start(a.elems, m, k)
     if 2 * u <= m:
         return u, Side.LEFT
-    reflected = tuple(m - e for e in reversed(a.elems))
-    i2 = _scan_min_good_start(reflected, m, k)
-    aug2 = list(reflected) + [m + 1]
-    u2 = aug2[i2] - 1
+    u2 = _scan_min_good_start(tuple(m - e for e in reversed(a.elems)), m, k)
     contract(2 * u2 <= m, "neither scan side satisfies the density condition")
     return m - u2, Side.RIGHT
 
@@ -221,7 +217,8 @@ def ap_in_kfold_sumset(
     require(m >= 1, "interval-bound-positive", f"m={m}")
     require(k >= 1, "fold-positive", f"k={k}")
     require(0 in a, "zero-in-set")
-    require(gcd_all(a) == 1, "gcd-one", f"gcd={gcd_all(a)}")
+    g = gcd_all(a)
+    require(g == 1, "gcd-one", f"gcd={g}")
     require(a.max <= m, "elements-within-interval", f"max={a.max} > m={m}")
     n = len(a)
     require(n * k >= m + 1, "cardinality", f"n*k = {n * k} < m+1 = {m + 1}")

@@ -81,8 +81,3 @@ class UnboundedSolver:
         total = out.total()
         contract(total == t, f"multipliers sum to {total}, wanted {t}")
         return out
-
-
-def solve_unbounded(a: Sequence[int], t: int, rng: RandomSource) -> UnboundedSolution:
-    """One-shot solve; build an UnboundedSolver to answer many targets."""
-    return UnboundedSolver(a).solve(t, rng)

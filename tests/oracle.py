@@ -1,6 +1,7 @@
 """Brute-force ground truth used by the tests: exact sumsets, subset sums,
 coin-style reachability, greedy sumsets (materialized and by membership) and
-k-fold greedy certificates.
+k-fold greedy certificates, plus the small set and certificate helpers that
+only the tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -9,12 +10,44 @@ naive; none of them is a production path.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from fractions import Fraction
 from typing import Optional
 
-from apcert.core import CapExceeded, CompactSolution, EmptySet, SortedIntSet
+from apcert.core import (
+    ApcertError,
+    CompactSolution,
+    EmptySet,
+    SortedIntSet,
+    check_solution,
+    density_with_argmin,
+)
 from apcert.greedy import kfold_greedy_steps
 
 HARD_CAP = 10**8
+
+
+class CapExceeded(ApcertError):
+    """An oracle input is above the size its brute force is meant for."""
+
+
+def density(a: SortedIntSet, z: int) -> Fraction:
+    """min over z' in [1, z] of |A[1, z']| / z'."""
+    return density_with_argmin(a, z)[0]
+
+
+def predecessor(a: SortedIntSet, x: int) -> Optional[int]:
+    """Largest element of A that is <= x, or None."""
+    i = bisect_right(a.elems, x)
+    return a.elems[i - 1] if i else None
+
+
+def verify_solution(base: SortedIntSet, sol: CompactSolution) -> bool:
+    return check_solution(base, sol) is None
+
+
+def total_count(sol: CompactSolution) -> int:
+    return sum(c for _, c in sol.parts)
 
 
 def _mask(cap: int) -> int:
@@ -146,7 +179,7 @@ def greedy_sumset(a: SortedIntSet, b: SortedIntSet) -> SortedIntSet:
 
 def greedy_membership(a: SortedIntSet, b: SortedIntSet, z: int) -> Optional[tuple[int, int]]:
     """If z in A (+) B, return (x, z - x) with x the largest element of A <= z."""
-    x = a.predecessor(z)
+    x = predecessor(a, z)
     if x is None:
         return None
     if (z - x) in b:

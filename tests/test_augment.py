@@ -20,8 +20,8 @@ from apcert.core import (
     RandomSource,
     SortedIntSet,
     ceil_div,
-    verify_solution,
 )
+from oracle import verify_solution
 
 S = SortedIntSet.from_iterable
 AP = ArithProgression
@@ -140,13 +140,13 @@ class TestAugmentByLadder:
 class TestAugmentNondivPair:
     def test_example_matches_ladder(self):
         p = AP(0, 6, 5)
-        dp, p2, _ = augment_nondiv_pair(p, 0, 4)
-        assert dp == 2 and (p2.start, p2.diff, p2.length) == (6, 2, 12)
+        p2 = augment_nondiv_pair(p, 0, 4).outer
+        assert (p2.start, p2.diff, p2.length) == (6, 2, 12)
 
     def test_example_diff_two(self):
         p = AP(0, 2, 10)
-        dp, p2, layer = augment_nondiv_pair(p, 0, 1)
-        assert dp == 1 and p2.diff == 1 and p2.length >= 18
+        p2 = augment_nondiv_pair(p, 0, 1).outer
+        assert p2.diff == 1 and p2.length >= 18
         pset = set(p.terms())
         twofold = {x + y for x in (0, 1) for y in (0, 1)}
         full = {x + q for x in pset for q in twofold}
@@ -252,7 +252,9 @@ class TestAugmentOnce:
     def test_dense_example(self):
         a = S(range(0, 17))
         p = AP(0, 6, 20)
-        dp, p2, layers, budget = augment_once(a, p, 16)
+        layers, budget = augment_once(a, p, 16)
+        p2 = layers[0].outer
+        dp = p2.diff
         assert 6 % dp == 0 and dp < 6
         assert p2.length * p2.diff >= 16
 
@@ -274,9 +276,11 @@ class TestAugmentOnce:
             ell = ceil_div(5 * m, d) + rnd.randint(0, 30)
             p = AP(rnd.randint(0, 50), d, ell)
             try:
-                dp, p2, layers, budget = augment_once(a, p, m)
+                layers, budget = augment_once(a, p, m)
             except PreconditionViolated:
                 continue
+            p2 = layers[0].outer
+            dp = p2.diff
             assert d % dp == 0 and dp < d
             # span shrinks by at most (4m/n) * (d/dp), exactly rationally
             lhs = Fraction(p2.length * p2.diff)

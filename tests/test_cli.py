@@ -113,6 +113,14 @@ class TestApSumset:
                      "--m", "1000", "--k", "101", "--json")
         assert json.loads(out)["seed"] == 99
 
+    def test_env_seed_not_an_integer(self, workdir, capsys, monkeypatch):
+        monkeypatch.setenv("APCERT_SEED", "abc")
+        code, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt",
+                        "--m", "1000", "--k", "101", "--json")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["error"] == "precondition" and rep["name"] == "malformed-seed"
+
 
 class TestApSubsetsum:
     def test_tuned_toy(self, workdir, capsys):

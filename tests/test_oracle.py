@@ -3,8 +3,9 @@ from math import gcd
 
 import pytest
 
-from apcert.core import CapExceeded, SortedIntSet
+from apcert.core import SortedIntSet
 from oracle import (
+    CapExceeded,
     brute_kfold,
     brute_subset_sums,
     brute_unbounded,

@@ -1,13 +1,8 @@
-import pytest
-
-from apcert.profiles import PAPER, TUNED, profile_by_name
+from apcert.profiles import PAPER, PROFILES, TUNED
 
 
 def test_lookup():
-    assert profile_by_name("paper") is PAPER
-    assert profile_by_name("tuned") is TUNED
-    with pytest.raises(ValueError):
-        profile_by_name("fast")
+    assert PROFILES == {"paper": PAPER, "tuned": TUNED}
 
 
 def test_paper_constants_verbatim():

@@ -10,7 +10,6 @@ from apcert.core import (
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
-    verify_solution,
 )
 from apcert.profiles import PAPER, TUNED
 from apcert.subsetsum_ap import (
@@ -27,7 +26,7 @@ from apcert.subsetsum_ap import (
     short_ap_in_subset_sums,
     uniformize,
 )
-from oracle import brute_subset_sums
+from oracle import brute_subset_sums, verify_solution
 
 S = SortedIntSet.from_iterable
 

@@ -4,20 +4,20 @@ from math import gcd
 import pytest
 
 from apcert.core import PreconditionViolated, RandomSource
-from apcert.unbounded import UnboundedSolver, solve_unbounded
+from apcert.unbounded import UnboundedSolver
 from oracle import brute_unbounded
 
 
 class TestSolveUnbounded:
     def test_pair_example(self):
-        sol = solve_unbounded((3, 5), 5000, RandomSource(1))
+        sol = UnboundedSolver((3, 5)).solve(5000, RandomSource(1))
         assert sol.total() == 5000
         assert all(x >= 0 for _, x in sol.multipliers)
         assert [a for a, _ in sol.multipliers] == [3, 5]
 
     def test_gcd_rejected(self):
         with pytest.raises(PreconditionViolated) as exc:
-            solve_unbounded((2, 4), 10**6, RandomSource(0))
+            UnboundedSolver((2, 4)).solve(10**6, RandomSource(0))
         assert exc.value.name == "gcd-one"
 
     def test_below_threshold_rejected(self):
