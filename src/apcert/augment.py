@@ -18,6 +18,7 @@ at query time and memoized per ladder index.
 from __future__ import annotations
 
 from copy import copy
+from math import gcd
 from typing import Optional, Protocol, Sequence
 
 from .core import (
@@ -45,7 +46,6 @@ Parts = Sequence[tuple[int, int]]
 
 class LeafWitness(Protocol):
     ap: ArithProgression
-    parts_per_query: int
 
     def query_parts(self, j: int, rng: RandomSource) -> Parts: ...
 
@@ -53,7 +53,6 @@ class LeafWitness(Protocol):
 class Layer(Protocol):
     outer: ArithProgression
     inner: ArithProgression
-    parts_per_query: int
 
     def resolve(self, j: int) -> tuple[int, Parts]: ...
 
@@ -74,9 +73,6 @@ class ApWitness:
             contract(outer_side.inner == inner_side.outer, "layer chain mismatch")
         if self.layers:
             contract(self.layers[-1].inner == leaf.ap, "innermost layer must sit on the leaf")
-        self.parts_per_query = leaf.parts_per_query + sum(
-            l.parts_per_query for l in self.layers
-        )
 
     def query(self, j: int, rng: RandomSource) -> CompactSolution:
         target = self.ap.term(j)
@@ -113,7 +109,6 @@ class LadderAccessor(Protocol):
     s_q: int
     h_min: int
     h_max: int
-    parts_per_lookup: int
 
     def lookup(self, i: int) -> tuple[int, Parts]: ...
 
@@ -140,7 +135,6 @@ class PairLadder:
         # rung heights are floor(j*g/d) for j < d/dp; the exact maximum (at
         # most the conservative g/dp) buys a longer progression
         self.h_max = (d // dp - 1) * g // d
-        self.parts_per_lookup = d // dp
 
     def lookup(self, i: int) -> tuple[int, Parts]:
         width = self.d // self.dp
@@ -183,7 +177,6 @@ class LadderLayer:
         self.outer = ArithProgression(
             inner.start + ladder.s_q + ladder.h_max * d, dp, new_len
         )
-        self.parts_per_query = ladder.parts_per_lookup
         self._memo: dict[int, tuple[int, Parts]] = {}
 
     def resolve(self, j: int) -> tuple[int, Parts]:
@@ -217,7 +210,6 @@ class DivPairLayer:
         self.g = g
         self.h = h
         self.outer = ArithProgression(inner.start + h * a, d, inner.length + h * g // d)
-        self.parts_per_query = h
 
     def resolve(self, j: int) -> tuple[int, Parts]:
         d = self.inner.diff
@@ -320,7 +312,7 @@ def augment_once(
     n = len(a)
     found = find_gap_pairs(a, d, m)
     a1, g1 = found.pair1
-    dp = solve_residue_coefficient(d, g1)[0]
+    dp = gcd(d, g1)
     h = ceil_div(4 * m, n * dp)
     if found.case == 1:
         return (augment_nondiv_pair(p, a1, g1),), d // dp + h

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .augment import ApWitness, DivPairLayer, Layer, LadderLayer
 from .core import (
     ArithProgression,
+    CompactSolution,
     Exhausted,
     MultiplicityExceeded,
     RandomSource,
@@ -127,23 +128,19 @@ def uniformize(keys: Sequence[int]) -> tuple[int, list[int]]:
 class PairBank:
     """Pairs banked behind a progression over their keys.
 
-    `witness` certifies {s} + {0, 1, ..., bound} in a k-fold sumset of the
-    keys divided by `scale` (their gcd together with the free values).
-    `buckets` maps each reduced key to the indices of its pairs in `pairs`;
-    reduced values in `free` need no pair when they occur in a certificate.
+    `ap` is {s} + {0, 1, ..., bound} in key units; `certs[j]` certifies its
+    term j in a k-fold sumset of the keys divided by `scale` (their gcd
+    together with the free values). `buckets` maps each reduced key to the
+    indices of its pairs in `pairs`; reduced values in `free` need no pair
+    when they occur in a certificate.
     """
 
-    witness: ApWitness
+    ap: ArithProgression
+    certs: tuple[CompactSolution, ...]
     scale: int
     pairs: tuple[Pair, ...]
     buckets: dict[int, tuple[int, ...]]
     free: frozenset[int]
-
-    @property
-    def ap(self) -> ArithProgression:
-        """The witness's progression in key units."""
-        ap = self.witness.ap
-        return ArithProgression(ap.start * self.scale, ap.diff * self.scale, ap.length)
 
     @property
     def base_sum(self) -> int:
@@ -151,11 +148,13 @@ class PairBank:
 
 
 def bank_pairs(
-    pairs: Sequence[Pair], keys: Sequence[int], bound: int, free: Sequence[int], noun: str
+    pairs: Sequence[Pair], keys: Sequence[int], bound: int, free: Sequence[int], noun: str,
+    seed: int,
 ) -> PairBank:
-    """Uniformize the keys, build the progression of length `bound` over the
-    gcd-reduced kept keys and `free` values, and keep for each key as many
-    pairs as one certificate can use. `noun` names a key in Exhausted."""
+    """Uniformize the keys, certify every term of the progression of length
+    `bound` over the gcd-reduced kept keys and `free` values once, and keep
+    for each key as many pairs as the certificates use of it. `noun` names a
+    key in Exhausted."""
     _, kept = uniformize(keys)
     by_key: dict[int, list[Pair]] = {}
     for i in kept:
@@ -164,18 +163,25 @@ def bank_pairs(
     scale = gcd(*values)
     reduced = SortedIntSet.from_iterable(v // scale for v in values)
     witness = ap_in_kfold_sumset(reduced, bound, ceil_div(bound + 1, len(reduced))).witness
+    rng = RandomSource(seed)
+    certs = tuple(witness.query(j, rng.derive("bank", j)) for j in range(witness.ap.length + 1))
+    use: dict[int, int] = {}
+    for sol in certs:
+        for v, c in sol.parts:
+            use[v] = max(use.get(v, 0), c)
     banked: list[Pair] = []
     buckets: dict[int, tuple[int, ...]] = {}
     for key, plist in sorted(by_key.items()):
-        # a key occurs at most parts_per_query times, and at most last/key
-        need = min(witness.parts_per_query, witness.ap.last * scale // key)
+        need = use.get(key // scale, 0)
         if need > len(plist):
             raise Exhausted(
                 f"{noun} {key} needs multiplicity {need}, uniform set has {len(plist)}"
             )
         buckets[key // scale] = tuple(range(len(banked), len(banked) + need))
         banked.extend(plist[:need])
-    return PairBank(witness, scale, tuple(banked), buckets, frozenset(v // scale for v in free))
+    w = witness.ap
+    ap = ArithProgression(w.start * scale, w.diff * scale, w.length)
+    return PairBank(ap, certs, scale, tuple(banked), buckets, frozenset(v // scale for v in free))
 
 
 def flip_pairs(
@@ -214,10 +220,9 @@ class PairBridgeLeaf:
         self.bank = bank
         ap = bank.ap
         self.ap = ArithProgression(ap.start + bank.base_sum, ap.diff, ap.length)
-        self.parts_per_query = len(bank.pairs)
 
     def query_parts(self, j: int, rng: RandomSource):
-        sol = self.bank.witness.query(j, rng)
+        sol = self.bank.certs[j]
         parts, shift = flip_pairs(self.bank, sol.parts)
         contract(shift == sol.target * self.bank.scale,
                  "flipped gaps must reproduce the inner target")
@@ -232,7 +237,7 @@ class PairApResult:
 
 
 def ap_by_pairs(
-    t: PairSet, g_bound: int, profile: ConstantsProfile = TUNED
+    t: PairSet, g_bound: int, profile: ConstantsProfile = TUNED, seed: int = 0
 ) -> PairApResult:
     """AP of length g_bound in S(A_{T*}) for a small subset T* of the pairs."""
     require(len(t) >= 1, "pairs-nonempty")
@@ -248,7 +253,7 @@ def ap_by_pairs(
             "pairs-vs-gap-cap",
             f"g_bound={g_bound}, |T|={len(t)}",
         )
-    bank = bank_pairs(t.pairs, gaps, g_bound, (0,), "gap")
+    bank = bank_pairs(t.pairs, gaps, g_bound, (0,), "gap", seed)
     t_star = PairSet(bank.pairs)
     if profile.enforce_caps:
         contract(len(t_star) <= profile.pair_cap * g_bound, "pair coreset above cap")
@@ -265,7 +270,7 @@ class ShortApResult:
 
 
 def short_ap_in_subset_sums(
-    a: SortedIntSet, ell: int, profile: ConstantsProfile = TUNED
+    a: SortedIntSet, ell: int, profile: ConstantsProfile = TUNED, seed: int = 0
 ) -> ShortApResult:
     """AP of length ell and diff <= m/n in S(A*) with |A*| <= 2000*ell
     (profile-scaled), where n = |A|/4."""
@@ -280,7 +285,7 @@ def short_ap_in_subset_sums(
             "length-cap",
             f"ell={ell}, n={n}",
         )
-    res = ap_by_pairs(gen_pairs(a), ell, profile)
+    res = ap_by_pairs(gen_pairs(a), ell, profile, seed)
     contract(res.ap.diff * n <= m, "short progression diff above m/n")
     return ShortApResult(res.ap, res.witness, res.t_star.endpoints())
 
@@ -464,37 +469,30 @@ def extract_aug_pairs(
 
 class ResidueLadderAccessor:
     """Ladder whose rungs are subset sums of pair endpoints: rung i is
-    congruent to s_q + i*d' modulo d, realized by flipping pairs whose gap
-    residues solve the bank's progression over the residues."""
+    congruent to s_q + i*d' modulo d, realized by flipping the pairs of the
+    bank's certificate i over the residues."""
 
-    def __init__(self, bank: PairBank, d: int, seed: int):
+    def __init__(self, bank: PairBank, d: int):
         self.bank = bank
         self.d = d
         ap = bank.ap
         self.dp = ap.diff
-        self.seed = seed
-        self.base_sum = bank.base_sum
-        self.s_q = self.base_sum + ap.start
-        u_parts = min(bank.witness.parts_per_query, ap.last)
-        g_max = max((hi - lo for lo, hi in bank.pairs), default=0)
-        self.h_min = -ceil_div(ap.start, d)
-        self.h_max = (u_parts * g_max - ap.start) // d
-        self.parts_per_lookup = len(bank.pairs)
+        self.s_q = bank.base_sum + ap.start
+        self.rungs: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+        for i in range(d // self.dp):
+            parts, shift = flip_pairs(bank, bank.certs[i].parts)
+            q = bank.base_sum + shift
+            contract(
+                (q - self.s_q) % d == (i * self.dp) % d,
+                "ladder rung residue mismatch",
+            )
+            self.rungs.append((q, parts))
+        heights = [(q - self.s_q) // d for q, _ in self.rungs]
+        self.h_min = min(heights)
+        self.h_max = max(heights)
 
     def lookup(self, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-        rng = RandomSource(self.seed).derive("ladder", i)
-        sol = self.bank.witness.query(i, rng)
-        parts, shift = flip_pairs(self.bank, sol.parts)
-        q = self.base_sum + shift
-        contract(
-            (q - self.s_q) % self.d == (i * self.dp) % self.d,
-            "ladder rung residue mismatch",
-        )
-        contract(
-            self.h_min <= (q - self.s_q) // self.d <= self.h_max,
-            "ladder rung outside its height window",
-        )
-        return q, parts
+        return self.rungs[i]
 
 
 def residue_ladder(
@@ -522,12 +520,12 @@ def residue_ladder(
             f"d={d}, |T|={len(t)}",
         )
     # d joins the residues, so the progression's difference is gcd(residues, d)
-    bank = bank_pairs(t.pairs, [(hi - lo) % d for lo, hi in t.pairs], d, (0, d), "residue")
+    bank = bank_pairs(t.pairs, [(hi - lo) % d for lo, hi in t.pairs], d, (0, d), "residue", seed)
     dp = bank.ap.diff
     contract(1 <= dp < d and d % dp == 0, "residue gcd must properly divide d")
     if profile.enforce_caps:
         contract(len(bank.pairs) <= profile.pair_cap * d, "ladder coreset above cap")
-    return ResidueLadderAccessor(bank, d, seed)
+    return ResidueLadderAccessor(bank, d)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +652,7 @@ def ap_in_subset_sums(
         floor = max(2 * profile.window_div, ceil_div(2 * m, nbar))
         ell0 = min(max(ell0, floor), max(cap, floor), ell)
         ell0 = max(ell0, 1)
-    short = short_ap_in_subset_sums(first, ell0, profile)
+    short = short_ap_in_subset_sums(first, ell0, profile, seed)
     used_first = set(short.coreset.elems)
     pool_vals = set(rest) | (set(first.elems) - used_first)
     pool = SortedIntSet.from_iterable(pool_vals)

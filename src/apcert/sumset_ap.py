@@ -83,7 +83,6 @@ class RestrictedLeaf:
         self.u = u
         self.side = side
         self.m = m
-        self.parts_per_query = 2 * dw.fold_budget
         if side is Side.LEFT:
             start = dw.fold_budget * (u + 1)
         else:
@@ -141,8 +140,7 @@ class ShortLeaf:
         self.g = g
         self.a_prime = a_prime
         self.a_star = a_star
-        self.parts_per_query = 2 * inner.parts_per_query
-        start = g * inner.ap.start + inner.parts_per_query * (a_prime + a_star)
+        start = g * inner.ap.start + 2 * inner.dw.fold_budget * (a_prime + a_star)
         self.ap = ArithProgression(start, g, inner.ap.length)
 
     def query_parts(self, j: int, rng: RandomSource):
@@ -225,11 +223,7 @@ def ap_in_kfold_sumset(
     k_eff = ceil_div(m + 1, n)
     contract(k_eff <= k, "clamped fold must not exceed the requested fold")
     p0, w0 = ap_short(a, m, k_eff)
-    if p0.diff == 1:
-        layers: tuple = ()
-        p_final, budget_extra = p0, 0
-    else:
-        p_final, layers, budget_extra = augment_to_full(a, p0, m)
+    p_final, layers, budget_extra = augment_to_full(a, p0, m)
     fold_budget = 320 * k_eff + budget_extra
     contract(fold_budget <= 332 * k_eff, f"budget {fold_budget} exceeds 332*k_eff")
     witness = ApWitness(w0.leaf, layers, fold_budget=fold_budget)

@@ -33,8 +33,6 @@ class ExplicitLeaf:
     def __init__(self, ap, table):
         self.ap = ap
         self.table = {j: tuple(parts) for j, parts in table.items()}
-        counts = {sum(c for _, c in p) for p in self.table.values()}
-        self.parts_per_query = max(counts) if counts else 0
 
     def query_parts(self, j, rng):
         return self.table[j]
@@ -47,7 +45,6 @@ class FixedLadder:
         self.d, self.dp, self.s_q = d, dp, s_q
         self.entries = entries  # i -> (q_i, parts)
         self.h_min, self.h_max = h_min, h_max
-        self.parts_per_lookup = max((sum(c for _, c in p) for _, p in entries.values()), default=0)
 
     def lookup(self, i):
         return self.entries[i]

@@ -44,7 +44,7 @@ def test_cli_exit_codes_cover_every_outcome():
     assert codes["dense-evens-no"] == 3
     assert sorted(set(codes.values())) == [0, 1, 3, 4]
     out = (corpus.GOLDEN / "cli" / "ap-subsetsum-exhausted.stdout").read_text()
-    assert "gap 1 needs multiplicity 40, uniform set has 9" in out
+    assert "gap 1 needs multiplicity 20, uniform set has 9" in out
 
 
 @pytest.mark.parametrize("case", corpus.LIBRARY_CASES, ids=[c[0] for c in corpus.LIBRARY_CASES])

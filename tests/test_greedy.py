@@ -12,7 +12,6 @@ from oracle import (
     greedy_membership,
     greedy_sumset,
     kfold_greedy_query,
-    predecessor,
     total_count,
     verify_solution,
 )
@@ -98,7 +97,7 @@ class TestGreedyMembership:
                 if hit:
                     x, y = hit
                     assert x in a and y in b and x + y == z
-                    assert x == predecessor(a, z)
+                    assert x == max(e for e in a if e <= z)
 
 
 class TestKfoldGreedy:

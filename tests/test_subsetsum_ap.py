@@ -17,6 +17,7 @@ from apcert.subsetsum_ap import (
     PairSet,
     ap_by_pairs,
     ap_in_subset_sums,
+    bank_pairs,
     coreset_size_bound,
     extend_ap_once,
     extract_aug_pairs,
@@ -107,7 +108,7 @@ class TestUniformize:
 def two_pair_bank(scale=1):
     """Bank of the pairs (1, 1+s), (5, 5+s) for s = scale, both under reduced key 1."""
     pairs = ((1, 1 + scale), (5, 5 + scale))
-    return PairBank(None, scale, pairs, {1: (0, 1)}, frozenset({0}))
+    return PairBank(None, (), scale, pairs, {1: (0, 1)}, frozenset({0}))
 
 
 class TestPairsToSubsetSum:
@@ -135,11 +136,36 @@ class TestPairsToSubsetSum:
         assert parts == ((3, 1), (5, 1)) and shift == 2
 
     def test_multiplicity_guard(self):
-        bank = PairBank(None, 1, ((1, 2),), {1: (0,)}, frozenset({0}))
+        bank = PairBank(None, (), 1, ((1, 2),), {1: (0,)}, frozenset({0}))
         with pytest.raises(MultiplicityExceeded):
             flip_pairs(bank, ((1, 2),))
         with pytest.raises(MultiplicityExceeded):
             flip_pairs(bank, ((3, 1),))
+
+
+def largest_use(certs):
+    """The largest count of each reduced key in any certificate."""
+    use = Counter()
+    for sol in certs:
+        for v, c in sol.parts:
+            use[v] = max(use[v], c)
+    return use
+
+
+def assert_bank_reserves_its_use(bank):
+    use = largest_use(bank.certs)
+    assert all(len(idxs) == use[key] for key, idxs in bank.buckets.items())
+    assert len(bank.pairs) == sum(use[key] for key in bank.buckets)
+
+
+class TestBankPairs:
+    def test_bucket_is_the_largest_use_of_its_key(self):
+        t = make_pairs([(1, 20), (2, 20), (3, 20), (5, 20)])
+        bank = bank_pairs(t.pairs, gaps(t.pairs), 5, (0,), "gap", 0)
+        assert len(bank.certs) == bank.ap.length + 1 == 6
+        assert_bank_reserves_its_use(bank)
+        unused = [key for key in bank.buckets if not largest_use(bank.certs)[key]]
+        assert unused and all(bank.buckets[key] == () for key in unused)
 
 
 def make_pairs(gap_counts, spacing=5):
@@ -241,6 +267,14 @@ class TestResidueLadder:
             assert len(vals) == len(set(vals))
             assert all(v in base for v in vals)
 
+    def test_window_is_the_rung_heights(self):
+        # gaps 7, 9, 14 leave residues 1, 3, 2 modulo 6; rungs reach height 4
+        pairs = tuple((100 * i + 1, 100 * i + 1 + (7, 9, 14)[i % 3]) for i in range(60))
+        ladder = residue_ladder(pairs, 6, TUNED, seed=3)
+        heights = [(ladder.lookup(i)[0] - ladder.s_q) // 6 for i in range(6 // ladder.dp)]
+        assert (ladder.h_min, ladder.h_max) == (min(heights), max(heights)) == (0, 4)
+        assert_bank_reserves_its_use(ladder.bank)
+
     def test_divisible_gap_rejected(self):
         with pytest.raises(PreconditionViolated):
             residue_ladder(((0, 4),), 4, TUNED)
@@ -291,6 +325,17 @@ class TestFullPipeline:
             res = ap_in_subset_sums(a, m, TUNED, seed=trial)
             assert res.ap.diff * n <= 7 * m
             assert len(res.coreset) <= coreset_size_bound(m, n, TUNED)
+
+    @pytest.mark.parametrize("m,density", [(10**5, 0.05), (10**5, 0.1), (10**4, 0.2)])
+    def test_random_sets_build_across_seeds(self, m, density):
+        for s in range(6):
+            a = sorted(random.Random(s).sample(range(1, m + 1), int(density * m)))
+            res = ap_in_subset_sums(a, m, TUNED, seed=s)
+            assert res.ap.length == m
+            assert_bank_reserves_its_use(res.witness.leaf.bank)
+            for j in (0, m // 2, m):
+                sol = res.witness.query(j, RandomSource(j))
+                assert verify_solution(res.coreset, sol) and sol.target == res.ap.term(j)
 
     def test_paper_profile_rejects_desk_scale(self):
         with pytest.raises(PreconditionViolated) as exc:
