@@ -337,11 +337,11 @@ def augment_to_full(
     require(0 in a, "zero-in-set")
     require(gcd_all(a) == 1, "gcd-one")
     n = len(a)
-    require(
-        p.length * min(p.diff, n) >= 5 * m,
-        "ap-initial-size",
-        f"length*min(diff, n) = {p.length * min(p.diff, n)} < 5m = {5 * m}",
-    )
+    size = p.length * min(p.diff, n)
+    if size < 5 * m:
+        raise PreconditionViolated(
+            "ap-initial-size", f"length*min(diff, n) = {size} < 5m = {5 * m}"
+        )
     d0 = p.diff
     layers: list[Layer] = []
     budget_extra = 0
@@ -358,8 +358,7 @@ def augment_to_full(
         budget_extra += b
         contract(p.length * p.diff >= m, "iteration lost the span invariant l*d >= m")
     contract(p.length >= m, "final progression shorter than m")
-    contract(
-        budget_extra <= 2 * d0 + ceil_div(8 * m, n),
-        f"budget {budget_extra} exceeds 2*d0 + ceil(8m/n) = {2 * d0 + ceil_div(8 * m, n)}",
-    )
+    cap = 2 * d0 + ceil_div(8 * m, n)
+    if budget_extra > cap:
+        raise InternalContract(f"budget {budget_extra} exceeds 2*d0 + ceil(8m/n) = {cap}")
     return p, tuple(layers), budget_extra

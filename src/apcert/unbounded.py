@@ -5,20 +5,26 @@ t >= 333 * ceil(a_n/(n-1)) * a_{n-1}, a multiplier vector with
 sum a_i x_i = t is assembled from three pieces: a progression witness over
 the first n-1 values divided by their gcd d, a residue i_t with
 i_t * a_n = t (mod d), and floor-division copies of a_n.
+
+The progression witness is queried at the inner index r = (val - s) mod a_n,
+which takes at most a_n values. A solver keeps one row of multipliers of the
+first n-1 values per index r, filled by the first solve that needs it with
+that solve's rng, so a repeat solve is O(n) arithmetic and one lookup.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .core import (
+    InternalContract,
+    PreconditionViolated,
     RandomSource,
     SortedIntSet,
     ceil_div,
-    contract,
-    require,
 )
 from .sumset_ap import KfoldApResult, ap_in_kfold_sumset
 
@@ -35,21 +41,34 @@ class UnboundedSolution:
 
 
 class UnboundedSolver:
-    """Build once per instance; answer any target above the threshold."""
+    """Build once per instance; answer any target above the threshold.
+
+    The first solve that needs inner index r queries the witness with its own
+    rng; later solves with the same r reuse that certificate's multipliers.
+    So the answer for t can depend on the solves made earlier on the same
+    solver, and every answer, reused or not, passes the same sum check.
+    """
 
     def __init__(self, a: Sequence[int]):
         values = tuple(a)
-        require(len(values) >= 2, "at-least-two-values", f"n={len(values)}")
+        n = len(values)
+        if n < 2:
+            raise PreconditionViolated("at-least-two-values", f"n={n}")
         prev = 0
         for v in values:
-            require(v > prev, "strictly-increasing-positive", f"{v} after {prev}")
+            if v <= prev:
+                raise PreconditionViolated(
+                    "strictly-increasing-positive",
+                    f"{v} after {prev}" if prev else f"{v} is not positive",
+                )
             prev = v
         self.values = values
-        n = len(values)
         a_n = values[-1]
         lower = SortedIntSet((0,) + values[:-1])
         d = gcd(*values[:-1])
-        require(gcd(d, a_n) == 1, "gcd-one", f"gcd of all values is {gcd(d, a_n)}")
+        g = gcd(d, a_n)
+        if g != 1:
+            raise PreconditionViolated("gcd-one", f"gcd of all values is {g}")
         self.d = d
         self.a_n = a_n
         reduced = SortedIntSet(tuple(v // d for v in lower.elems))
@@ -57,27 +76,46 @@ class UnboundedSolver:
         self.threshold = 333 * ceil_div(a_n, n - 1) * values[-2]
         # a_n is invertible modulo d, so i_t = t * a_n^'-1' hits t's residue
         self.inv_an = pow(a_n % d, -1, d) if d > 1 else 0
+        # row of inner index r: multipliers of _lower at _rows[_row_at[r]:]
+        self._lower = values[:-1]
+        self._rows = array("q")
+        self._row_at: dict[int, int] = {}
 
     def solve(self, t: int, rng: RandomSource) -> UnboundedSolution:
-        require(t >= self.threshold, "target-above-threshold",
-                f"t={t} < {self.threshold}")
+        if t < self.threshold:
+            raise PreconditionViolated("target-above-threshold", f"t={t} < {self.threshold}")
         d, a_n = self.d, self.a_n
         i_t = (t % d) * self.inv_an % d if d > 1 else 0
-        contract((t - i_t * a_n) % d == 0, "residue choice must clear the modulus")
-        val = (t - i_t * a_n) // d
+        rest = t - i_t * a_n
+        if rest % d:
+            raise InternalContract("residue choice must clear the modulus")
+        val = rest // d
         s = self.ka.ap.start
-        contract(val >= s, "target below the progression start despite the threshold")
-        r = (val - s) % a_n
-        q = (val - s) // a_n
+        if val < s:
+            raise InternalContract("target below the progression start despite the threshold")
+        q, r = divmod(val - s, a_n)
+        at = self._row_at.get(r)
+        if at is None:
+            at = self._certify(r, rng)
+        lower = self._lower
+        row = self._rows[at:at + len(lower)]
+        out = UnboundedSolution((*zip(lower, row), (a_n, q * d + i_t)), t)
+        total = out.total()
+        if total != t:
+            raise InternalContract(f"multipliers sum to {total}, wanted {t}")
+        return out
+
+    def _certify(self, r: int, rng: RandomSource) -> int:
+        """Query the witness for inner index r; store and locate its row."""
         sol = self.ka.witness.query(r, rng)
+        d = self.d
         counts: dict[int, int] = {}
         for v, c in sol.parts:
             if v == 0:
                 continue
             counts[v * d] = counts.get(v * d, 0) + c
-        counts[a_n] = counts.get(a_n, 0) + q * d + i_t
-        multipliers = tuple((v, counts.get(v, 0)) for v in self.values)
-        out = UnboundedSolution(multipliers, t)
-        total = out.total()
-        contract(total == t, f"multipliers sum to {total}, wanted {t}")
-        return out
+        row = array("q", [counts.get(v, 0) for v in self._lower])
+        at = len(self._rows)
+        self._rows.extend(row)
+        self._row_at[r] = at
+        return at

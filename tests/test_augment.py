@@ -293,6 +293,12 @@ class TestAugmentToFull:
         p2, layers, budget = augment_to_full(a, p, 3)
         assert p2 == p and layers == () and budget == 0
 
+    def test_initial_size_detail(self):
+        with pytest.raises(PreconditionViolated) as exc:
+            augment_to_full(S({0, 1, 2, 3}), AP(0, 2, 10), 10)
+        assert exc.value.name == "ap-initial-size"
+        assert exc.value.detail == "length*min(diff, n) = 20 < 5m = 50"
+
     def test_dense_single_iteration(self):
         m = 40
         a = S(range(0, m + 1))

@@ -164,6 +164,35 @@ class TestUnbounded:
                       "--target", "10", "--json")
         assert code == 1
 
+    @pytest.mark.parametrize("values, target, code, error", [
+        ([3, 5], 100000, 0, None),
+        ([3, 5], 1000, 1, "target-above-threshold"),
+        ([2, 4], 100000, 1, "gcd-one"),
+        ([5, 3], 100000, 1, "strictly-increasing-positive"),
+        ([3, 3, 5], 100000, 1, "strictly-increasing-positive"),
+        ([7], 100000, 1, "at-least-two-values"),
+        (["3", "x5"], 100000, 1, "malformed-input"),
+    ], ids=["solved", "below-threshold", "gcd", "decreasing", "repeated",
+            "one-value", "malformed-input"])
+    def test_exit_codes(self, tmp_path, capsys, values, target, code, error):
+        inp = tmp_path / "in.txt"
+        inp.write_text(" ".join(map(str, values)) + "\n")
+        got, out = run(capsys, "unbounded", "--input", inp, "--target", target,
+                       "--seed", "0", "--json")
+        assert got == code
+        rep = json.loads(out)
+        assert rep.get("name") == error
+        assert ("x" in rep) == (error is None)
+
+    def test_non_positive_value_named(self, tmp_path, capsys):
+        inp = tmp_path / "in.txt"
+        inp.write_text("0 3 5\n")
+        got, out = run(capsys, "unbounded", "--input", inp, "--target", 100000, "--json")
+        assert got == 1
+        rep = json.loads(out)
+        assert rep["name"] == "strictly-increasing-positive"
+        assert rep["detail"] == "0 is not positive"
+
 
 class TestDense:
     def test_yes_with_solution(self, workdir, capsys):
