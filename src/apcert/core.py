@@ -228,17 +228,21 @@ def density_with_argmin(a: SortedIntSet, z: int) -> tuple[Fraction, int]:
     |A[1, z']| is a step function that increases only at elements of A, so the
     ratio's minimum over [1, z] occurs immediately before a step (z' = e - 1
     for e in A with 2 <= e <= z) or at the right endpoint z' = z.
+
+    A is sorted and distinct, so the i elements before e = elems[i] are
+    A[0, e - 1]: |A[1, e - 1]| is i, less one if 0 is in A. No search needed.
     """
     require(z >= 1, "density-z-positive", f"z={z}")
     best_num, best_den = a.count_range(1, z), z
     best_z = z
-    for e in a.elems:
+    zero = int(0 in a)
+    for i, e in enumerate(a.elems):
         zp = e - 1
         if zp < 1:
             continue
         if zp >= z:
             break
-        num = a.count_range(1, zp)
+        num = i - zero
         # num/zp < best_num/best_den, compared exactly
         if num * best_den < best_num * zp:
             best_num, best_den, best_z = num, zp, zp
@@ -289,18 +293,20 @@ class CompactSolution:
 
 def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
     """Return None if the certificate is valid against `base`, else a reason code."""
+    elems = base.elems
+    subset_mode = sol.fold_budget == 0
     seen = -1
-    total = 0
-    acc = 0
+    total = acc = i = 0
     for v, c in sol.parts:
         if c <= 0:
             return "nonpositive-count"
         if v <= seen:
             return "parts-not-sorted-distinct"
         seen = v
-        if v not in base:
+        i = bisect_left(elems, v, i)  # v is above every earlier part
+        if i == len(elems) or elems[i] != v:
             return "value-not-in-base"
-        if sol.fold_budget == 0 and c != 1:
+        if subset_mode and c != 1:
             return "count-not-one"
         total += c
         acc += v * c

@@ -130,13 +130,14 @@ def ap_restricted(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, Ap
 
 class ShortLeaf:
     """Leaf for the closest-pair reduction: each b of the inner leaf over
-    gap-multiples expands to a pair of A-elements summing to b*g + a' + a*."""
+    gap-multiples expands to a pair of A-elements summing to b*g + a' + a*;
+    in_class[b] says whether b*g + a' is in A (if not, (b-1)*g + a' is)."""
 
     def __init__(
-        self, inner: RestrictedLeaf, base: SortedIntSet, g: int, a_prime: int, a_star: int
+        self, inner: RestrictedLeaf, in_class: bytes, g: int, a_prime: int, a_star: int
     ):
         self.inner = inner
-        self.base = base
+        self.in_class = in_class
         self.g = g
         self.a_prime = a_prime
         self.a_star = a_star
@@ -144,17 +145,16 @@ class ShortLeaf:
         self.ap = ArithProgression(start, g, inner.ap.length)
 
     def query_parts(self, j: int, rng: RandomSource):
-        g, ap_, a_star = self.g, self.a_prime, self.a_star
-        parts: list[tuple[int, int]] = []
+        g, ap_, a_star, in_class = self.g, self.a_prime, self.a_star, self.in_class
+        counts: dict[int, int] = {}
         for b, c in self.inner.query_parts(j, rng):
-            v = b * g + ap_
-            if v in self.base:
-                parts.append((v, c))
-                parts.append((a_star, c))
+            if in_class[b]:
+                v, w = b * g + ap_, a_star
             else:
-                parts.append((v - g, c))
-                parts.append((a_star + g, c))
-        return parts
+                v, w = b * g + ap_ - g, a_star + g
+            counts[v] = counts.get(v, 0) + c
+            counts[w] = counts.get(w, 0) + c
+        return list(counts.items())
 
 
 def ap_short(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitness]:
@@ -178,14 +178,17 @@ def ap_short(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitne
     cls = [e for e in elems if e % g == r_best]
     a_prime = cls[0]
     b_vals = {(e - a_prime) // g for e in cls}
-    b_vals |= {b + 1 for b in set(b_vals)}
+    in_class = bytearray(max(b_vals) + 2)
+    for b in b_vals:
+        in_class[b] = 1
+    b_vals |= {b + 1 for b in b_vals}
     b_set = SortedIntSet.from_iterable(b_vals)
     m2 = ceil_div(5 * m, t)
     k2 = 5 * k
     contract(len(b_set) * k2 >= m2 + 1, "shifted gap set lost the cardinality bound")
     contract(b_set.max <= m2, "shifted gap set exceeds its interval")
     p_b, w_b = ap_restricted(b_set, m2, k2)
-    leaf = ShortLeaf(w_b.leaf, a, g, a_prime, a_star)
+    leaf = ShortLeaf(w_b.leaf, bytes(in_class), g, a_prime, a_star)
     witness = ApWitness(leaf, (), fold_budget=320 * k)
     contract(leaf.ap.length * min(g, n) >= 5 * m, "short progression too short")
     return leaf.ap, witness

@@ -90,6 +90,35 @@ class TestDensity:
         for zp in range(1, z + 1):
             assert rho * zp <= a.count_range(1, zp)
 
+    @staticmethod
+    def bisect_scan(a, z):
+        """The scan with |A[1, e - 1]| counted by two bisects per element."""
+        best_num, best_den, best_z = a.count_range(1, z), z, z
+        for e in a.elems:
+            zp = e - 1
+            if zp < 1:
+                continue
+            if zp >= z:
+                break
+            num = a.count_range(1, zp)
+            if num * best_den < best_num * zp:
+                best_num, best_den, best_z = num, zp, zp
+        return Fraction(best_num, best_den), best_z
+
+    def test_index_scan_matches_bisect_count(self):
+        import random
+
+        rnd = random.Random(11)
+        seen = set()
+        for size in (1, 2, 3, 10, 100, 2000):
+            for has0, has1 in itertools.product((False, True), repeat=2):
+                rest = rnd.sample(range(2, 4 * size + 2), size)
+                a = S(rest + [0] * has0 + [1] * has1)
+                for z in (1, a.max // 2 or 1, a.max - 1 or 1, a.max, a.max + 1, 3 * a.max):
+                    assert density_with_argmin(a, z) == self.bisect_scan(a, z), (size, z)
+                seen.add((0 in a, 1 in a))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
     def test_argmin_is_a_minimizer(self):
         a = S([0, 1, 5, 6])
         rho, zp = density_with_argmin(a, 9)
@@ -141,6 +170,16 @@ class TestVerifySolution:
         a = S([0, 1, 3])
         assert check_solution(a, CompactSolution(((3, 2),), 6, 1)) == "budget-exceeded"
         assert check_solution(a, CompactSolution(((2, 1),), 2, 1)) == "value-not-in-base"
+        lacking = (
+            (a, ((4, 1),)),  # above max
+            (a, ((1, 1), (4, 1))),  # above max, after a part the base holds
+            (S([2, 5]), ((1, 1),)),  # below min
+            (S([1, 3]), ((0, 1), (1, 1))),  # 0 when 0 is not in the base
+            (S([0, 1, 3, 7]), ((1, 1), (5, 1))),  # between two elements, after a hit
+        )
+        for base, parts in lacking:
+            sol = CompactSolution(parts, sum(v * c for v, c in parts), 2)
+            assert check_solution(base, sol) == "value-not-in-base", (base, parts)
         assert check_solution(a, CompactSolution(((1, 1),), 2, 1)) == "sum-mismatch"
         assert check_solution(a, CompactSolution(((1, 2),), 2, 0)) == "count-not-one"
 

@@ -9,8 +9,10 @@ from apcert.core import (
     SortedIntSet,
     ceil_div,
     gcd_all,
+    merge_counts,
 )
 from apcert.sumset_ap import (
+    ShortLeaf,
     Side,
     ap_in_kfold_sumset,
     ap_restricted,
@@ -111,6 +113,34 @@ class TestApRestricted:
             assert sol.target == p.term(j)
 
 
+def gapped_set(rnd, g, n):
+    """0 and n - 1 further elements, gaps drawn from [g, 4g], the first equal to g."""
+    vals = [0, g]
+    while len(vals) < n:
+        vals.append(vals[-1] + rnd.randint(g, 4 * g))
+    return S(vals)
+
+
+def right_side_leaf(g, a_prime):
+    """A ShortLeaf over a right-side inner leaf, with the base it lifts into.
+
+    ap_short does not build one: its b-values are at most m2/5 + 1, while a
+    right-side endpoint u >= m2/2 needs u - 1 in B. The class {0, 35, ..., 59}
+    puts the mass of B = class + (class + 1) in the top half of [0, 60], which
+    forces the right side; a* sits in another residue (above the class when
+    g = 1).
+    """
+    cls = [0] + list(range(35, 60, 3))
+    b_set = S(set(cls) | {b + 1 for b in cls})
+    _, w = ap_restricted(b_set, 60, 4)
+    a_star = a_prime + 1 if g > 1 else a_prime + 100
+    base = S([a_prime + b * g for b in cls] + [a_star, a_star + g])
+    in_class = bytearray(cls[-1] + 2)
+    for b in cls:
+        in_class[b] = 1
+    return ShortLeaf(w.leaf, bytes(in_class), g, a_prime, a_star), base
+
+
 class TestApShort:
     def test_minimal(self):
         a = S([0, 1])
@@ -134,6 +164,39 @@ class TestApShort:
     def test_singleton_rejected(self):
         with pytest.raises(PreconditionViolated):
             ap_short(S([0]), 1, 5)
+
+    @staticmethod
+    def old_expansion(leaf, base, j, rng, branches):
+        """The lift as a bisect on A, two parts per inner part, then merged."""
+        g, a_prime, a_star = leaf.g, leaf.a_prime, leaf.a_star
+        parts = []
+        for b, c in leaf.inner.query_parts(j, rng):
+            v = b * g + a_prime
+            branches.add(v in base)
+            if v in base:
+                parts += [(v, c), (a_star, c)]
+            else:
+                parts += [(v - g, c), (a_star + g, c)]
+        return merge_counts(parts)
+
+    def test_lift_matches_base_membership(self):
+        rnd = random.Random(5)
+        cases = []
+        for g in (1, 2, 3):
+            a = gapped_set(rnd, g, 25)
+            _, w = ap_short(a, a.max, ceil_div(a.max + 1, len(a)))
+            cases.append((Side.LEFT, g, w.leaf, a))
+            cases.append((Side.RIGHT, g, *right_side_leaf(g, 2 * g - 1)))
+        for side, g, leaf, base in cases:
+            assert (leaf.inner.side, leaf.g) == (side, g)
+            branches = set()
+            for j in range(leaf.ap.length + 1):
+                parts = leaf.query_parts(j, RandomSource(j))
+                values = [v for v, _ in parts]
+                assert len(values) == len(set(values)), (side, g, j)
+                old = self.old_expansion(leaf, base, j, RandomSource(j), branches)
+                assert dict(parts) == old, (side, g, j)
+            assert branches == {True, False}, (side, g)
 
     def test_length_and_diff_bounds(self):
         rnd = random.Random(3)
