@@ -82,7 +82,10 @@ class ApWitness:
             collected.extend(extra)
         collected.extend(self.leaf.query_parts(j, rng))
         if self.fold_budget:
-            counts = merge_counts(collected)
+            # a leaf alone emits each value once; a repeat (or a layer) needs a merge
+            counts = dict(collected) if not self.layers else None
+            if counts is None or len(counts) != len(collected):
+                counts = merge_counts(collected)
             sol = CompactSolution.from_counts(counts, target, self.fold_budget)
         else:
             values = [v for v, c in collected if c]

@@ -313,6 +313,8 @@ def build_rpg(
     offset = d * (m1 + 1) if d > 1 else 0
     lo = max(ceil_div((4 + 2 * c_lambda) * m * sigma, big_n * big_n),
              gamma * (prog.ap.start + offset + m1 + m))
+    hi = sigma // 2
+    require(lo <= hi, "region-nonempty", f"lo {lo} above hi {hi}")
     # the DP skips multiples of the modulus: a table over the non-multiples
     y_table = residue_table(a.elems, gamma)
     return DenseDecomposition(
@@ -324,7 +326,7 @@ def build_rpg(
         bulk=bulk,
         residue_bits=sum(1 << r for r, hit in enumerate(y_table) if r == 0 or hit is not None),
         lo=lo,
-        hi=sigma // 2,
+        hi=hi,
         reduced_sum=sigma1,
         y_table=y_table,
         r_table=r_table,

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .augment import ApWitness, DivPairLayer, Layer, LadderLayer
 from .core import (
@@ -294,14 +294,45 @@ def short_ap_in_subset_sums(
 # Gap scan: qualifying pairs under removals, for one augmentation round
 # ---------------------------------------------------------------------------
 
+def _gap_case(d: int, case1_cap: int, c2_lo: int, c2_hi: int):
+    """The gap classifier: 1 for case 1, 2 for a case-2 run start, else 0."""
+    def case(g: int) -> int:
+        if g % d:
+            return 1 if g <= case1_cap else 0
+        return 2 if c2_lo <= g <= c2_hi or (g < c2_lo and g <= case1_cap) else 0
+    return case
+
+
+def _initial_walk(vals: Sequence[int], case, want: int) -> Iterator[int]:
+    """The indices i, ascending, whose original gap vals[i+1] - vals[i] is of
+    case `want`. Not a method: a generator holding its scan would make the
+    cycle scan -> generator -> frame -> scan, which only the cycle collector
+    frees."""
+    it = iter(vals)
+    prev = next(it, None)
+    for i, cur in enumerate(it):
+        if case(cur - prev) == want:
+            yield i
+        prev = cur
+
+
 class GapScan:
-    """Classifies consecutive gaps of the alive elements for fixed (d, ell,
-    gamma) and serves qualifying pairs until the pool is exhausted.
+    """Serves qualifying pairs of consecutive alive elements for fixed (d,
+    ell, gamma) while removals merge the neighbouring gaps.
 
     Case 1: a single gap not divisible by d, at most ell/window_div.
     Case 2: a divisible gap (or run-sum of small divisible gaps) inside
-    [ell*d/(window_lo_div*gamma), ell*d/window_div]. Removing a pair merges
-    the neighbouring gaps in O(1); candidate stacks revalidate lazily.
+    [ell*d/(window_lo_div*gamma), ell*d/window_div].
+
+    Candidates of each case come from a lazy walk over the original gaps in
+    index order, then, once it runs dry, from the tail deque (c1, c2) of gaps
+    re-classified after a removal; each is revalidated when served. This is
+    the order of an eager scan that queues every original gap up front and
+    appends re-classified ones behind: its initial entries all precede its
+    tail, and either way a candidate is judged on the state at its pop. So a
+    round reads gaps only up to its last pair, and none for case 1 when d = 1
+    (every gap is divisible). Links and deaths are stored only where a removal
+    changed them (defaults i - 1, i + 1, alive): set-up is O(1).
     """
 
     def __init__(
@@ -312,64 +343,45 @@ class GapScan:
         gamma: Fraction,
         profile: ConstantsProfile,
     ):
-        self.vals = list(values)
-        n = len(self.vals)
+        self.vals = values
+        self.n = len(values)
         self.d = d
-        self.case1_cap = ell // profile.window_div
         self.c2_hi = ell * d // profile.window_div
         num = ell * d * gamma.denominator
         den = profile.window_lo_div * gamma.numerator
         self.c2_lo = max(1, ceil_div(num, den))
-        self.nxt = list(range(1, n)) + [-1]
-        self.prv = [-1] + list(range(n - 1))
-        self.alive = [True] * n
+        self.case = _gap_case(d, ell // profile.window_div, self.c2_lo, self.c2_hi)
+        self.nxt: dict[int, int] = {}
+        self.prv: dict[int, int] = {}
+        self.dead: set[int] = set()
+        self.fresh1 = _initial_walk(values, self.case, 1) if d > 1 else iter(())
+        self.fresh2 = _initial_walk(values, self.case, 2)
         self.c1: deque[int] = deque()
         self.c2: deque[int] = deque()
-        for i in range(n - 1):
-            self._classify(i)
 
     def _gap(self, i: int) -> Optional[int]:
-        j = self.nxt[i]
-        if j < 0:
-            return None
-        return self.vals[j] - self.vals[i]
+        j = self.nxt.get(i, i + 1)
+        return self.vals[j] - self.vals[i] if j < self.n else None
 
-    def _is_c1(self, g: int) -> bool:
-        return g % self.d != 0 and g <= self.case1_cap
-
-    def _is_c2_start(self, g: int) -> bool:
-        if g % self.d:
-            return False
-        return (self.c2_lo <= g <= self.c2_hi) or (g < self.c2_lo and g <= self.case1_cap)
-
-    def _classify(self, i: int) -> None:
-        g = self._gap(i)
-        if g is None or not self.alive[i]:
-            return
-        if self._is_c1(g):
-            self.c1.append(i)
-        elif self._is_c2_start(g):
-            self.c2.append(i)
+    def _pop(self, fresh: Iterator[int], tail: deque[int], want: int) -> Optional[int]:
+        """The next candidate whose current gap is still of case `want`."""
+        while True:
+            i = next(fresh, None)
+            if i is None:
+                if not tail:
+                    return None
+                i = tail.popleft()
+            if i not in self.dead:
+                g = self._gap(i)
+                if g is not None and self.case(g) == want:
+                    return i
 
     def pop_case1(self) -> Optional[tuple[int, int]]:
-        while self.c1:
-            i = self.c1.popleft()
-            if not self.alive[i]:
-                continue
-            g = self._gap(i)
-            if g is None or not self._is_c1(g):
-                continue
-            return i, self.nxt[i]
-        return None
+        i = self._pop(self.fresh1, self.c1, 1)
+        return None if i is None else (i, self.nxt.get(i, i + 1))
 
     def pop_case2(self) -> Optional[tuple[int, int]]:
-        while self.c2:
-            i = self.c2.popleft()
-            if not self.alive[i]:
-                continue
-            g = self._gap(i)
-            if g is None or not self._is_c2_start(g):
-                continue
+        while (i := self._pop(self.fresh2, self.c2, 2)) is not None:
             pair = self._walk_run(i)
             if pair is not None:
                 return pair
@@ -387,7 +399,7 @@ class GapScan:
             if g is None or g % self.d or total + g > self.c2_hi:
                 break
             total += g
-            end = self.nxt[cur]
+            end = self.nxt.get(cur, cur + 1)
             cur = end
         if total >= self.c2_lo:
             return start, end
@@ -395,15 +407,17 @@ class GapScan:
 
     def remove_pair(self, i: int, j: int) -> None:
         for idx in (j, i):
-            contract(self.alive[idx], "removing a dead element")
-            p, q = self.prv[idx], self.nxt[idx]
+            contract(idx not in self.dead, "removing a dead element")
+            p, q = self.prv.get(idx, idx - 1), self.nxt.get(idx, idx + 1)
             if p >= 0:
                 self.nxt[p] = q
-            if q >= 0:
+            if q < self.n:
                 self.prv[q] = p
-            self.alive[idx] = False
-            if p >= 0:
-                self._classify(p)
+            self.dead.add(idx)
+            g = self._gap(p) if p >= 0 else None
+            case = 0 if g is None else self.case(g)
+            if case:
+                (self.c1 if case == 1 else self.c2).append(p)
 
 
 def gamma_parameter(m: int, n: int, ell: int, profile: ConstantsProfile) -> Fraction:
@@ -643,7 +657,6 @@ def ap_in_subset_sums(
     nbar = big_n // 6
     require(nbar >= 1 and 7 * nbar >= big_n, "partition-floor", f"n={big_n}")
     first = SortedIntSet(a.elems[: 4 * nbar])
-    rest = list(a.elems[4 * nbar:])
     ell0 = ceil_div(profile.min_len_factor * ell, nbar)
     if not profile.enforce_caps:
         # desk-scale clamp: long enough that the gap windows are nonempty,
@@ -653,12 +666,10 @@ def ap_in_subset_sums(
         ell0 = min(max(ell0, floor), max(cap, floor), ell)
         ell0 = max(ell0, 1)
     short = short_ap_in_subset_sums(first, ell0, profile, seed)
-    used_first = set(short.coreset.elems)
-    pool_vals = set(rest) | (set(first.elems) - used_first)
-    pool = SortedIntSet.from_iterable(pool_vals)
+    coreset_vals = set(short.coreset.elems)
+    pool = SortedIntSet(tuple(v for v in a.elems if v not in coreset_vals))
     p = short.ap
     layers: list[Layer] = []
-    coreset_vals = set(short.coreset.elems)
     rounds = 0
     round_cap = 2 * ceil_log2(max(2, nbar)) + ceil_log2(ell + 2) + 8
     while p.length < ell:
@@ -676,8 +687,10 @@ def ap_in_subset_sums(
                 gain_target //= 2
         p = step.ap
         layers = list(step.layers) + layers
-        coreset_vals |= set(step.used.elems)
-        pool = SortedIntSet.from_iterable(set(pool.elems) - set(step.used.elems))
+        used = set(step.used.elems)
+        coreset_vals |= used
+        # one filtering pass keeps the pool sorted
+        pool = SortedIntSet(tuple(v for v in pool.elems if v not in used))
     coreset = SortedIntSet.from_iterable(coreset_vals)
     contract(p.diff * big_n <= 7 * m, f"diff {p.diff} above 7m/n")
     bound = coreset_size_bound(ell, big_n, profile)

@@ -1,7 +1,8 @@
 """Brute-force ground truth used by the tests: exact sumsets, subset sums,
 coin-style reachability, greedy sumsets (materialized and by membership) and
-k-fold greedy certificates, plus the small set and certificate helpers that
-only the tests read.
+k-fold greedy certificates, the eager gap scan that the lazy `GapScan` must
+match pair for pair, plus the small set and certificate helpers that only the
+tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -10,19 +11,24 @@ naive; none of them is a production path.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
+from collections import deque
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from apcert.core import (
     ApcertError,
     CompactSolution,
     EmptySet,
     SortedIntSet,
+    ceil_div,
     check_solution,
+    contract,
     density_with_argmin,
 )
 from apcert.greedy import kfold_greedy_steps
+from apcert.profiles import ConstantsProfile
 
 HARD_CAP = 10**8
 
@@ -211,3 +217,114 @@ def greedy_kfold_materialize(a: SortedIntSet, k: int, cap: int) -> SortedIntSet:
         cur = greedy_sumset(a, cur)
         cur = SortedIntSet.from_iterable(e for e in cur if e <= cap)
     return cur
+
+
+def block_plus_sparse(seed: int, m: int = 4 * 10**5, n: int = 8000, block: int = 5000) -> list[int]:
+    """[1..block] and n - block seeded values of (block, m]: dense enough for
+    the tuned profile, yet the tuned dense region of such a set is empty."""
+    sparse = random.Random(seed).sample(range(block + 1, m + 1), n - block)
+    return sorted(set(range(1, block + 1)) | set(sparse))
+
+
+class EagerGapScan:
+    """Reference for `subsetsum_ap.GapScan`, with the same interface: every
+    gap is classified up front into the deques c1 and c2, and the gaps
+    re-classified after a removal are appended behind them."""
+
+    def __init__(
+        self,
+        values: Sequence[int],
+        d: int,
+        ell: int,
+        gamma: Fraction,
+        profile: ConstantsProfile,
+    ):
+        self.vals = list(values)
+        n = len(self.vals)
+        self.d = d
+        self.case1_cap = ell // profile.window_div
+        self.c2_hi = ell * d // profile.window_div
+        num = ell * d * gamma.denominator
+        den = profile.window_lo_div * gamma.numerator
+        self.c2_lo = max(1, ceil_div(num, den))
+        self.nxt = list(range(1, n)) + [-1]
+        self.prv = [-1] + list(range(n - 1))
+        self.alive = [True] * n
+        self.c1: deque[int] = deque()
+        self.c2: deque[int] = deque()
+        for i in range(n - 1):
+            self._classify(i)
+
+    def _gap(self, i: int) -> Optional[int]:
+        j = self.nxt[i]
+        if j < 0:
+            return None
+        return self.vals[j] - self.vals[i]
+
+    def _is_c1(self, g: int) -> bool:
+        return g % self.d != 0 and g <= self.case1_cap
+
+    def _is_c2_start(self, g: int) -> bool:
+        if g % self.d:
+            return False
+        return (self.c2_lo <= g <= self.c2_hi) or (g < self.c2_lo and g <= self.case1_cap)
+
+    def _classify(self, i: int) -> None:
+        g = self._gap(i)
+        if g is None or not self.alive[i]:
+            return
+        if self._is_c1(g):
+            self.c1.append(i)
+        elif self._is_c2_start(g):
+            self.c2.append(i)
+
+    def pop_case1(self) -> Optional[tuple[int, int]]:
+        while self.c1:
+            i = self.c1.popleft()
+            if not self.alive[i]:
+                continue
+            g = self._gap(i)
+            if g is None or not self._is_c1(g):
+                continue
+            return i, self.nxt[i]
+        return None
+
+    def pop_case2(self) -> Optional[tuple[int, int]]:
+        while self.c2:
+            i = self.c2.popleft()
+            if not self.alive[i]:
+                continue
+            g = self._gap(i)
+            if g is None or not self._is_c2_start(g):
+                continue
+            pair = self._walk_run(i)
+            if pair is not None:
+                return pair
+        return None
+
+    def _walk_run(self, start: int) -> Optional[tuple[int, int]]:
+        cur = start
+        total = 0
+        end = start
+        while True:
+            g = self._gap(cur)
+            if g is None or g % self.d or total + g > self.c2_hi:
+                break
+            total += g
+            end = self.nxt[cur]
+            cur = end
+        if total >= self.c2_lo:
+            return start, end
+        return None
+
+    def remove_pair(self, i: int, j: int) -> None:
+        for idx in (j, i):
+            contract(self.alive[idx], "removing a dead element")
+            p, q = self.prv[idx], self.nxt[idx]
+            if p >= 0:
+                self.nxt[p] = q
+            if q >= 0:
+                self.prv[q] = p
+            self.alive[idx] = False
+            if p >= 0:
+                self._classify(p)

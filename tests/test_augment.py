@@ -333,3 +333,18 @@ class TestAugmentToFull:
                 assert verify_solution(a, sol)
                 assert sol.target == p2.term(j)
             done += 1
+
+
+class TestFoldWitnessCounts:
+    def test_distinct_leaf_parts_pass_through(self):
+        leaf = ExplicitLeaf(AP(10, 1, 1), {0: [(7, 1), (3, 1)], 1: [(4, 2), (3, 1)]})
+        w = ApWitness(leaf, (), fold_budget=3)
+        assert w.query(0, RandomSource(0)).parts == ((3, 1), (7, 1))
+        assert w.query(1, RandomSource(0)).parts == ((3, 1), (4, 2))
+
+    def test_repeated_leaf_value_is_merged(self):
+        # 5 arrives twice from the leaf: its counts must add up, not overwrite
+        leaf = ExplicitLeaf(AP(19, 1, 0), {0: [(5, 1), (2, 2), (5, 2)]})
+        sol = ApWitness(leaf, (), fold_budget=5).query(0, RandomSource(0))
+        assert sol.parts == ((2, 2), (5, 3))
+        assert sol.target == 19

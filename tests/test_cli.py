@@ -9,6 +9,7 @@ from apcert.augment import ApWitness
 from apcert.cli import main, verify_terms
 from apcert.core import CompactSolution, merge_counts, normalize
 from apcert.sumset_ap import ap_in_kfold_sumset
+from oracle import block_plus_sparse
 
 
 @pytest.fixture
@@ -232,7 +233,9 @@ class TestDense:
         ([1, 10**6], 10, 1, "delta-dense"),
         ([4, 4, 5, 6], 10, 1, "set-input"),
         (["1", "2", "x3"], 10, 1, "malformed-input"),
-    ], ids=["yes", "no", "out-of-region", "not-dense", "duplicates", "malformed-input"])
+        (block_plus_sparse(0), 4 * 10**8, 1, "region-nonempty"),
+    ], ids=["yes", "no", "out-of-region", "not-dense", "duplicates", "malformed-input",
+            "empty-region"])
     def test_exit_codes(self, tmp_path, capsys, values, target, code, error):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")

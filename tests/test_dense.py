@@ -25,7 +25,7 @@ from apcert.dense import (
     walk_residue_table,
 )
 from apcert.profiles import PAPER, TUNED
-from oracle import brute_subset_sums
+from oracle import block_plus_sparse, brute_subset_sums
 
 S = SortedIntSet.from_iterable
 
@@ -323,6 +323,15 @@ class TestBuildDecomposition:
         with pytest.raises(PreconditionViolated) as exc:
             build_rpg(list(range(1, 601)), PAPER)
         assert exc.value.name == "delta-dense"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_empty_region_refused_by_name(self, seed):
+        # a block [1..5000] plus sparse values clears the tuned density bar,
+        # but lo's published term then lies above hi = Sigma/2
+        values = block_plus_sparse(seed)
+        with pytest.raises(PreconditionViolated) as exc:
+            build_rpg(values, TUNED, seed=0)
+        assert exc.value.name == "region-nonempty"
 
 
 class TestDecideSearch:

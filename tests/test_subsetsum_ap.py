@@ -1,9 +1,17 @@
+import gc
 import math
 import random
+import weakref
 from collections import Counter
+from collections.abc import Sequence
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import apcert.subsetsum_ap
 from apcert.core import (
     Exhausted,
     MultiplicityExceeded,
@@ -13,6 +21,7 @@ from apcert.core import (
 )
 from apcert.profiles import PAPER, TUNED
 from apcert.subsetsum_ap import (
+    GapScan,
     PairBank,
     PairSet,
     ap_by_pairs,
@@ -22,12 +31,13 @@ from apcert.subsetsum_ap import (
     extend_ap_once,
     extract_aug_pairs,
     flip_pairs,
+    gamma_parameter,
     gen_pairs,
     residue_ladder,
     short_ap_in_subset_sums,
     uniformize,
 )
-from oracle import brute_subset_sums, verify_solution
+from oracle import EagerGapScan, brute_subset_sums, verify_solution
 
 S = SortedIntSet.from_iterable
 
@@ -249,6 +259,120 @@ class TestExtractAugPairs:
         pool = S([1, 1000000, 1999999, 2999998])
         with pytest.raises(Exhausted):
             extract_aug_pairs(pool, 2, 16, 3 * 10**6, 4, TUNED)
+
+
+def _from_gaps(start, gaps):
+    vals = [start]
+    for g in gaps:
+        vals.append(vals[-1] + g)
+    return vals
+
+
+@st.composite
+def scan_inputs(draw):
+    """(pool values, d, ell, m, n, gain_target) from five pool families:
+    random, long runs of gap 1, every gap divisible by d, d = 1, and d >= 2
+    with no case-1 gap."""
+    family = draw(st.sampled_from(["random", "runs", "divisible", "d1", "no-case1"]))
+    d = {"d1": 1, "no-case1": draw(st.integers(2, 6))}.get(family) or draw(st.integers(1, 6))
+    ell = draw(st.integers(8, 600))
+    if family in ("random", "d1"):
+        vals = sorted(draw(st.sets(st.integers(1, 4000), min_size=1, max_size=160)))
+    elif family == "runs":
+        blocks = draw(st.lists(st.tuples(st.integers(1, 80), st.integers(1, 300)),
+                               min_size=1, max_size=6))
+        vals = _from_gaps(1, [g for run, jump in blocks for g in [1] * run + [jump]])
+    elif family == "divisible":
+        vals = _from_gaps(draw(st.integers(1, 50)),
+                          [d * k for k in draw(st.lists(st.integers(1, 30), max_size=150))])
+    else:
+        # a gap is either divisible by d or not divisible and above the case-1 cap
+        cap = ell // TUNED.window_div
+        gaps = draw(st.lists(st.one_of(
+            st.integers(1, 30).map(lambda k: d * k),
+            st.integers(cap + 1, cap + 60).filter(lambda g: g % d)), max_size=150))
+        vals = _from_gaps(draw(st.integers(1, 50)), gaps)
+    m = draw(st.integers(max(1, vals[-1] // 4), 4 * vals[-1] + 1))
+    n = draw(st.integers(1, 300))
+    gain_target = draw(st.none() | st.integers(1, 400))
+    return vals, d, ell, m, n, gain_target
+
+
+def _extract_or_exhausted(pool, d, ell, m, n, gain_target):
+    try:
+        return extract_aug_pairs(pool, d, ell, m, n, TUNED, gain_target)
+    except Exhausted:
+        return "exhausted"
+
+
+class TestGapScanMatchesEagerScan:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_inputs())
+    def test_same_case_and_pairs(self, args):
+        vals, d, ell, m, n, gain_target = args
+        pool = S(vals)
+        lazy = _extract_or_exhausted(pool, d, ell, m, n, gain_target)
+        with mock.patch.object(apcert.subsetsum_ap, "GapScan", EagerGapScan):
+            eager = _extract_or_exhausted(pool, d, ell, m, n, gain_target)
+        assert lazy == eager
+
+    @pytest.mark.parametrize("pool, d, ell, m, n, gain_target, case", [
+        (range(1, 2001), 3, 600, 2000, 300, None, 1),
+        (range(1, 2001), 1, 800, 2000, 300, 400, 2),
+        (range(1, 2001), 1, 800, 2000, 300, None, 2),
+        (range(5, 3000, 5), 5, 600, 3000, 200, None, 2),
+        ([1, 1000000, 1999999, 2999998], 2, 16, 3 * 10**6, 4, None, None),
+    ])
+    def test_fixed_cases(self, pool, d, ell, m, n, gain_target, case):
+        lazy = _extract_or_exhausted(S(pool), d, ell, m, n, gain_target)
+        with mock.patch.object(apcert.subsetsum_ap, "GapScan", EagerGapScan):
+            eager = _extract_or_exhausted(S(pool), d, ell, m, n, gain_target)
+        assert lazy == eager
+        assert (lazy == "exhausted") if case is None else lazy[0] == case
+
+
+class CountingRange(Sequence):
+    """range(1, n + 1) that counts the values read from it."""
+
+    def __init__(self, n):
+        self.n = n
+        self.reads = 0
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        self.reads += 1
+        return i + 1
+
+
+class TestGapScanWork:
+    def test_reads_scale_with_the_pairs_taken(self):
+        # d = 1 over a million consecutive values: each pair walks one run of
+        # at most c2_hi unit gaps, and nothing behind the last run is read
+        vals = CountingRange(10**6)
+        ell, m, n = 800, 1000, 1000
+        case, pairs = extract_aug_pairs(SimpleNamespace(elems=vals), 1, ell, m, n, TUNED)
+        run = ell // TUNED.window_div
+        assert case == 2 and 1 <= len(pairs) <= 20
+        assert vals.reads <= 4 * len(pairs) * (run + 2)
+
+    def test_finished_scan_freed_without_the_cycle_collector(self):
+        pool = tuple(range(1, 5001))
+        gamma = gamma_parameter(5000, 800, 800, TUNED)
+        gc.disable()
+        try:
+            scan = GapScan(pool, 1, 800, gamma, TUNED)
+            i, j = scan.pop_case2()
+            scan.remove_pair(i, j)
+            assert scan.pop_case1() is None and scan.pop_case2() is not None
+            ref = weakref.ref(scan)
+            del scan
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestResidueLadder:
