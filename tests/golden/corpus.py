@@ -7,7 +7,9 @@ Layout under tests/golden/:
   cli/<case>.json      argv and exit code of one CLI case
   cli/<case>.stdout    the exact stdout bytes of that case
   library.json         per library case: the progression and a SHA-256 over
-                       the certificates of all its terms
+                       the certificates of all its terms, or for a dense
+                       search case the region and a SHA-256 over the subsets
+                       found for its seeded targets
 
 `tests/test_golden.py` compares the program against these files and
 `regen.py` rewrites them from the tables below, so a deliberate change of
@@ -47,6 +49,8 @@ INPUTS = {
     "coins_d2": lambda: [1002, 1004, 1010, 1013],
     "evens10k": lambda: list(range(2, 10001, 2)),
     "consecutive5000": lambda: list(range(1, 5001)),
+    # gamma 2 with three odd strays: near hi the reduced target is flipped
+    "evens_strays": lambda: [3] + list(range(2, 10001, 2)) + [4999, 9999],
 }
 
 
@@ -85,13 +89,19 @@ CLI_CASES = (
 )
 
 # (case name, builder, input, length argument, fold or None); every term of
-# the built witness is certified with RandomSource(SEED).derive("query", j)
+# the built witness is certified with RandomSource(SEED).derive("query", j).
+# A "dense-search" case is (case name, "dense-search", input, number of yes
+# targets, width of the window below hi they are drawn from or None for the
+# whole region); each is searched with RandomSource(SEED).derive("dense", t)
 LIBRARY_CASES = (
     ("ap-sumset-r1", "ap-sumset", "r1", 2000, 48),
     ("ap-sumset-m61015", "ap-sumset", "m61015", 3000, 4),
     ("ap-subsetsum-consecutive", "ap-subsetsum", "consecutive300", 300, None),
     ("ap-subsetsum-gcd2", "ap-subsetsum", "one_evens", 600, None),
     ("ap-subsetsum-ladder", "ap-subsetsum", "evens_odds", 899, None),
+    ("dense-search-consecutive", "dense-search", "consecutive5000", 100, None),
+    ("dense-search-evens", "dense-search", "evens10k", 100, None),
+    ("dense-search-flip", "dense-search", "evens_strays", 100, 10**4),
 )
 
 
@@ -129,12 +139,48 @@ def build_witness(builder: str, inp: str, length: int, fold):
     return ap_in_subset_sums(values, length, TUNED, SEED).witness
 
 
+def dense_targets(decomp, count: int, window) -> list[int]:
+    """The first `count` seeded yes targets of the region, or of its top
+    `window` values."""
+    from apcert.dense import dense_decide
+
+    lo, hi = decomp.region()
+    if window is not None:
+        lo = max(lo, hi - window)
+    rnd = random.Random(SEED)
+    out: list[int] = []
+    while len(out) < count:
+        t = rnd.randint(lo, hi)
+        if dense_decide(decomp, t):
+            out.append(t)
+    return out
+
+
+def dense_record(case) -> dict:
+    """The region of one dense search case and a SHA-256 over the canonical
+    JSON of the subset found for each target, one line per target."""
+    from apcert.core import RandomSource
+    from apcert.dense import build_rpg, dense_search
+    from apcert.profiles import TUNED
+
+    _, _, inp, count, window = case
+    decomp = build_rpg(INPUTS[inp](), TUNED, SEED)
+    h = hashlib.sha256()
+    for t in dense_targets(decomp, count, window):
+        subset = dense_search(decomp, t, RandomSource(SEED).derive("dense", t))
+        h.update(json.dumps([t, subset], separators=(",", ":")).encode() + b"\n")
+    return {"gamma": decomp.gamma, "region": list(decomp.region()), "targets": count,
+            "sha256": h.hexdigest()}
+
+
 def library_record(case) -> dict:
     """The progression of one library case and a SHA-256 over the canonical
     JSON of every term's certificate, one line per term."""
     from apcert.core import RandomSource
 
     _, builder, inp, length, fold = case
+    if builder == "dense-search":
+        return dense_record(case)
     witness = build_witness(builder, inp, length, fold)
     h = hashlib.sha256()
     for j in range(witness.ap.length + 1):

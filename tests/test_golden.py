@@ -60,3 +60,21 @@ def test_inputs_take_the_pinned_paths():
     # and that of the consecutive input difference 1
     assert corpus.build_witness("ap-subsetsum", "one_evens", 600, None).leaf.ap.diff == 2
     assert corpus.build_witness("ap-subsetsum", "consecutive300", 300, None).leaf.ap.diff == 1
+
+
+def test_dense_cases_take_the_pinned_paths():
+    from apcert.dense import build_rpg, walk_residue_table
+    from apcert.profiles import TUNED
+
+    cases = {case[0]: case for case in corpus.LIBRARY_CASES if case[1] == "dense-search"}
+    flips = {}
+    for name, (_, _, inp, count, window) in cases.items():
+        decomp = build_rpg(corpus.INPUTS[inp](), TUNED, corpus.SEED)
+        targets = corpus.dense_targets(decomp, count, window)
+        zs = [(t - sum(walk_residue_table(decomp.y_table, t))) // decomp.gamma for t in targets]
+        flips[name] = (decomp.gamma, sum(2 * z > decomp.reduced_sum for z in zs))
+    # gamma 1 and 2 without a flip, and a case whose targets mostly flip
+    assert flips["dense-search-consecutive"] == (1, 0)
+    assert flips["dense-search-evens"] == (2, 0)
+    gamma, flipped = flips["dense-search-flip"]
+    assert gamma == 2 and 0 < flipped < 100
