@@ -18,6 +18,7 @@ at query time and memoized per ladder index.
 from __future__ import annotations
 
 from copy import copy
+from itertools import repeat
 from math import gcd
 from typing import Optional, Protocol, Sequence
 
@@ -87,13 +88,15 @@ class ApWitness:
             if counts is None or len(counts) != len(collected):
                 counts = merge_counts(collected)
             sol = CompactSolution.from_counts(counts, target, self.fold_budget)
+            total = sum(v * c for v, c in sol.parts)
         else:
-            values = [v for v, c in collected if c]
-            contract(all(c == 1 for _, c in collected), "subset-sum parts must have count 1")
-            contract(len(values) == len(set(values)), "subset-sum parts must be distinct")
-            sol = CompactSolution(tuple(sorted((v, 1) for v in values)), target, 0)
-        total = sum(v * c for v, c in sol.parts)
-        contract(total == target, f"certificate sums to {total}, wanted {target}")
+            values, counts = zip(*collected) if collected else ((), ())
+            contract(counts.count(1) == len(counts), "subset-sum parts must have count 1")
+            contract(len(set(values)) == len(values), "subset-sum parts must be distinct")
+            sol = CompactSolution(tuple(zip(sorted(values), repeat(1))), target, 0)
+            total = sum(values)
+        if total != target:
+            raise InternalContract(f"certificate sums to {total}, wanted {target}")
         return sol
 
     def truncated(self, length: int) -> "ApWitness":

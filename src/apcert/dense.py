@@ -17,8 +17,13 @@ Deciding t is a bounds check and one bit test. Searching walks t down: a
 small Y read off the gamma table fixes t mod gamma, a greedy prefix of G found
 by bisecting the block sums lands in a window of width m, a subset of R read
 off the d table fixes the residue mod d, and the progression witness supplies
-the exact remainder. Search is linear in N; most of its cost is writing and
-checking a subset of up to N elements.
+the exact remainder. Search is linear in N, and its cost is a few C-level
+passes over a subset of up to N elements: the bulk prefix, the R walk and
+the witness parts go into one list, which dense_search checks once for
+repeats (one set) and for its sum. With gamma 1 and no flip that list,
+sorted in place, is the answer. Otherwise the flip takes the complement and
+checks its sum, the list is scaled by gamma, joined to Y and sorted, and the
+assembled answer is checked again for its sum and for repeats.
 """
 
 from __future__ import annotations
@@ -201,14 +206,15 @@ def greedy_fill(elems: Sequence[int], blocks: Sequence[int], upper: int) -> tupl
     The scan first takes the longest run of largest elements that fits,
     found by bisecting the block sums and then stepping at most
     BULK_BLOCK - 1 elements; after it, each element taken is the largest
-    one not yet scanned that fits the gap left."""
+    one not yet scanned that fits the gap left. `taken` is a fresh list that
+    shares nothing with `elems`, so the caller may extend it in place."""
     b = bisect_right(blocks, upper)
     acc = blocks[b - 1] if b else 0
     hi = len(elems) - BULK_BLOCK * b
     while hi and acc + elems[hi - 1] <= upper:
         hi -= 1
         acc += elems[hi]
-    taken = list(elems[hi:])
+    taken = [*elems[hi:]]
     while acc < upper:
         hi = bisect_right(elems, upper - acc, 0, hi) - 1
         if hi < 0:
@@ -358,11 +364,18 @@ def dense_search(d: DenseDecomposition, t: int, rng: RandomSource) -> list[int]:
     flip = 2 * z > d.reduced_sum
     z_work = d.reduced_sum - z if flip else z
     picked = _search_reduced(d, z_work, rng)
+    picked_set = set(picked)
+    contract(len(picked_set) == len(picked), "reduced subset repeats an element")
+    contract(sum(picked) == z_work, "reduced subset misses its target")
     if flip:
-        picked_set = set(picked)
         picked = [v for v in d.reduced if v not in picked_set]
-    contract(sum(picked) == z, "reduced-world subset misses its target")
-    out = sorted(y + [gamma * v for v in picked])
+        contract(sum(picked) == z, "reduced-world subset misses its target")
+    elif gamma == 1 and not y:
+        # t == z: the checks above ran on the very list returned
+        picked.sort()
+        return picked
+    out = [*y, *map(gamma.__mul__, picked)]
+    out.sort()
     contract(sum(out) == t, "assembled subset misses the target")
     contract(len(set(out)) == len(out), "assembled subset repeats an element")
     return out
@@ -370,7 +383,7 @@ def dense_search(d: DenseDecomposition, t: int, rng: RandomSource) -> list[int]:
 
 def _search_reduced(d: DenseDecomposition, z: int, rng: RandomSource) -> list[int]:
     """Subset of the reduced set summing to z via greedy bulk + remainder +
-    progression witness."""
+    progression witness, unsorted; dense_search checks it."""
     m1 = d.reduced.max
     s, diff = d.start, d.diff
     # diff > 1 pays up to diff*(m1+1) to the remainder set afterwards;
@@ -387,8 +400,6 @@ def _search_reduced(d: DenseDecomposition, z: int, rng: RandomSource) -> list[in
     j = (t_p - s) // diff
     contract(0 <= j <= d.progression.ap.length, f"progression index {j} out of range")
     sol = d.progression.witness.query(j, rng)
-    p_taken = [v for v, _ in sol.parts]
-    out = g_taken + r_taken + p_taken
-    contract(len(set(out)) == len(out), "reduced subset repeats an element")
-    contract(sum(out) == z, "reduced subset misses its target")
-    return out
+    g_taken += r_taken
+    g_taken += [v for v, _ in sol.parts]
+    return g_taken

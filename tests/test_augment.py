@@ -16,6 +16,7 @@ from apcert.augment import (
 )
 from apcert.core import (
     ArithProgression,
+    InternalContract,
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
@@ -348,3 +349,34 @@ class TestFoldWitnessCounts:
         sol = ApWitness(leaf, (), fold_budget=5).query(0, RandomSource(0))
         assert sol.parts == ((2, 2), (5, 3))
         assert sol.target == 19
+
+
+class TestSubsetWitnessContracts:
+    def _query(self, target, parts, fold_budget=0):
+        leaf = ExplicitLeaf(AP(target, 1, 0), {0: parts})
+        return ApWitness(leaf, (), fold_budget=fold_budget).query(0, RandomSource(0))
+
+    def test_distinct_unit_parts_are_sorted(self):
+        sol = self._query(12, [(7, 1), (2, 1), (3, 1)])
+        assert sol.parts == ((2, 1), (3, 1), (7, 1))
+        assert (sol.target, sol.fold_budget) == (12, 0)
+
+    def test_empty_parts_give_an_empty_certificate(self):
+        sol = self._query(0, [])
+        assert (sol.parts, sol.target, sol.fold_budget) == ((), 0, 0)
+
+    @pytest.mark.parametrize("parts, target, message", [
+        ([(4, 1), (9, 0)], 4, "subset-sum parts must have count 1"),
+        ([(4, 1), (9, 2)], 22, "subset-sum parts must have count 1"),
+        ([(4, 1), (9, 1), (4, 1)], 17, "subset-sum parts must be distinct"),
+        ([(4, 1), (9, 1)], 14, "certificate sums to 13, wanted 14"),
+    ])
+    def test_bad_parts_raise_their_message(self, parts, target, message):
+        with pytest.raises(InternalContract) as exc:
+            self._query(target, parts)
+        assert str(exc.value) == message
+
+    def test_fold_sum_mismatch_message(self):
+        with pytest.raises(InternalContract) as exc:
+            self._query(30, [(4, 2), (9, 1)], fold_budget=3)
+        assert str(exc.value) == "certificate sums to 17, wanted 30"

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from apcert import dense
 from apcert.augment import ApWitness
 from apcert.core import (
+    CompactSolution,
+    InternalContract,
     OutOfRegion,
     PreconditionViolated,
     RandomSource,
@@ -201,6 +204,21 @@ class TestGreedyFill:
             elems = tuple(sorted(rnd.sample(range(1, rnd.randint(size + 1, 8 * size + 2)), size)))
             for _ in range(40):
                 self._check(elems, rnd.randint(0, sum(elems) + 5))
+
+    @pytest.mark.parametrize("container", [tuple, list])
+    def test_taken_is_a_fresh_list(self, container):
+        # dense_search extends the list in place, so it must not be the bulk
+        elems = container(range(1, 3 * BULK_BLOCK))
+        before = tuple(elems)
+        blocks = block_sums(elems)
+        for upper in (0, sum(elems[-BULK_BLOCK:]) + 5, sum(elems)):
+            taken, _ = greedy_fill(elems, blocks, upper)
+            again, _ = greedy_fill(elems, blocks, upper)
+            assert type(taken) is list and taken is not elems and taken is not again
+            taken += [0] * 5
+            taken[:] = taken[::-1]
+            assert tuple(elems) == before
+            assert greedy_fill(elems, blocks, upper)[0] == again
 
 
 def table_residues(table):
@@ -426,3 +444,151 @@ class TestGammaAboveOne:
             else:
                 no += 1
         assert yes and no  # odd targets are refused, even ones solved
+
+
+def strays_decomposition():
+    """gamma 2 with three odd strays: near hi the reduced target flips."""
+    return build_rpg([3] + [2 * x for x in range(1, 441)] + [439, 879], TUNED, seed=2)
+
+
+def reduced_target(d, t):
+    y = walk_residue_table(d.y_table, t)
+    return (t - sum(y)) // d.gamma
+
+
+def search_cases():
+    """(name, decomposition, yes targets) for gamma 1 and 2 without a flip
+    and for flipped targets."""
+    out = []
+    for name, d, flip in (
+        ("gamma1", build_rpg(list(range(1, 501)), TUNED, seed=1), False),
+        ("gamma2", build_rpg([2 * x for x in range(1, 441)], TUNED, seed=2), False),
+        ("flip", strays_decomposition(), True),
+    ):
+        lo, hi = d.region()
+        rnd = random.Random(5)
+        targets = []
+        while len(targets) < 5:
+            t = rnd.randint(hi - 600, hi) if flip else rnd.randint(lo, hi)
+            if dense_decide(d, t) and (2 * reduced_target(d, t) > d.reduced_sum) == flip:
+                targets.append(t)
+        out.append((name, d, targets))
+    return out
+
+
+SEARCH_CASES = search_cases()
+CASE = {name: (name, d, targets) for name, d, targets in SEARCH_CASES}
+
+
+def expect_contract(d, targets, match):
+    for t in targets:
+        with pytest.raises(InternalContract, match=match):
+            dense_search(d, t, RandomSource(3))
+
+
+@pytest.mark.parametrize("name, d, targets", SEARCH_CASES, ids=list(CASE))
+class TestSearchContracts:
+    """Faults injected into the search must trip a contract, not return a
+    wrong subset."""
+
+    def test_unfaulted_search_succeeds(self, name, d, targets):
+        for t in targets:
+            got = dense_search(d, t, RandomSource(3))
+            assert sum(got) == t and got == sorted(set(got))
+
+    def test_greedy_repeating_an_element(self, name, d, targets, monkeypatch):
+        fill = dense.greedy_fill
+
+        def twice(elems, blocks, upper):
+            taken, acc = fill(elems, blocks, upper)
+            return taken + taken[:1], acc
+
+        monkeypatch.setattr(dense, "greedy_fill", twice)
+        expect_contract(d, targets, "^reduced subset repeats an element$")
+
+    def test_wrong_diff_table_walk(self, name, d, targets, monkeypatch):
+        # the extra value is the bulk's largest, which the greedy prefix
+        # always takes: a repeat, or a progression index pushed below 0
+        walk = dense.walk_residue_table
+
+        def wrong(table, r):
+            out = walk(table, r)
+            return out + [d.bulk.max] if table is d.r_table else out
+
+        monkeypatch.setattr(dense, "walk_residue_table", wrong)
+        expect_contract(d, targets, "out of range|repeats an element")
+
+    def test_witness_part_off_by_one(self, name, d, targets, monkeypatch):
+        query = ApWitness.query
+
+        def off_by_one(self, j, rng):
+            sol = query(self, j, rng)
+            (v, c), rest = sol.parts[-1], sol.parts[:-1]
+            return CompactSolution(rest + ((v + 1, c),), sol.target, sol.fold_budget)
+
+        monkeypatch.setattr(ApWitness, "query", off_by_one)
+        expect_contract(d, targets, "^reduced subset misses its target$")
+
+
+@pytest.mark.parametrize("name, d, targets", [CASE["gamma1"], CASE["gamma2"]],
+                         ids=["gamma1", "gamma2"])
+def test_y_repeating_a_bulk_element(name, d, targets, monkeypatch):
+    # Y takes gamma times the bulk's largest element, which the greedy prefix
+    # takes again; with gamma 1 this also leaves Y nonempty. Without a flip
+    # only the assembled answer shows the repeat.
+    walk = dense.walk_residue_table
+
+    def with_bulk(table, r):
+        out = walk(table, r)
+        return out + [d.gamma * d.bulk.max] if table is d.y_table else out
+
+    monkeypatch.setattr(dense, "walk_residue_table", with_bulk)
+    expect_contract(d, targets, "^assembled subset repeats an element$")
+
+
+@pytest.mark.parametrize("name, d, targets", [CASE["gamma2"], CASE["flip"]],
+                         ids=["gamma2", "flip"])
+def test_scaling_off_by_one(name, d, targets):
+    class OffByOne(int):
+        def __mul__(self, v):
+            return int(self) * v + 1
+
+    bad = dataclasses.replace(d, gamma=OffByOne(d.gamma))
+    expect_contract(bad, targets, "^assembled subset misses the target$")
+
+
+def test_recorded_reduced_sum_off_by_one():
+    # only a flipped target takes the complement, whose sum this breaks
+    _, d, targets = CASE["flip"]
+    bad = dataclasses.replace(d, reduced_sum=d.reduced_sum + 1)
+    expect_contract(bad, targets, "^reduced-world subset misses its target$")
+
+
+class TestFlipBranch:
+    def test_flipped_targets_take_the_complement(self, monkeypatch):
+        d = strays_decomposition()
+        assert d.gamma == 2
+        lo, hi = d.region()
+        members = set(d.original.elems)
+        table = brute_subset_sums(d.original, hi + 1)
+        seen = []
+        search = dense._search_reduced
+
+        def spy(decomp, z, rng):
+            seen.append(z)
+            return search(decomp, z, rng)
+
+        monkeypatch.setattr(dense, "_search_reduced", spy)
+        flipped = 0
+        for t in range(hi - 600, hi + 1, 7):
+            if not dense_decide(d, t):
+                continue
+            assert t in table
+            z = reduced_target(d, t)
+            flip = 2 * z > d.reduced_sum
+            flipped += flip
+            got = dense_search(d, t, RandomSource(t))
+            assert seen.pop() == (d.reduced_sum - z if flip else z)
+            assert sum(got) == t and len(set(got)) == len(got)
+            assert set(got) <= members
+        assert flipped >= 20
