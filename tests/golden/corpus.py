@@ -7,9 +7,10 @@ Layout under tests/golden/:
   cli/<case>.json      argv and exit code of one CLI case
   cli/<case>.stdout    the exact stdout bytes of that case
   library.json         per library case: the progression and a SHA-256 over
-                       the certificates of all its terms, or for a dense
-                       search case the region and a SHA-256 over the subsets
-                       found for its seeded targets
+                       the certificates of all its terms, for a multi-round
+                       subset-sum case also its rounds and coreset, or for a
+                       dense search case the region and a SHA-256 over the
+                       subsets found for its seeded targets
 
 `tests/test_golden.py` compares the program against these files and
 `regen.py` rewrites them from the tables below, so a deliberate change of
@@ -51,6 +52,9 @@ INPUTS = {
     "consecutive5000": lambda: list(range(1, 5001)),
     # gamma 2 with three odd strays: near hi the reduced target is flipped
     "evens_strays": lambda: [3] + list(range(2, 10001, 2)) + [4999, 9999],
+    # ell = 10^4 takes 14 and 13 augmentation rounds on these two
+    "consecutive10k": lambda: list(range(1, 10001)),
+    "half10k": lambda: sorted(random.Random(10000).sample(range(1, 10001), 5000)),
 }
 
 
@@ -90,6 +94,7 @@ CLI_CASES = (
 
 # (case name, builder, input, length argument, fold or None); every term of
 # the built witness is certified with RandomSource(SEED).derive("query", j).
+# A "subsetsum-rounds" case certifies ROUNDS_TERMS evenly spaced terms only.
 # A "dense-search" case is (case name, "dense-search", input, number of yes
 # targets, width of the window below hi they are drawn from or None for the
 # whole region); each is searched with RandomSource(SEED).derive("dense", t)
@@ -102,7 +107,10 @@ LIBRARY_CASES = (
     ("dense-search-consecutive", "dense-search", "consecutive5000", 100, None),
     ("dense-search-evens", "dense-search", "evens10k", 100, None),
     ("dense-search-flip", "dense-search", "evens_strays", 100, 10**4),
+    ("subsetsum-rounds-consecutive", "subsetsum-rounds", "consecutive10k", 10**4, None),
+    ("subsetsum-rounds-half", "subsetsum-rounds", "half10k", 10**4, None),
 )
+ROUNDS_TERMS = 100
 
 
 def input_text(name: str) -> str:
@@ -173,19 +181,43 @@ def dense_record(case) -> dict:
             "sha256": h.hexdigest()}
 
 
-def library_record(case) -> dict:
-    """The progression of one library case and a SHA-256 over the canonical
-    JSON of every term's certificate, one line per term."""
+def certificates_sha256(witness, indices) -> str:
+    """A SHA-256 over the canonical JSON of the certificates of `indices`,
+    one line per term."""
     from apcert.core import RandomSource
 
-    _, builder, inp, length, fold = case
-    if builder == "dense-search":
-        return dense_record(case)
-    witness = build_witness(builder, inp, length, fold)
     h = hashlib.sha256()
-    for j in range(witness.ap.length + 1):
+    for j in indices:
         sol = witness.query(j, RandomSource(SEED).derive("query", j))
         line = [j, sol.target, sol.fold_budget, [[v, c] for v, c in sol.parts]]
         h.update(json.dumps(line, separators=(",", ":")).encode() + b"\n")
+    return h.hexdigest()
+
+
+def rounds_record(case) -> dict:
+    """The progression, rounds and coreset of one multi-round subset-sum
+    build and a SHA-256 over ROUNDS_TERMS evenly spaced certificates."""
+    from apcert.profiles import TUNED
+    from apcert.subsetsum_ap import ap_in_subset_sums
+
+    _, _, inp, length, _ = case
+    res = ap_in_subset_sums(INPUTS[inp](), length, TUNED, SEED)
+    ap = res.ap
+    indices = [i * ap.length // (ROUNDS_TERMS - 1) for i in range(ROUNDS_TERMS)]
+    return {"ap": [ap.start, ap.diff, ap.length], "rounds": res.rounds,
+            "coreset": list(res.coreset), "terms": ROUNDS_TERMS,
+            "sha256": certificates_sha256(res.witness, indices)}
+
+
+def library_record(case) -> dict:
+    """The progression of one library case and a SHA-256 over the canonical
+    JSON of every term's certificate."""
+    _, builder, inp, length, fold = case
+    if builder == "dense-search":
+        return dense_record(case)
+    if builder == "subsetsum-rounds":
+        return rounds_record(case)
+    witness = build_witness(builder, inp, length, fold)
     ap = witness.ap
-    return {"ap": [ap.start, ap.diff, ap.length], "terms": ap.length + 1, "sha256": h.hexdigest()}
+    return {"ap": [ap.start, ap.diff, ap.length], "terms": ap.length + 1,
+            "sha256": certificates_sha256(witness, range(ap.length + 1))}
