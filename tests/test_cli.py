@@ -123,6 +123,24 @@ class TestApSumset:
         assert rep["error"] == "precondition" and rep["name"] == "malformed-seed"
 
 
+    @pytest.mark.parametrize("values, code, error, detail", [
+        ([0, 1, 65, 121, 138, 262, 345, 583, 610, 777, 901], 0, None, None),
+        ([0, 1, -3, 65], 1, "nonnegative-input", "got -3"),
+        ([0, 1, 2**62 + 1], 1, "element-cap", f"{2**62 + 1} > 2^62"),
+        ([0, 1, 2**63, -2], 1, "element-cap", f"{2**63} > 2^62"),
+        (["0", "1", "x2"], 1, "malformed-input", "line 1: 'x2' is not an integer"),
+    ], ids=["certified", "negative", "over-cap", "first-fault-wins", "malformed-input"])
+    def test_exit_codes(self, tmp_path, capsys, values, code, error, detail):
+        inp = tmp_path / "in.txt"
+        inp.write_text(" ".join(map(str, values)) + "\n")
+        got, out = run(capsys, "ap-sumset", "--input", inp, "--m", "1000", "--k", "101",
+                       "--seed", "0", "--json")
+        assert got == code
+        rep = json.loads(out)
+        assert rep.get("name") == error and rep.get("detail") == detail
+        assert ("ap" in rep) == (error is None)
+
+
 class TestApSubsetsum:
     def test_tuned_toy(self, workdir, capsys):
         code, out = run(
@@ -150,6 +168,23 @@ class TestApSubsetsum:
         _, out1 = run(capsys, *args)
         _, out2 = run(capsys, *args)
         assert out1 == out2
+
+
+    @pytest.mark.parametrize("values, code, error, detail", [
+        (range(1, 301), 0, None, None),
+        (range(0, 301), 1, "positive-elements", "subset-sum input must be within [1, m]"),
+        ([1, 2, -1, 3], 1, "nonnegative-input", "got -1"),
+        ([1, 2, 2**62 + 1], 1, "element-cap", f"{2**62 + 1} > 2^62"),
+    ], ids=["certified", "zero", "negative", "over-cap"])
+    def test_exit_codes(self, tmp_path, capsys, values, code, error, detail):
+        inp = tmp_path / "in.txt"
+        inp.write_text(" ".join(map(str, values)) + "\n")
+        got, out = run(capsys, "ap-subsetsum", "--input", inp, "--ell", "300",
+                       "--seed", "0", "--json")
+        assert got == code
+        rep = json.loads(out)
+        assert rep.get("name") == error and rep.get("detail") == detail
+        assert ("ap" in rep) == (error is None)
 
 
 class TestUnbounded:
