@@ -19,7 +19,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
+from itertools import chain, islice, pairwise
 from math import gcd
+from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_ELEMENT = 2**62  # any sum of <= 2**32 elements stays well inside 128 bits
@@ -120,15 +122,18 @@ class SortedIntSet:
     elems: tuple[int, ...]
 
     def __post_init__(self):
-        prev = -1
-        for e in self.elems:
-            if e < 0:
-                raise NegativeInput(e)
-            if e > MAX_ELEMENT:
-                raise OverflowRisk(e)
-            if e <= prev:
-                raise PreconditionViolated("strictly-increasing", f"{e} after {prev}")
-            prev = e
+        # C-level passes; the loop names the first fault only when one fails
+        e = self.elems
+        if e and not (0 <= e[0] and e[-1] <= MAX_ELEMENT and all(map(lt, e, islice(e, 1, None)))):
+            prev = -1
+            for v in e:
+                if v < 0:
+                    raise NegativeInput(v)
+                if v > MAX_ELEMENT:
+                    raise OverflowRisk(v)
+                if v <= prev:
+                    raise PreconditionViolated("strictly-increasing", f"{v} after {prev}")
+                prev = v
 
     @staticmethod
     def from_iterable(values: Iterable[int]) -> "SortedIntSet":
@@ -155,6 +160,19 @@ class SortedIntSet:
         if not self.elems:
             raise EmptySet()
         return self.elems[-1]
+
+    def without(self, values: Iterable[int]) -> "SortedIntSet":
+        """This set less `values`, each of which must be an element: one
+        tuple joined from the slices between the removed positions."""
+        elems = self.elems
+        cuts = []
+        for v in values:
+            i = bisect_left(elems, v)
+            contract(i < len(elems) and elems[i] == v, "removed value is not in the set")
+            cuts.append(i)
+        cuts.sort()
+        bounds = pairwise([-1, *cuts, len(elems)])
+        return SortedIntSet(tuple(chain.from_iterable(elems[i + 1 : j] for i, j in bounds)))
 
     def count_range(self, lo: int, hi: int) -> int:
         """|A[lo, hi]| = number of elements in [lo, hi]."""
@@ -197,12 +215,16 @@ class ArithProgression:
 
 def normalize(raw: Sequence[int]) -> tuple[SortedIntSet, int]:
     """Sort and deduplicate; returns (set, number of duplicates dropped)."""
-    for v in raw:
-        if v < 0:
-            raise NegativeInput(v)
-        if v > MAX_ELEMENT:
-            raise OverflowRisk(v)
-    s = SortedIntSet.from_iterable(raw)
+    elems = tuple(sorted(set(raw)))
+    # the ends of the sorted values are the min and max; the loop names the
+    # first value out of range in input order
+    if elems and (elems[0] < 0 or elems[-1] > MAX_ELEMENT):
+        for v in raw:
+            if v < 0:
+                raise NegativeInput(v)
+            if v > MAX_ELEMENT:
+                raise OverflowRisk(v)
+    s = SortedIntSet(elems)
     return s, len(raw) - len(s)
 
 

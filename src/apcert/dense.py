@@ -288,20 +288,19 @@ def build_rpg(
         contract(len(extra) >= tau - have, "no almost divisor guarantees non-multiples")
         r_vals.update(extra[: tau - have])
     remainder = SortedIntSet.from_iterable(r_vals)
-    pool = [v for v in reduced if v not in r_vals]
+    pool = reduced.without(r_vals)
     # the smallest half feeds the progression; Sigma_G >= Sigma/2 is checked
     # exactly below, and the published N/4 split starves the augmentation
     # pool at desk scale
     b_count = len(pool) // 2
     require(b_count >= 4, "set-too-small-for-progression", f"N/2 = {b_count}")
-    b_set = SortedIntSet(tuple(pool[:b_count]))
+    b_set = SortedIntSet(pool.elems[:b_count])
     # diff 1 needs no remainder payment, so a progression of length m
     # suffices; rebuild at 2m when the difference comes out larger
     prog = ap_in_subset_sums(b_set, m1, profile, seed)
     if prog.ap.diff > 1:
         prog = ap_in_subset_sums(b_set, 2 * m1, profile, seed)
-    p_core = set(prog.coreset.elems)
-    bulk = SortedIntSet.from_iterable(v for v in reduced if v not in r_vals and v not in p_core)
+    bulk = pool.without(prog.coreset)
     sigma_g = sum(bulk.elems)
     contract(2 * sigma_g >= sigma1, "bulk keeps less than half the sum")
     d = prog.ap.diff

@@ -17,7 +17,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, starmap
 from math import gcd
+from operator import lt
 from typing import Iterator, Optional, Sequence
 
 from .augment import ApWitness, DivPairLayer, Layer, LadderLayer
@@ -51,22 +53,21 @@ class PairSet:
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for lo, hi in self.pairs:
-            require(lo < hi, "pair-ordered", f"({lo}, {hi})")
-            require(lo not in seen and hi not in seen, "conflict-free", f"({lo}, {hi})")
-            seen.add(lo)
-            seen.add(hi)
+        # C-level passes; the loop names the first fault only when one fails
+        p = self.pairs
+        if not (all(starmap(lt, p)) and len(set(chain.from_iterable(p))) == 2 * len(p)):
+            seen: set[int] = set()
+            for lo, hi in p:
+                require(lo < hi, "pair-ordered", f"({lo}, {hi})")
+                require(lo not in seen and hi not in seen, "conflict-free", f"({lo}, {hi})")
+                seen.add(lo)
+                seen.add(hi)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def endpoints(self) -> SortedIntSet:
-        vals: list[int] = []
-        for lo, hi in self.pairs:
-            vals.append(lo)
-            vals.append(hi)
-        return SortedIntSet(tuple(sorted(vals)))
+        return SortedIntSet(tuple(sorted(chain.from_iterable(self.pairs))))
 
 
 def gen_pairs(a: SortedIntSet) -> PairSet:
@@ -76,12 +77,9 @@ def gen_pairs(a: SortedIntSet) -> PairSet:
     require(len(elems) >= 4, "set-at-least-four", f"kept {len(elems)}")
     n = len(elems) // 4
     m = elems[-1]
-    odd: list[Pair] = []
-    even: list[Pair] = []
-    for i in range(len(elems) - 1):
-        g = elems[i + 1] - elems[i]
-        if g * n <= m:
-            (even if i % 2 == 0 else odd).append((elems[i], elems[i + 1]))
+    # the pairs at even and at odd positions i, (elems[i], elems[i + 1])
+    even = [(lo, hi) for lo, hi in zip(elems[0::2], elems[1::2]) if (hi - lo) * n <= m]
+    odd = [(lo, hi) for lo, hi in zip(elems[1::2], elems[2::2]) if (hi - lo) * n <= m]
     chosen = even if len(even) >= len(odd) else odd
     contract(len(chosen) >= n, "pigeonhole guarantees n small-gap pairs")
     return PairSet(tuple(chosen))
@@ -667,7 +665,7 @@ def ap_in_subset_sums(
         ell0 = max(ell0, 1)
     short = short_ap_in_subset_sums(first, ell0, profile, seed)
     coreset_vals = set(short.coreset.elems)
-    pool = SortedIntSet(tuple(v for v in a.elems if v not in coreset_vals))
+    pool = a.without(short.coreset)
     p = short.ap
     layers: list[Layer] = []
     rounds = 0
@@ -687,10 +685,8 @@ def ap_in_subset_sums(
                 gain_target //= 2
         p = step.ap
         layers = list(step.layers) + layers
-        used = set(step.used.elems)
-        coreset_vals |= used
-        # one filtering pass keeps the pool sorted
-        pool = SortedIntSet(tuple(v for v in pool.elems if v not in used))
+        coreset_vals.update(step.used)
+        pool = pool.without(step.used)
     coreset = SortedIntSet.from_iterable(coreset_vals)
     contract(p.diff * big_n <= 7 * m, f"diff {p.diff} above 7m/n")
     bound = coreset_size_bound(ell, big_n, profile)

@@ -1,8 +1,9 @@
 """Brute-force ground truth used by the tests: exact sumsets, subset sums,
 coin-style reachability, greedy sumsets (materialized and by membership) and
 k-fold greedy certificates, the eager gap scan that the lazy `GapScan` must
-match pair for pair, plus the small set and certificate helpers that only the
-tests read.
+match pair for pair, the per-element input checks and pair harvest that the
+C-level passes of the package must match error for error, plus the small set
+and certificate helpers that only the tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -18,14 +19,19 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from apcert.core import (
+    MAX_ELEMENT,
     ApcertError,
     CompactSolution,
     EmptySet,
+    NegativeInput,
+    OverflowRisk,
+    PreconditionViolated,
     SortedIntSet,
     ceil_div,
     check_solution,
     contract,
     density_with_argmin,
+    require,
 )
 from apcert.greedy import kfold_greedy_steps
 from apcert.profiles import ConstantsProfile
@@ -328,3 +334,62 @@ class EagerGapScan:
             self.alive[idx] = False
             if p >= 0:
                 self._classify(p)
+
+
+def error_of(f, arg):
+    """(class, name, detail) of the precondition `f(arg)` raises, or None."""
+    try:
+        f(arg)
+    except PreconditionViolated as exc:
+        return type(exc), exc.name, exc.detail
+    return None
+
+
+def check_sorted_elems(elems: Sequence[int]) -> None:
+    """Reference for `SortedIntSet.__post_init__`: one element at a time,
+    raise the named error of the first element out of range or order."""
+    prev = -1
+    for e in elems:
+        if e < 0:
+            raise NegativeInput(e)
+        if e > MAX_ELEMENT:
+            raise OverflowRisk(e)
+        if e <= prev:
+            raise PreconditionViolated("strictly-increasing", f"{e} after {prev}")
+        prev = e
+
+
+def check_pairs(pairs: Sequence[tuple[int, int]]) -> None:
+    """Reference for `PairSet.__post_init__`: the first pair that is not
+    ordered or shares an endpoint with an earlier pair raises."""
+    seen: set[int] = set()
+    for lo, hi in pairs:
+        require(lo < hi, "pair-ordered", f"({lo}, {hi})")
+        require(lo not in seen and hi not in seen, "conflict-free", f"({lo}, {hi})")
+        seen.add(lo)
+        seen.add(hi)
+
+
+def normalize_by_element(raw: Sequence[int]) -> tuple[SortedIntSet, int]:
+    """Reference for `core.normalize`: the range check one value at a time."""
+    for v in raw:
+        if v < 0:
+            raise NegativeInput(v)
+        if v > MAX_ELEMENT:
+            raise OverflowRisk(v)
+    s = SortedIntSet.from_iterable(raw)
+    return s, len(raw) - len(s)
+
+
+def gen_pairs_by_index(a: SortedIntSet) -> tuple[tuple[int, int], ...]:
+    """Reference for `subsetsum_ap.gen_pairs`: the chosen pairs, harvested
+    by index over the consecutive gaps."""
+    elems = a.elems[: len(a) - len(a) % 4]
+    n = len(elems) // 4
+    m = elems[-1]
+    odd: list[tuple[int, int]] = []
+    even: list[tuple[int, int]] = []
+    for i in range(len(elems) - 1):
+        if (elems[i + 1] - elems[i]) * n <= m:
+            (even if i % 2 == 0 else odd).append((elems[i], elems[i + 1]))
+    return tuple(even if len(even) >= len(odd) else odd)

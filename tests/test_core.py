@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apcert.core import (
+    MAX_ELEMENT,
     ArithProgression,
     CompactSolution,
     EmptySet,
+    InternalContract,
     NegativeInput,
     OutOfRange,
     OverflowRisk,
@@ -23,9 +25,52 @@ from apcert.core import (
     parse_int_set_text,
     solve_residue_coefficient,
 )
-from oracle import density, verify_solution
+from oracle import (
+    check_sorted_elems,
+    density,
+    error_of,
+    normalize_by_element,
+    verify_solution,
+)
 
 S = SortedIntSet.from_iterable
+
+
+VALUES = st.one_of(st.sampled_from([0, 1, MAX_ELEMENT - 1, MAX_ELEMENT]),
+                   st.integers(0, MAX_ELEMENT))
+
+
+@st.composite
+def faulty_values(draw, sort):
+    """Distinct values in [0, 2^62], sorted or shuffled, with up to two
+    elements replaced by a negative value, a value above 2^62, a repeat of
+    the element before or a value below it."""
+    vals = sorted(draw(st.sets(VALUES, max_size=12)))
+    if not sort:
+        vals = draw(st.permutations(vals))
+    for _ in range(draw(st.integers(0, 2)) if vals else 0):
+        i = draw(st.integers(0, len(vals) - 1))
+        prev = vals[i - 1] if i else 0
+        vals[i] = draw(st.one_of(
+            st.integers(-(2**64), -1),
+            st.integers(MAX_ELEMENT + 1, 2**64),
+            st.just(prev),
+            st.integers(0, prev - 1) if prev > 0 else st.just(-1),
+        ))
+    return vals
+
+
+FIRST_FAULTS = [
+    ((), None),
+    ((0,), None),
+    ((MAX_ELEMENT,), None),
+    ((-1,), (NegativeInput, "nonnegative-input", "got -1")),
+    ((MAX_ELEMENT + 1,), (OverflowRisk, "element-cap", f"{MAX_ELEMENT + 1} > 2^62")),
+    ((1, -5, 2**63), (NegativeInput, "nonnegative-input", "got -5")),
+    ((1, 2**63, -5), (OverflowRisk, "element-cap", f"{2**63} > 2^62")),
+    ((-1, -5), (NegativeInput, "nonnegative-input", "got -1")),
+    ((2**63, MAX_ELEMENT + 1), (OverflowRisk, "element-cap", f"{2**63} > 2^62")),
+]
 
 
 class TestNormalize:
@@ -49,6 +94,47 @@ class TestNormalize:
     def test_overflow_rejected(self):
         with pytest.raises(OverflowRisk):
             normalize([2**62 + 1])
+
+
+class TestValidatorParity:
+    """The C-level passes raise what the per-element loops of tests/oracle.py
+    raise: the same class, name and detail, for the first fault in order."""
+
+    @given(faulty_values(sort=True))
+    def test_sorted_int_set(self, vals):
+        elems = tuple(vals)
+        assert error_of(SortedIntSet, elems) == error_of(check_sorted_elems, elems)
+
+    @given(faulty_values(sort=False))
+    def test_normalize(self, vals):
+        got = error_of(normalize, vals)
+        assert got == error_of(normalize_by_element, vals)
+        if got is None:
+            assert normalize(vals) == normalize_by_element(vals)
+
+    @pytest.mark.parametrize("elems, error", FIRST_FAULTS + [
+        ((3, 3, -1), (PreconditionViolated, "strictly-increasing", "3 after 3")),
+        ((5, 4, 2**63), (PreconditionViolated, "strictly-increasing", "4 after 5")),
+    ])
+    def test_sorted_int_set_first_fault_wins(self, elems, error):
+        assert error_of(SortedIntSet, elems) == error == error_of(check_sorted_elems, elems)
+
+    @pytest.mark.parametrize("raw, error", FIRST_FAULTS + [((7, 3, 3), None)])
+    def test_normalize_first_fault_wins(self, raw, error):
+        assert error_of(normalize, list(raw)) == error == error_of(normalize_by_element, raw)
+
+
+class TestWithout:
+    @given(st.sets(st.integers(0, 200), max_size=40), st.data())
+    def test_matches_the_filter(self, vals, data):
+        a = S(vals)
+        drop = data.draw(st.lists(st.sampled_from(sorted(vals)), max_size=12)) if vals else []
+        assert a.without(drop).elems == tuple(v for v in a.elems if v not in drop)
+
+    @pytest.mark.parametrize("drop", [[7], [1, 7], [5, 0], [-1], [10**6]])
+    def test_value_outside_the_set_is_a_contract(self, drop):
+        with pytest.raises(InternalContract):
+            S([1, 3, 5]).without(drop)
 
 
 class TestGcdAll:

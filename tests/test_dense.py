@@ -319,6 +319,13 @@ class TestBuildDecomposition:
         for j in range(0, d.progression.ap.length + 1, 37):
             assert d.progression.ap.term(j) in tbl
 
+    @pytest.mark.parametrize("values", [range(1, 601), range(2, 10001, 2)])
+    def test_bulk_is_the_reduced_set_less_remainder_and_coreset(self, values):
+        d = build_rpg(list(values), TUNED, seed=3)
+        drop = set(d.remainder) | set(d.progression.coreset)
+        assert d.bulk.elems == tuple(v for v in d.reduced if v not in drop)
+        assert not set(d.remainder) & set(d.progression.coreset)
+
     def test_remainder_covers_small_moduli(self):
         d = build_rpg(list(range(1, 601)), TUNED, seed=3)
         # the remainder set keeps enough non-multiples of every small modulus

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import apcert.subsetsum_ap
 from apcert.core import (
     Exhausted,
+    InternalContract,
     MultiplicityExceeded,
     PreconditionViolated,
     RandomSource,
@@ -21,6 +23,7 @@ from apcert.core import (
 )
 from apcert.profiles import PAPER, TUNED
 from apcert.subsetsum_ap import (
+    ExtendOnceResult,
     GapScan,
     PairBank,
     PairSet,
@@ -37,9 +40,36 @@ from apcert.subsetsum_ap import (
     short_ap_in_subset_sums,
     uniformize,
 )
-from oracle import EagerGapScan, brute_subset_sums, verify_solution
+from oracle import (
+    EagerGapScan,
+    brute_subset_sums,
+    check_pairs,
+    error_of,
+    gen_pairs_by_index,
+    verify_solution,
+)
 
 S = SortedIntSet.from_iterable
+
+
+@st.composite
+def faulty_pairs(draw):
+    """Conflict-free pairs in shuffled order, with up to two of them swapped,
+    collapsed to one endpoint, or given an endpoint of another pair."""
+    vals = sorted(draw(st.sets(st.integers(0, 60), max_size=16)))
+    pairs = draw(st.permutations([[lo, hi] for lo, hi in zip(vals[0::2], vals[1::2])]))
+    for _ in range(draw(st.integers(0, 2)) if pairs else 0):
+        i, j = draw(st.integers(0, len(pairs) - 1)), draw(st.integers(0, len(pairs) - 1))
+        lo, hi = pairs[i]
+        kind = draw(st.sampled_from(["swap", "collapse", "share"]))
+        if kind == "swap":
+            pairs[i] = [hi, lo]
+        elif kind == "collapse":
+            pairs[i] = [lo, lo]
+        else:
+            pairs[i] = [lo, hi]
+            pairs[i][draw(st.integers(0, 1))] = pairs[j][draw(st.integers(0, 1))]
+    return tuple(map(tuple, pairs))
 
 
 class TestPairSet:
@@ -47,12 +77,39 @@ class TestPairSet:
         with pytest.raises(PreconditionViolated):
             PairSet(((1, 2), (2, 3)))
 
+    @given(faulty_pairs())
+    def test_same_error_as_the_pair_loop(self, pairs):
+        assert error_of(PairSet, pairs) == error_of(check_pairs, pairs)
+
+    @pytest.mark.parametrize("pairs, error", [
+        ((), None),
+        (((0, 2**62),), None),
+        (((0, 1), (3, 2)), (PreconditionViolated, "pair-ordered", "(3, 2)")),
+        (((3, 1), (1, 2)), (PreconditionViolated, "pair-ordered", "(3, 1)")),
+        (((0, 1), (1, 2), (4, 4)), (PreconditionViolated, "conflict-free", "(1, 2)")),
+        (((0, 1), (4, 4), (1, 2)), (PreconditionViolated, "pair-ordered", "(4, 4)")),
+    ])
+    def test_first_fault_wins(self, pairs, error):
+        assert error_of(PairSet, pairs) == error == error_of(check_pairs, pairs)
+
     def test_derived_quantities(self):
         t = PairSet(((1, 3), (5, 6)))
         assert t.endpoints().elems == (1, 3, 5, 6)
 
 
 class TestGenPairs:
+    @given(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 300)), min_size=3,
+                    max_size=40))
+    def test_same_pairs_as_the_index_loop(self, gaps):
+        a = S(itertools.accumulate(gaps, initial=1))
+        assert gen_pairs(a).pairs == gen_pairs_by_index(a)
+
+    def test_odd_pairs_chosen(self):
+        # three wide gaps at even positions leave the odd pairs the majority
+        a = S(itertools.accumulate([100, 1, 100, 1, 100] + [1] * 10, initial=1))
+        assert gen_pairs(a).pairs == gen_pairs_by_index(a) == tuple(
+            (v, v + 1) for v in (101, 202, 303, 305, 307, 309, 311))
+
     def test_consecutive(self):
         t = gen_pairs(S(range(1, 9)))
         assert len(t) >= 2
@@ -421,6 +478,48 @@ class TestExtendOnce:
         p = ArithProgression(50, 1, 64)
         with pytest.raises(PreconditionViolated):
             extend_ap_once(p, pool, 500, 3000, PAPER, gain_target=32)
+
+
+def spy_rounds(monkeypatch, edit=lambda step: step):
+    """Record the pool every extend_ap_once call sees and the values each
+    successful one uses; `edit` may change the step it returns."""
+    real = apcert.subsetsum_ap.extend_ap_once
+    calls = []
+
+    def spy(p, pool, *args):
+        calls.append([pool.elems, None])
+        step = real(p, pool, *args)
+        calls[-1][1] = set(step.used)
+        return edit(step)
+
+    monkeypatch.setattr(apcert.subsetsum_ap, "extend_ap_once", spy)
+    return calls
+
+
+class TestPoolShrink:
+    @pytest.mark.parametrize("values", [
+        list(range(1, 10001)),
+        sorted(random.Random(10000).sample(range(1, 10001), 5000)),
+    ], ids=["consecutive", "half"])
+    def test_each_round_sees_the_filtered_pool(self, monkeypatch, values):
+        calls = spy_rounds(monkeypatch)
+        res = ap_in_subset_sums(values, 10**4, TUNED, seed=7)
+        assert sum(used is not None for _, used in calls) == res.rounds >= 13
+        used_all = set().union(*(used for _, used in calls if used))
+        short = set(res.coreset) - used_all
+        pool = tuple(v for v in values if v not in short)
+        for seen, used in calls:
+            assert seen == pool
+            if used is not None:
+                pool = tuple(v for v in pool if v not in used)
+
+    def test_used_value_outside_the_pool_is_a_contract(self, monkeypatch):
+        def stray(step):
+            return ExtendOnceResult(step.ap, step.layers, S([*step.used, 10**6]))
+
+        spy_rounds(monkeypatch, stray)
+        with pytest.raises(InternalContract, match="not in the set"):
+            ap_in_subset_sums(list(range(1, 3001)), 3000, TUNED, seed=1)
 
 
 class TestFullPipeline:
