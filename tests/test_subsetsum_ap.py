@@ -67,7 +67,6 @@ def faulty_pairs(draw):
         elif kind == "collapse":
             pairs[i] = [lo, lo]
         else:
-            pairs[i] = [lo, hi]
             pairs[i][draw(st.integers(0, 1))] = pairs[j][draw(st.integers(0, 1))]
     return tuple(map(tuple, pairs))
 
