@@ -9,10 +9,13 @@ exist:
   * a ladder layer subdivides the common difference d into a proper divisor d'
     using a set Q whose elements hit every residue s_q + i*d' modulo d;
   * a divisible-pair layer stretches the progression using h copies of a pair
-    {a, a + g} with d | g.
+    {a, a + g} with d | g. Consecutive such steps at one difference form a
+    single layer, a run, which resolves all of its steps in one loop.
 
-Layer records hold O(1) metadata (plus the ladder table); parts are re-derived
-at query time and memoized per ladder index.
+A ladder layer holds O(1) metadata plus its ladder table, and memoizes its
+parts per ladder index. A run holds, per step, its threshold and the two part
+tuples it can emit whole, so only a partial k-fold step builds parts at query
+time.
 """
 
 from __future__ import annotations
@@ -67,11 +70,19 @@ class ApWitness:
 
     def __init__(self, leaf: LeafWitness, layers: Sequence[Layer] = (), fold_budget: int = 0):
         self.leaf = leaf
-        self.layers = tuple(layers)  # outermost first
+        # outermost first; each divisible-pair layer is joined onto the run
+        # right outside it, so one run covers consecutive divisible-pair steps
+        chain: list[Layer] = []
+        for layer in layers:
+            if chain:
+                contract(chain[-1].inner == layer.outer, "layer chain mismatch")
+                if isinstance(layer, DivPairLayer) and isinstance(chain[-1], DivPairLayer):
+                    chain[-1] = chain[-1].join(layer)
+                    continue
+            chain.append(layer)
+        self.layers = tuple(chain)
         self.fold_budget = fold_budget
         self.ap = self.layers[0].outer if self.layers else leaf.ap
-        for outer_side, inner_side in zip(self.layers, self.layers[1:]):
-            contract(outer_side.inner == inner_side.outer, "layer chain mismatch")
         if self.layers:
             contract(self.layers[-1].inner == leaf.ap, "innermost layer must sit on the leaf")
 
@@ -203,7 +214,14 @@ class LadderLayer:
 
 
 class DivPairLayer:
-    """Augmentation by h copies of {a, a+g} with d | g: stretches the length."""
+    """A run of divisible-pair steps at one difference d, outermost first.
+
+    A step adds h copies of {a, a+g} with d | g and stretches the length by
+    h*g/d. DivPairLayer(inner, a, g, h) is a run of one step; `join` puts a
+    run on top of another. Each step is stored as (h*g/d, g/d, (a+g, h),
+    (a, h)): its threshold, its pair gap in terms, and the parts it emits
+    when the outer index is past the threshold or below g/d.
+    """
 
     def __init__(self, inner: ArithProgression, a: int, g: int, h: int):
         d = inner.diff
@@ -212,24 +230,32 @@ class DivPairLayer:
         require(h >= 1, "fold-count-positive", f"h={h}")
         require(a >= 0, "pair-value-nonnegative", f"a={a}")
         self.inner = inner
-        self.a = a
-        self.g = g
-        self.h = h
         self.outer = ArithProgression(inner.start + h * a, d, inner.length + h * g // d)
+        self.steps = ((h * g // d, g // d, (a + g, h), (a, h)),)
+
+    def join(self, inner_run: "DivPairLayer") -> "DivPairLayer":
+        """The run of this run's steps followed by those of inner_run, which
+        this run must sit on."""
+        contract(self.inner == inner_run.outer, "layer chain mismatch")
+        run = DivPairLayer.__new__(DivPairLayer)
+        run.inner, run.outer = inner_run.inner, self.outer
+        run.steps = self.steps + inner_run.steps
+        return run
 
     def resolve(self, j: int) -> tuple[int, Parts]:
-        d = self.inner.diff
-        hgd = self.h * self.g // d
-        if j >= hgd:
-            return j - hgd, ((self.a + self.g, self.h),)
-        q = j * d // self.g
-        inner_j = (j * d % self.g) // d
-        parts = []
-        if q:
-            parts.append((self.a + self.g, q))
-        if self.h - q:
-            parts.append((self.a, self.h - q))
-        return inner_j, tuple(parts)
+        parts: list[tuple[int, int]] = []
+        for threshold, e, full, low in self.steps:
+            if j >= threshold:
+                j -= threshold
+                parts.append(full)
+            elif j < e:
+                parts.append(low)
+            else:
+                # 0 < q < h copies take the larger value
+                q, j = divmod(j, e)
+                parts.append((full[0], q))
+                parts.append((low[0], low[1] - q))
+        return j, parts
 
 
 # ---------------------------------------------------------------------------

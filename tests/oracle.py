@@ -1,9 +1,10 @@
 """Brute-force ground truth used by the tests: exact sumsets, subset sums,
 coin-style reachability, greedy sumsets (materialized and by membership) and
 k-fold greedy certificates, the eager gap scan that the lazy `GapScan` must
-match pair for pair, the per-element input checks and pair harvest that the
-C-level passes of the package must match error for error, plus the small set
-and certificate helpers that only the tests read.
+match pair for pair, the single divisible-pair step that a run of steps in
+`DivPairLayer` must match part for part, the per-element input checks and
+pair harvest that the C-level passes of the package must match error for
+error, plus the small set and certificate helpers that only the tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -230,6 +231,22 @@ def block_plus_sparse(seed: int, m: int = 4 * 10**5, n: int = 8000, block: int =
     the tuned profile, yet the tuned dense region of such a set is empty."""
     sparse = random.Random(seed).sample(range(block + 1, m + 1), n - block)
     return sorted(set(range(1, block + 1)) | set(sparse))
+
+
+def div_pair_step(d: int, a: int, g: int, h: int, j: int) -> tuple[int, tuple]:
+    """One divisible-pair step, h copies of {a, a+g} with d | g, on a
+    progression of difference d: outer index j -> (inner index, parts)."""
+    hgd = h * g // d
+    if j >= hgd:
+        return j - hgd, ((a + g, h),)
+    q = j * d // g
+    inner_j = (j * d % g) // d
+    parts = []
+    if q:
+        parts.append((a + g, q))
+    if h - q:
+        parts.append((a, h - q))
+    return inner_j, tuple(parts)
 
 
 class EagerGapScan:

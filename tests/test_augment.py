@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apcert.augment import (
     ApWitness,
@@ -22,7 +24,7 @@ from apcert.core import (
     SortedIntSet,
     ceil_div,
 )
-from oracle import verify_solution
+from oracle import div_pair_step, verify_solution
 
 S = SortedIntSet.from_iterable
 AP = ArithProgression
@@ -190,6 +192,63 @@ class TestAugmentDivPair:
                                 j_in, parts = layer.resolve(j)
                                 assert sum(c for _, c in parts) == h
                                 assert p.term(j_in) + sum(v * c for v, c in parts) == p2.term(j)
+
+
+@st.composite
+def div_pair_runs(draw):
+    """An inner progression and 1-8 divisible-pair steps (a, g, h) on it,
+    innermost first, with d in 1..6, d | g, g at most the span and h in 1..4."""
+    d = draw(st.integers(1, 6))
+    cur = AP(draw(st.integers(0, 20)), d, draw(st.integers(1, 10)))
+    inner, steps = cur, []
+    for _ in range(draw(st.integers(1, 8))):
+        g = d * draw(st.integers(1, min(cur.length, 8)))
+        a, h = draw(st.integers(0, 30)), draw(st.integers(1, 4))
+        steps.append((a, g, h))
+        cur = DivPairLayer(cur, a, g, h).outer
+    return inner, steps
+
+
+class TestDivPairRunMatchesSteps:
+    @settings(max_examples=200, deadline=None)
+    @given(div_pair_runs())
+    def test_run_matches_chained_steps(self, drawn):
+        inner, steps = drawn
+        d = inner.diff
+        layers, cur = [], inner
+        for a, g, h in steps:
+            layers.insert(0, DivPairLayer(cur, a, g, h))
+            cur = layers[0].outer
+        run = layers[0]
+        for layer in layers[1:]:
+            run = run.join(layer)
+        assert (run.inner, run.outer) == (inner, cur)
+        # every outer index; each step maps its outer indices onto all of its
+        # inner ones, so each step also sees 0, h*g/d - 1, h*g/d and its length
+        for j in range(run.outer.length + 1):
+            ref_j, ref_parts = j, []
+            for a, g, h in reversed(steps):
+                ref_j, parts = div_pair_step(d, a, g, h, ref_j)
+                ref_parts.extend(parts)
+            got_j, got_parts = run.resolve(j)
+            assert (got_j, list(got_parts)) == (ref_j, ref_parts)
+
+    def test_join_checks_the_chain(self):
+        inner = DivPairLayer(AP(0, 2, 5), 1, 4, 1)
+        with pytest.raises(InternalContract):
+            DivPairLayer(AP(0, 2, 7), 0, 2, 1).join(inner)
+
+    def test_witness_joins_adjacent_runs_only(self):
+        p0 = AP(0, 2, 6)
+        first = DivPairLayer(p0, 1, 4, 1)
+        lad = LadderLayer(first.outer, PairLadder(2, 0, 1))
+        second = DivPairLayer(lad.outer, 0, 2, 2)
+        third = DivPairLayer(second.outer, 3, 4, 1)
+        leaf = ExplicitLeaf(p0, {})
+        w = ApWitness(leaf, (third, second, lad, first))
+        assert [type(layer) for layer in w.layers] == [DivPairLayer, LadderLayer, DivPairLayer]
+        assert len(w.layers[0].steps) == 2 and w.layers[0].inner == lad.outer
+        assert w.layers[2] is first and w.ap == third.outer
 
 
 class TestFindGapPairs:

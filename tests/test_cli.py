@@ -282,6 +282,14 @@ class TestDense:
         assert ("decision" in rep) == (error is None)
 
 
+def _bump_first_count(rep):
+    rep["certificates"][0]["parts"][0][1] += 1
+
+
+def _add_foreign_coreset_value(rep):
+    rep["coreset"].append(10**6)
+
+
 class TestVerifyCommand:
     def test_round_trip(self, workdir, capsys, tmp_path):
         _, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt",
@@ -305,6 +313,43 @@ class TestVerifyCommand:
         report.write_text(json.dumps(rep))
         code, _ = run(capsys, "verify", "--report", report, "--input", workdir / "a.txt")
         assert code == 2
+
+    @pytest.mark.parametrize("edit, input_name, code, name", [
+        (None, "b.txt", 0, None),
+        (_bump_first_count, "b.txt", 2, "count-not-one"),
+        (_add_foreign_coreset_value, "b.txt", 2, "coreset-not-in-input"),
+        ("{not json", "b.txt", 1, "malformed-report"),
+        (lambda rep: rep.update(command="dense"), "b.txt", 1, "malformed-report"),
+        (None, "missing.txt", 1, None),
+    ], ids=["valid", "tampered-count", "coreset-outside-input", "not-json",
+            "certificates-in-dense", "missing-input"])
+    def test_exit_codes(self, workdir, capsys, tmp_path, edit, input_name, code, name):
+        _, out = run(capsys, "ap-subsetsum", "--input", workdir / "b.txt", "--ell", "60",
+                     "--seed", "3", "--sample", "4", "--json")
+        if isinstance(edit, str):
+            text = edit
+        else:
+            rep = json.loads(out)
+            if edit is not None:
+                edit(rep)
+            text = json.dumps(rep)
+        report = tmp_path / "edited.json"
+        report.write_text(text)
+        got = main(["verify", "--report", str(report), "--input", str(workdir / input_name),
+                    "--json"])
+        captured = capsys.readouterr()
+        assert got == code
+        if code == 2:
+            failures = json.loads(captured.out)["failures"]
+            assert failures and {r for _, r in failures} == {name}
+        elif name is not None:
+            rep = json.loads(captured.out)
+            assert rep["error"] == "precondition" and rep["name"] == name
+        elif code == 1:
+            assert captured.out == "" and captured.err.startswith("error: ")
+        else:
+            rep = json.loads(captured.out)
+            assert rep["passed"] == rep["checked"] == 4
 
     def _verify(self, capsys, tmp_path, rep, inp):
         report = tmp_path / "edited.json"

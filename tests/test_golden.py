@@ -60,6 +60,39 @@ def test_inputs_take_the_pinned_paths():
     # and that of the consecutive input difference 1
     assert corpus.build_witness("ap-subsetsum", "one_evens", 600, None).leaf.ap.diff == 2
     assert corpus.build_witness("ap-subsetsum", "consecutive300", 300, None).leaf.ap.diff == 1
+    # the k-fold witness of m61015 has a divisible-pair step at d = 2 with
+    # h = 15, on which 336 of its terms take the partial branch 0 < q < h
+    from apcert.augment import DivPairLayer
+
+    kfold = corpus.build_witness("ap-sumset", "m61015", 3000, 4)
+    ladder_layer, run = kfold.layers
+    assert isinstance(run, DivPairLayer) and run.inner.diff == 2
+    (threshold, e, (_, h), _), = run.steps
+    assert h == 15
+    inner = [ladder_layer.resolve(j)[0] for j in range(kfold.ap.length + 1)]
+    assert sum(e <= j < threshold for j in inner) == 336
+
+
+def test_subsetsum_rounds_resolve_in_one_call(monkeypatch):
+    from apcert.augment import DivPairLayer, LadderLayer
+    from apcert.core import RandomSource
+
+    # 14 rounds of divisible pairs at diff 1 make one run
+    w = corpus.build_witness("ap-subsetsum", "consecutive10k", 10**4, None)
+    assert [type(layer) for layer in w.layers] == [DivPairLayer]
+    calls = []
+    resolve = DivPairLayer.resolve
+
+    def spy(self, j):
+        calls.append(j)
+        return resolve(self, j)
+
+    monkeypatch.setattr(DivPairLayer, "resolve", spy)
+    w.query(w.ap.length // 3, RandomSource(corpus.SEED))
+    assert len(calls) == 1
+    # a ladder round ends a run: the rounds before and after it stay apart
+    w = corpus.build_witness("ap-subsetsum", "evens_odds", 1798, None)
+    assert [type(layer) for layer in w.layers] == [DivPairLayer, LadderLayer, DivPairLayer]
 
 
 def test_dense_cases_take_the_pinned_paths():
