@@ -361,13 +361,11 @@ def augment_once(
 def augment_to_full(
     a: SortedIntSet, p: ArithProgression, m: int
 ) -> tuple[ArithProgression, tuple[Layer, ...], int]:
-    """Iterate augment_once until diff = 1 and length >= m.
+    """Iterate augment_once until diff = 1 and length >= m (0 in A, gcd(A) = 1).
 
     Returns (P_final, layers outermost first, declared extra fold budget),
     with the budget bounded by 2*diff_0 + ceil(8m/n).
     """
-    require(0 in a, "zero-in-set")
-    require(gcd_all(a) == 1, "gcd-one")
     n = len(a)
     size = p.length * min(p.diff, n)
     if size < 5 * m:

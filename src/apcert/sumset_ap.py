@@ -56,7 +56,7 @@ def find_dense_endpoint(a: SortedIntSet, m: int, k: int) -> tuple[int, Side]:
     """An endpoint u such that A has density >= 1/2k on one side of u.
 
     Left: -1 <= u <= m/2 and |A[u+1, v]| >= (v-u)/2k for every v in [u+1, m].
-    Right: the mirrored condition, with u >= ceil(m/2).
+    Right: the mirrored condition, with u >= ceil(m/2); the pipeline never gets it.
     """
     n = len(a)
     require(n >= 1, "set-nonempty")
@@ -72,58 +72,49 @@ def find_dense_endpoint(a: SortedIntSet, m: int, k: int) -> tuple[int, Side]:
 
 
 class RestrictedLeaf:
-    """Leaf for {s} + {0..m} in 32kA when {0,1} is in A.
+    """Leaf for {s} + {0..m} in 32kA when {0,1} is in A and u is left-dense.
 
-    Expands each b from the density witness over B into two elements of A.
-    On the right side the witness is queried at the reflected index m - j.
+    Expands each b from the density witness over B into 0 + (u+1) or 1 + (u+b).
     """
 
-    def __init__(self, dw: DensityWitness, u: int, side: Side, m: int):
+    def __init__(self, dw: DensityWitness, u: int):
         self.dw = dw
         self.u = u
-        self.side = side
-        self.m = m
-        if side is Side.LEFT:
-            start = dw.fold_budget * (u + 1)
-        else:
-            start = dw.fold_budget * u - m
-        contract(start >= 0, "restricted progression start must be nonnegative")
-        self.ap = ArithProgression(start, 1, m)
+        self.ap = ArithProgression(dw.fold_budget * (u + 1), 1, dw.m)
 
     def query_parts(self, j: int, rng: RandomSource):
-        inner = j if self.side is Side.LEFT else self.m - j
         u = self.u
-        left = self.side is Side.LEFT
         parts: list[tuple[int, int]] = []
-        for b, c in self.dw.query_parts(inner, rng):
-            if left:
-                pair = (0, u + 1) if b == 0 else (1, u + b)
-            else:
-                pair = (1, u - 1) if b == 0 else (0, u - b)
+        for b, c in self.dw.query_parts(j, rng):
+            pair = (0, u + 1) if b == 0 else (1, u + b)
             parts.append((pair[0], c))
             parts.append((pair[1], c))
         return parts
 
 
 def ap_restricted(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitness]:
-    """{s} + {0, 1, ..., m} in 32kA, given {0,1} in A and n*k >= m+1."""
+    """{s} + {0, 1, ..., m} in 32kA, given {0,1} in A and a left-dense endpoint.
+
+    Why ap_short never meets the refusal: there m = ceil(5M/t) with t <= g, so
+    each b is at most M/g + 1 <= m/5 + 1 (M, g: ap_short's bound and gap). The
+    scan gives up a start i only at some j > i with 2k(j - i) < a_j - a_i. Had
+    it reached the sentinel n, the chain 0 -> j(0) -> ... -> n of given-up
+    starts would telescope to 2kn < a_n - a_0 <= m + 1, against n*k >= m + 1.
+    So it stops at an element of B: u <= max B - 1 <= m/5, and 2u <= m.
+    """
     require(0 in a and 1 in a, "membership", "ap_restricted needs {0,1} in A")
     require(m >= 1, "interval-bound-positive", f"m={m}")
-    require(len(a) * k >= m + 1, "cardinality", f"n*k = {len(a) * k} < m+1 = {m + 1}")
-    require(a.max <= m, "elements-within-interval", f"max={a.max} > m={m}")
     u, side = find_dense_endpoint(a, m, k)
+    require(side is Side.LEFT, "left-dense-endpoint", f"u={u}, 2u > m={m}")
     half = ceil_div(m, 2)
-    if side is Side.LEFT:
-        b_vals = {0} | {e - u for e in a.elems if u + 1 <= e <= u + half}
-    else:
-        b_vals = {0} | {u - e for e in a.elems if u - half <= e <= u - 1}
+    b_vals = {0} | {e - u for e in a.elems if u + 1 <= e <= u + half}
     b_set = SortedIntSet.from_iterable(b_vals)
-    contract(1 in b_set, "the endpoint guarantees u+1 (resp. u-1) in A, so 1 in B")
+    contract(1 in b_set, "the endpoint guarantees u+1 in A, so 1 in B")
     try:
         dw = build_density_witness(b_set, m, 8 * k)
     except PreconditionViolated as exc:
         raise InternalContract(f"shifted set lost the 1/(4k) density bound: {exc}") from exc
-    leaf = RestrictedLeaf(dw, u, side, m)
+    leaf = RestrictedLeaf(dw, u)
     witness = ApWitness(leaf, (), fold_budget=32 * k)
     return leaf.ap, witness
 

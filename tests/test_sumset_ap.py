@@ -1,8 +1,11 @@
+import collections
 import itertools
+import math
 import random
 
 import pytest
 
+from apcert import sumset_ap
 from apcert.core import (
     PreconditionViolated,
     RandomSource,
@@ -12,7 +15,6 @@ from apcert.core import (
     merge_counts,
 )
 from apcert.sumset_ap import (
-    ShortLeaf,
     Side,
     ap_in_kfold_sumset,
     ap_restricted,
@@ -102,15 +104,16 @@ class TestApRestricted:
         with pytest.raises(PreconditionViolated):
             ap_restricted(S([0, 2, 3, 4]), 4, 2)
 
-    def test_right_side_certificates(self):
-        a = S([0, 1, 7, 8, 9, 10])
-        m = 10
-        u, side = find_dense_endpoint(a, m, 2)
-        p, w = ap_restricted(a, m, 2)
-        for j in range(m + 1):
-            sol = w.query(j, RandomSource(100 + j))
-            assert verify_solution(a, sol)
-            assert sol.target == p.term(j)
+    def test_right_side_refused(self):
+        # the mass of {0, 35, ..., 59} plus its shift by 1 sits in the top half
+        # of [0, 60], so the endpoint scan ends right; ap_short never builds
+        # such a set (see TestKfoldSumsetAp.test_pipeline_takes_left_side)
+        cls = [0] + list(range(35, 60, 3))
+        b_set = S(set(cls) | {b + 1 for b in cls})
+        assert find_dense_endpoint(b_set, 60, 4) == (61, Side.RIGHT)
+        with pytest.raises(PreconditionViolated) as exc:
+            ap_restricted(b_set, 60, 4)
+        assert exc.value.name == "left-dense-endpoint"
 
 
 def gapped_set(rnd, g, n):
@@ -119,26 +122,6 @@ def gapped_set(rnd, g, n):
     while len(vals) < n:
         vals.append(vals[-1] + rnd.randint(g, 4 * g))
     return S(vals)
-
-
-def right_side_leaf(g, a_prime):
-    """A ShortLeaf over a right-side inner leaf, with the base it lifts into.
-
-    ap_short does not build one: its b-values are at most m2/5 + 1, while a
-    right-side endpoint u >= m2/2 needs u - 1 in B. The class {0, 35, ..., 59}
-    puts the mass of B = class + (class + 1) in the top half of [0, 60], which
-    forces the right side; a* sits in another residue (above the class when
-    g = 1).
-    """
-    cls = [0] + list(range(35, 60, 3))
-    b_set = S(set(cls) | {b + 1 for b in cls})
-    _, w = ap_restricted(b_set, 60, 4)
-    a_star = a_prime + 1 if g > 1 else a_prime + 100
-    base = S([a_prime + b * g for b in cls] + [a_star, a_star + g])
-    in_class = bytearray(cls[-1] + 2)
-    for b in cls:
-        in_class[b] = 1
-    return ShortLeaf(w.leaf, bytes(in_class), g, a_prime, a_star), base
 
 
 class TestApShort:
@@ -181,22 +164,19 @@ class TestApShort:
 
     def test_lift_matches_base_membership(self):
         rnd = random.Random(5)
-        cases = []
         for g in (1, 2, 3):
-            a = gapped_set(rnd, g, 25)
-            _, w = ap_short(a, a.max, ceil_div(a.max + 1, len(a)))
-            cases.append((Side.LEFT, g, w.leaf, a))
-            cases.append((Side.RIGHT, g, *right_side_leaf(g, 2 * g - 1)))
-        for side, g, leaf, base in cases:
-            assert (leaf.inner.side, leaf.g) == (side, g)
+            base = gapped_set(rnd, g, 25)
+            _, w = ap_short(base, base.max, ceil_div(base.max + 1, len(base)))
+            leaf = w.leaf
+            assert leaf.g == g
             branches = set()
             for j in range(leaf.ap.length + 1):
                 parts = leaf.query_parts(j, RandomSource(j))
                 values = [v for v, _ in parts]
-                assert len(values) == len(set(values)), (side, g, j)
+                assert len(values) == len(set(values)), (g, j)
                 old = self.old_expansion(leaf, base, j, RandomSource(j), branches)
-                assert dict(parts) == old, (side, g, j)
-            assert branches == {True, False}, (side, g)
+                assert dict(parts) == old, (g, j)
+            assert branches == {True, False}, g
 
     def test_length_and_diff_bounds(self):
         rnd = random.Random(3)
@@ -273,3 +253,48 @@ class TestKfoldSumsetAp:
             s1 = r1.witness.query(j, RandomSource(5).derive("q", j))
             s2 = r2.witness.query(j, RandomSource(5).derive("q", j))
             assert s1 == s2
+
+    @staticmethod
+    def pipeline_families(rnd):
+        """Seeded (family, set, m, k) inputs of the k-fold pipeline."""
+        for _ in range(400):
+            m = rnd.randint(2, 10**4)
+            n = rnd.randint(2, min(m, 200))
+            yield "random", {0} | set(rnd.sample(range(1, m + 1), n - 1)), m, None
+            m = rnd.randint(4, 10**4)
+            n = rnd.randint(2, min(m // 2, 200))
+            yield "upper-half", {0} | set(rnd.sample(range(m // 2, m + 1), n - 1)), m, None
+            q = rnd.choice([6, 10, 15])
+            m = rnd.randint(4 * q, 10**4)
+            mults = rnd.sample(range(q, m + 1, q), min(m // q, rnd.randint(2, 200)))
+            stray = rnd.choice([v for v in range(1, m + 1) if math.gcd(v, q) == 1])
+            yield "multiples+stray", {0, q, stray} | set(mults), m, None
+            n, k = rnd.randint(2, 200), rnd.randint(1, 80)
+            m = n * k - 1
+            if m >= n:
+                yield "nk=m+1", {0, 1} | set(rnd.sample(range(2, m + 1), n - 2)), m, k
+
+    def test_pipeline_takes_left_side(self, monkeypatch):
+        calls = []
+        real = sumset_ap.find_dense_endpoint
+
+        def spy(a, m, k):
+            result = real(a, m, k)
+            calls.append((a, m, result))
+            return result
+
+        monkeypatch.setattr(sumset_ap, "find_dense_endpoint", spy)
+        runs = collections.Counter()
+        for family, vals, m, k in self.pipeline_families(random.Random(2024)):
+            a = S(vals)
+            if gcd_all(a) != 1:
+                continue
+            k = k or ceil_div(m + 1, len(a))
+            assert len(a) * k >= m + 1
+            ap_in_kfold_sumset(a, m, k)
+            runs[family] += 1
+        assert min(runs.values()) >= 300 and len(runs) == 4, runs
+        assert len(calls) == sum(runs.values())
+        for b_set, m2, (u, side) in calls:
+            assert side is Side.LEFT, (b_set.elems, m2, u)
+            assert 5 * (b_set.max - 1) <= m2, (b_set.elems, m2)
