@@ -1,8 +1,8 @@
 """Command-line surface: progression construction, the two solvers, and
 certificate replay.
 
-Exit codes: 0 success, 1 precondition violated, 2 certificate failure,
-3 decision "no", 4 construction exhausted (tuned profile).
+Exit codes: 0 success, 1 precondition violated or usage error, 2 certificate
+failure, 3 decision "no", 4 construction exhausted (tuned profile).
 
 Reports are reproducible: the JSON output contains no timing and every
 certificate is produced from a RandomSource derived from (seed, term index),
@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from multiprocessing import get_context
 from typing import Optional, Sequence
 
 from .core import (
@@ -94,22 +93,24 @@ def check_certificate(base: SortedIntSet, sol: CompactSolution, budget: int,
     return reason
 
 
-# Read by _pool_verify; forked workers inherit it from the parent.
-_POOL_STATE: dict = {}
-
-
-def _pool_verify(chunk: Sequence[int]) -> tuple[int, int, int, list, list]:
-    witness, base, seed, sample = (_POOL_STATE[k] for k in ("witness", "base", "seed", "sample"))
+def verify_terms(witness, base: SortedIntSet, seed: int, indices: Sequence[int],
+                 sample: Sequence[int] = ()) -> dict:
+    """Query and check each term index once, independently of the pipeline
+    under test. Returns a summary dict with the first 16 failures and the
+    certificates of the `sample` indices (a subset of `indices`), both in
+    the order of `indices`."""
+    root = RandomSource(seed)
+    sample = frozenset(sample)
     passed = draws = 0
     failures, certificates = [], []
-    for j in chunk:
-        rng = RandomSource(seed).derive("query", j)
+    for j in indices:
+        rng = root.derive("query", j)
         sol = witness.query(j, rng)
         draws += rng.draws
         reason = check_certificate(base, sol, witness.fold_budget, witness.ap.term(j))
         if reason is None:
             passed += 1
-        else:
+        elif len(failures) < 16:
             failures.append((j, reason))
         if j in sample:
             certificates.append({
@@ -118,30 +119,8 @@ def _pool_verify(chunk: Sequence[int]) -> tuple[int, int, int, list, list]:
                 "fold_budget": sol.fold_budget,
                 "parts": [[v, c] for v, c in sol.parts],
             })
-    return len(chunk), passed, draws, failures, certificates
-
-
-def verify_terms(witness, base: SortedIntSet, seed: int, indices: Sequence[int],
-                 workers: int = 1, sample: Sequence[int] = ()) -> dict:
-    """Query and check each term index once, independently of the pipeline
-    under test, on at most os.cpu_count() forked workers. Returns a summary
-    dict whose "certificates" holds those of the `sample` indices (a subset
-    of `indices`), in index order."""
-    indices = list(indices)
-    workers = min(workers, os.cpu_count() or 1)
-    _POOL_STATE.update(witness=witness, base=base, seed=seed, sample=frozenset(sample))
-    if workers > 1 and len(indices) >= 4 * workers:
-        with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_pool_verify, [indices[i::workers] for i in range(workers)])
-    else:
-        results = [_pool_verify(indices)]
-    return {
-        "checked": sum(r[0] for r in results),
-        "passed": sum(r[1] for r in results),
-        "sampling_draws": sum(r[2] for r in results),
-        "failures": [f for r in results for f in r[3]][:16],
-        "certificates": sorted((c for r in results for c in r[4]), key=lambda c: c["index"]),
-    }
+    return {"checked": len(indices), "passed": passed, "sampling_draws": draws,
+            "failures": failures, "certificates": certificates}
 
 
 def _ap_dict(ap) -> dict:
@@ -155,7 +134,7 @@ def _certify(args, seed: int, witness, base: SortedIntSet, report: dict,
     ap = witness.ap
     sample = _sample_indices(ap.length, args.sample)
     indices = range(ap.length + 1) if args.verify_all else sample
-    summary = verify_terms(witness, base, seed, indices, args.workers, sample)
+    summary = verify_terms(witness, base, seed, indices, sample)
     passed, checked = summary["passed"], summary["checked"]
     report.update(
         schema=SCHEMA, seed=seed, ap=_ap_dict(ap), certificates=summary["certificates"],
@@ -347,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--verify-all", action="store_true")
     p.add_argument("--sample", type=int, default=0, help="emit this many certificates")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_ap_sumset)
 
     p = sub.add_parser("ap-subsetsum", help="AP of length ell in subset sums of a coreset")
@@ -355,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--verify-all", action="store_true")
     p.add_argument("--sample", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_ap_subsetsum)
 
     p = sub.add_parser("unbounded", help="multiplier vector for an unbounded subset sum")
@@ -378,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error 2 would read as a certificate failure
+        return EXIT_PRECONDITION if exc.code else EXIT_OK
     try:
         return args.func(args)
     except Exhausted as exc:

@@ -174,7 +174,7 @@ def test_criterion_3_sumset_ap_desk_scale():
         if res.ap.length != m or res.ap.diff != 1:
             ok, detail = False, f"instance {trial}: bad progression {res.ap}"
             break
-        summary = verify_terms(res.witness, a, 1000 + trial, range(m + 1), WORKERS)
+        summary = verify_terms(res.witness, a, 1000 + trial, range(m + 1))
         dt = time.time() - t0
         worst = max(worst, dt)
         total_draws += summary["sampling_draws"]
@@ -294,7 +294,7 @@ def _check_subset_instance(idx):
         res = ap_in_subset_sums(a, ell, TUNED, seed=idx)
     except Exhausted as exc:
         return ("exhausted", consecutive, str(exc)[:60])
-    summary = verify_terms(res.witness, res.coreset, idx, range(res.ap.length + 1), 1)
+    summary = verify_terms(res.witness, res.coreset, idx, range(res.ap.length + 1))
     if summary["passed"] != res.ap.length + 1:
         return ("certfail", consecutive, str(summary["failures"][:2]))
     if res.ap.diff * n > 7 * max(a):

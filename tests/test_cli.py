@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -27,6 +26,27 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, out
+
+
+A_VALUES = [0, 1, 65, 121, 138, 262, 345, 583, 610, 777, 901]
+M_K = ["--m", "1000", "--k", "101"]
+ELL = ["--ell", "300"]
+# error column of an exit-code row whose argv argparse rejects
+USAGE = "usage"
+
+
+def assert_usage_error(captured, detail):
+    """argparse's own message, on stderr only; the caller asserts exit 1,
+    since 2 means a certificate failure."""
+    assert captured.out == "" and captured.err.startswith("usage: ")
+    assert captured.err.endswith(f"error: {detail}\n")
+
+
+@pytest.mark.parametrize("command", ["ap-sumset", "ap-subsetsum", "unbounded", "dense",
+                                     "verify"])
+def test_help_exits_zero(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 class TestApSumset:
@@ -60,13 +80,6 @@ class TestApSumset:
         _, out2 = run(capsys, *args)
         assert out1 == out2
 
-    def test_workers_do_not_change_bytes(self, workdir, capsys):
-        base = ["ap-sumset", "--input", workdir / "a.txt", "--m", "1000",
-                "--k", "101", "--sample", "6", "--seed", "1", "--json", "--verify-all"]
-        _, out1 = run(capsys, *base)
-        _, out2 = run(capsys, *(base + ["--workers", "4"]))
-        assert out1 == out2
-
     @pytest.mark.parametrize("extra, queries", [([], 9), (["--verify-all"], 1001)],
                              ids=["sample", "verify-all"])
     def test_one_query_per_term(self, workdir, capsys, monkeypatch, extra, queries):
@@ -97,17 +110,6 @@ class TestApSumset:
                       "--k", "101", "--sample", "3", "--json")
         assert code == 0 and calls == [11]
 
-    def test_workers_clamped_to_the_cores(self, workdir, capsys, monkeypatch):
-        def no_fork(*_):
-            raise AssertionError("one core must not start a worker process")
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(apcert.cli, "get_context", no_fork)
-        code, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt", "--m", "1000",
-                        "--k", "101", "--workers", "64", "--verify-all", "--json")
-        assert code == 0
-        assert json.loads(out)["verification"] == {"checked": 1001, "passed": 1001}
-
     def test_env_seed_fallback(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("APCERT_SEED", "99")
         _, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt",
@@ -123,20 +125,25 @@ class TestApSumset:
         assert rep["error"] == "precondition" and rep["name"] == "malformed-seed"
 
 
-    @pytest.mark.parametrize("values, code, error, detail", [
-        ([0, 1, 65, 121, 138, 262, 345, 583, 610, 777, 901], 0, None, None),
-        ([0, 1, -3, 65], 1, "nonnegative-input", "got -3"),
-        ([0, 1, 2**62 + 1], 1, "element-cap", f"{2**62 + 1} > 2^62"),
-        ([0, 1, 2**63, -2], 1, "element-cap", f"{2**63} > 2^62"),
-        (["0", "1", "x2"], 1, "malformed-input", "line 1: 'x2' is not an integer"),
-    ], ids=["certified", "negative", "over-cap", "first-fault-wins", "malformed-input"])
-    def test_exit_codes(self, tmp_path, capsys, values, code, error, detail):
+    @pytest.mark.parametrize("values, flags, code, error, detail", [
+        (A_VALUES, M_K, 0, None, None),
+        ([0, 1, -3, 65], M_K, 1, "nonnegative-input", "got -3"),
+        ([0, 1, 2**62 + 1], M_K, 1, "element-cap", f"{2**62 + 1} > 2^62"),
+        ([0, 1, 2**63, -2], M_K, 1, "element-cap", f"{2**63} > 2^62"),
+        (["0", "1", "x2"], M_K, 1, "malformed-input", "line 1: 'x2' is not an integer"),
+        (A_VALUES, M_K + ["--workers", "2"], 1, USAGE, "unrecognized arguments: --workers 2"),
+        (A_VALUES, ["--k", "101"], 1, USAGE, "the following arguments are required: --m"),
+    ], ids=["certified", "negative", "over-cap", "first-fault-wins", "malformed-input",
+            "workers-option", "missing-m"])
+    def test_exit_codes(self, tmp_path, capsys, values, flags, code, error, detail):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")
-        got, out = run(capsys, "ap-sumset", "--input", inp, "--m", "1000", "--k", "101",
-                       "--seed", "0", "--json")
+        got = main(["ap-sumset", "--input", str(inp), *flags, "--seed", "0", "--json"])
+        captured = capsys.readouterr()
         assert got == code
-        rep = json.loads(out)
+        if error == USAGE:
+            return assert_usage_error(captured, detail)
+        rep = json.loads(captured.out)
         assert rep.get("name") == error and rep.get("detail") == detail
         assert ("ap" in rep) == (error is None)
 
@@ -170,19 +177,24 @@ class TestApSubsetsum:
         assert out1 == out2
 
 
-    @pytest.mark.parametrize("values, code, error, detail", [
-        (range(1, 301), 0, None, None),
-        (range(0, 301), 1, "positive-elements", "subset-sum input must be within [1, m]"),
-        ([1, 2, -1, 3], 1, "nonnegative-input", "got -1"),
-        ([1, 2, 2**62 + 1], 1, "element-cap", f"{2**62 + 1} > 2^62"),
-    ], ids=["certified", "zero", "negative", "over-cap"])
-    def test_exit_codes(self, tmp_path, capsys, values, code, error, detail):
+    @pytest.mark.parametrize("values, flags, code, error, detail", [
+        (range(1, 301), ELL, 0, None, None),
+        (range(0, 301), ELL, 1, "positive-elements", "subset-sum input must be within [1, m]"),
+        ([1, 2, -1, 3], ELL, 1, "nonnegative-input", "got -1"),
+        ([1, 2, 2**62 + 1], ELL, 1, "element-cap", f"{2**62 + 1} > 2^62"),
+        (range(1, 301), ELL + ["--workers", "2"], 1, USAGE,
+         "unrecognized arguments: --workers 2"),
+        (range(1, 301), [], 1, USAGE, "the following arguments are required: --ell"),
+    ], ids=["certified", "zero", "negative", "over-cap", "workers-option", "missing-ell"])
+    def test_exit_codes(self, tmp_path, capsys, values, flags, code, error, detail):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")
-        got, out = run(capsys, "ap-subsetsum", "--input", inp, "--ell", "300",
-                       "--seed", "0", "--json")
+        got = main(["ap-subsetsum", "--input", str(inp), *flags, "--seed", "0", "--json"])
+        captured = capsys.readouterr()
         assert got == code
-        rep = json.loads(out)
+        if error == USAGE:
+            return assert_usage_error(captured, detail)
+        rep = json.loads(captured.out)
         assert rep.get("name") == error and rep.get("detail") == detail
         assert ("ap" in rep) == (error is None)
 
@@ -411,12 +423,34 @@ class TestVerifyCommand:
         base = normalize([0, 1, 65, 121, 138, 262, 345, 583, 610, 777, 901])[0]
         res = ap_in_kfold_sumset(base, 1000, 101)
         indices = [c["index"] for c in rep["certificates"]]
-        built = verify_terms(res.witness, base, 3, indices, 1, indices)
+        built = verify_terms(res.witness, base, 3, indices, indices)
         assert built["certificates"] == rep["certificates"]
         code, out = self._verify(capsys, tmp_path, rep, workdir / "a.txt")
         assert code == 2
         assert out["failures"] == [[j, r] for j, r in built["failures"]]
         assert {r for _, r in out["failures"]} == {reason}
+
+    @pytest.mark.parametrize("period", [1, 3], ids=["every-term", "every-third-term"])
+    def test_failure_list_is_the_first_sixteen_in_index_order(self, monkeypatch, period):
+        query = ApWitness.query
+
+        def tamper(self, j, rng):
+            sol = query(self, j, rng)
+            if j % period:
+                return sol
+            return CompactSolution.from_counts(merge_counts(sol.parts, [(1, 1)]),
+                                               sol.target + 1, sol.fold_budget)
+
+        monkeypatch.setattr(ApWitness, "query", tamper)
+        base = normalize(A_VALUES)[0]
+        res = ap_in_kfold_sumset(base, 1000, 101)
+        indices = list(range(0, 1001, 10))
+        got = verify_terms(res.witness, base, 3, indices, indices[::25])
+        failing = [j for j in indices if j % period == 0]
+        assert len(failing) > 16
+        assert got["checked"] == 101 and got["passed"] == 101 - len(failing)
+        assert got["failures"] == [(j, "target-mismatch") for j in failing[:16]]
+        assert [c["index"] for c in got["certificates"]] == indices[::25]
 
     def test_malformed_report_shapes(self, workdir, capsys, tmp_path):
         rep = self._sumset_report(workdir, capsys)
