@@ -35,8 +35,15 @@ def _r1() -> list[int]:
     return sorted({0, 1} | set(random.Random(2000).sample(range(2, 2001), 40)))
 
 
+def _top() -> list[int]:
+    # {0, 1} plus a block near the top at m = 1200: the endpoint scan stops
+    # at u = 899, so the restricted pairs (0, u+1) and (1, u+b) do not collapse
+    return sorted({0, 1} | set(random.Random(1200).sample(range(900, 1201), 50)))
+
+
 INPUTS = {
     "r1": _r1,
+    "top": _top,
     # multiples of 6, 10 or 15: closest gap 2, two augmentation layers
     "m61015": lambda: [v for v in range(3001) if v % 6 == 0 or v % 10 == 0 or v % 15 == 0],
     "consecutive300": lambda: list(range(1, 301)),
@@ -101,6 +108,7 @@ CLI_CASES = (
 LIBRARY_CASES = (
     ("ap-sumset-r1", "ap-sumset", "r1", 2000, 48),
     ("ap-sumset-m61015", "ap-sumset", "m61015", 3000, 4),
+    ("ap-sumset-top", "ap-sumset", "top", 1200, 24),
     ("ap-subsetsum-consecutive", "ap-subsetsum", "consecutive300", 300, None),
     ("ap-subsetsum-gcd2", "ap-subsetsum", "one_evens", 600, None),
     ("ap-subsetsum-ladder", "ap-subsetsum", "evens_odds", 899, None),

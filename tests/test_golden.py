@@ -73,6 +73,25 @@ def test_inputs_take_the_pinned_paths():
     assert sum(e <= j < threshold for j in inner) == 336
 
 
+def test_top_input_has_a_positive_endpoint(monkeypatch):
+    # every other k-fold case ends its endpoint scan at u = -1, where the
+    # restricted pair (0, u+1) collapses to (0, 0); the top case does not
+    from apcert import sumset_ap
+
+    calls = []
+    scan = sumset_ap.find_dense_endpoint
+
+    def spy(a, m, k):
+        calls.append(scan(a, m, k))
+        return calls[-1]
+
+    monkeypatch.setattr(sumset_ap, "find_dense_endpoint", spy)
+    for case in corpus.LIBRARY_CASES:
+        if case[1] == "ap-sumset":
+            corpus.build_witness(*case[1:])
+    assert [u for u, _ in calls] == [-1, -1, 899]
+
+
 def test_subsetsum_rounds_resolve_in_one_call(monkeypatch):
     from apcert.augment import DivPairLayer, LadderLayer
     from apcert.core import RandomSource
