@@ -6,8 +6,8 @@ over B (each b expands back into two base elements), handle general sets by
 working modulo the closest-pair gap, and finally subdivide the common
 difference with the augmentation framework until it reaches 1.
 
-Every stage returns an ApWitness; certificates are verified by core, never
-trusted.
+The short progression and the full pipeline return an ApWitness; certificates
+are verified by core, never trusted.
 """
 
 from __future__ import annotations
@@ -71,29 +71,10 @@ def find_dense_endpoint(a: SortedIntSet, m: int, k: int) -> tuple[int, Side]:
     return m - u2, Side.RIGHT
 
 
-class RestrictedLeaf:
-    """Leaf for {s} + {0..m} in 32kA when {0,1} is in A and u is left-dense.
-
-    Expands each b from the density witness over B into 0 + (u+1) or 1 + (u+b).
-    """
-
-    def __init__(self, dw: DensityWitness, u: int):
-        self.dw = dw
-        self.u = u
-        self.ap = ArithProgression(dw.fold_budget * (u + 1), 1, dw.m)
-
-    def query_parts(self, j: int, rng: RandomSource):
-        u = self.u
-        parts: list[tuple[int, int]] = []
-        for b, c in self.dw.query_parts(j, rng):
-            pair = (0, u + 1) if b == 0 else (1, u + b)
-            parts.append((pair[0], c))
-            parts.append((pair[1], c))
-        return parts
-
-
-def ap_restricted(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitness]:
-    """{s} + {0, 1, ..., m} in 32kA, given {0,1} in A and a left-dense endpoint.
+def ap_restricted(a: SortedIntSet, m: int, k: int) -> tuple[int, DensityWitness]:
+    """A left-dense endpoint u and a density witness over B for {s} + {0, 1, ..., m}
+    in 32kA, s = fold_budget * (u + 1), given {0,1} in A: each part b of the
+    witness's certificate for z becomes the pair (0, u+1) if b = 0, else (1, u+b).
 
     Why ap_short never meets the refusal: there m = ceil(5M/t) with t <= g, so
     each b is at most M/g + 1 <= m/5 + 1 (M, g: ap_short's bound and gap). The
@@ -114,37 +95,54 @@ def ap_restricted(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, Ap
         dw = build_density_witness(b_set, m, 8 * k)
     except PreconditionViolated as exc:
         raise InternalContract(f"shifted set lost the 1/(4k) density bound: {exc}") from exc
-    leaf = RestrictedLeaf(dw, u)
-    witness = ApWitness(leaf, (), fold_budget=32 * k)
-    return leaf.ap, witness
+    return u, dw
 
 
 class ShortLeaf:
-    """Leaf for the closest-pair reduction: each b of the inner leaf over
-    gap-multiples expands to a pair of A-elements summing to b*g + a' + a*;
-    in_class[b] says whether b*g + a' is in A (if not, (b-1)*g + a' is)."""
+    """Leaf of the k-fold pipeline, in one pass over the density witness's
+    parts b: the restricted shift makes each b the pair (0, u+1) or (1, u+b),
+    and the closest-pair lift makes each value x of a pair two A-elements
+    summing to x*g + a' + a*. in_class[x] says whether x*g + a' is in A (if
+    not, (x-1)*g + a' is). The fixed values 0, 1 and u+1 are lifted at build,
+    so a part b != 0 costs one byte test, on u+b."""
 
     def __init__(
-        self, inner: RestrictedLeaf, in_class: bytes, g: int, a_prime: int, a_star: int
+        self, u: int, dw: DensityWitness, in_class: bytes, g: int, a_prime: int, a_star: int
     ):
-        self.inner = inner
+        self.u = u
+        self.dw = dw
         self.in_class = in_class
         self.g = g
         self.a_prime = a_prime
         self.a_star = a_star
-        start = g * inner.ap.start + 2 * inner.dw.fold_budget * (a_prime + a_star)
-        self.ap = ArithProgression(start, g, inner.ap.length)
+        self.zero_lift = self._lift(0) + self._lift(u + 1)
+        self.one_lift = self._lift(1)
+        start = dw.fold_budget * (g * (u + 1) + 2 * (a_prime + a_star))
+        self.ap = ArithProgression(start, g, dw.m)
+
+    def _lift(self, x: int) -> tuple[int, int]:
+        v = x * self.g + self.a_prime
+        return (v, self.a_star) if self.in_class[x] else (v - self.g, self.a_star + self.g)
 
     def query_parts(self, j: int, rng: RandomSource):
-        g, ap_, a_star, in_class = self.g, self.a_prime, self.a_star, self.in_class
+        u, g, a_star, in_class = self.u, self.g, self.a_star, self.in_class
+        shift = u * g + self.a_prime
         counts: dict[int, int] = {}
-        for b, c in self.inner.query_parts(j, rng):
-            if in_class[b]:
-                v, w = b * g + ap_, a_star
+        zeros = 0
+        for b, c in self.dw.query_parts(j, rng):
+            if not b:
+                zeros += c
+                continue
+            if in_class[u + b]:
+                v, w = b * g + shift, a_star
             else:
-                v, w = b * g + ap_ - g, a_star + g
+                v, w = b * g + shift - g, a_star + g
             counts[v] = counts.get(v, 0) + c
             counts[w] = counts.get(w, 0) + c
+        for values, c in ((self.zero_lift, zeros), (self.one_lift, self.dw.fold_budget - zeros)):
+            if c:
+                for v in values:
+                    counts[v] = counts.get(v, 0) + c
         return list(counts.items())
 
 
@@ -178,8 +176,8 @@ def ap_short(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitne
     k2 = 5 * k
     contract(len(b_set) * k2 >= m2 + 1, "shifted gap set lost the cardinality bound")
     contract(b_set.max <= m2, "shifted gap set exceeds its interval")
-    p_b, w_b = ap_restricted(b_set, m2, k2)
-    leaf = ShortLeaf(w_b.leaf, bytes(in_class), g, a_prime, a_star)
+    u, dw = ap_restricted(b_set, m2, k2)
+    leaf = ShortLeaf(u, dw, bytes(in_class), g, a_prime, a_star)
     witness = ApWitness(leaf, (), fold_budget=320 * k)
     contract(leaf.ap.length * min(g, n) >= 5 * m, "short progression too short")
     return leaf.ap, witness

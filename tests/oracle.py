@@ -1,6 +1,7 @@
 """Brute-force ground truth used by the tests: exact sumsets, subset sums,
 coin-style reachability, greedy sumsets (materialized and by membership) and
-k-fold greedy certificates, the eager gap scan that the lazy `GapScan` must
+k-fold greedy certificates, the restricted shift and closest-pair lift that
+the one-pass k-fold leaf must match value for value, the eager gap scan that the lazy `GapScan` must
 match pair for pair, the single divisible-pair step that a run of steps in
 `DivPairLayer` must match part for part, the per-element input checks and
 pair harvest that the C-level passes of the package must match error for
@@ -32,6 +33,7 @@ from apcert.core import (
     check_solution,
     contract,
     density_with_argmin,
+    merge_counts,
     require,
 )
 from apcert.greedy import kfold_greedy_steps
@@ -209,6 +211,36 @@ def kfold_greedy_query(a: SortedIntSet, k: int, z: int) -> Optional[CompactSolut
     for v, c in runs:
         counts[v] = counts.get(v, 0) + c
     return CompactSolution.from_counts(counts, z, k)
+
+
+def restricted_pairs(u: int, dw, z: int, rng) -> list[tuple[int, int]]:
+    """Reference for the restricted shift of `sumset_ap.ap_restricted`: each
+    part b of the density witness's certificate for z becomes the two parts of
+    the pair (0, u+1) if b = 0, else (1, u+b)."""
+    parts = []
+    for b, c in dw.query_parts(z, rng):
+        for v in (0, u + 1) if b == 0 else (1, u + b):
+            parts.append((v, c))
+    return parts
+
+
+def closest_pair_lift(
+    base: SortedIntSet, g: int, a_prime: int, a_star: int, parts, branches=None
+) -> dict[int, int]:
+    """Reference for the closest-pair lift of `sumset_ap.ShortLeaf`: each value
+    x becomes x*g + a' and a* if x*g + a' is in A (a bisect on A), else
+    x*g + a' - g and a* + g; the lifted parts merged into counts. The
+    membership outcomes are added to `branches` when it is given."""
+    lifted = []
+    for x, c in parts:
+        v = x * g + a_prime
+        if branches is not None:
+            branches.add(v in base)
+        if v in base:
+            lifted += [(v, c), (a_star, c)]
+        else:
+            lifted += [(v - g, c), (a_star + g, c)]
+    return merge_counts(lifted)
 
 
 def greedy_kfold_materialize(a: SortedIntSet, k: int, cap: int) -> SortedIntSet:

@@ -4,9 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apcert import sumset_ap
 from apcert.core import (
+    CompactSolution,
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
@@ -21,7 +24,13 @@ from apcert.sumset_ap import (
     ap_short,
     find_dense_endpoint,
 )
-from oracle import brute_kfold, total_count, verify_solution
+from oracle import (
+    brute_kfold,
+    closest_pair_lift,
+    restricted_pairs,
+    total_count,
+    verify_solution,
+)
 
 S = SortedIntSet.from_iterable
 
@@ -80,25 +89,40 @@ class TestFindDenseEndpoint:
             assert endpoint_quantifier_holds(a, m, k, u, side)
 
 
+def restricted_certificate(u, dw, k, j):
+    """The reference expansion of term j of ap_restricted's (u, dw) in 32kA."""
+    parts = merge_counts(restricted_pairs(u, dw, j, RandomSource(j)))
+    return CompactSolution.from_counts(parts, dw.fold_budget * (u + 1) + j, 32 * k)
+
+
 class TestApRestricted:
     def test_minimal(self):
         a = S([0, 1])
-        p, w = ap_restricted(a, 1, 1)
-        assert p.diff == 1 and p.length == 1
+        u, dw = ap_restricted(a, 1, 1)
+        assert u == -1 and dw.m == 1
         for j in range(2):
-            sol = w.query(j, RandomSource(j))
+            sol = restricted_certificate(u, dw, 1, j)
             assert verify_solution(a, sol)
-            assert sol.target == p.term(j)
             assert total_count(sol) <= 32
 
     def test_full_interval(self):
         m = 20
         a = S(range(0, m + 1))
-        p, w = ap_restricted(a, m, 1)
+        u, dw = ap_restricted(a, m, 1)
+        assert dw.m == m
         for j in range(m + 1):
-            sol = w.query(j, RandomSource(j))
+            assert verify_solution(a, restricted_certificate(u, dw, 1, j))
+
+    def test_positive_endpoint(self):
+        # {0, 1} and a block [30, 50]: the scan gives up the starts 0 and 1
+        a = S([0, 1] + list(range(30, 51)))
+        m, k = 100, 5
+        u, dw = ap_restricted(a, m, k)
+        assert u == 29
+        for j in range(m + 1):
+            sol = restricted_certificate(u, dw, k, j)
             assert verify_solution(a, sol)
-            assert sol.target == p.term(j)
+            assert total_count(sol) <= 32 * k
 
     def test_missing_one_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -116,12 +140,20 @@ class TestApRestricted:
         assert exc.value.name == "left-dense-endpoint"
 
 
-def gapped_set(rnd, g, n):
+def gapped_set(rnd, g, n=25):
     """0 and n - 1 further elements, gaps drawn from [g, 4g], the first equal to g."""
     vals = [0, g]
     while len(vals) < n:
         vals.append(vals[-1] + rnd.randint(g, 4 * g))
     return S(vals)
+
+
+def top_block_set(rnd, g):
+    """{0, g} plus multiples of g drawn from a block in the top quarter: the
+    endpoint scan of ap_short's class set stops above -1 (u >= 0)."""
+    n = rnd.randint(50 * g, 50 * g + 10)
+    w = rnd.randint(n, 2 * n)
+    return S({0, g} | {g * x for x in rnd.sample(range(3 * w, 4 * w), n - 2)})
 
 
 class TestApShort:
@@ -149,34 +181,44 @@ class TestApShort:
             ap_short(S([0]), 1, 5)
 
     @staticmethod
-    def old_expansion(leaf, base, j, rng, branches):
-        """The lift as a bisect on A, two parts per inner part, then merged."""
-        g, a_prime, a_star = leaf.g, leaf.a_prime, leaf.a_star
-        parts = []
-        for b, c in leaf.inner.query_parts(j, rng):
-            v = b * g + a_prime
-            branches.add(v in base)
-            if v in base:
-                parts += [(v, c), (a_star, c)]
-            else:
-                parts += [(v - g, c), (a_star + g, c)]
-        return merge_counts(parts)
+    def reference_parts(leaf, base, j, branches=None):
+        """Term j of the leaf in two steps: restricted pairs, then the lift."""
+        pairs = restricted_pairs(leaf.u, leaf.dw, j, RandomSource(j))
+        return closest_pair_lift(base, leaf.g, leaf.a_prime, leaf.a_star, pairs, branches)
 
     def test_lift_matches_base_membership(self):
         rnd = random.Random(5)
         for g in (1, 2, 3):
-            base = gapped_set(rnd, g, 25)
-            _, w = ap_short(base, base.max, ceil_div(base.max + 1, len(base)))
-            leaf = w.leaf
-            assert leaf.g == g
-            branches = set()
-            for j in range(leaf.ap.length + 1):
-                parts = leaf.query_parts(j, RandomSource(j))
-                values = [v for v, _ in parts]
-                assert len(values) == len(set(values)), (g, j)
-                old = self.old_expansion(leaf, base, j, RandomSource(j), branches)
-                assert dict(parts) == old, (g, j)
-            assert branches == {True, False}, g
+            for family in (gapped_set, top_block_set):
+                base = family(rnd, g)
+                _, w = ap_short(base, base.max, ceil_div(base.max + 1, len(base)))
+                leaf = w.leaf
+                assert leaf.g == g
+                assert (leaf.u >= 0) == (family is top_block_set), (g, leaf.u)
+                branches = set()
+                for j in range(leaf.ap.length + 1):
+                    parts = leaf.query_parts(j, RandomSource(j))
+                    values = [v for v, _ in parts]
+                    assert len(values) == len(set(values)), (g, j)
+                    assert dict(parts) == self.reference_parts(leaf, base, j, branches), (g, j)
+                assert branches == {True, False}, (g, family.__name__)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=st.sampled_from([1, 2, 3]),
+        top=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        js=st.lists(st.integers(0, 10**9), min_size=1, max_size=8),
+    )
+    def test_one_pass_matches_two_step_reference(self, g, top, seed, js):
+        rnd = random.Random(seed)
+        base = (top_block_set if top else gapped_set)(rnd, g)
+        _, w = ap_short(base, base.max, ceil_div(base.max + 1, len(base)))
+        leaf = w.leaf
+        for j in js:
+            j %= leaf.ap.length + 1
+            parts = leaf.query_parts(j, RandomSource(j))
+            assert dict(parts) == self.reference_parts(leaf, base, j), (j, leaf.u)
 
     def test_length_and_diff_bounds(self):
         rnd = random.Random(3)
