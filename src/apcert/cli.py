@@ -1,8 +1,9 @@
 """Command-line surface: progression construction, the two solvers, and
 certificate replay.
 
-Exit codes: 0 success, 1 precondition violated or usage error, 2 certificate
-failure, 3 decision "no", 4 construction exhausted (tuned profile).
+Exit codes: 0 success, 1 precondition violated, usage error or out of
+memory, 2 certificate failure, 3 decision "no", 4 construction exhausted
+(tuned profile).
 
 Reports are reproducible: the JSON output contains no timing and every
 certificate is produced from a RandomSource derived from (seed, term index),
@@ -381,6 +382,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PRECONDITION
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_PRECONDITION
+    except MemoryError:  # e.g. a build table sized by an element near 2^62
+        sys.stderr.write("error: out of memory\n")
         return EXIT_PRECONDITION
     except ApcertError as exc:
         sys.stderr.write(f"internal error: {exc}\n")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from hashlib import blake2b
 from itertools import chain, islice, pairwise
 from math import gcd
@@ -180,6 +181,13 @@ class SortedIntSet:
             return 0
         return bisect_right(self.elems, hi) - bisect_left(self.elems, lo)
 
+    @cached_property
+    def members(self) -> frozenset[int]:
+        """The elements as a frozenset, built on first use and kept; equality
+        and hashing stay on `elems`. Only subset-mode checks read it, so a
+        base checked in fold mode never pays its memory."""
+        return frozenset(self.elems)
+
 
 @dataclass(frozen=True)
 class ArithProgression:
@@ -314,12 +322,23 @@ class CompactSolution:
 
 
 def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
-    """Return None if the certificate is valid against `base`, else a reason code."""
-    elems = base.elems
+    """Return None if the certificate is valid against `base`, else a reason code.
+
+    Subset mode accepts in C-level passes (counts, order, membership in
+    `base.members`, sum). When one fails, the per-part loop runs and names
+    the reason, so in both modes the code is that of the first fault in part
+    order."""
+    parts = sol.parts
     subset_mode = sol.fold_budget == 0
+    if subset_mode and parts:
+        values, counts = zip(*parts)
+        if (counts.count(1) == len(counts) and all(map(lt, values, islice(values, 1, None)))
+                and base.members.issuperset(values) and sum(values) == sol.target):
+            return None
+    elems = base.elems
     seen = -1
     total = acc = i = 0
-    for v, c in sol.parts:
+    for v, c in parts:
         if c <= 0:
             return "nonpositive-count"
         if v <= seen:

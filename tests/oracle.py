@@ -3,9 +3,10 @@ coin-style reachability, greedy sumsets (materialized and by membership) and
 k-fold greedy certificates, the restricted shift and closest-pair lift that
 the one-pass k-fold leaf must match value for value, the eager gap scan that the lazy `GapScan` must
 match pair for pair, the single divisible-pair step that a run of steps in
-`DivPairLayer` must match part for part, the per-element input checks and
-pair harvest that the C-level passes of the package must match error for
-error, plus the small set and certificate helpers that only the tests read.
+`DivPairLayer` must match part for part, the per-element input checks, the
+per-part certificate check and the pair harvest that the C-level passes of
+the package must match error for error, plus the small set and certificate
+helpers that only the tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -15,7 +16,7 @@ naive; none of them is a production path.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -59,6 +60,33 @@ def predecessor(a: SortedIntSet, x: int) -> Optional[int]:
 
 def verify_solution(base: SortedIntSet, sol: CompactSolution) -> bool:
     return check_solution(base, sol) is None
+
+
+def check_solution_loop(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
+    """Reference for `core.check_solution`: one bisect per part, in both
+    modes; the reason code of the first fault in part order, else None."""
+    elems = base.elems
+    subset_mode = sol.fold_budget == 0
+    seen = -1
+    total = acc = i = 0
+    for v, c in sol.parts:
+        if c <= 0:
+            return "nonpositive-count"
+        if v <= seen:
+            return "parts-not-sorted-distinct"
+        seen = v
+        i = bisect_left(elems, v, i)  # v is above every earlier part
+        if i == len(elems) or elems[i] != v:
+            return "value-not-in-base"
+        if subset_mode and c != 1:
+            return "count-not-one"
+        total += c
+        acc += v * c
+    if acc != sol.target:
+        return "sum-mismatch"
+    if sol.fold_budget > 0 and total > sol.fold_budget:
+        return "budget-exceeded"
+    return None
 
 
 def total_count(sol: CompactSolution) -> int:

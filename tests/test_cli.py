@@ -33,6 +33,9 @@ M_K = ["--m", "1000", "--k", "101"]
 ELL = ["--ell", "300"]
 # error column of an exit-code row whose argv argparse rejects
 USAGE = "usage"
+# error column of an exit-code row whose build asks for more memory than any
+# 64-bit address space holds, so the allocation fails at once
+OOM = "out-of-memory"
 
 
 def assert_usage_error(captured, detail):
@@ -40,6 +43,11 @@ def assert_usage_error(captured, detail):
     since 2 means a certificate failure."""
     assert captured.out == "" and captured.err.startswith("usage: ")
     assert captured.err.endswith(f"error: {detail}\n")
+
+
+def assert_out_of_memory(captured):
+    """One named line on stderr, no traceback and nothing on stdout."""
+    assert captured.out == "" and captured.err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("command", ["ap-sumset", "ap-subsetsum", "unbounded", "dense",
@@ -133,8 +141,9 @@ class TestApSumset:
         (["0", "1", "x2"], M_K, 1, "malformed-input", "line 1: 'x2' is not an integer"),
         (A_VALUES, M_K + ["--workers", "2"], 1, USAGE, "unrecognized arguments: --workers 2"),
         (A_VALUES, ["--k", "101"], 1, USAGE, "the following arguments are required: --m"),
+        ([0, 1, 10**18], ["--m", str(10**18), "--k", str(34 * 10**16)], 1, OOM, None),
     ], ids=["certified", "negative", "over-cap", "first-fault-wins", "malformed-input",
-            "workers-option", "missing-m"])
+            "workers-option", "missing-m", "out-of-memory"])
     def test_exit_codes(self, tmp_path, capsys, values, flags, code, error, detail):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")
@@ -143,6 +152,8 @@ class TestApSumset:
         assert got == code
         if error == USAGE:
             return assert_usage_error(captured, detail)
+        if error == OOM:
+            return assert_out_of_memory(captured)
         rep = json.loads(captured.out)
         assert rep.get("name") == error and rep.get("detail") == detail
         assert ("ap" in rep) == (error is None)
@@ -220,15 +231,19 @@ class TestUnbounded:
         ([3, 3, 5], 100000, 1, "strictly-increasing-positive"),
         ([7], 100000, 1, "at-least-two-values"),
         (["3", "x5"], 100000, 1, "malformed-input"),
+        ([1, 10**18 - 1, 10**18], 10**19, 1, OOM),
     ], ids=["solved", "below-threshold", "gcd", "decreasing", "repeated",
-            "one-value", "malformed-input"])
+            "one-value", "malformed-input", "out-of-memory"])
     def test_exit_codes(self, tmp_path, capsys, values, target, code, error):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")
-        got, out = run(capsys, "unbounded", "--input", inp, "--target", target,
-                       "--seed", "0", "--json")
+        got = main(["unbounded", "--input", str(inp), "--target", str(target),
+                    "--seed", "0", "--json"])
+        captured = capsys.readouterr()
         assert got == code
-        rep = json.loads(out)
+        if error == OOM:
+            return assert_out_of_memory(captured)
+        rep = json.loads(captured.out)
         assert rep.get("name") == error
         assert ("x" in rep) == (error is None)
 
@@ -302,6 +317,17 @@ def _add_foreign_coreset_value(rep):
     rep["coreset"].append(10**6)
 
 
+def _swap_last_value_out_of_coreset(rep):
+    """The last part of the first certificate becomes a value above the
+    coreset (so the parts stay in order); its target no longer matches."""
+    rep["certificates"][0]["parts"][-1][0] = max(rep["coreset"]) + 1
+
+
+def _duplicate_first_part(rep):
+    parts = rep["certificates"][0]["parts"]
+    parts.insert(1, list(parts[0]))
+
+
 class TestVerifyCommand:
     def test_round_trip(self, workdir, capsys, tmp_path):
         _, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt",
@@ -330,11 +356,13 @@ class TestVerifyCommand:
         (None, "b.txt", 0, None),
         (_bump_first_count, "b.txt", 2, "count-not-one"),
         (_add_foreign_coreset_value, "b.txt", 2, "coreset-not-in-input"),
+        (_swap_last_value_out_of_coreset, "b.txt", 2, "value-not-in-base"),
+        (_duplicate_first_part, "b.txt", 2, "parts-not-sorted-distinct"),
         ("{not json", "b.txt", 1, "malformed-report"),
         (lambda rep: rep.update(command="dense"), "b.txt", 1, "malformed-report"),
         (None, "missing.txt", 1, None),
-    ], ids=["valid", "tampered-count", "coreset-outside-input", "not-json",
-            "certificates-in-dense", "missing-input"])
+    ], ids=["valid", "tampered-count", "coreset-outside-input", "part-outside-coreset",
+            "duplicated-part", "not-json", "certificates-in-dense", "missing-input"])
     def test_exit_codes(self, workdir, capsys, tmp_path, edit, input_name, code, name):
         _, out = run(capsys, "ap-subsetsum", "--input", workdir / "b.txt", "--ell", "60",
                      "--seed", "3", "--sample", "4", "--json")

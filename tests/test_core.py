@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import apcert.core
 from apcert.core import (
     MAX_ELEMENT,
     ArithProgression,
@@ -26,6 +27,7 @@ from apcert.core import (
     solve_residue_coefficient,
 )
 from oracle import (
+    check_solution_loop,
     check_sorted_elems,
     density,
     error_of,
@@ -245,6 +247,78 @@ def naive_check(base, parts, target, budget):
     return len(expanded) <= budget
 
 
+def _tamper_count(draw, base, parts, i):
+    parts[i][1] = draw(st.sampled_from([0, -1, 2]))
+
+
+def _tamper_repeat(draw, base, parts, i):
+    if i:
+        parts[i][0] = parts[i - 1][0]
+
+
+def _tamper_descend(draw, base, parts, i):
+    if i:
+        parts[i - 1][0], parts[i][0] = parts[i][0], parts[i - 1][0]
+
+
+def _tamper_negative(draw, base, parts, i):
+    parts[i][0] = draw(st.integers(-5, -1))
+
+
+def _tamper_above_max(draw, base, parts, i):
+    parts[i][0] = base[-1] + draw(st.integers(1, 5))
+
+
+def _tamper_below_min(draw, base, parts, i):
+    if base[0] > 0:
+        parts[i][0] = draw(st.integers(0, base[0] - 1))
+
+
+def _tamper_between(draw, base, parts, i):
+    gaps = [(lo, hi) for lo, hi in itertools.pairwise(base) if hi - lo > 1]
+    if gaps:
+        lo, hi = draw(st.sampled_from(gaps))
+        parts[i][0] = draw(st.integers(lo + 1, hi - 1))
+
+
+def _tamper_zero(draw, base, parts, i):
+    if base[0] > 0:
+        parts[i][0] = 0
+
+
+PART_TAMPERS = (_tamper_count, _tamper_repeat, _tamper_descend, _tamper_negative,
+                _tamper_above_max, _tamper_below_min, _tamper_between, _tamper_zero)
+
+
+@st.composite
+def tampered_certificates(draw):
+    """(base, certificate, tampered): a certificate of a subset of the base,
+    in subset mode or fold mode, with up to two faults drawn from a bad
+    count, a repeated, descending, negative or missing value, a target off
+    by one and empty parts; the target sums the parts with or without their
+    counts."""
+    base = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    values = sorted(draw(st.sets(st.sampled_from(base), max_size=len(base))))
+    fold = draw(st.booleans())
+    parts = [[v, draw(st.integers(1, 3)) if fold else 1] for v in values]
+    target_shift = 0
+    kinds = draw(st.lists(st.sampled_from(PART_TAMPERS + ("sum", "empty")), max_size=2))
+    for kind in kinds:
+        if kind == "sum":
+            target_shift += draw(st.sampled_from([-1, 1]))
+        elif kind == "empty":
+            parts.clear()
+        elif parts:
+            kind(draw, base, parts, draw(st.integers(0, len(parts) - 1)))
+    total = sum(c for _, c in parts)
+    budget = max(1, total + draw(st.integers(-1, 1))) if fold else 0
+    # a target that ignores the counts makes a bad count the only fault
+    blind = draw(st.booleans())
+    target = sum(v * (1 if blind else c) for v, c in parts) + target_shift
+    sol = CompactSolution(tuple(map(tuple, parts)), target, budget)
+    return S(base), sol, bool(kinds)
+
+
 class TestVerifySolution:
     def test_examples(self):
         a = S([0, 1, 3])
@@ -264,10 +338,65 @@ class TestVerifySolution:
             (S([0, 1, 3, 7]), ((1, 1), (5, 1))),  # between two elements, after a hit
         )
         for base, parts in lacking:
-            sol = CompactSolution(parts, sum(v * c for v, c in parts), 2)
-            assert check_solution(base, sol) == "value-not-in-base", (base, parts)
+            for budget in (2, 0):
+                sol = CompactSolution(parts, sum(v * c for v, c in parts), budget)
+                assert check_solution(base, sol) == "value-not-in-base", (base, parts, budget)
         assert check_solution(a, CompactSolution(((1, 1),), 2, 1)) == "sum-mismatch"
         assert check_solution(a, CompactSolution(((1, 2),), 2, 0)) == "count-not-one"
+
+    @pytest.mark.parametrize("parts, target, reason", [
+        (((0, 1), (1, 1), (3, 1)), 4, None),
+        ((), 0, None),
+        ((), 1, "sum-mismatch"),
+        (((1, 1), (3, 1)), 5, "sum-mismatch"),
+        (((1, 1), (3, 1)), 3, "sum-mismatch"),
+        (((1, 1), (3, -1)), -2, "nonpositive-count"),
+        # the targets ignore the counts, so only the count is wrong
+        (((1, 1), (3, 2)), 4, "count-not-one"),
+        (((1, 0), (3, 1)), 4, "nonpositive-count"),
+        (((1, 1), (1, 1)), 2, "parts-not-sorted-distinct"),  # repeated value
+        (((3, 1), (1, 1)), 4, "parts-not-sorted-distinct"),  # descending pair
+        (((-1, 1), (1, 1)), 0, "parts-not-sorted-distinct"),  # negative: below the start
+        # two faults: the first in part order wins
+        (((4, 1), (1, 2)), 6, "value-not-in-base"),
+        (((1, 2), (4, 1)), 6, "count-not-one"),
+        (((3, 1), (1, 1), (4, 1)), 8, "parts-not-sorted-distinct"),
+        (((1, 1), (2, 1), (1, 1)), 4, "value-not-in-base"),
+        (((1, 0), (2, 1)), 99, "nonpositive-count"),
+    ])
+    def test_subset_mode_reason_codes(self, parts, target, reason):
+        a = S([0, 1, 3])
+        sol = CompactSolution(parts, target, 0)
+        assert check_solution(a, sol) == reason == check_solution_loop(a, sol)
+
+    @given(tampered_certificates())
+    def test_passes_match_the_per_part_loop(self, case):
+        base, sol, tampered = case
+        assert check_solution(base, sol) == check_solution_loop(base, sol)
+        if not tampered and sol.fold_budget == 0:
+            assert check_solution(base, sol) is None
+
+    def test_fold_mode_builds_no_member_set(self):
+        base = S(range(0, 300, 3))
+        for sol in (CompactSolution(((3, 2), (9, 1)), 15, 3),  # valid
+                    CompactSolution(((3, 1), (4, 1)), 7, 2)):  # value-not-in-base
+            check_solution(base, sol)
+            assert "members" not in vars(base)
+
+    def test_subset_mode_builds_the_member_set_once(self, monkeypatch):
+        builds = []
+
+        def spy(elems):
+            builds.append(len(elems))
+            return frozenset(elems)
+
+        monkeypatch.setattr(apcert.core, "frozenset", spy, raising=False)
+        base = S(range(0, 300, 3))
+        assert check_solution(base, CompactSolution(((3, 1), (9, 1)), 12, 0)) is None
+        assert check_solution(base, CompactSolution(((3, 1), (4, 1)), 7, 0)) == (
+            "value-not-in-base")
+        assert builds == [100]
+        assert base == S(range(0, 300, 3)) and hash(base) == hash(S(range(0, 300, 3)))
 
     def test_agrees_with_naive_checker_exhaustively(self):
         universe = [0, 1, 2, 5]
