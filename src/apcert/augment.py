@@ -21,8 +21,9 @@ time.
 from __future__ import annotations
 
 from copy import copy
-from itertools import repeat
+from itertools import compress, islice, repeat
 from math import gcd
+from operator import mod, sub
 from typing import Optional, Protocol, Sequence
 
 from .core import (
@@ -303,25 +304,24 @@ def find_gap_pairs(a: SortedIntSet, d: int, m: int) -> GapPairs:
     require(a.max <= m, "elements-within-interval", f"max={a.max} > m={m}")
     elems = a.elems
     n = len(elems)
-    gaps = [elems[i + 1] - elems[i] for i in range(n - 1)]
-    nondiv = [i for i, g in enumerate(gaps) if g % d]
-    contract(bool(nondiv), "gcd 1 forces a gap not divisible by d")
-    h = len(nondiv)
-    i_small = min(nondiv, key=lambda i: (gaps[i], i))
-    g_small = gaps[i_small]
+    gaps = list(map(sub, islice(elems, 1, None), elems))
+    rems = list(map(mod, gaps, repeat(d)))
+    h = n - 1 - rems.count(0)
+    contract(h > 0, "gcd 1 forces a gap not divisible by d")
+    # every gap equal to the smallest non-divisible one is non-divisible
+    g_small = min(compress(gaps, rems))
+    i_small = gaps.index(g_small)
     pair1 = (elems[i_small], g_small)
     if 4 * h >= n:
         contract(g_small * n <= 4 * m, "smallest non-divisible gap exceeds 4m/n")
         return GapPairs(1, pair1, None)
-    # group the divisible gaps between consecutive non-divisible indices
-    best_lo, best_hi, best_size = -1, -1, 0
-    boundaries = [-1] + nondiv + [n - 1]
-    for b in range(len(boundaries) - 1):
-        lo, hi = boundaries[b] + 1, boundaries[b + 1] - 1  # inclusive gap-index run
-        size = hi - lo + 1
-        if size > best_size:
-            best_lo, best_hi, best_size = lo, hi, size
-    contract(best_size >= 1, "case 2 needs a nonempty divisible run")
+    # the divisible gaps between consecutive non-divisible indices b < b'
+    # form the run b+1 .. b'-1, of b' - b - 1 gaps; the first longest wins
+    boundaries = [-1, *compress(range(n - 1), rems), n - 1]
+    sizes = list(map(sub, islice(boundaries, 1, None), boundaries))
+    best = sizes.index(max(sizes))
+    best_lo, best_hi = boundaries[best] + 1, boundaries[best + 1] - 1
+    contract(best_hi >= best_lo, "case 2 needs a nonempty divisible run")
     g_big = elems[best_hi + 1] - elems[best_lo]
     contract(g_big % d == 0, "run-sum gap must be divisible by d")
     contract(g_big <= m, "run-sum gap exceeds m")

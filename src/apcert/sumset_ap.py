@@ -12,8 +12,12 @@ are verified by core, never trusted.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress, count, islice, repeat
+from operator import eq, floordiv, indexOf, mod, setitem, sub
 from typing import Sequence, Union
 
 from .augment import ApWitness, augment_to_full
@@ -37,19 +41,20 @@ class Side(Enum):
     RIGHT = "right"
 
 
-def _scan_min_good_start(elems: Sequence[int], m: int, k: int) -> int:
-    """Two-pointer scan for the smallest index i such that every pair (i, j),
-    i <= j <= n, satisfies 2k(j - i) >= a_j - a_i (sentinel a_n = m + 1);
-    returns the endpoint a_i - 1.
+def _scan_min_good_start(elems: tuple[int, ...], m: int, k: int) -> int:
+    """The smallest index i such that every pair (i, j), i <= j <= n,
+    satisfies 2k(j - i) >= a_j - a_i (sentinel a_n = m + 1); returns the
+    endpoint a_i - 1.
 
-    The scan maintains the invariant that (i, t) is good for all i <= t <= j.
+    Let c_j = a_j - 2k*j. The pair (i, j) is good iff c_j <= c_i, so i is a
+    good start iff c_i is the largest of c_i, ..., c_n. A start before the
+    first index of max(c) has that maximum after it, and the first index has
+    nothing larger after it: the smallest good start is the first index of
+    max(c). Two C-level passes: the maximum, then its first index.
     """
-    a = list(elems) + [m + 1]
-    i = 0
-    for j in range(1, len(a)):
-        while 2 * k * (j - i) < a[j] - a[i]:
-            i += 1
-    return a[i] - 1
+    a, step = elems + (m + 1,), 2 * k
+    c_max = max(map(sub, a, count(0, step)))
+    return a[indexOf(map(sub, a, count(0, step)), c_max)] - 1
 
 
 def find_dense_endpoint(a: SortedIntSet, m: int, k: int) -> tuple[int, Side]:
@@ -66,7 +71,7 @@ def find_dense_endpoint(a: SortedIntSet, m: int, k: int) -> tuple[int, Side]:
     u = _scan_min_good_start(a.elems, m, k)
     if 2 * u <= m:
         return u, Side.LEFT
-    u2 = _scan_min_good_start(tuple(m - e for e in reversed(a.elems)), m, k)
+    u2 = _scan_min_good_start(tuple(map(sub, repeat(m), reversed(a.elems))), m, k)
     contract(2 * u2 <= m, "neither scan side satisfies the density condition")
     return m - u2, Side.RIGHT
 
@@ -87,9 +92,10 @@ def ap_restricted(a: SortedIntSet, m: int, k: int) -> tuple[int, DensityWitness]
     require(m >= 1, "interval-bound-positive", f"m={m}")
     u, side = find_dense_endpoint(a, m, k)
     require(side is Side.LEFT, "left-dense-endpoint", f"u={u}, 2u > m={m}")
-    half = ceil_div(m, 2)
-    b_vals = {0} | {e - u for e in a.elems if u + 1 <= e <= u + half}
-    b_set = SortedIntSet.from_iterable(b_vals)
+    elems = a.elems
+    # the elements in [u+1, u+half] less u: sorted, distinct and above 0
+    lo, hi = bisect_left(elems, u + 1), bisect_right(elems, u + ceil_div(m, 2))
+    b_set = SortedIntSet((0, *map(sub, islice(elems, lo, hi), repeat(u))))
     contract(1 in b_set, "the endpoint guarantees u+1 in A, so 1 in B")
     try:
         dw = build_density_witness(b_set, m, 8 * k)
@@ -146,6 +152,35 @@ class ShortLeaf:
         return list(counts.items())
 
 
+def _closest_class(elems: Sequence[int]) -> tuple[int, int, int, int, bytes, SortedIntSet]:
+    """(g, a*, t, a', in_class, B) for ap_short: g is the closest gap and a*
+    the smallest element starting one; t counts the residues mod g; the class
+    is the most frequent residue (the smallest on a tie), a' its first
+    element; in_class[b] = 1 for its b-values (e - a')/g; B is the b-values
+    and the b-values + 1. C-level passes, but for one comprehension over the
+    class; nothing but the result outlives the call."""
+    g = min(map(sub, islice(elems, 1, None), elems))
+    a_star = elems[indexOf(map(sub, islice(elems, 1, None), elems), g)]
+    if g == 1:  # one residue class: every element
+        t, cls = 1, elems
+    else:
+        rs = list(map(mod, elems, repeat(g)))
+        counts = Counter(rs)
+        r_best = max(sorted(counts), key=counts.__getitem__)  # the first, so smallest, of a tie
+        t, cls = len(counts), tuple(compress(elems, map(eq, rs, repeat(r_best))))
+    a_prime = cls[0]
+    # a sorted class has sorted, distinct b-values
+    b_vals = tuple(map(floordiv, map(sub, cls, repeat(a_prime)), repeat(g)))
+    in_class = bytearray(b_vals[-1] + 2)
+    # setitem returns None, so any() runs the map to its end
+    any(map(setitem, repeat(in_class), b_vals, repeat(1)))
+    # B merges two sorted runs: the b-values and the b + 1 outside the class
+    # (a comprehension: filterfalse over in_class.__getitem__ is slower)
+    above = [b + 1 for b in b_vals if not in_class[b + 1]]
+    b_set = SortedIntSet(tuple(sorted(chain(b_vals, above))))
+    return g, a_star, t, a_prime, bytes(in_class), b_set
+
+
 def ap_short(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitness]:
     """{s} + {0, g, ..., l*g} in 320kA with g <= 2m/n and l*min(g, n) >= 5m."""
     n = len(a)
@@ -153,31 +188,14 @@ def ap_short(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitne
     require(m >= 1, "interval-bound-positive", f"m={m}")
     require(n * k >= m + 1, "cardinality", f"n*k = {n * k} < m+1 = {m + 1}")
     require(a.max <= m, "elements-within-interval", f"max={a.max} > m={m}")
-    elems = a.elems
-    g, a_star = min(
-        (elems[i + 1] - elems[i], elems[i]) for i in range(n - 1)
-    )
+    g, a_star, t, a_prime, in_class, b_set = _closest_class(a.elems)
     contract(g * (n - 1) <= m, "closest gap exceeds m/(n-1)")
-    residues: dict[int, int] = {}
-    for e in elems:
-        r = e % g
-        residues[r] = residues.get(r, 0) + 1
-    t = len(residues)
-    r_best = min(residues, key=lambda r: (-residues[r], r))
-    cls = [e for e in elems if e % g == r_best]
-    a_prime = cls[0]
-    b_vals = {(e - a_prime) // g for e in cls}
-    in_class = bytearray(max(b_vals) + 2)
-    for b in b_vals:
-        in_class[b] = 1
-    b_vals |= {b + 1 for b in b_vals}
-    b_set = SortedIntSet.from_iterable(b_vals)
     m2 = ceil_div(5 * m, t)
     k2 = 5 * k
     contract(len(b_set) * k2 >= m2 + 1, "shifted gap set lost the cardinality bound")
     contract(b_set.max <= m2, "shifted gap set exceeds its interval")
     u, dw = ap_restricted(b_set, m2, k2)
-    leaf = ShortLeaf(u, dw, bytes(in_class), g, a_prime, a_star)
+    leaf = ShortLeaf(u, dw, in_class, g, a_prime, a_star)
     witness = ApWitness(leaf, (), fold_budget=320 * k)
     contract(leaf.ap.length * min(g, n) >= 5 * m, "short progression too short")
     return leaf.ap, witness

@@ -5,8 +5,10 @@ the one-pass k-fold leaf must match value for value, the eager gap scan that the
 match pair for pair, the single divisible-pair step that a run of steps in
 `DivPairLayer` must match part for part, the per-element input checks, the
 per-part certificate check and the pair harvest that the C-level passes of
-the package must match error for error, plus the small set and certificate
-helpers that only the tests read.
+the package must match error for error, the per-element loops of the k-fold
+build (endpoint scan, density, closest-gap class, gap pairs) that its C-level
+passes must match value for value and tie for tie, plus the small set and
+certificate helpers that only the tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -67,7 +69,7 @@ def check_solution_loop(base: SortedIntSet, sol: CompactSolution) -> Optional[st
     modes; the reason code of the first fault in part order, else None."""
     elems = base.elems
     subset_mode = sol.fold_budget == 0
-    seen = -1
+    seen = sol.parts[0][0] - 1 if sol.parts else 0  # the first value is never out of order
     total = acc = i = 0
     for v, c in sol.parts:
         if c <= 0:
@@ -470,3 +472,78 @@ def gen_pairs_by_index(a: SortedIntSet) -> tuple[tuple[int, int], ...]:
         if (elems[i + 1] - elems[i]) * n <= m:
             (even if i % 2 == 0 else odd).append((elems[i], elems[i + 1]))
     return tuple(even if len(even) >= len(odd) else odd)
+
+
+def scan_two_pointer(elems: Sequence[int], m: int, k: int) -> int:
+    """Reference for `sumset_ap._scan_min_good_start`: the two-pointer scan
+    for the smallest index i such that every pair (i, j), i <= j <= n,
+    satisfies 2k(j - i) >= a_j - a_i (sentinel a_n = m + 1); returns the
+    endpoint a_i - 1."""
+    a = list(elems) + [m + 1]
+    i = 0
+    for j in range(1, len(a)):
+        while 2 * k * (j - i) < a[j] - a[i]:
+            i += 1
+    return a[i] - 1
+
+
+def density_loop(a: SortedIntSet, z: int) -> tuple[Fraction, int]:
+    """Reference for `core.density_with_argmin`: one exact cross-multiplied
+    comparison per element; the endpoint z wins a tie, then the smallest z'."""
+    require(z >= 1, "density-z-positive", f"z={z}")
+    best_num, best_den = a.count_range(1, z), z
+    best_z = z
+    zero = int(0 in a)
+    for i, e in enumerate(a.elems):
+        zp = e - 1
+        if zp < 1:
+            continue
+        if zp >= z:
+            break
+        num = i - zero
+        if num * best_den < best_num * zp:
+            best_num, best_den, best_z = num, zp, zp
+    return Fraction(best_num, best_den), best_z
+
+
+def closest_class_loop(a: SortedIntSet) -> tuple[int, int, int, int, bytes, SortedIntSet]:
+    """Reference for the closest-gap and class passes of `sumset_ap.ap_short`:
+    (g, a*, t, a', in_class, B). g is the smallest gap, a* the smallest
+    element starting one; t counts the residues mod g; the class is the most
+    frequent residue (ties to the smallest), a' its first element, in_class
+    marks its b-values (e - a')/g, and B is b-values union b-values + 1."""
+    elems = a.elems
+    g, a_star = min((elems[i + 1] - elems[i], elems[i]) for i in range(len(elems) - 1))
+    residues: dict[int, int] = {}
+    for e in elems:
+        residues[e % g] = residues.get(e % g, 0) + 1
+    r_best = min(residues, key=lambda r: (-residues[r], r))
+    cls = [e for e in elems if e % g == r_best]
+    a_prime = cls[0]
+    b_vals = {(e - a_prime) // g for e in cls}
+    in_class = bytearray(max(b_vals) + 2)
+    for b in b_vals:
+        in_class[b] = 1
+    b_set = SortedIntSet.from_iterable(b_vals | {b + 1 for b in b_vals})
+    return g, a_star, len(residues), a_prime, bytes(in_class), b_set
+
+
+def find_gap_pairs_loop(a: SortedIntSet, d: int, m: int):
+    """Reference for `augment.find_gap_pairs` (after its preconditions):
+    (case, pair1, pair2) from lists of the gaps and non-divisible indices and
+    a loop over the divisible runs; the first index wins every tie."""
+    elems = a.elems
+    n = len(elems)
+    gaps = [elems[i + 1] - elems[i] for i in range(n - 1)]
+    nondiv = [i for i, g in enumerate(gaps) if g % d]
+    i_small = min(nondiv, key=lambda i: (gaps[i], i))
+    pair1 = (elems[i_small], gaps[i_small])
+    if 4 * len(nondiv) >= n:
+        return 1, pair1, None
+    best_lo, best_hi, best_size = -1, -1, 0
+    boundaries = [-1] + nondiv + [n - 1]
+    for b in range(len(boundaries) - 1):
+        lo, hi = boundaries[b] + 1, boundaries[b + 1] - 1
+        if hi - lo + 1 > best_size:
+            best_lo, best_hi, best_size = lo, hi, hi - lo + 1
+    return 2, pair1, (elems[best_lo], elems[best_hi + 1] - elems[best_lo])

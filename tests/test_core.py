@@ -356,7 +356,7 @@ class TestVerifySolution:
         (((1, 0), (3, 1)), 4, "nonpositive-count"),
         (((1, 1), (1, 1)), 2, "parts-not-sorted-distinct"),  # repeated value
         (((3, 1), (1, 1)), 4, "parts-not-sorted-distinct"),  # descending pair
-        (((-1, 1), (1, 1)), 0, "parts-not-sorted-distinct"),  # negative: below the start
+        (((-1, 1), (1, 1)), 0, "value-not-in-base"),  # negative: in order, not in the base
         # two faults: the first in part order wins
         (((4, 1), (1, 2)), 6, "value-not-in-base"),
         (((1, 2), (4, 1)), 6, "count-not-one"),
@@ -368,6 +368,14 @@ class TestVerifySolution:
         a = S([0, 1, 3])
         sol = CompactSolution(parts, target, 0)
         assert check_solution(a, sol) == reason == check_solution_loop(a, sol)
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_negative_value_is_not_in_base(self, budget):
+        for base in (S([0, 1, 3]), S([5])):
+            sol = CompactSolution(((-1, 1),), -1, budget)
+            assert check_solution(base, sol) == "value-not-in-base" == check_solution_loop(base, sol)
+        sol = CompactSolution(((1, 1), (-1, 1)), 0, budget)  # after a larger value: out of order
+        assert check_solution(S([0, 1, 3]), sol) == "parts-not-sorted-distinct"
 
     @given(tampered_certificates())
     def test_passes_match_the_per_part_loop(self, case):
