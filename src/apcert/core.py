@@ -9,9 +9,8 @@ Everything downstream works over three small value types:
                       (k-fold sumset mode) or with every count equal to 1 and all
                       values distinct (subset-sum mode, fold_budget == 0).
 
-All density arithmetic is exact (cross-multiplication, Fraction results). The
-one float is a ranking key in `density_with_argmin`, used only where it is
-proved to order the ratios exactly; no float is compared with a bound.
+All density arithmetic is exact (integer cross-multiplication via Fraction);
+no floating point is used on any decision path.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import blake2b
-from itertools import chain, islice, pairwise, repeat
+from itertools import chain, islice, pairwise
 from math import gcd
-from operator import floordiv, indexOf, lt, sub, truediv
+from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_ELEMENT = 2**62  # any sum of <= 2**32 elements stays well inside 128 bits
@@ -254,8 +253,7 @@ def gcd_all(a: SortedIntSet) -> int:
 # ---------------------------------------------------------------------------
 
 def density_with_argmin(a: SortedIntSet, z: int) -> tuple[Fraction, int]:
-    """min over z' in [1, z] of |A[1, z']| / z', with a minimizing z'; the
-    endpoint z wins a tie, then the smallest z'.
+    """min over z' in [1, z] of |A[1, z']| / z', with a minimizing z'.
 
     |A[1, z']| is a step function that increases only at elements of A, so the
     ratio's minimum over [1, z] occurs immediately before a step (z' = e - 1
@@ -263,34 +261,22 @@ def density_with_argmin(a: SortedIntSet, z: int) -> tuple[Fraction, int]:
 
     A is sorted and distinct, so the i elements before e = elems[i] are
     A[0, e - 1]: |A[1, e - 1]| is i, less one if 0 is in A. No search needed.
-
-    The steps are ranked in two C-level passes (the least key, then its first
-    index) by a key that never decreases as num/z' grows and that separates
-    different ratios, so its first minimum is the smallest z' of the least
-    ratio. Two different ratios in [0, 1] with denominators below z < 2^L
-    differ by more than 2^-2L. For L <= 26 that is more than 2^-52, so the
-    correctly rounded quotients num / z' differ; above, the integer
-    (num << 2L) // z' does. Only that step meets the endpoint, compared by
-    cross-multiplication.
     """
     require(z >= 1, "density-z-positive", f"z={z}")
-    elems = a.elems
-    zero = bisect_left(elems, 1)  # 1 if 0 is in A, else 0
-    lo, hi = bisect_left(elems, 2), bisect_right(elems, z)
-    end_num = hi - zero  # |A[1, z]|
-    s = 2 * z.bit_length()
-    if s <= 52:
-        key, nums = truediv, range(lo - zero, hi - zero)
-    else:
-        key, nums = floordiv, range((lo - zero) << s, (hi - zero) << s, 1 << s)
-    if lo < hi:
-        key_min = min(map(key, nums, map(sub, islice(elems, lo, hi), repeat(1))))
-        i = lo + indexOf(map(key, nums, map(sub, islice(elems, lo, hi), repeat(1))), key_min)
-        num, zp = i - zero, elems[i] - 1
-        # num/zp < end_num/z, compared exactly
-        if num * z < end_num * zp:
-            return Fraction(num, zp), zp
-    return Fraction(end_num, z), z
+    best_num, best_den = a.count_range(1, z), z
+    best_z = z
+    zero = int(0 in a)
+    for i, e in enumerate(a.elems):
+        zp = e - 1
+        if zp < 1:
+            continue
+        if zp >= z:
+            break
+        num = i - zero
+        # num/zp < best_num/best_den, compared exactly
+        if num * best_den < best_num * zp:
+            best_num, best_den, best_z = num, zp, zp
+    return Fraction(best_num, best_den), best_z
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ match pair for pair, the single divisible-pair step that a run of steps in
 `DivPairLayer` must match part for part, the per-element input checks, the
 per-part certificate check and the pair harvest that the C-level passes of
 the package must match error for error, the per-element loops of the k-fold
-build (endpoint scan, density, closest-gap class, gap pairs) that its C-level
+build (endpoint scan, closest-gap class, gap pairs) that its C-level
 passes must match value for value and tie for tie, plus the small set and
 certificate helpers that only the tests read.
 
@@ -485,25 +485,6 @@ def scan_two_pointer(elems: Sequence[int], m: int, k: int) -> int:
         while 2 * k * (j - i) < a[j] - a[i]:
             i += 1
     return a[i] - 1
-
-
-def density_loop(a: SortedIntSet, z: int) -> tuple[Fraction, int]:
-    """Reference for `core.density_with_argmin`: one exact cross-multiplied
-    comparison per element; the endpoint z wins a tie, then the smallest z'."""
-    require(z >= 1, "density-z-positive", f"z={z}")
-    best_num, best_den = a.count_range(1, z), z
-    best_z = z
-    zero = int(0 in a)
-    for i, e in enumerate(a.elems):
-        zp = e - 1
-        if zp < 1:
-            continue
-        if zp >= z:
-            break
-        num = i - zero
-        if num * best_den < best_num * zp:
-            best_num, best_den, best_z = num, zp, zp
-    return Fraction(best_num, best_den), best_z
 
 
 def closest_class_loop(a: SortedIntSet) -> tuple[int, int, int, int, bytes, SortedIntSet]:

@@ -1,23 +1,20 @@
 """The C-level passes of the k-fold build against the per-element loops they
-replaced (kept in oracle.py): the endpoint scan, the density minimum, the
-closest-gap class of ap_short and the gap pairs of an augmentation round
-must agree value for value and tie for tie. Plus a guard on the memory the
+replaced (kept in oracle.py): the endpoint scan, the closest-gap class of
+ap_short and the gap pairs of an augmentation round must agree value for
+value and tie for tie. Plus a guard on the memory the
 build allocates beyond what its result keeps."""
 
 import tracemalloc
-from fractions import Fraction
 from math import gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apcert.augment import find_gap_pairs
-from apcert.core import MAX_ELEMENT, SortedIntSet, density_with_argmin
+from apcert.core import SortedIntSet
 from apcert.sumset_ap import _closest_class, _scan_min_good_start, ap_in_kfold_sumset
 from oracle import (
     closest_class_loop,
-    density_loop,
     find_gap_pairs_loop,
     scan_two_pointer,
 )
@@ -74,75 +71,6 @@ class TestEndpointScan:
         # the sentinel m + 1 = 10 is the maximum c: the endpoint is m
         assert _scan_min_good_start((0,), 9, 1) == 9 == scan_two_pointer((0,), 9, 1)
         assert _scan_min_good_start((0, 1), 9, 4) == -1 == scan_two_pointer((0, 1), 9, 4)
-
-
-# ---------------------------------------------------------------------------
-# density
-# ---------------------------------------------------------------------------
-
-@st.composite
-def near_tie_sets(draw):
-    """(A, z) with ratios that tie or nearly tie: a block, then elements
-    x = N*t + 1 and y = (N+1)*t + 1 + delta, whose steps have ratios N/(Nt)
-    and (N+1)/((N+1)t + delta); t may put them near 2^62. z is drawn among
-    the steps, values that tie the endpoint with them, and 2^62."""
-    n_block = draw(st.integers(1, 6))
-    zero = draw(st.booleans())
-    big = draw(st.booleans())
-    top = MAX_ELEMENT // (n_block + 3) if big else 2**27 // (n_block + 3)
-    t = draw(st.one_of(st.integers(1, 50), st.integers(max(1, top - 50), top)))
-    delta = draw(st.sampled_from([-1, 0, 0, 1]))
-    block = range(0 if zero else 1, n_block + 1)
-    x, y = n_block * t + 1, (n_block + 1) * t + 1 + delta
-    vals = {*block, x, y}
-    if y <= x:
-        vals.discard(y)
-    a = S(vals)
-    z = draw(st.sampled_from([x - 1, x, y - 1, y, y + 1, n_block * t,
-                              (n_block + 1) * t, 2 * y, MAX_ELEMENT]))
-    return a, max(z, 1)
-
-
-@st.composite
-def equal_ratio_blocks(draw):
-    """A = {0} and 1 + j*t for j = 0..N: every step has ratio 1/t, and z = N*t
-    ties the endpoint with them; other z near the top."""
-    t = draw(st.one_of(st.integers(1, 9), st.integers(2**40, 2**41),
-                       st.just(MAX_ELEMENT // 64)))
-    n = draw(st.integers(1, 40))
-    a = S({0} | {1 + j * t for j in range(n + 1)})
-    z = draw(st.sampled_from([n * t, n * t + 1, n * t - 1, (n + 3) * t]))
-    return a, max(z, 1)
-
-
-class TestDensity:
-    @settings(max_examples=300, deadline=None)
-    @given(st.sets(st.integers(0, 200), min_size=1, max_size=25), st.integers(1, 260))
-    def test_matches_cross_multiplied_loop(self, vals, z):
-        a = S(vals)
-        assert density_with_argmin(a, z) == density_loop(a, z)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(near_tie_sets(), equal_ratio_blocks()))
-    def test_near_ties_and_equal_ratios(self, case):
-        a, z = case
-        assert density_with_argmin(a, z) == density_loop(a, z)
-
-    @pytest.mark.parametrize("z", [2**26 - 1, 2**26, 2**26 + 1, 2**52, MAX_ELEMENT])
-    @pytest.mark.parametrize("delta", [-1, 0, 1])
-    def test_either_side_of_the_float_key(self, z, delta):
-        # steps 1/q and 2/(2q + delta), q near z/2: above 2^26 their quotients
-        # round to one float, and only the integer key tells them apart
-        q = (z - 3) // 2
-        a = S({0, 1, q + 1, 2 * q + delta + 1})
-        want = (Fraction(2, 2 * q + 1), 2 * q + 1) if delta == 1 else (Fraction(1, q), q)
-        assert density_with_argmin(a, z) == density_loop(a, z) == want
-
-    def test_endpoint_wins_a_tie_then_the_smallest_step(self):
-        t, n = 5, 4
-        a = S({0} | {1 + j * t for j in range(n + 1)})  # every step has ratio 1/5
-        assert density_with_argmin(a, n * t) == (Fraction(1, t), n * t)
-        assert density_with_argmin(a, n * t + 1) == (Fraction(1, t), t)
 
 
 # ---------------------------------------------------------------------------
