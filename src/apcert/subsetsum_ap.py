@@ -119,30 +119,58 @@ def uniformize(keys: Sequence[int]) -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# The pair bank: pairs kept for flipping, and the one flip routine
+# The pair bank: the gaps -> subset-sums bridge, and the one flip routine
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PairBank:
-    """Pairs banked behind a progression over their keys.
+    """Pairs banked behind a progression of their subset sums.
 
-    `ap` is {s} + {0, 1, ..., bound} in key units; `certs[j]` certifies its
-    term j in a k-fold sumset of the keys divided by `scale` (their gcd
-    together with the free values). `buckets` maps each reduced key to the
-    indices of its pairs in `pairs`; reduced values in `free` need no pair
-    when they occur in a certificate.
+    `certs[j]` certifies term j of {s} + {0, 1, ..., bound} in a k-fold
+    sumset of the keys divided by `scale` (their gcd together with the free
+    values). `ap`, in subset-sum units, is that progression times `scale`
+    plus `base`, the sum of the banked pairs' lo ends; `flip(j)` turns
+    `certs[j]` into a subset of the pair endpoints. As the leaf of the
+    gaps -> subset-sums bridge, `query_parts(j)` checks that this subset sums
+    to `ap.term(j)`. `buckets` maps each reduced key to the indices of its
+    pairs in `pairs`; reduced values in `free` need no pair when they occur
+    in a certificate.
     """
 
     ap: ArithProgression
     certs: tuple[CompactSolution, ...]
     scale: int
+    base: int
     pairs: tuple[Pair, ...]
     buckets: dict[int, tuple[int, ...]]
     free: frozenset[int]
 
-    @property
-    def base_sum(self) -> int:
-        return sum(lo for lo, _ in self.pairs)
+    def flip(self, j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Flip `count` pairs of each reduced key of `certs[j]` from lo to hi.
+
+        Returns the sum of the subset and its parts (hi for flipped pairs,
+        lo for the rest)."""
+        flipped: set[int] = set()
+        total = self.base
+        for key, c in self.certs[j].parts:
+            if key in self.free:
+                continue
+            idxs = self.buckets.get(key, ())
+            if c > len(idxs):
+                raise MultiplicityExceeded(
+                    f"key {key * self.scale} needs {c} pairs, only {len(idxs)} present"
+                )
+            for i in idxs[:c]:
+                flipped.add(i)
+                lo, hi = self.pairs[i]
+                total += hi - lo
+        parts = tuple((hi if i in flipped else lo, 1) for i, (lo, hi) in enumerate(self.pairs))
+        return total, parts
+
+    def query_parts(self, j: int, rng: RandomSource):
+        total, parts = self.flip(j)
+        contract(total == self.ap.term(j), "flipped gaps must reproduce the inner target")
+        return parts
 
 
 def bank_pairs(
@@ -177,67 +205,19 @@ def bank_pairs(
             )
         buckets[key // scale] = tuple(range(len(banked), len(banked) + need))
         banked.extend(plist[:need])
+    base = sum(lo for lo, _ in banked)
     w = witness.ap
-    ap = ArithProgression(w.start * scale, w.diff * scale, w.length)
-    return PairBank(ap, certs, scale, tuple(banked), buckets, frozenset(v // scale for v in free))
-
-
-def flip_pairs(
-    bank: PairBank, parts: Sequence[tuple[int, int]]
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Flip `count` pairs of each reduced key in `parts` from lo to hi.
-
-    Returns the subset-sum parts (hi for flipped pairs, lo for the rest) and
-    the sum of the flipped gaps."""
-    flipped: set[int] = set()
-    shift = 0
-    for key, c in parts:
-        if key in bank.free:
-            continue
-        idxs = bank.buckets.get(key, ())
-        if c > len(idxs):
-            raise MultiplicityExceeded(
-                f"key {key * bank.scale} needs {c} pairs, only {len(idxs)} present"
-            )
-        for i in idxs[:c]:
-            flipped.add(i)
-            lo, hi = bank.pairs[i]
-            shift += hi - lo
-    out = tuple((hi if i in flipped else lo, 1) for i, (lo, hi) in enumerate(bank.pairs))
-    return out, shift
-
-
-# ---------------------------------------------------------------------------
-# The pairs-to-subset-sums bridge
-# ---------------------------------------------------------------------------
-
-class PairBridgeLeaf:
-    """Leaf translating gap-sumset certificates into endpoint subsets."""
-
-    def __init__(self, bank: PairBank):
-        self.bank = bank
-        ap = bank.ap
-        self.ap = ArithProgression(ap.start + bank.base_sum, ap.diff, ap.length)
-
-    def query_parts(self, j: int, rng: RandomSource):
-        sol = self.bank.certs[j]
-        parts, shift = flip_pairs(self.bank, sol.parts)
-        contract(shift == sol.target * self.bank.scale,
-                 "flipped gaps must reproduce the inner target")
-        return parts
-
-
-@dataclass(frozen=True)
-class PairApResult:
-    ap: ArithProgression
-    witness: ApWitness
-    t_star: PairSet
+    ap = ArithProgression(base + w.start * scale, w.diff * scale, w.length)
+    return PairBank(
+        ap, certs, scale, base, tuple(banked), buckets, frozenset(v // scale for v in free)
+    )
 
 
 def ap_by_pairs(
     t: PairSet, g_bound: int, profile: ConstantsProfile = TUNED, seed: int = 0
-) -> PairApResult:
-    """AP of length g_bound in S(A_{T*}) for a small subset T* of the pairs."""
+) -> PairBank:
+    """AP of length g_bound in S(A_{T*}) for a small subset T* of the pairs:
+    the bank over T* = bank.pairs, whose query_parts(j) certifies term j."""
     require(len(t) >= 1, "pairs-nonempty")
     gaps = [hi - lo for lo, hi in t.pairs]
     require(
@@ -252,12 +232,9 @@ def ap_by_pairs(
             f"g_bound={g_bound}, |T|={len(t)}",
         )
     bank = bank_pairs(t.pairs, gaps, g_bound, (0,), "gap", seed)
-    t_star = PairSet(bank.pairs)
     if profile.enforce_caps:
-        contract(len(t_star) <= profile.pair_cap * g_bound, "pair coreset above cap")
-    leaf = PairBridgeLeaf(bank)
-    witness = ApWitness(leaf, (), fold_budget=0)
-    return PairApResult(leaf.ap, witness, t_star)
+        contract(len(bank.pairs) <= profile.pair_cap * g_bound, "pair coreset above cap")
+    return bank
 
 
 @dataclass(frozen=True)
@@ -283,9 +260,9 @@ def short_ap_in_subset_sums(
             "length-cap",
             f"ell={ell}, n={n}",
         )
-    res = ap_by_pairs(gen_pairs(a), ell, profile, seed)
-    contract(res.ap.diff * n <= m, "short progression diff above m/n")
-    return ShortApResult(res.ap, res.witness, res.t_star.endpoints())
+    bank = ap_by_pairs(gen_pairs(a), ell, profile, seed)
+    contract(bank.ap.diff * n <= m, "short progression diff above m/n")
+    return ShortApResult(bank.ap, ApWitness(bank), PairSet(bank.pairs).endpoints())
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +464,14 @@ class ResidueLadderAccessor:
     def __init__(self, bank: PairBank, d: int):
         self.bank = bank
         self.d = d
-        ap = bank.ap
-        self.dp = ap.diff
-        self.s_q = bank.base_sum + ap.start
-        self.rungs: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-        for i in range(d // self.dp):
-            parts, shift = flip_pairs(bank, bank.certs[i].parts)
-            q = bank.base_sum + shift
+        self.dp = bank.ap.diff
+        self.s_q = bank.ap.start
+        self.rungs = [bank.flip(i) for i in range(d // self.dp)]
+        for i, (q, _) in enumerate(self.rungs):
             contract(
                 (q - self.s_q) % d == (i * self.dp) % d,
                 "ladder rung residue mismatch",
             )
-            self.rungs.append((q, parts))
         heights = [(q - self.s_q) // d for q, _ in self.rungs]
         self.h_min = min(heights)
         self.h_max = max(heights)
@@ -556,15 +529,13 @@ def extend_ap_once(
     pool: SortedIntSet,
     n: int,
     m: int,
-    profile: ConstantsProfile = TUNED,
-    gain_target: Optional[int] = None,
+    profile: ConstantsProfile,
+    gain_target: int,
     seed: int = 0,
 ) -> ExtendOnceResult:
-    """Grow the progression by at least gain_target (default ceil(l/2)) using
-    pairs from the pool; consumed elements are reported in `used`."""
+    """Grow the progression by at least gain_target using pairs from the
+    pool; consumed elements are reported in `used`."""
     d, ell = p.diff, p.length
-    if gain_target is None:
-        gain_target = ceil_div(ell, 2)
     gamma = gamma_parameter(m, n, ell, profile)
     if profile.enforce_caps:
         require(ell * n >= profile.min_len_factor * m, "aug-min-length",

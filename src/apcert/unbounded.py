@@ -1,6 +1,6 @@
 """Unbounded Subset Sum above a constant multiple of the Erdos-Graham bound.
 
-For strictly increasing coprime a_1 < ... < a_n and any
+For strictly increasing coprime a_1 < ... < a_n <= 2^62 and any
 t >= 333 * ceil(a_n/(n-1)) * a_{n-1}, a multiplier vector with
 sum a_i x_i = t is assembled from three pieces: a progression witness over
 the first n-1 values divided by their gcd d, a residue i_t with
@@ -14,13 +14,14 @@ that solve's rng, so a repeat solve is O(n) arithmetic and one lookup.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .core import (
+    MAX_ELEMENT,
     InternalContract,
+    OverflowRisk,
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
@@ -64,6 +65,8 @@ class UnboundedSolver:
             prev = v
         self.values = values
         a_n = values[-1]
+        if a_n > MAX_ELEMENT:
+            raise OverflowRisk(a_n)
         lower = SortedIntSet((0,) + values[:-1])
         d = gcd(*values[:-1])
         g = gcd(d, a_n)
@@ -76,10 +79,9 @@ class UnboundedSolver:
         self.threshold = 333 * ceil_div(a_n, n - 1) * values[-2]
         # a_n is invertible modulo d, so i_t = t * a_n^'-1' hits t's residue
         self.inv_an = pow(a_n % d, -1, d) if d > 1 else 0
-        # row of inner index r: multipliers of _lower at _rows[_row_at[r]:]
+        # inner index r -> its multipliers of _lower
         self._lower = values[:-1]
-        self._rows = array("q")
-        self._row_at: dict[int, int] = {}
+        self._rows: dict[int, tuple[int, ...]] = {}
 
     def solve(self, t: int, rng: RandomSource) -> UnboundedSolution:
         if t < self.threshold:
@@ -94,19 +96,17 @@ class UnboundedSolver:
         if val < s:
             raise InternalContract("target below the progression start despite the threshold")
         q, r = divmod(val - s, a_n)
-        at = self._row_at.get(r)
-        if at is None:
-            at = self._certify(r, rng)
-        lower = self._lower
-        row = self._rows[at:at + len(lower)]
-        out = UnboundedSolution((*zip(lower, row), (a_n, q * d + i_t)), t)
+        row = self._rows.get(r)
+        if row is None:
+            row = self._certify(r, rng)
+        out = UnboundedSolution((*zip(self._lower, row), (a_n, q * d + i_t)), t)
         total = out.total()
         if total != t:
             raise InternalContract(f"multipliers sum to {total}, wanted {t}")
         return out
 
-    def _certify(self, r: int, rng: RandomSource) -> int:
-        """Query the witness for inner index r; store and locate its row."""
+    def _certify(self, r: int, rng: RandomSource) -> tuple[int, ...]:
+        """Query the witness for inner index r; store and return its row."""
         sol = self.ka.witness.query(r, rng)
         d = self.d
         counts: dict[int, int] = {}
@@ -114,8 +114,6 @@ class UnboundedSolver:
             if v == 0:
                 continue
             counts[v * d] = counts.get(v * d, 0) + c
-        row = array("q", [counts.get(v, 0) for v in self._lower])
-        at = len(self._rows)
-        self._rows.extend(row)
-        self._row_at[r] = at
-        return at
+        row = tuple(counts.get(v, 0) for v in self._lower)
+        self._rows[r] = row
+        return row

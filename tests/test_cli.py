@@ -232,8 +232,11 @@ class TestUnbounded:
         ([7], 100000, 1, "at-least-two-values"),
         (["3", "x5"], 100000, 1, "malformed-input"),
         ([1, 10**18 - 1, 10**18], 10**19, 1, OOM),
+        ([2, 3, 2**62], 10**22, 0, None),
+        ([2, 3, 2**62 + 1], 10**22, 1, "element-cap"),
     ], ids=["solved", "below-threshold", "gcd", "decreasing", "repeated",
-            "one-value", "malformed-input", "out-of-memory"])
+            "one-value", "malformed-input", "out-of-memory", "largest-at-cap",
+            "largest-above-cap"])
     def test_exit_codes(self, tmp_path, capsys, values, target, code, error):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")
@@ -246,6 +249,10 @@ class TestUnbounded:
         rep = json.loads(captured.out)
         assert rep.get("name") == error
         assert ("x" in rep) == (error is None)
+        if error is None:
+            assert [a for a, _ in rep["x"]] == values
+            assert all(x >= 0 for _, x in rep["x"])
+            assert sum(a * x for a, x in rep["x"]) == target
 
     def test_non_positive_value_named(self, tmp_path, capsys):
         inp = tmp_path / "in.txt"

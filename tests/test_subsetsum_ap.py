@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apcert.subsetsum_ap
+from apcert.augment import ApWitness
 from apcert.core import (
+    ArithProgression,
+    CompactSolution,
     Exhausted,
     InternalContract,
     MultiplicityExceeded,
@@ -33,7 +36,6 @@ from apcert.subsetsum_ap import (
     coreset_size_bound,
     extend_ap_once,
     extract_aug_pairs,
-    flip_pairs,
     gamma_parameter,
     gen_pairs,
     residue_ladder,
@@ -171,42 +173,57 @@ class TestUniformize:
         assert all(mult[keys[i]] >= u for i in kept)
 
 
-def two_pair_bank(scale=1):
-    """Bank of the pairs (1, 1+s), (5, 5+s) for s = scale, both under reduced key 1."""
+def cert(*parts):
+    """A 2-fold gap certificate with the given (reduced key, count) parts."""
+    return CompactSolution(parts, sum(v * c for v, c in parts), 2)
+
+
+def two_pair_bank(*certs, scale=1):
+    """Bank of the pairs (1, 1+s), (5, 5+s) for s = scale, both under reduced
+    key 1, behind the given certificates of the terms of {6} + {0, s, 2s, ...}."""
     pairs = ((1, 1 + scale), (5, 5 + scale))
-    return PairBank(None, (), scale, pairs, {1: (0, 1)}, frozenset({0}))
+    ap = ArithProgression(6, scale, len(certs) - 1)
+    return PairBank(ap, certs, scale, 6, pairs, {1: (0, 1)}, frozenset({0}))
 
 
 class TestPairsToSubsetSum:
-    """Gap certificates become endpoint subsets through flip_pairs."""
+    """Gap certificates become endpoint subsets through PairBank.flip."""
 
     def test_example_two_ones(self):
-        bank = two_pair_bank()
-        parts, shift = flip_pairs(bank, ((1, 2),))
-        assert parts == ((2, 1), (6, 1)) and bank.base_sum + shift == 8
+        bank = two_pair_bank(cert(), cert((1, 1)), cert((1, 2)))
+        assert bank.flip(2) == (8, ((2, 1), (6, 1)))
 
     def test_zero(self):
-        bank = two_pair_bank()
-        for free in ((), ((0, 2),)):
-            parts, shift = flip_pairs(bank, free)
-            assert parts == ((1, 1), (5, 1)) and bank.base_sum + shift == 6
+        bank = two_pair_bank(cert(), cert((0, 2)))
+        for j in (0, 1):
+            assert bank.flip(j) == (6, ((1, 1), (5, 1)))
 
     def test_single_flip(self):
-        parts, shift = flip_pairs(two_pair_bank(), ((1, 1),))
-        assert shift == 1
+        total, parts = two_pair_bank(cert(), cert((1, 1))).flip(1)
+        assert total == 7
         assert sum(v for v, _ in parts) == 7
 
     def test_scaled_keys(self):
-        # reduced key 1 stands for gap 2; the shift is in gap units
-        parts, shift = flip_pairs(two_pair_bank(scale=2), ((1, 1),))
-        assert parts == ((3, 1), (5, 1)) and shift == 2
+        # reduced key 1 stands for gap 2; the flip adds the gap, not the key
+        bank = two_pair_bank(cert(), cert((1, 1)), scale=2)
+        assert bank.flip(1) == (8, ((3, 1), (5, 1))) and bank.ap.term(1) == 8
 
     def test_multiplicity_guard(self):
-        bank = PairBank(None, (), 1, ((1, 2),), {1: (0,)}, frozenset({0}))
+        ap = ArithProgression(1, 1, 1)
+        bank = PairBank(ap, (cert((1, 2)), cert((3, 1))), 1, 1, ((1, 2),), {1: (0,)},
+                        frozenset({0}))
         with pytest.raises(MultiplicityExceeded):
-            flip_pairs(bank, ((1, 2),))
+            bank.flip(0)
         with pytest.raises(MultiplicityExceeded):
-            flip_pairs(bank, ((3, 1),))
+            bank.flip(1)
+
+    def test_query_checks_the_flip_against_the_progression(self):
+        bank = two_pair_bank(cert(), cert((1, 1)), cert((1, 2)))
+        assert [bank.query_parts(j, None) for j in range(3)] == [
+            ((1, 1), (5, 1)), ((2, 1), (5, 1)), ((2, 1), (6, 1))]
+        off = two_pair_bank(cert(), cert((1, 2)))
+        with pytest.raises(InternalContract):
+            off.query_parts(1, None)
 
 
 def largest_use(certs):
@@ -219,9 +236,16 @@ def largest_use(certs):
 
 
 def assert_bank_reserves_its_use(bank):
-    use = largest_use(bank.certs)
-    assert all(len(idxs) == use[key] for key, idxs in bank.buckets.items())
-    assert len(bank.pairs) == sum(use[key] for key in bank.buckets)
+    """Every certificate flips, and each key's bucket holds as many pairs as
+    the most any flip turns over from it."""
+    flipped = Counter()
+    for j in range(len(bank.certs)):
+        _, parts = bank.flip(j)
+        hi = {i for i, ((v, _), (_, h)) in enumerate(zip(parts, bank.pairs)) if v == h}
+        for key, idxs in bank.buckets.items():
+            flipped[key] = max(flipped[key], len(hi.intersection(idxs)))
+    assert all(len(idxs) == flipped[key] for key, idxs in bank.buckets.items())
+    assert len(bank.pairs) == sum(map(len, bank.buckets.values()))
 
 
 class TestBankPairs:
@@ -247,14 +271,27 @@ def make_pairs(gap_counts, spacing=5):
 class TestApByPairs:
     def test_toy_against_subset_oracle(self):
         t = make_pairs([(1, 32), (2, 32)])
-        res = ap_by_pairs(t, 2, TUNED)
-        base = res.t_star.endpoints()
-        tbl = brute_subset_sums(base, res.ap.last + 1)
-        for j in range(res.ap.length + 1):
-            sol = res.witness.query(j, RandomSource(j))
+        bank = ap_by_pairs(t, 2, TUNED)
+        base = PairSet(bank.pairs).endpoints()
+        tbl = brute_subset_sums(base, bank.ap.last + 1)
+        witness = ApWitness(bank)
+        for j in range(bank.ap.length + 1):
+            sol = witness.query(j, RandomSource(j))
             assert verify_solution(base, sol)
-            assert sol.target == res.ap.term(j)
+            assert sol.target == bank.ap.term(j)
             assert sol.target in tbl
+
+    @pytest.mark.parametrize("gap_counts, g_bound", [
+        ([(1, 32), (2, 32)], 2),
+        ([(2, 40), (4, 40), (6, 40)], 6),
+        ([(3, 200), (5, 200), (7, 200)], 7),
+    ], ids=["gaps-1-2", "gcd-2", "gaps-3-5-7"])
+    def test_every_flip_is_its_term(self, gap_counts, g_bound):
+        bank = ap_by_pairs(make_pairs(gap_counts), g_bound, TUNED)
+        assert len(bank.certs) == bank.ap.length + 1
+        for j in range(bank.ap.length + 1):
+            total, parts = bank.flip(j)
+            assert total == bank.ap.term(j) == sum(v for v, _ in parts)
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -446,6 +483,10 @@ class TestResidueLadder:
             vals = [v for v, _ in parts]
             assert len(vals) == len(set(vals))
             assert all(v in base for v in vals)
+        # every banked certificate, not only the d/d' rungs, lands on its residue
+        bank = ladder.bank
+        for i in range(len(bank.certs)):
+            assert (bank.flip(i)[0] - bank.ap.start) % d == i * dp % d
 
     def test_window_is_the_rung_heights(self):
         # gaps 7, 9, 14 leave residues 1, 3, 2 modulo 6; rungs reach height 4
@@ -462,8 +503,6 @@ class TestResidueLadder:
 
 class TestExtendOnce:
     def test_growth_and_disjoint_consumption(self):
-        from apcert.core import ArithProgression
-
         pool = S(range(1, 3001))
         p = ArithProgression(50, 1, 64)
         step = extend_ap_once(p, pool, 500, 3000, TUNED, gain_target=32, seed=1)
@@ -471,8 +510,6 @@ class TestExtendOnce:
         assert all(v in pool for v in step.used)
 
     def test_availability_enforced_under_paper(self):
-        from apcert.core import ArithProgression
-
         pool = S(range(1, 3001))
         p = ArithProgression(50, 1, 64)
         with pytest.raises(PreconditionViolated):
@@ -554,7 +591,7 @@ class TestFullPipeline:
             a = sorted(random.Random(s).sample(range(1, m + 1), int(density * m)))
             res = ap_in_subset_sums(a, m, TUNED, seed=s)
             assert res.ap.length == m
-            assert_bank_reserves_its_use(res.witness.leaf.bank)
+            assert_bank_reserves_its_use(res.witness.leaf)
             for j in (0, m // 2, m):
                 sol = res.witness.query(j, RandomSource(j))
                 assert verify_solution(res.coreset, sol) and sol.target == res.ap.term(j)
