@@ -136,9 +136,22 @@ class SortedIntSet:
                     raise PreconditionViolated("strictly-increasing", f"{v} after {prev}")
                 prev = v
 
+    @classmethod
+    def _ordered(cls, elems: tuple[int, ...]) -> "SortedIntSet":
+        """A set from a tuple its caller built strictly increasing, so only
+        its two ends are checked, against the range and each other; when that
+        fails, the full pass names the first fault. Each call states why its
+        order holds."""
+        if elems and not 0 <= elems[0] <= elems[-1] <= MAX_ELEMENT:
+            return cls(elems)
+        s = object.__new__(cls)
+        object.__setattr__(s, "elems", elems)
+        return s
+
     @staticmethod
     def from_iterable(values: Iterable[int]) -> "SortedIntSet":
-        return SortedIntSet(tuple(sorted(set(values))))
+        # sorted distinct values
+        return SortedIntSet._ordered(tuple(sorted(set(values))))
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -173,7 +186,9 @@ class SortedIntSet:
             cuts.append(i)
         cuts.sort()
         bounds = pairwise([-1, *cuts, len(elems)])
-        return SortedIntSet(tuple(chain.from_iterable(elems[i + 1 : j] for i, j in bounds)))
+        kept = tuple(chain.from_iterable(elems[i + 1 : j] for i, j in bounds))
+        # slices of this set, joined in position order
+        return SortedIntSet._ordered(kept)
 
     def count_range(self, lo: int, hi: int) -> int:
         """|A[lo, hi]| = number of elements in [lo, hi]."""
@@ -232,7 +247,8 @@ def normalize(raw: Sequence[int]) -> tuple[SortedIntSet, int]:
                 raise NegativeInput(v)
             if v > MAX_ELEMENT:
                 raise OverflowRisk(v)
-    s = SortedIntSet(elems)
+    # sorted distinct values
+    s = SortedIntSet._ordered(elems)
     return s, len(raw) - len(s)
 
 

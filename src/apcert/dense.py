@@ -124,7 +124,8 @@ def find_gamma(a: SortedIntSet, profile: ConstantsProfile = TUNED) -> tuple[int,
         vals = [v // candidate for v in vals if v % candidate == 0]
         gamma *= candidate
         contract(len(vals) >= 1, "almost divisor stripped every element")
-    reduced = SortedIntSet(tuple(vals))
+    # the multiples of gamma in A, divided by gamma, in A's order
+    reduced = SortedIntSet._ordered(tuple(vals))
     for holds, msg in (
         (gamma == 1 or gamma * n0 * n0 <= 4 * sigma0, "gamma above 4*Sigma/N^2"),
         (4 * len(reduced) >= 3 * n0, "fewer than 3/4 of the elements survive"),
@@ -294,7 +295,8 @@ def build_rpg(
     # pool at desk scale
     b_count = len(pool) // 2
     require(b_count >= 4, "set-too-small-for-progression", f"N/2 = {b_count}")
-    b_set = SortedIntSet(pool.elems[:b_count])
+    # a slice of the pool
+    b_set = SortedIntSet._ordered(pool.elems[:b_count])
     # diff 1 needs no remainder payment, so a progression of length m
     # suffices; rebuild at 2m when the difference comes out larger
     prog = ap_in_subset_sums(b_set, m1, profile, seed)

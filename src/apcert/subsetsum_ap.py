@@ -67,7 +67,8 @@ class PairSet:
         return len(self.pairs)
 
     def endpoints(self) -> SortedIntSet:
-        return SortedIntSet(tuple(sorted(chain.from_iterable(self.pairs))))
+        # sorted endpoints, distinct because the pairs are conflict-free
+        return SortedIntSet._ordered(tuple(sorted(chain.from_iterable(self.pairs))))
 
 
 def gen_pairs(a: SortedIntSet) -> PairSet:
@@ -625,7 +626,8 @@ def ap_in_subset_sums(
         )
     nbar = big_n // 6
     require(nbar >= 1 and 7 * nbar >= big_n, "partition-floor", f"n={big_n}")
-    first = SortedIntSet(a.elems[: 4 * nbar])
+    # a slice of the input
+    first = SortedIntSet._ordered(a.elems[: 4 * nbar])
     ell0 = ceil_div(profile.min_len_factor * ell, nbar)
     if not profile.enforce_caps:
         # desk-scale clamp: long enough that the gap windows are nonempty,

@@ -93,9 +93,9 @@ def ap_restricted(a: SortedIntSet, m: int, k: int) -> tuple[int, DensityWitness]
     u, side = find_dense_endpoint(a, m, k)
     require(side is Side.LEFT, "left-dense-endpoint", f"u={u}, 2u > m={m}")
     elems = a.elems
-    # the elements in [u+1, u+half] less u: sorted, distinct and above 0
     lo, hi = bisect_left(elems, u + 1), bisect_right(elems, u + ceil_div(m, 2))
-    b_set = SortedIntSet((0, *map(sub, islice(elems, lo, hi), repeat(u))))
+    # 0, then the elements in [u+1, u+half] less u: sorted, distinct, above 0
+    b_set = SortedIntSet._ordered((0, *map(sub, islice(elems, lo, hi), repeat(u))))
     contract(1 in b_set, "the endpoint guarantees u+1 in A, so 1 in B")
     try:
         dw = build_density_witness(b_set, m, 8 * k)
@@ -174,10 +174,10 @@ def _closest_class(elems: Sequence[int]) -> tuple[int, int, int, int, bytes, Sor
     in_class = bytearray(b_vals[-1] + 2)
     # setitem returns None, so any() runs the map to its end
     any(map(setitem, repeat(in_class), b_vals, repeat(1)))
-    # B merges two sorted runs: the b-values and the b + 1 outside the class
-    # (a comprehension: filterfalse over in_class.__getitem__ is slower)
+    # the b + 1 outside the class (filterfalse over in_class.__getitem__ is slower)
     above = [b + 1 for b in b_vals if not in_class[b + 1]]
-    b_set = SortedIntSet(tuple(sorted(chain(b_vals, above))))
+    # B merges two sorted runs: the b-values and the b + 1 outside the class
+    b_set = SortedIntSet._ordered(tuple(sorted(chain(b_vals, above))))
     return g, a_star, t, a_prime, bytes(in_class), b_set
 
 

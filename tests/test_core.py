@@ -125,13 +125,29 @@ class TestValidatorParity:
     def test_normalize_first_fault_wins(self, raw, error):
         assert error_of(normalize, list(raw)) == error == error_of(normalize_by_element, raw)
 
+    @given(faulty_values(sort=False))
+    def test_from_iterable(self, vals):
+        # cli.cmd_verify builds its base from a report's coreset this way
+        got = error_of(SortedIntSet.from_iterable, vals)
+        assert got == error_of(check_sorted_elems, sorted(set(vals)))
+        if got is None:
+            assert SortedIntSet.from_iterable(vals) == SortedIntSet(tuple(sorted(set(vals))))
+
+    @pytest.mark.parametrize("elems", [
+        elems for elems, error in FIRST_FAULTS if error
+    ] + [(-7, 3, 3), (3, 3, MAX_ELEMENT + 1), (5, 4, 2**63), (-1, 0, 1), (0, 1, MAX_ELEMENT + 1)])
+    def test_ordered_with_a_bad_end(self, elems):
+        # the private constructor checks the ends, then runs the full pass
+        got = error_of(SortedIntSet._ordered, elems)
+        assert got is not None and got == error_of(SortedIntSet, elems)
+
 
 class TestWithout:
     @given(st.sets(st.integers(0, 200), max_size=40), st.data())
     def test_matches_the_filter(self, vals, data):
         a = S(vals)
         drop = data.draw(st.lists(st.sampled_from(sorted(vals)), max_size=12)) if vals else []
-        assert a.without(drop).elems == tuple(v for v in a.elems if v not in drop)
+        assert a.without(drop) == SortedIntSet(tuple(v for v in a.elems if v not in drop))
 
     @pytest.mark.parametrize("drop", [[7], [1, 7], [5, 0], [-1], [10**6]])
     def test_value_outside_the_set_is_a_contract(self, drop):
