@@ -28,7 +28,7 @@ def run(trials: int, queries: int, seed: int) -> None:
         draws = 0
         for i in range(queries):
             rng = RandomSource(seed).derive("q", i)
-            w.query(1 + (i * 7919) % m, rng)
+            w.query_parts(1 + (i * 7919) % m, rng)
             draws += rng.draws
         print(f"{m:>6} {len(a):>5} {str(rho)[:10]:>10} {w.k_inner:>8} "
               f"{draws / queries:>12.3f}")

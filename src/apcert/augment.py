@@ -12,10 +12,10 @@ exist:
     {a, a + g} with d | g. Consecutive such steps at one difference form a
     single layer, a run, which resolves all of its steps in one loop.
 
-A ladder layer holds O(1) metadata plus its ladder table, and memoizes its
-parts per ladder index. A run holds, per step, its threshold and the two part
-tuples it can emit whole, so only a partial k-fold step builds parts at query
-time.
+A ladder layer holds O(1) metadata plus its ladder, whose lookup is O(1):
+arithmetic for a pair ladder, a stored rung for a residue ladder. A run
+holds, per step, its threshold and the two part tuples it can emit whole, so
+only a partial k-fold step builds parts at query time.
 """
 
 from __future__ import annotations
@@ -148,24 +148,22 @@ class PairLadder:
         self.a = a
         self.g = g
         self.jstar = jstar
+        self.width = d // dp
         self.s_q = d * a // dp
         self.h_min = 0
         # rung heights are floor(j*g/d) for j < d/dp; the exact maximum (at
         # most the conservative g/dp) buys a longer progression
-        self.h_max = (d // dp - 1) * g // d
+        self.h_max = (self.width - 1) * g // d
 
     def lookup(self, i: int) -> tuple[int, Parts]:
-        width = self.d // self.dp
+        width = self.width
         if not 0 <= i < width:
             raise InternalContract(f"ladder index {i} out of [0, {width})")
+        # j < width, so a is always taken
         j = (i * self.jstar) % width
-        q = self.s_q + j * self.g
-        parts = []
-        if width - j:
-            parts.append((self.a, width - j))
-        if j:
-            parts.append((self.a + self.g, j))
-        return q, tuple(parts)
+        if not j:
+            return self.s_q, ((self.a, width),)
+        return self.s_q + j * self.g, ((self.a, width - j), (self.a + self.g, j))
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +193,11 @@ class LadderLayer:
         self.outer = ArithProgression(
             inner.start + ladder.s_q + ladder.h_max * d, dp, new_len
         )
-        self._memo: dict[int, tuple[int, Parts]] = {}
 
     def resolve(self, j: int) -> tuple[int, Parts]:
         d = self.inner.diff
         dp = self.outer.diff
-        i = (j * dp % d) // dp
-        hit = self._memo.get(i)
-        if hit is None:
-            hit = self.ladder.lookup(i)
-            self._memo[i] = hit
-        q_i, parts = hit
+        q_i, parts = self.ladder.lookup((j * dp % d) // dp)
         p = self.outer.term(j) - q_i
         off = p - self.inner.start
         contract(off >= 0 and off % d == 0, f"ladder residual {p} not on inner progression")
@@ -277,19 +269,12 @@ def augment_nondiv_pair(p: ArithProgression, a: int, g: int) -> LadderLayer:
     return LadderLayer(p, ladder)
 
 
-class GapPairs:
-    """Result of the small-gap / large-gap dichotomy."""
-
-    __slots__ = ("case", "pair1", "pair2")
-
-    def __init__(self, case: int, pair1: tuple[int, int], pair2: Optional[tuple[int, int]]):
-        self.case = case
-        self.pair1 = pair1  # (a, g) with d not dividing g
-        self.pair2 = pair2  # (a', g') with d | g', or None in case 1
-
-
-def find_gap_pairs(a: SortedIntSet, d: int, m: int) -> GapPairs:
-    """Find a small non-divisible gap, or one plus a large divisible run-sum.
+def find_gap_pairs(
+    a: SortedIntSet, d: int, m: int
+) -> tuple[int, tuple[int, int], Optional[tuple[int, int]]]:
+    """(case, pair1, pair2): a small non-divisible gap, or one plus a large
+    divisible run-sum. pair1 = (a, g) with d not dividing g; pair2 =
+    (a', g') with d | g', or None in case 1.
 
     Case 1 (at least n/4 of the consecutive gaps are not divisible by d):
     the smallest non-divisible gap g satisfies 1 <= g <= 4m/n. Case 2: the
@@ -314,7 +299,7 @@ def find_gap_pairs(a: SortedIntSet, d: int, m: int) -> GapPairs:
     pair1 = (elems[i_small], g_small)
     if 4 * h >= n:
         contract(g_small * n <= 4 * m, "smallest non-divisible gap exceeds 4m/n")
-        return GapPairs(1, pair1, None)
+        return 1, pair1, None
     # the divisible gaps between consecutive non-divisible indices b < b'
     # form the run b+1 .. b'-1, of b' - b - 1 gaps; the first longest wins
     boundaries = [-1, *compress(range(n - 1), rems), n - 1]
@@ -326,7 +311,7 @@ def find_gap_pairs(a: SortedIntSet, d: int, m: int) -> GapPairs:
     contract(g_big % d == 0, "run-sum gap must be divisible by d")
     contract(g_big <= m, "run-sum gap exceeds m")
     contract(4 * m * g_big >= n * d * g_small, "run-sum gap below n*d*g/(4m)")
-    return GapPairs(2, pair1, (elems[best_lo], g_big))
+    return 2, pair1, (elems[best_lo], g_big)
 
 
 def augment_once(
@@ -342,13 +327,12 @@ def augment_once(
     require(d >= 2, "diff-at-least-two", f"diff={d}")
     require(p.length * d >= m, "ap-span-at-least-m", f"span={p.length * d} < m={m}")
     n = len(a)
-    found = find_gap_pairs(a, d, m)
-    a1, g1 = found.pair1
+    case, (a1, g1), pair2 = find_gap_pairs(a, d, m)
     dp = gcd(d, g1)
     h = ceil_div(4 * m, n * dp)
-    if found.case == 1:
+    if case == 1:
         return (augment_nondiv_pair(p, a1, g1),), d // dp + h
-    a2, g2 = found.pair2
+    a2, g2 = pair2
     div_layer = DivPairLayer(p, a2, g2, h)
     p_mid = div_layer.outer
     contract(

@@ -8,14 +8,20 @@ both halves in the greedy sumset with probability >= 1/2.
 Query: sample x in [1, z] until x and z - x both pass the k_inner-fold greedy
 membership test, then join the two greedy certificates. Always correct; only
 the number of sampling rounds is random (2 in expectation).
+
+Membership in the k-fold greedy sumset is decided by running k greedy picks,
+each the largest element of A not exceeding the residual; consecutive equal
+picks are batched, so a test costs O(#distinct picks * log n) and the
+returned runs encode the certificate compactly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Optional
 
 from .core import (
-    CompactSolution,
     InternalContract,
     OutOfRange,
     PreconditionViolated,
@@ -24,9 +30,36 @@ from .core import (
     ceil_div,
     ceil_log2,
     density_with_argmin,
-    merge_counts,
 )
-from .greedy import kfold_greedy_steps
+
+
+def kfold_greedy_steps(a: SortedIntSet, k: int, z: int) -> Optional[list[tuple[int, int]]]:
+    """Run k greedy picks on z; return [(value, count), ...] or None.
+
+    Picks are batched: once the greedy pick is v >= 1 it repeats while the
+    residual stays >= v, and a pick of 0 absorbs every remaining step.
+    """
+    elems = a.elems
+    residual = z
+    remaining = k
+    runs: list[tuple[int, int]] = []
+    while remaining > 0:
+        i = bisect_right(elems, residual)
+        if not i:
+            return None
+        v = elems[i - 1]
+        if v == 0:
+            if residual:
+                return None
+            runs.append((0, remaining))
+            break
+        q = residual // v
+        if q > remaining:
+            q = remaining
+        runs.append((v, q))
+        residual -= q * v
+        remaining -= q
+    return runs if residual == 0 else None
 
 
 @dataclass(frozen=True)
@@ -40,11 +73,6 @@ class DensityWitness:
     @property
     def fold_budget(self) -> int:
         return 2 * self.k_inner
-
-    def query(self, z: int, rng: RandomSource) -> CompactSolution:
-        """Certificate for z as a sum of 2*k_inner elements of the base (zeros pad)."""
-        counts = merge_counts(self.query_parts(z, rng))
-        return CompactSolution.from_counts(counts, z, self.fold_budget)
 
     def query_parts(self, z: int, rng: RandomSource) -> list[tuple[int, int]]:
         """Raw greedy runs for z (values may repeat across the two halves);

@@ -63,17 +63,12 @@ class PairSet:
                 seen.add(lo)
                 seen.add(hi)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
 
-    def endpoints(self) -> SortedIntSet:
-        # sorted endpoints, distinct because the pairs are conflict-free
-        return SortedIntSet._ordered(tuple(sorted(chain.from_iterable(self.pairs))))
-
-
-def gen_pairs(a: SortedIntSet) -> PairSet:
+def gen_pairs(a: SortedIntSet) -> tuple[Pair, ...]:
     """At least n conflict-free consecutive pairs with gaps <= m/n, where the
-    largest |A| mod 4 elements are dropped first."""
+    largest |A| mod 4 elements are dropped first. Conflict-free by
+    construction: the pairs (elems[i], elems[i + 1]) of one parity of i are
+    disjoint, and lo < hi in a strictly increasing set."""
     elems = a.elems[: len(a) - len(a) % 4]
     require(len(elems) >= 4, "set-at-least-four", f"kept {len(elems)}")
     n = len(elems) // 4
@@ -83,7 +78,7 @@ def gen_pairs(a: SortedIntSet) -> PairSet:
     odd = [(lo, hi) for lo, hi in zip(elems[1::2], elems[2::2]) if (hi - lo) * n <= m]
     chosen = even if len(even) >= len(odd) else odd
     contract(len(chosen) >= n, "pigeonhole guarantees n small-gap pairs")
-    return PairSet(tuple(chosen))
+    return tuple(chosen)
 
 
 def uniformize(keys: Sequence[int]) -> tuple[int, list[int]]:
@@ -215,12 +210,13 @@ def bank_pairs(
 
 
 def ap_by_pairs(
-    t: PairSet, g_bound: int, profile: ConstantsProfile = TUNED, seed: int = 0
+    t: tuple[Pair, ...], g_bound: int, profile: ConstantsProfile = TUNED, seed: int = 0
 ) -> PairBank:
-    """AP of length g_bound in S(A_{T*}) for a small subset T* of the pairs:
-    the bank over T* = bank.pairs, whose query_parts(j) certifies term j."""
+    """AP of length g_bound in S(A_{T*}) for a small subset T* of the
+    conflict-free pairs t (those of gen_pairs): the bank over T* =
+    bank.pairs, whose query_parts(j) certifies term j."""
     require(len(t) >= 1, "pairs-nonempty")
-    gaps = [hi - lo for lo, hi in t.pairs]
+    gaps = [hi - lo for lo, hi in t]
     require(
         all(1 <= g <= g_bound for g in gaps),
         "gaps-within-bound",
@@ -232,24 +228,18 @@ def ap_by_pairs(
             "pairs-vs-gap-cap",
             f"g_bound={g_bound}, |T|={len(t)}",
         )
-    bank = bank_pairs(t.pairs, gaps, g_bound, (0,), "gap", seed)
+    bank = bank_pairs(t, gaps, g_bound, (0,), "gap", seed)
     if profile.enforce_caps:
         contract(len(bank.pairs) <= profile.pair_cap * g_bound, "pair coreset above cap")
     return bank
 
 
-@dataclass(frozen=True)
-class ShortApResult:
-    ap: ArithProgression
-    witness: ApWitness
-    coreset: SortedIntSet
-
-
 def short_ap_in_subset_sums(
     a: SortedIntSet, ell: int, profile: ConstantsProfile = TUNED, seed: int = 0
-) -> ShortApResult:
-    """AP of length ell and diff <= m/n in S(A*) with |A*| <= 2000*ell
-    (profile-scaled), where n = |A|/4."""
+) -> PairBank:
+    """The bank of an AP of length ell and diff <= m/n in S(A*), where A* is
+    the endpoints of bank.pairs, |A*| <= 2000*ell (profile-scaled) and
+    n = |A|/4."""
     require(len(a) >= 4, "set-at-least-four")
     require(a.min >= 1, "positive-elements")
     n = len(a) // 4
@@ -263,7 +253,7 @@ def short_ap_in_subset_sums(
         )
     bank = ap_by_pairs(gen_pairs(a), ell, profile, seed)
     contract(bank.ap.diff * n <= m, "short progression diff above m/n")
-    return ShortApResult(bank.ap, ApWitness(bank), PairSet(bank.pairs).endpoints())
+    return bank
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +483,20 @@ def residue_ladder(
     d' = gcd of the gap residues together with d, a proper divisor of d.
     """
     require(d >= 2, "modulus-at-least-2", f"d={d}")
-    t = PairSet(tuple(pairs))
+    pairs = PairSet(tuple(pairs)).pairs
     require(
-        all((hi - lo) % d for lo, hi in t.pairs),
+        all((hi - lo) % d for lo, hi in pairs),
         "gaps-not-divisible",
         "residue ladder needs d to divide no gap",
     )
     if profile.enforce_caps:
         require(
-            d * profile.pair_cap * ceil_log2(2 * len(t)) <= len(t),
+            d * profile.pair_cap * ceil_log2(2 * len(pairs)) <= len(pairs),
             "pairs-vs-modulus-cap",
-            f"d={d}, |T|={len(t)}",
+            f"d={d}, |T|={len(pairs)}",
         )
     # d joins the residues, so the progression's difference is gcd(residues, d)
-    bank = bank_pairs(t.pairs, [(hi - lo) % d for lo, hi in t.pairs], d, (0, d), "residue", seed)
+    bank = bank_pairs(pairs, [(hi - lo) % d for lo, hi in pairs], d, (0, d), "residue", seed)
     dp = bank.ap.diff
     contract(1 <= dp < d and d % dp == 0, "residue gcd must properly divide d")
     if profile.enforce_caps:
@@ -636,10 +626,10 @@ def ap_in_subset_sums(
         floor = max(2 * profile.window_div, ceil_div(2 * m, nbar))
         ell0 = min(max(ell0, floor), max(cap, floor), ell)
         ell0 = max(ell0, 1)
-    short = short_ap_in_subset_sums(first, ell0, profile, seed)
-    coreset_vals = set(short.coreset.elems)
-    pool = a.without(short.coreset)
-    p = short.ap
+    bank = short_ap_in_subset_sums(first, ell0, profile, seed)
+    coreset_vals = set(chain.from_iterable(bank.pairs))
+    pool = a.without(coreset_vals)
+    p = bank.ap
     layers: list[Layer] = []
     rounds = 0
     round_cap = 2 * ceil_log2(max(2, nbar)) + ceil_log2(ell + 2) + 8
@@ -665,7 +655,7 @@ def ap_in_subset_sums(
     bound = coreset_size_bound(ell, big_n, profile)
     if len(coreset) > bound:
         raise Exhausted(f"coreset size {len(coreset)} above bound {bound}", partial=p)
-    witness = ApWitness(short.witness.leaf, layers, fold_budget=0)
+    witness = ApWitness(bank, layers, fold_budget=0)
     contract(witness.ap == p, "assembled witness progression mismatch")
     witness = witness.truncated(ell)
     return SubsetSumApResult(witness.ap, witness, coreset, rounds)

@@ -6,8 +6,8 @@ over B (each b expands back into two base elements), handle general sets by
 working modulo the closest-pair gap, and finally subdivide the common
 difference with the augmentation framework until it reaches 1.
 
-The short progression and the full pipeline return an ApWitness; certificates
-are verified by core, never trusted.
+The short progression returns its leaf and the full pipeline an ApWitness;
+certificates are verified by core, never trusted.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def _closest_class(elems: Sequence[int]) -> tuple[int, int, int, int, bytes, Sor
     return g, a_star, t, a_prime, bytes(in_class), b_set
 
 
-def ap_short(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitness]:
-    """{s} + {0, g, ..., l*g} in 320kA with g <= 2m/n and l*min(g, n) >= 5m."""
+def ap_short(a: SortedIntSet, m: int, k: int) -> ShortLeaf:
+    """Leaf whose ap {s} + {0, g, ..., l*g} lies in 320kA; g <= 2m/n, l*min(g, n) >= 5m."""
     n = len(a)
     require(n >= 2, "set-at-least-two", f"n={n}")
     require(m >= 1, "interval-bound-positive", f"m={m}")
@@ -196,9 +196,8 @@ def ap_short(a: SortedIntSet, m: int, k: int) -> tuple[ArithProgression, ApWitne
     contract(b_set.max <= m2, "shifted gap set exceeds its interval")
     u, dw = ap_restricted(b_set, m2, k2)
     leaf = ShortLeaf(u, dw, in_class, g, a_prime, a_star)
-    witness = ApWitness(leaf, (), fold_budget=320 * k)
     contract(leaf.ap.length * min(g, n) >= 5 * m, "short progression too short")
-    return leaf.ap, witness
+    return leaf
 
 
 @dataclass(frozen=True)
@@ -232,11 +231,11 @@ def ap_in_kfold_sumset(
     require(n * k >= m + 1, "cardinality", f"n*k = {n * k} < m+1 = {m + 1}")
     k_eff = ceil_div(m + 1, n)
     contract(k_eff <= k, "clamped fold must not exceed the requested fold")
-    p0, w0 = ap_short(a, m, k_eff)
-    p_final, layers, budget_extra = augment_to_full(a, p0, m)
+    leaf = ap_short(a, m, k_eff)
+    p_final, layers, budget_extra = augment_to_full(a, leaf.ap, m)
     fold_budget = 320 * k_eff + budget_extra
     contract(fold_budget <= 332 * k_eff, f"budget {fold_budget} exceeds 332*k_eff")
-    witness = ApWitness(w0.leaf, layers, fold_budget=fold_budget)
+    witness = ApWitness(leaf, layers, fold_budget=fold_budget)
     contract(witness.ap == p_final, "assembled witness progression mismatch")
     contract(p_final.length >= m, "final progression shorter than m")
     witness = witness.truncated(m)

@@ -67,14 +67,13 @@ class UnboundedSolver:
         a_n = values[-1]
         if a_n > MAX_ELEMENT:
             raise OverflowRisk(a_n)
-        lower = SortedIntSet((0,) + values[:-1])
         d = gcd(*values[:-1])
         g = gcd(d, a_n)
         if g != 1:
             raise PreconditionViolated("gcd-one", f"gcd of all values is {g}")
         self.d = d
         self.a_n = a_n
-        reduced = SortedIntSet(tuple(v // d for v in lower.elems))
+        reduced = SortedIntSet((0, *(v // d for v in values[:-1])))
         self.ka: KfoldApResult = ap_in_kfold_sumset(reduced, a_n - 1, ceil_div(a_n, n))
         self.threshold = 333 * ceil_div(a_n, n - 1) * values[-2]
         # a_n is invertible modulo d, so i_t = t * a_n^'-1' hits t's residue

@@ -39,7 +39,7 @@ from apcert.core import (
     merge_counts,
     require,
 )
-from apcert.greedy import kfold_greedy_steps
+from apcert.density_witness import kfold_greedy_steps
 from apcert.profiles import ConstantsProfile
 
 HARD_CAP = 10**8
@@ -241,6 +241,11 @@ def kfold_greedy_query(a: SortedIntSet, k: int, z: int) -> Optional[CompactSolut
     for v, c in runs:
         counts[v] = counts.get(v, 0) + c
     return CompactSolution.from_counts(counts, z, k)
+
+
+def density_query(w, z: int, rng) -> CompactSolution:
+    """Certificate for z from a density witness: its parts, merged, at fold budget 2*k_inner."""
+    return CompactSolution.from_counts(merge_counts(w.query_parts(z, rng)), z, w.fold_budget)
 
 
 def restricted_pairs(u: int, dw, z: int, rng) -> list[tuple[int, int]]:

@@ -253,15 +253,14 @@ class TestDivPairRunMatchesSteps:
 
 class TestFindGapPairs:
     def test_case1_all_unit_gaps(self):
-        out = find_gap_pairs(S(range(0, 17)), 2, 16)
-        assert out.case == 1 and out.pair1[1] == 1
+        case, pair1, _ = find_gap_pairs(S(range(0, 17)), 2, 16)
+        assert case == 1 and pair1[1] == 1
 
     def test_case2_divisible_run(self):
         a = S(list(range(0, 15, 2)) + [15])
-        out = find_gap_pairs(a, 2, 15)
-        assert out.case == 2
-        assert out.pair1 == (14, 1)
-        a2, g2 = out.pair2
+        case, pair1, (a2, g2) = find_gap_pairs(a, 2, 15)
+        assert case == 2
+        assert pair1 == (14, 1)
         assert g2 % 2 == 0 and g2 == 14 and a2 == 0
 
     def test_gcd_guard(self):
@@ -278,14 +277,13 @@ class TestFindGapPairs:
             if gcd_all(a) != 1:
                 continue
             d = rnd.randint(2, 9)
-            out = find_gap_pairs(a, d, m)
-            a1, g1 = out.pair1
+            case, (a1, g1), pair2 = find_gap_pairs(a, d, m)
             assert a1 in a and a1 + g1 in a and g1 % d != 0
             n = len(a)
-            if out.case == 1:
-                assert g1 * n <= 4 * m
+            if case == 1:
+                assert g1 * n <= 4 * m and pair2 is None
             else:
-                a2, g2 = out.pair2
+                a2, g2 = pair2
                 assert a2 in a and a2 + g2 in a
                 assert g2 % d == 0 and g2 <= m
                 assert 4 * m * g2 >= n * d * g1

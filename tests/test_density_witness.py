@@ -9,7 +9,13 @@ from apcert.core import (
     SortedIntSet,
 )
 from apcert.density_witness import build_density_witness
-from oracle import density, greedy_kfold_materialize, total_count, verify_solution
+from oracle import (
+    density,
+    density_query,
+    greedy_kfold_materialize,
+    total_count,
+    verify_solution,
+)
 
 S = SortedIntSet.from_iterable
 
@@ -38,18 +44,18 @@ class TestBuild:
 class TestQuery:
     def test_zero_short_circuits(self):
         w = build_density_witness(S([0, 1]), 1, 2)
-        sol = w.query(0, RandomSource(1))
+        sol = density_query(w, 0, RandomSource(1))
         assert sol.parts == ((0, 4),)
 
     def test_one(self):
         w = build_density_witness(S([0, 1]), 1, 2)
-        sol = w.query(1, RandomSource(1))
+        sol = density_query(w, 1, RandomSource(1))
         assert verify_solution(w.base, sol)
         assert sol.target == 1 and total_count(sol) <= 4
 
     def test_rich_interval(self):
         w = build_density_witness(S(range(0, 11)), 10, 2)
-        sol = w.query(7, RandomSource(5))
+        sol = density_query(w, 7, RandomSource(5))
         assert verify_solution(w.base, sol)
         assert sol.target == 7
         assert total_count(sol) <= 2 * w.k_inner
@@ -57,7 +63,7 @@ class TestQuery:
     def test_out_of_range(self):
         w = build_density_witness(S([0, 1]), 1, 2)
         with pytest.raises(OutOfRange):
-            w.query(2, RandomSource(0))
+            density_query(w, 2, RandomSource(0))
 
     def test_every_term_verifies(self):
         rnd = random.Random(2)
@@ -68,15 +74,15 @@ class TestQuery:
             k = max(2, (2 * rho.denominator + rho.numerator - 1) // rho.numerator)
             w = build_density_witness(a, m, k)
             for z in range(0, m + 1):
-                sol = w.query(z, RandomSource(trial * 1000 + z))
+                sol = density_query(w, z, RandomSource(trial * 1000 + z))
                 assert verify_solution(a, sol)
                 assert sol.target == z
                 assert sol.fold_budget == 2 * w.k_inner <= 2 * k
 
     def test_determinism_same_seed(self):
         w = build_density_witness(S(range(0, 31)), 30, 4)
-        a = [w.query(z, RandomSource(99)).parts for z in range(31)]
-        b = [w.query(z, RandomSource(99)).parts for z in range(31)]
+        a = [density_query(w, z, RandomSource(99)).parts for z in range(31)]
+        b = [density_query(w, z, RandomSource(99)).parts for z in range(31)]
         assert a == b
 
     def test_amplified_density_reaches_three_quarters(self):
@@ -97,7 +103,7 @@ class TestQuery:
         queries = 0
         for i in range(1000):
             rng = RandomSource(i)
-            w.query(1 + i % 40, rng)
+            density_query(w, 1 + i % 40, rng)
             draws += rng.draws
             queries += 1
         assert draws / queries <= 4

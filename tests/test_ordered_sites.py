@@ -36,7 +36,7 @@ LIBRARY = json.loads((corpus.GOLDEN / "library.json").read_text())
 SITES = {
     "from_iterable", "normalize", "without",  # core
     "find_gamma", "build_rpg",  # dense
-    "endpoints", "ap_in_subset_sums",  # subsetsum_ap
+    "ap_in_subset_sums",  # subsetsum_ap
     "ap_restricted", "_closest_class",  # sumset_ap
 }
 

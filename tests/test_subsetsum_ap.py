@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apcert.subsetsum_ap
-from apcert.augment import ApWitness
+from apcert.augment import ApWitness, LadderLayer
 from apcert.core import (
     ArithProgression,
     CompactSolution,
@@ -93,38 +93,36 @@ class TestPairSet:
     def test_first_fault_wins(self, pairs, error):
         assert error_of(PairSet, pairs) == error == error_of(check_pairs, pairs)
 
-    def test_derived_quantities(self):
-        t = PairSet(((1, 3), (5, 6)))
-        assert t.endpoints().elems == (1, 3, 5, 6)
-
 
 class TestGenPairs:
     @given(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 300)), min_size=3,
                     max_size=40))
     def test_same_pairs_as_the_index_loop(self, gaps):
         a = S(itertools.accumulate(gaps, initial=1))
-        assert gen_pairs(a).pairs == gen_pairs_by_index(a)
+        pairs = gen_pairs(a)
+        assert pairs == gen_pairs_by_index(a)
+        check_pairs(pairs)
 
     def test_odd_pairs_chosen(self):
         # three wide gaps at even positions leave the odd pairs the majority
         a = S(itertools.accumulate([100, 1, 100, 1, 100] + [1] * 10, initial=1))
-        assert gen_pairs(a).pairs == gen_pairs_by_index(a) == tuple(
+        assert gen_pairs(a) == gen_pairs_by_index(a) == tuple(
             (v, v + 1) for v in (101, 202, 303, 305, 307, 309, 311))
 
     def test_consecutive(self):
         t = gen_pairs(S(range(1, 9)))
         assert len(t) >= 2
         n, m = 2, 8
-        assert all(hi - lo <= m // n for lo, hi in t.pairs)
+        assert all(hi - lo <= m // n for lo, hi in t)
 
     def test_clustered(self):
         t = gen_pairs(S([1, 2, 100, 101, 200, 201, 300, 301]))
         assert len(t) >= 2
-        assert all(hi - lo == 1 for lo, hi in t.pairs)
+        assert all(hi - lo == 1 for lo, hi in t)
 
     def test_drop_count(self):
         t = gen_pairs(S(range(1, 12)))  # 11 elements -> drop 3
-        assert not set(t.endpoints()) & {9, 10, 11}
+        assert not set(itertools.chain.from_iterable(t)) & {9, 10, 11}
 
     def test_pigeonhole_bound_random(self):
         rnd = random.Random(0)
@@ -135,7 +133,7 @@ class TestGenPairs:
             t = gen_pairs(a)
             n = n4 // 4
             assert len(t) >= n
-            assert all((hi - lo) * n <= a.max for lo, hi in t.pairs)
+            assert all((hi - lo) * n <= a.max for lo, hi in t)
 
 
 def gaps(pairs):
@@ -251,7 +249,7 @@ def assert_bank_reserves_its_use(bank):
 class TestBankPairs:
     def test_bucket_is_the_largest_use_of_its_key(self):
         t = make_pairs([(1, 20), (2, 20), (3, 20), (5, 20)])
-        bank = bank_pairs(t.pairs, gaps(t.pairs), 5, (0,), "gap", 0)
+        bank = bank_pairs(t, gaps(t), 5, (0,), "gap", 0)
         assert len(bank.certs) == bank.ap.length + 1 == 6
         assert_bank_reserves_its_use(bank)
         unused = [key for key in bank.buckets if not largest_use(bank.certs)[key]]
@@ -265,14 +263,14 @@ def make_pairs(gap_counts, spacing=5):
         for _ in range(count):
             pairs.append((v, v + g))
             v += g + spacing
-    return PairSet(tuple(pairs))
+    return tuple(pairs)
 
 
 class TestApByPairs:
     def test_toy_against_subset_oracle(self):
         t = make_pairs([(1, 32), (2, 32)])
         bank = ap_by_pairs(t, 2, TUNED)
-        base = PairSet(bank.pairs).endpoints()
+        base = S(itertools.chain.from_iterable(bank.pairs))
         tbl = brute_subset_sums(base, bank.ap.last + 1)
         witness = ApWitness(bank)
         for j in range(bank.ap.length + 1):
@@ -295,7 +293,7 @@ class TestApByPairs:
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionViolated):
-            ap_by_pairs(PairSet(()), 2, TUNED)
+            ap_by_pairs((), 2, TUNED)
 
     def test_paper_cap_enforced(self):
         t = make_pairs([(1, 8)])
@@ -307,13 +305,15 @@ class TestApByPairs:
 class TestShortAp:
     def test_consecutive_toy(self):
         a = S(range(1, 4001))
-        res = short_ap_in_subset_sums(a, 10, TUNED)
-        assert res.ap.length == 10
-        assert res.ap.diff * (len(a) // 4) <= a.max
-        tbl = brute_subset_sums(res.coreset, res.ap.last + 1)
+        bank = short_ap_in_subset_sums(a, 10, TUNED)
+        assert bank.ap.length == 10
+        assert bank.ap.diff * (len(a) // 4) <= a.max
+        coreset = S(itertools.chain.from_iterable(bank.pairs))
+        tbl = brute_subset_sums(coreset, bank.ap.last + 1)
+        witness = ApWitness(bank)
         for j in range(11):
-            sol = res.witness.query(j, RandomSource(j))
-            assert verify_solution(res.coreset, sol)
+            sol = witness.query(j, RandomSource(j))
+            assert verify_solution(coreset, sol)
             vals = [v for v, _ in sol.parts]
             assert len(vals) == len(set(vals))
             assert sol.target in tbl
@@ -475,7 +475,7 @@ class TestResidueLadder:
         ladder = residue_ladder(pairs, 4, TUNED, seed=9)
         d, dp = 4, ladder.dp
         assert 4 % dp == 0 and dp < 4
-        base = PairSet(ladder.bank.pairs).endpoints()
+        base = S(itertools.chain.from_iterable(ladder.bank.pairs))
         for i in range(d // dp):
             q, parts = ladder.lookup(i)
             assert (q - ladder.s_q) % d == (i * dp) % d
@@ -499,6 +499,23 @@ class TestResidueLadder:
     def test_divisible_gap_rejected(self):
         with pytest.raises(PreconditionViolated):
             residue_ladder(((0, 4),), 4, TUNED)
+
+    @pytest.mark.parametrize("pairs, d, seed", [
+        (tuple((20 * i + 1, 20 * i + 2 + (i % 2)) for i in range(40)), 4, 9),
+        (tuple((100 * i + 1, 100 * i + 1 + (7, 9, 14)[i % 3]) for i in range(60)), 6, 3),
+    ], ids=["d4", "d6"])
+    def test_layer_resolves_every_outer_index(self, pairs, d, seed):
+        ladder = residue_ladder(pairs, d, TUNED, seed=seed)
+        inner = ArithProgression(5, d, ladder.h_max - ladder.h_min + 3)
+        layer = LadderLayer(inner, ladder)
+        endpoints = set(itertools.chain.from_iterable(ladder.bank.pairs))
+        for j in range(layer.outer.length + 1):
+            inner_j, parts = layer.resolve(j)
+            vals = [v for v, c in parts if c == 1]
+            assert len(vals) == len(parts) == len(set(vals))
+            assert endpoints.issuperset(vals)
+            assert 0 <= inner_j <= inner.length
+            assert inner.term(inner_j) + sum(vals) == layer.outer.term(j)
 
 
 class TestExtendOnce:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apcert import sumset_ap
+from apcert.augment import ApWitness
 from apcert.core import (
     CompactSolution,
     PreconditionViolated,
@@ -159,16 +160,18 @@ def top_block_set(rnd, g):
 class TestApShort:
     def test_minimal(self):
         a = S([0, 1])
-        p, w = ap_short(a, 1, 1)
+        leaf = ap_short(a, 1, 1)
+        p = leaf.ap
         assert p.diff == 1
         assert p.length * min(p.diff, len(a)) >= 5
-        sol = w.query(3, RandomSource(0))
+        sol = ApWitness(leaf, (), fold_budget=320).query(3, RandomSource(0))
         assert verify_solution(a, sol)
 
     def test_sparse_with_close_pair(self):
         a = S(list(range(0, 101, 10)) + [101])
         m, k = 101, 12
-        p, w = ap_short(a, m, k)
+        leaf = ap_short(a, m, k)
+        p, w = leaf.ap, ApWitness(leaf, (), fold_budget=320 * k)
         assert p.diff == 1  # closest pair is (100, 101)
         for j in random.Random(0).sample(range(p.length + 1), 30):
             sol = w.query(j, RandomSource(j))
@@ -191,8 +194,7 @@ class TestApShort:
         for g in (1, 2, 3):
             for family in (gapped_set, top_block_set):
                 base = family(rnd, g)
-                _, w = ap_short(base, base.max, ceil_div(base.max + 1, len(base)))
-                leaf = w.leaf
+                leaf = ap_short(base, base.max, ceil_div(base.max + 1, len(base)))
                 assert leaf.g == g
                 assert (leaf.u >= 0) == (family is top_block_set), (g, leaf.u)
                 branches = set()
@@ -213,8 +215,7 @@ class TestApShort:
     def test_one_pass_matches_two_step_reference(self, g, top, seed, js):
         rnd = random.Random(seed)
         base = (top_block_set if top else gapped_set)(rnd, g)
-        _, w = ap_short(base, base.max, ceil_div(base.max + 1, len(base)))
-        leaf = w.leaf
+        leaf = ap_short(base, base.max, ceil_div(base.max + 1, len(base)))
         for j in js:
             j %= leaf.ap.length + 1
             parts = leaf.query_parts(j, RandomSource(j))
@@ -227,7 +228,7 @@ class TestApShort:
             n = rnd.randint(2, min(30, m))
             a = S({0} | set(rnd.sample(range(1, m + 1), n - 1)))
             k = ceil_div(m + 1, len(a))
-            p, _ = ap_short(a, m, k)
+            p = ap_short(a, m, k).ap
             assert p.diff * len(a) <= 2 * m
             assert p.length * min(p.diff, len(a)) >= 5 * m
 
