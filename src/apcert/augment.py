@@ -37,7 +37,6 @@ from .core import (
     ceil_log2,
     contract,
     gcd_all,
-    merge_counts,
     require,
     solve_residue_coefficient,
 )
@@ -93,15 +92,16 @@ class ApWitness:
         for layer in self.layers:
             j, extra = layer.resolve(j)
             collected.extend(extra)
-        collected.extend(self.leaf.query_parts(j, rng))
+        leaf_parts = self.leaf.query_parts(j, rng)
         if self.fold_budget:
-            # a leaf alone emits each value once; a repeat (or a layer) needs a merge
-            counts = dict(collected) if not self.layers else None
-            if counts is None or len(counts) != len(collected):
-                counts = merge_counts(collected)
+            counts = dict(leaf_parts)
+            contract(len(counts) == len(leaf_parts), "a fold-mode leaf emits each value once")
+            for v, c in collected:
+                counts[v] = counts.get(v, 0) + c
             sol = CompactSolution.from_counts(counts, target, self.fold_budget)
             total = sum(v * c for v, c in sol.parts)
         else:
+            collected.extend(leaf_parts)
             values, counts = zip(*collected) if collected else ((), ())
             contract(counts.count(1) == len(counts), "subset-sum parts must have count 1")
             contract(len(set(values)) == len(values), "subset-sum parts must be distinct")
@@ -259,7 +259,6 @@ def augment_nondiv_pair(p: ArithProgression, a: int, g: int) -> LadderLayer:
     """Subdivide P's difference using a pair whose gap d does not divide;
     the layer's outer progression has the new difference d' = gcd(d, g)."""
     require(p.diff > 1, "diff-above-one", f"diff={p.diff}")
-    require(g >= 1 and g % p.diff != 0, "pair-gap-not-divisible", f"d={p.diff}, g={g}")
     ladder = PairLadder(p.diff, a, g)
     require(
         p.length >= g // ladder.dp,

@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
     claims: ap-sumset certificates carry the declared fold budget;
     ap-subsetsum certificates are subsets (budget 0) of the reported coreset,
     which must lie inside the input; every certificate claims the term of
-    the report's `ap` at its index."""
+    the report's `ap` at its index, which must lie in [0, ap length]."""
     with open(args.report, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
@@ -274,6 +274,7 @@ def cmd_verify(args) -> int:
             raise PreconditionViolated("malformed-report", "ap is not a JSON object")
         start = _report_int(ap.get("start"), "ap start")
         diff = _report_int(ap.get("diff"), "ap diff")
+        length = _report_int(ap.get("length"), "ap length")
     command = report.get("command")
     base_error = None
     if command == "ap-sumset":
@@ -293,7 +294,8 @@ def cmd_verify(args) -> int:
         )
     failures = []
     for index, sol in certs:
-        reason = base_error or check_certificate(base, sol, budget, start + index * diff)
+        reason = ("index-out-of-range" if not 0 <= index <= length
+                  else base_error or check_certificate(base, sol, budget, start + index * diff))
         if reason is not None:
             failures.append((index, reason))
     out = {

@@ -374,14 +374,6 @@ def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
     return None
 
 
-def merge_counts(*part_groups: Iterable[tuple[int, int]]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for group in part_groups:
-        for v, c in group:
-            out[v] = out.get(v, 0) + c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Randomness
 # ---------------------------------------------------------------------------

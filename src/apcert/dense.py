@@ -247,14 +247,6 @@ class DenseDecomposition:
     r_table: ResidueTable           # S(R) mod the diff
     bulk_blocks: tuple[int, ...]    # block_sums(G)
 
-    @property
-    def diff(self) -> int:
-        return self.progression.ap.diff
-
-    @property
-    def start(self) -> int:
-        return self.progression.ap.start
-
     def region(self) -> tuple[int, int]:
         """Inclusive target region [lo, hi]."""
         return self.lo, self.hi
@@ -264,10 +256,7 @@ def build_rpg(
     a_raw, profile: ConstantsProfile = TUNED, seed: int = 0
 ) -> DenseDecomposition:
     """Split a dense set into remainder / progression / bulk with witnesses."""
-    if isinstance(a_raw, SortedIntSet):
-        a, dups = a_raw, 0
-    else:
-        a, dups = normalize(a_raw)
+    a, dups = normalize(a_raw)
     require(dups == 0, "set-input", f"{dups} duplicate values (multisets unsupported)")
     require(len(a) >= 1, "set-nonempty")
     require(a.min >= 1, "positive-elements")
@@ -386,7 +375,8 @@ def _search_reduced(d: DenseDecomposition, z: int, rng: RandomSource) -> list[in
     """Subset of the reduced set summing to z via greedy bulk + remainder +
     progression witness, unsorted; dense_search checks it."""
     m1 = d.reduced.max
-    s, diff = d.start, d.diff
+    ap = d.progression.ap
+    s, diff = ap.start, ap.diff
     # diff > 1 pays up to diff*(m1+1) to the remainder set afterwards;
     # diff == 1 needs no remainder and lands directly above s
     offset = diff * (m1 + 1) if diff > 1 else 0
@@ -399,7 +389,7 @@ def _search_reduced(d: DenseDecomposition, z: int, rng: RandomSource) -> list[in
     t_p = z - acc - sum(r_taken)
     contract((t_p - s) % diff == 0, "progression residue mismatch")
     j = (t_p - s) // diff
-    contract(0 <= j <= d.progression.ap.length, f"progression index {j} out of range")
+    contract(0 <= j <= ap.length, f"progression index {j} out of range")
     sol = d.progression.witness.query(j, rng)
     g_taken += r_taken
     g_taken += [v for v, _ in sol.parts]

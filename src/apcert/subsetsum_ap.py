@@ -46,22 +46,18 @@ Pair = tuple[int, int]
 # Conflict-free pair sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairSet:
-    """Conflict-free (lo, hi) pairs: lo < hi and no integer in two pairs."""
-
-    pairs: tuple[Pair, ...]
-
-    def __post_init__(self):
-        # C-level passes; the loop names the first fault only when one fails
-        p = self.pairs
-        if not (all(starmap(lt, p)) and len(set(chain.from_iterable(p))) == 2 * len(p)):
-            seen: set[int] = set()
-            for lo, hi in p:
-                require(lo < hi, "pair-ordered", f"({lo}, {hi})")
-                require(lo not in seen and hi not in seen, "conflict-free", f"({lo}, {hi})")
-                seen.add(lo)
-                seen.add(hi)
+def conflict_free_pairs(pairs: Sequence[Pair]) -> tuple[Pair, ...]:
+    """`pairs` as a tuple, checked conflict-free (lo < hi, no integer in two
+    pairs) in C-level passes; the loop names the first fault only on one."""
+    p = tuple(pairs)
+    if not (all(starmap(lt, p)) and len(set(chain.from_iterable(p))) == 2 * len(p)):
+        seen: set[int] = set()
+        for lo, hi in p:
+            require(lo < hi, "pair-ordered", f"({lo}, {hi})")
+            require(lo not in seen and hi not in seen, "conflict-free", f"({lo}, {hi})")
+            seen.add(lo)
+            seen.add(hi)
+    return p
 
 
 def gen_pairs(a: SortedIntSet) -> tuple[Pair, ...]:
@@ -483,7 +479,7 @@ def residue_ladder(
     d' = gcd of the gap residues together with d, a proper divisor of d.
     """
     require(d >= 2, "modulus-at-least-2", f"d={d}")
-    pairs = PairSet(tuple(pairs)).pairs
+    pairs = conflict_free_pairs(pairs)
     require(
         all((hi - lo) % d for lo, hi in pairs),
         "gaps-not-divisible",
@@ -508,13 +504,6 @@ def residue_ladder(
 # One augmentation round and the full pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtendOnceResult:
-    ap: ArithProgression
-    layers: tuple[Layer, ...]
-    used: SortedIntSet
-
-
 def extend_ap_once(
     p: ArithProgression,
     pool: SortedIntSet,
@@ -523,9 +512,9 @@ def extend_ap_once(
     profile: ConstantsProfile,
     gain_target: int,
     seed: int = 0,
-) -> ExtendOnceResult:
-    """Grow the progression by at least gain_target using pairs from the
-    pool; consumed elements are reported in `used`."""
+) -> tuple[ArithProgression, tuple[Layer, ...], SortedIntSet]:
+    """(ap, layers, used): the progression grown by at least gain_target with
+    pool pairs, its layers outermost first, and the pool elements consumed."""
     d, ell = p.diff, p.length
     gamma = gamma_parameter(m, n, ell, profile)
     if profile.enforce_caps:
@@ -566,7 +555,7 @@ def extend_ap_once(
         raise Exhausted(
             f"augmentation gained {cur.length - ell}, wanted {gain_target}"
         )
-    return ExtendOnceResult(cur, tuple(layers), SortedIntSet.from_iterable(used_vals))
+    return cur, tuple(layers), SortedIntSet.from_iterable(used_vals)
 
 
 def coreset_size_bound(ell: int, n: int, profile: ConstantsProfile) -> int:
@@ -646,10 +635,10 @@ def ap_in_subset_sums(
                 if profile.enforce_caps or gain_target <= 1:
                     raise Exhausted(exc.reason, partial=p) from exc
                 gain_target //= 2
-        p = step.ap
-        layers = list(step.layers) + layers
-        coreset_vals.update(step.used)
-        pool = pool.without(step.used)
+        p, step_layers, used = step
+        layers = list(step_layers) + layers
+        coreset_vals.update(used)
+        pool = pool.without(used)
     coreset = SortedIntSet.from_iterable(coreset_vals)
     contract(p.diff * big_n <= 7 * m, f"diff {p.diff} above 7m/n")
     bound = coreset_size_bound(ell, big_n, profile)

@@ -76,8 +76,8 @@ class UnboundedSolver:
         reduced = SortedIntSet((0, *(v // d for v in values[:-1])))
         self.ka: KfoldApResult = ap_in_kfold_sumset(reduced, a_n - 1, ceil_div(a_n, n))
         self.threshold = 333 * ceil_div(a_n, n - 1) * values[-2]
-        # a_n is invertible modulo d, so i_t = t * a_n^'-1' hits t's residue
-        self.inv_an = pow(a_n % d, -1, d) if d > 1 else 0
+        # a_n is invertible modulo d, so i_t = t * a_n^'-1' hits t's residue (0 at d = 1)
+        self.inv_an = pow(a_n, -1, d)
         # inner index r -> its multipliers of _lower
         self._lower = values[:-1]
         self._rows: dict[int, tuple[int, ...]] = {}
@@ -86,7 +86,7 @@ class UnboundedSolver:
         if t < self.threshold:
             raise PreconditionViolated("target-above-threshold", f"t={t} < {self.threshold}")
         d, a_n = self.d, self.a_n
-        i_t = (t % d) * self.inv_an % d if d > 1 else 0
+        i_t = t * self.inv_an % d
         rest = t - i_t * a_n
         if rest % d:
             raise InternalContract("residue choice must clear the modulus")
@@ -105,14 +105,10 @@ class UnboundedSolver:
         return out
 
     def _certify(self, r: int, rng: RandomSource) -> tuple[int, ...]:
-        """Query the witness for inner index r; store and return its row."""
-        sol = self.ka.witness.query(r, rng)
+        """Query the witness for inner index r; store and return its row,
+        read off the certificate's merged parts, one per reduced value v // d."""
+        counts = dict(self.ka.witness.query(r, rng).parts)
         d = self.d
-        counts: dict[int, int] = {}
-        for v, c in sol.parts:
-            if v == 0:
-                continue
-            counts[v * d] = counts.get(v * d, 0) + c
-        row = tuple(counts.get(v, 0) for v in self._lower)
+        row = tuple(counts.get(v // d, 0) for v in self._lower)
         self._rows[r] = row
         return row

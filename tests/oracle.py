@@ -21,7 +21,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from apcert.core import (
     MAX_ELEMENT,
@@ -36,7 +36,6 @@ from apcert.core import (
     check_solution,
     contract,
     density_with_argmin,
-    merge_counts,
     require,
 )
 from apcert.density_witness import kfold_greedy_steps
@@ -89,6 +88,15 @@ def check_solution_loop(base: SortedIntSet, sol: CompactSolution) -> Optional[st
     if sol.fold_budget > 0 and total > sol.fold_budget:
         return "budget-exceeded"
     return None
+
+
+def merge_counts(*part_groups: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The counts of each value over all the groups, added up."""
+    out: dict[int, int] = {}
+    for group in part_groups:
+        for v, c in group:
+            out[v] = out.get(v, 0) + c
+    return out
 
 
 def total_count(sol: CompactSolution) -> int:
@@ -444,7 +452,7 @@ def check_sorted_elems(elems: Sequence[int]) -> None:
 
 
 def check_pairs(pairs: Sequence[tuple[int, int]]) -> None:
-    """Reference for `PairSet.__post_init__`: the first pair that is not
+    """Reference for `subsetsum_ap.conflict_free_pairs`: the first pair that is not
     ordered or shares an endpoint with an earlier pair raises."""
     seen: set[int] = set()
     for lo, hi in pairs:

@@ -400,12 +400,22 @@ class TestFoldWitnessCounts:
         assert w.query(0, RandomSource(0)).parts == ((3, 1), (7, 1))
         assert w.query(1, RandomSource(0)).parts == ((3, 1), (4, 2))
 
-    def test_repeated_leaf_value_is_merged(self):
-        # 5 arrives twice from the leaf: its counts must add up, not overwrite
+    def test_repeated_leaf_value_is_a_contract(self):
+        # a fold-mode leaf emits each value once: 5 arriving twice is a bug
         leaf = ExplicitLeaf(AP(19, 1, 0), {0: [(5, 1), (2, 2), (5, 2)]})
-        sol = ApWitness(leaf, (), fold_budget=5).query(0, RandomSource(0))
-        assert sol.parts == ((2, 2), (5, 3))
-        assert sol.target == 19
+        with pytest.raises(InternalContract, match="emits each value once"):
+            ApWitness(leaf, (), fold_budget=5).query(0, RandomSource(0))
+
+    def test_layer_part_adds_into_a_leaf_value(self):
+        # the layer's low end 3, and past its threshold its high end 7, is
+        # also a leaf value: the counts must add up, not overwrite
+        leaf = ExplicitLeaf(AP(10, 1, 4), {0: [(3, 1), (7, 1)], 1: [(3, 1), (8, 1)]})
+        w = ApWitness(leaf, (DivPairLayer(leaf.ap, 3, 4, 1),), fold_budget=3)
+        assert w.ap == AP(13, 1, 8)
+        for j, parts in [(0, ((3, 2), (7, 1))), (1, ((3, 2), (8, 1))),
+                         (4, ((3, 1), (7, 2))), (5, ((3, 1), (7, 1), (8, 1)))]:
+            sol = w.query(j, RandomSource(j))
+            assert (sol.parts, sol.target) == (parts, 13 + j)
 
 
 class TestSubsetWitnessContracts:

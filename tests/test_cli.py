@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,9 +7,9 @@ import apcert.cli
 import apcert.sumset_ap
 from apcert.augment import ApWitness
 from apcert.cli import main, verify_terms
-from apcert.core import CompactSolution, merge_counts, normalize
+from apcert.core import CompactSolution, normalize
 from apcert.sumset_ap import ap_in_kfold_sumset
-from oracle import block_plus_sparse
+from oracle import block_plus_sparse, merge_counts
 
 
 @pytest.fixture
@@ -335,6 +336,10 @@ def _duplicate_first_part(rep):
     parts.insert(1, list(parts[0]))
 
 
+def _index_past_the_ap(rep):
+    rep["certificates"][-1]["index"] = rep["ap"]["length"] + 1
+
+
 class TestVerifyCommand:
     def test_round_trip(self, workdir, capsys, tmp_path):
         _, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt",
@@ -365,11 +370,14 @@ class TestVerifyCommand:
         (_add_foreign_coreset_value, "b.txt", 2, "coreset-not-in-input"),
         (_swap_last_value_out_of_coreset, "b.txt", 2, "value-not-in-base"),
         (_duplicate_first_part, "b.txt", 2, "parts-not-sorted-distinct"),
+        (_index_past_the_ap, "b.txt", 2, "index-out-of-range"),
         ("{not json", "b.txt", 1, "malformed-report"),
         (lambda rep: rep.update(command="dense"), "b.txt", 1, "malformed-report"),
+        (lambda rep: rep["ap"].update(length=None), "b.txt", 1, "malformed-report"),
         (None, "missing.txt", 1, None),
     ], ids=["valid", "tampered-count", "coreset-outside-input", "part-outside-coreset",
-            "duplicated-part", "not-json", "certificates-in-dense", "missing-input"])
+            "duplicated-part", "index-past-the-ap", "not-json", "certificates-in-dense",
+            "non-integer-ap-length", "missing-input"])
     def test_exit_codes(self, workdir, capsys, tmp_path, edit, input_name, code, name):
         _, out = run(capsys, "ap-subsetsum", "--input", workdir / "b.txt", "--ell", "60",
                      "--seed", "3", "--sample", "4", "--json")
@@ -494,6 +502,18 @@ class TestVerifyCommand:
                     dict(rep, ap={"start": 0}), no_ap):
             code, out = self._verify(capsys, tmp_path, bad, workdir / "a.txt")
             assert code == 1 and out["name"] == "malformed-report"
+
+    def test_valid_certificate_past_the_ap_is_refused(self, capsys, tmp_path):
+        # one count moved from 0 to 1 certifies 2001, a sum in the sumset,
+        # but the term after the last of the report's progression
+        golden = Path(__file__).parent / "golden"
+        rep = json.loads((golden / "cli" / "ap-sumset-r1.stdout").read_text())
+        cert = rep["certificates"][-1]
+        assert cert["index"] == rep["ap"]["length"] == 2000
+        assert cert["parts"] == [[0, 1959], [1, 15], [522, 1], [1463, 1]]
+        cert.update(index=2001, target=2001, parts=[[0, 1958], [1, 16], [522, 1], [1463, 1]])
+        code, out = self._verify(capsys, tmp_path, rep, golden / "inputs" / "r1.txt")
+        assert code == 2 and out["failures"] == [[2001, "index-out-of-range"]]
 
     def test_fold_budget_bound_to_the_report(self, workdir, capsys, tmp_path):
         rep = self._sumset_report(workdir, capsys)

@@ -281,7 +281,7 @@ class TestResidueTables:
     @pytest.mark.parametrize("q, k, diff", [(5, 12, 5), (6, 20, 3)])
     def test_diff_table_walks_match_the_dp(self, q, k, diff):
         d = build_rpg(multiples_plus_top(q, 1200, k), TUNED, seed=0)
-        assert d.diff == diff
+        assert d.progression.ap.diff == diff
         for r in range(diff):
             got = walk_residue_table(d.r_table, r)
             assert got is not None

@@ -26,13 +26,12 @@ from apcert.core import (
 )
 from apcert.profiles import PAPER, TUNED
 from apcert.subsetsum_ap import (
-    ExtendOnceResult,
     GapScan,
     PairBank,
-    PairSet,
     ap_by_pairs,
     ap_in_subset_sums,
     bank_pairs,
+    conflict_free_pairs,
     coreset_size_bound,
     extend_ap_once,
     extract_aug_pairs,
@@ -76,11 +75,11 @@ def faulty_pairs(draw):
 class TestPairSet:
     def test_conflict_detected(self):
         with pytest.raises(PreconditionViolated):
-            PairSet(((1, 2), (2, 3)))
+            conflict_free_pairs(((1, 2), (2, 3)))
 
     @given(faulty_pairs())
     def test_same_error_as_the_pair_loop(self, pairs):
-        assert error_of(PairSet, pairs) == error_of(check_pairs, pairs)
+        assert error_of(conflict_free_pairs, pairs) == error_of(check_pairs, pairs)
 
     @pytest.mark.parametrize("pairs, error", [
         ((), None),
@@ -91,7 +90,7 @@ class TestPairSet:
         (((0, 1), (4, 4), (1, 2)), (PreconditionViolated, "pair-ordered", "(4, 4)")),
     ])
     def test_first_fault_wins(self, pairs, error):
-        assert error_of(PairSet, pairs) == error == error_of(check_pairs, pairs)
+        assert error_of(conflict_free_pairs, pairs) == error == error_of(check_pairs, pairs)
 
 
 class TestGenPairs:
@@ -522,9 +521,9 @@ class TestExtendOnce:
     def test_growth_and_disjoint_consumption(self):
         pool = S(range(1, 3001))
         p = ArithProgression(50, 1, 64)
-        step = extend_ap_once(p, pool, 500, 3000, TUNED, gain_target=32, seed=1)
-        assert step.ap.length >= 96
-        assert all(v in pool for v in step.used)
+        ap, _, used = extend_ap_once(p, pool, 500, 3000, TUNED, gain_target=32, seed=1)
+        assert ap.length >= 96
+        assert all(v in pool for v in used)
 
     def test_availability_enforced_under_paper(self):
         pool = S(range(1, 3001))
@@ -542,7 +541,7 @@ def spy_rounds(monkeypatch, edit=lambda step: step):
     def spy(p, pool, *args):
         calls.append([pool.elems, None])
         step = real(p, pool, *args)
-        calls[-1][1] = set(step.used)
+        calls[-1][1] = set(step[2])
         return edit(step)
 
     monkeypatch.setattr(apcert.subsetsum_ap, "extend_ap_once", spy)
@@ -568,7 +567,8 @@ class TestPoolShrink:
 
     def test_used_value_outside_the_pool_is_a_contract(self, monkeypatch):
         def stray(step):
-            return ExtendOnceResult(step.ap, step.layers, S([*step.used, 10**6]))
+            ap, layers, used = step
+            return ap, layers, S([*used, 10**6])
 
         spy_rounds(monkeypatch, stray)
         with pytest.raises(InternalContract, match="not in the set"):

@@ -16,7 +16,6 @@ from apcert.core import (
     SortedIntSet,
     ceil_div,
     gcd_all,
-    merge_counts,
 )
 from apcert.sumset_ap import (
     Side,
@@ -28,6 +27,7 @@ from apcert.sumset_ap import (
 from oracle import (
     brute_kfold,
     closest_pair_lift,
+    merge_counts,
     restricted_pairs,
     total_count,
     verify_solution,
