@@ -255,7 +255,8 @@ def cmd_verify(args) -> int:
     claims: ap-sumset certificates carry the declared fold budget;
     ap-subsetsum certificates are subsets (budget 0) of the reported coreset,
     which must lie inside the input; every certificate claims the term of
-    the report's `ap` at its index, which must lie in [0, ap length]."""
+    the report's `ap` at its index, which must lie in [0, ap length]. The
+    `ap` needs a diff of at least 1 and a length of at least 0."""
     with open(args.report, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
@@ -275,6 +276,10 @@ def cmd_verify(args) -> int:
         start = _report_int(ap.get("start"), "ap start")
         diff = _report_int(ap.get("diff"), "ap diff")
         length = _report_int(ap.get("length"), "ap length")
+        if diff < 1 or length < 0:
+            raise PreconditionViolated(
+                "malformed-report", f"ap diff {diff}, length {length}: need diff >= 1, length >= 0"
+            )
     command = report.get("command")
     base_error = None
     if command == "ap-sumset":

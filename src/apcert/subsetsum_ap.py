@@ -14,10 +14,11 @@ most once (checked on every merge).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, starmap
+from itertools import chain, compress, filterfalse, starmap
 from math import gcd
 from operator import lt
 from typing import Iterator, Optional, Sequence
@@ -265,17 +266,23 @@ def _gap_case(d: int, case1_cap: int, c2_lo: int, c2_hi: int):
     return case
 
 
-def _initial_walk(vals: Sequence[int], case, want: int) -> Iterator[int]:
-    """The indices i, ascending, whose original gap vals[i+1] - vals[i] is of
-    case `want`. Not a method: a generator holding its scan would make the
-    cycle scan -> generator -> frame -> scan, which only the cycle collector
-    frees."""
-    it = iter(vals)
-    prev = next(it, None)
-    for i, cur in enumerate(it):
+def _initial_walk(
+    vals: Sequence[int], gone: frozenset[int], case, want: int
+) -> Iterator[int]:
+    """The indices i not in `gone`, ascending, whose gap to the next index not
+    in `gone` is of case `want`. Not a method: a generator holding its scan
+    would make the cycle scan -> generator -> frame -> scan, which only the
+    cycle collector frees."""
+    alive = filterfalse(gone.__contains__, range(len(vals)))
+    i = next(alive, None)
+    if i is None:
+        return
+    prev = vals[i]
+    for j in alive:
+        cur = vals[j]
         if case(cur - prev) == want:
             yield i
-        prev = cur
+        i, prev = j, cur
 
 
 class GapScan:
@@ -293,8 +300,12 @@ class GapScan:
     appends re-classified ones behind: its initial entries all precede its
     tail, and either way a candidate is judged on the state at its pop. So a
     round reads gaps only up to its last pair, and none for case 1 when d = 1
-    (every gap is divisible). Links and deaths are stored only where a removal
-    changed them (defaults i - 1, i + 1, alive): set-up is O(1).
+    (every gap is divisible). The elements at the indices in `gone` start
+    dead, and set-up links the alive neighbours across each block of them,
+    O(|gone|); other links and deaths are stored only where a removal changed
+    them (defaults i - 1, i + 1, alive). A run's end comes from one bisect on
+    its value bound, cut before the first alive element of another class
+    mod d, since its gaps telescope.
     """
 
     def __init__(
@@ -304,6 +315,7 @@ class GapScan:
         ell: int,
         gamma: Fraction,
         profile: ConstantsProfile,
+        gone: frozenset[int] = frozenset(),
     ):
         self.vals = values
         self.n = len(values)
@@ -315,9 +327,19 @@ class GapScan:
         self.case = _gap_case(d, ell // profile.window_div, self.c2_lo, self.c2_hi)
         self.nxt: dict[int, int] = {}
         self.prv: dict[int, int] = {}
-        self.dead: set[int] = set()
-        self.fresh1 = _initial_walk(values, self.case, 1) if d > 1 else iter(())
-        self.fresh2 = _initial_walk(values, self.case, 2)
+        self.dead: set[int] = set(gone)
+        for i in gone:
+            if i - 1 not in gone:
+                # i starts a block of gone indices; q is the first index past it
+                q = i + 1
+                while q in gone:
+                    q += 1
+                if i > 0:
+                    self.nxt[i - 1] = q
+                if q < self.n:
+                    self.prv[q] = i - 1
+        self.fresh1 = _initial_walk(values, gone, self.case, 1) if d > 1 else iter(())
+        self.fresh2 = _initial_walk(values, gone, self.case, 2)
         self.c1: deque[int] = deque()
         self.c2: deque[int] = deque()
 
@@ -352,18 +374,23 @@ class GapScan:
     def _walk_run(self, start: int) -> Optional[tuple[int, int]]:
         """Accumulate consecutive divisible gaps from `start` as close to the
         window's upper edge as fits; one such run is one pair (its interior
-        elements survive), so longer runs mean more length gain per pair."""
-        cur = start
-        total = 0
-        end = start
-        while True:
-            g = self._gap(cur)
-            if g is None or g % self.d or total + g > self.c2_hi:
-                break
-            total += g
-            end = self.nxt.get(cur, cur + 1)
-            cur = end
-        if total >= self.c2_lo:
+        elements survive), so longer runs mean more length gain per pair.
+
+        The gaps of a run telescope to vals[end] - vals[start], so `end` is
+        the last alive index below both the value bound and the first alive
+        element of another class mod d."""
+        vals, d, dead = self.vals, self.d, self.dead
+        hi = bisect_right(vals, vals[start] + self.c2_hi, start)
+        if d > 1:
+            r = vals[start] % d
+            other = compress(
+                range(start + 1, hi), map(r.__ne__, map(d.__rmod__, vals[start + 1 : hi]))
+            )
+            hi = next(filterfalse(dead.__contains__, other), hi)
+        end = hi - 1
+        while end in dead:
+            end -= 1
+        if vals[end] - vals[start] >= self.c2_lo:
             return start, end
         return None
 
@@ -394,13 +421,15 @@ def extract_aug_pairs(
     n: int,
     profile: ConstantsProfile = TUNED,
     gain_target: Optional[int] = None,
+    gone: frozenset[int] = frozenset(),
 ) -> tuple[int, list[Pair]]:
-    """Extract conflict-free augmentation pairs until one case reaches its
-    target: case 1 at case1_pair_factor*d*log2(d) pairs, case 2 at
-    window_div*gamma pairs or (when given) at a total length gain of
-    gain_target. Returns (case, pairs of that case)."""
+    """Extract conflict-free augmentation pairs from `pool` less its elements
+    at the indices in `gone` until one case reaches its target: case 1 at
+    case1_pair_factor*d*log2(d) pairs, case 2 at window_div*gamma pairs or
+    (when given) at a total length gain of gain_target. Returns (case, pairs
+    of that case)."""
     gamma = gamma_parameter(m, n, ell, profile)
-    scan = GapScan(pool.elems, d, ell, gamma, profile)
+    scan = GapScan(pool.elems, d, ell, gamma, profile, gone)
     c1_target = (
         profile.case1_pair_factor * d * ceil_log2(d) if d >= 2 else None
     )
@@ -512,9 +541,11 @@ def extend_ap_once(
     profile: ConstantsProfile,
     gain_target: int,
     seed: int = 0,
+    gone: frozenset[int] = frozenset(),
 ) -> tuple[ArithProgression, tuple[Layer, ...], SortedIntSet]:
     """(ap, layers, used): the progression grown by at least gain_target with
-    pool pairs, its layers outermost first, and the pool elements consumed."""
+    pairs of `pool` less its elements at the indices in `gone`, its layers
+    outermost first, and the pool elements consumed."""
     d, ell = p.diff, p.length
     gamma = gamma_parameter(m, n, ell, profile)
     if profile.enforce_caps:
@@ -525,9 +556,9 @@ def extend_ap_once(
             + profile.reserve_factor * d * ceil_log2(max(d, 2))
             + ceil_div(profile.window_lo_div * gamma.numerator, gamma.denominator)
         )
-        require(len(pool) >= reserve, "aug-availability",
-                f"|pool|={len(pool)} < {reserve}")
-    case, pairs = extract_aug_pairs(pool, d, ell, m, n, profile, gain_target)
+        alive = len(pool) - len(gone)
+        require(alive >= reserve, "aug-availability", f"|pool|={alive} < {reserve}")
+    case, pairs = extract_aug_pairs(pool, d, ell, m, n, profile, gain_target, gone)
     layers: list[Layer] = []
     used_vals: list[int] = []
     if case == 2:
@@ -556,6 +587,20 @@ def extend_ap_once(
             f"augmentation gained {cur.length - ell}, wanted {gain_target}"
         )
     return cur, tuple(layers), SortedIntSet.from_iterable(used_vals)
+
+
+def _gone_with(elems: tuple[int, ...], gone: frozenset[int], values) -> frozenset[int]:
+    """`gone` plus the index in `elems` of each of `values`, every one an
+    element at an index not yet gone."""
+    idx = []
+    for v in values:
+        i = bisect_left(elems, v)
+        contract(
+            i < len(elems) and elems[i] == v and i not in gone,
+            "removed value is not in the set",
+        )
+        idx.append(i)
+    return gone.union(idx)
 
 
 def coreset_size_bound(ell: int, n: int, profile: ConstantsProfile) -> int:
@@ -616,8 +661,8 @@ def ap_in_subset_sums(
         ell0 = min(max(ell0, floor), max(cap, floor), ell)
         ell0 = max(ell0, 1)
     bank = short_ap_in_subset_sums(first, ell0, profile, seed)
-    coreset_vals = set(chain.from_iterable(bank.pairs))
-    pool = a.without(coreset_vals)
+    # the pool is `a` less its elements at the indices in `gone`
+    gone = _gone_with(a.elems, frozenset(), chain.from_iterable(bank.pairs))
     p = bank.ap
     layers: list[Layer] = []
     rounds = 0
@@ -629,7 +674,7 @@ def ap_in_subset_sums(
         while True:
             # a failed round consumes nothing, so retry with a smaller target
             try:
-                step = extend_ap_once(p, pool, nbar, m, profile, gain_target, seed + rounds)
+                step = extend_ap_once(p, a, nbar, m, profile, gain_target, seed + rounds, gone)
                 break
             except Exhausted as exc:
                 if profile.enforce_caps or gain_target <= 1:
@@ -637,9 +682,9 @@ def ap_in_subset_sums(
                 gain_target //= 2
         p, step_layers, used = step
         layers = list(step_layers) + layers
-        coreset_vals.update(used)
-        pool = pool.without(used)
-    coreset = SortedIntSet.from_iterable(coreset_vals)
+        gone = _gone_with(a.elems, gone, used)
+    # the elements of `a` at ascending indices
+    coreset = SortedIntSet._ordered(tuple(map(a.elems.__getitem__, sorted(gone))))
     contract(p.diff * big_n <= 7 * m, f"diff {p.diff} above 7m/n")
     bound = coreset_size_bound(ell, big_n, profile)
     if len(coreset) > bound:

@@ -2,7 +2,8 @@
 coin-style reachability, greedy sumsets (materialized and by membership) and
 k-fold greedy certificates, the restricted shift and closest-pair lift that
 the one-pass k-fold leaf must match value for value, the eager gap scan that the lazy `GapScan` must
-match pair for pair, the single divisible-pair step that a run of steps in
+match pair for pair and the gap-by-gap run walk that its bisected walk must
+match run for run, the single divisible-pair step that a run of steps in
 `DivPairLayer` must match part for part, the per-element input checks, the
 per-part certificate check and the pair harvest that the C-level passes of
 the package must match error for error, the per-element loops of the k-fold
@@ -324,10 +325,33 @@ def div_pair_step(d: int, a: int, g: int, h: int, j: int) -> tuple[int, tuple]:
     return inner_j, tuple(parts)
 
 
+def walk_run_by_steps(gap, nxt, start: int, d: int, c2_lo: int, c2_hi: int):
+    """(start, end) of the run of divisible gaps from `start`, read one gap at
+    a time: `gap(i)` is the gap from alive index i to the next alive index
+    `nxt(i)` (None past the last). The run stops before a gap d does not
+    divide or that takes its total above c2_hi, and counts only if its total
+    reaches c2_lo; otherwise None."""
+    cur = start
+    total = 0
+    end = start
+    while True:
+        g = gap(cur)
+        if g is None or g % d or total + g > c2_hi:
+            break
+        total += g
+        end = nxt(cur)
+        cur = end
+    if total >= c2_lo:
+        return start, end
+    return None
+
+
 class EagerGapScan:
-    """Reference for `subsetsum_ap.GapScan`, with the same interface: every
-    gap is classified up front into the deques c1 and c2, and the gaps
-    re-classified after a removal are appended behind them."""
+    """Reference for `subsetsum_ap.GapScan`, with the same interface: the
+    values at the indices in `gone` are dropped first, every gap of the rest
+    is classified up front into the deques c1 and c2, and the gaps
+    re-classified after a removal are appended behind them. Indices are into
+    the compacted values, which `vals` holds."""
 
     def __init__(
         self,
@@ -336,8 +360,9 @@ class EagerGapScan:
         ell: int,
         gamma: Fraction,
         profile: ConstantsProfile,
+        gone: frozenset[int] = frozenset(),
     ):
-        self.vals = list(values)
+        self.vals = [v for i, v in enumerate(values) if i not in gone]
         n = len(self.vals)
         self.d = d
         self.case1_cap = ell // profile.window_div
@@ -401,19 +426,9 @@ class EagerGapScan:
         return None
 
     def _walk_run(self, start: int) -> Optional[tuple[int, int]]:
-        cur = start
-        total = 0
-        end = start
-        while True:
-            g = self._gap(cur)
-            if g is None or g % self.d or total + g > self.c2_hi:
-                break
-            total += g
-            end = self.nxt[cur]
-            cur = end
-        if total >= self.c2_lo:
-            return start, end
-        return None
+        return walk_run_by_steps(
+            self._gap, self.nxt.__getitem__, start, self.d, self.c2_lo, self.c2_hi
+        )
 
     def remove_pair(self, i: int, j: int) -> None:
         for idx in (j, i):

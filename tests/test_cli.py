@@ -340,6 +340,18 @@ def _index_past_the_ap(rep):
     rep["certificates"][-1]["index"] = rep["ap"]["length"] + 1
 
 
+def _zero_diff_first_certificate(rep):
+    # certificate 0 claims ap.start whatever the diff, so it alone would pass
+    rep["ap"]["diff"] = 0
+    del rep["certificates"][1:]
+
+
+def _negative_diff_and_length(rep):
+    # no certificate is left to fail against the progression
+    rep["ap"].update(diff=-5, length=-1)
+    rep["certificates"] = []
+
+
 class TestVerifyCommand:
     def test_round_trip(self, workdir, capsys, tmp_path):
         _, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt",
@@ -374,10 +386,12 @@ class TestVerifyCommand:
         ("{not json", "b.txt", 1, "malformed-report"),
         (lambda rep: rep.update(command="dense"), "b.txt", 1, "malformed-report"),
         (lambda rep: rep["ap"].update(length=None), "b.txt", 1, "malformed-report"),
+        (_zero_diff_first_certificate, "b.txt", 1, "malformed-report"),
+        (_negative_diff_and_length, "b.txt", 1, "malformed-report"),
         (None, "missing.txt", 1, None),
     ], ids=["valid", "tampered-count", "coreset-outside-input", "part-outside-coreset",
             "duplicated-part", "index-past-the-ap", "not-json", "certificates-in-dense",
-            "non-integer-ap-length", "missing-input"])
+            "non-integer-ap-length", "zero-ap-diff", "negative-ap-length", "missing-input"])
     def test_exit_codes(self, workdir, capsys, tmp_path, edit, input_name, code, name):
         _, out = run(capsys, "ap-subsetsum", "--input", workdir / "b.txt", "--ell", "60",
                      "--seed", "3", "--sample", "4", "--json")

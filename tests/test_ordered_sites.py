@@ -82,7 +82,7 @@ def test_one_build_of_each_pipeline_reaches_every_site(sites):
     kfold = ap_in_kfold_sumset(vals, max(vals), 3)
     assert kfold.witness.leaf.g == 2
     _check_terms(SortedIntSet.from_iterable(vals), kfold.witness)
-    # subset sums: the pool shrinks through several rounds of `without`
+    # subset sums: several augmentation rounds, then the coreset
     vals = list(range(1, 1001))
     sub = ap_in_subset_sums(vals, 1000, TUNED, 7)
     assert sub.rounds >= 2

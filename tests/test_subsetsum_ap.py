@@ -48,6 +48,7 @@ from oracle import (
     error_of,
     gen_pairs_by_index,
     verify_solution,
+    walk_run_by_steps,
 )
 
 S = SortedIntSet.from_iterable
@@ -390,14 +391,36 @@ def scan_inputs(draw):
     return vals, d, ell, m, n, gain_target
 
 
-def _extract_or_exhausted(pool, d, ell, m, n, gain_target):
+@st.composite
+def gone_inputs(draw):
+    """scan_inputs plus values to be gone: blocks below and above the pool,
+    a block inside it and scattered values, so gone elements sit at both
+    ends and inside runs, and some are of another class mod d. Returns
+    (full pool, gone indices, compacted pool values, d, ell, m, n,
+    gain_target); the compacted values are those of scan_inputs."""
+    vals, d, ell, m, n, gain_target = draw(scan_inputs())
+    lo, hi = vals[0], vals[-1]
+    extra = set(range(lo - draw(st.integers(0, min(lo, 6))), lo))
+    extra |= set(range(hi + 1, hi + 1 + draw(st.integers(0, 6))))
+    x = draw(st.integers(lo, hi))
+    extra |= set(range(x, x + draw(st.integers(0, 8))))
+    extra |= draw(st.sets(st.integers(lo, hi + 1), max_size=30))
+    extra -= set(vals)
+    full = S(set(vals) | extra)
+    gone = frozenset(i for i, v in enumerate(full.elems) if v in extra)
+    return full, gone, vals, d, ell, m, n, gain_target
+
+
+def _extract_or_exhausted(pool, d, ell, m, n, gain_target, gone=frozenset()):
     try:
-        return extract_aug_pairs(pool, d, ell, m, n, TUNED, gain_target)
+        return extract_aug_pairs(pool, d, ell, m, n, TUNED, gain_target, gone)
     except Exhausted:
         return "exhausted"
 
 
 class TestGapScanMatchesEagerScan:
+    # the eager scan is patched in by position, and extract_aug_pairs hands
+    # GapScan the gone indices as its sixth argument
     @settings(max_examples=300, deadline=None)
     @given(scan_inputs())
     def test_same_case_and_pairs(self, args):
@@ -407,6 +430,31 @@ class TestGapScanMatchesEagerScan:
         with mock.patch.object(apcert.subsetsum_ap, "GapScan", EagerGapScan):
             eager = _extract_or_exhausted(pool, d, ell, m, n, gain_target)
         assert lazy == eager
+
+    @settings(max_examples=300, deadline=None)
+    @given(gone_inputs())
+    def test_gone_indices_match_the_compacted_pool(self, args):
+        full, gone, vals, d, ell, m, n, gain_target = args
+        lazy = _extract_or_exhausted(full, d, ell, m, n, gain_target, gone)
+        with mock.patch.object(apcert.subsetsum_ap, "GapScan", EagerGapScan):
+            eager = _extract_or_exhausted(S(vals), d, ell, m, n, gain_target)
+        assert lazy == eager
+
+    @settings(max_examples=150, deadline=None)
+    @given(gone_inputs(), st.randoms(use_true_random=False))
+    def test_bisected_run_matches_the_walk_by_steps(self, args, rnd):
+        # every alive start, on the set-up state and after each removal
+        full, gone, _, d, ell, m, n, _ = args
+        scan = GapScan(full.elems, d, ell, gamma_parameter(m, n, ell, TUNED), TUNED, gone)
+        for _ in range(6):
+            alive = [i for i in range(scan.n) if i not in scan.dead]
+            for i in alive:
+                assert scan._walk_run(i) == walk_run_by_steps(
+                    scan._gap, lambda k: scan.nxt.get(k, k + 1), i, d, scan.c2_lo, scan.c2_hi)
+            if len(alive) < 2:
+                break
+            k = rnd.randrange(len(alive) - 1)
+            scan.remove_pair(alive[k], alive[k + 1])
 
     @pytest.mark.parametrize("pool, d, ell, m, n, gain_target, case", [
         (range(1, 2001), 3, 600, 2000, 300, None, 1),
@@ -424,20 +472,26 @@ class TestGapScanMatchesEagerScan:
 
 
 class CountingRange(Sequence):
-    """range(1, n + 1) that counts the values read from it."""
+    """range(step, step * (n + 1), step) that counts the values read from
+    it, one per index and one per element of a slice."""
 
-    def __init__(self, n):
+    def __init__(self, n, step=1):
         self.n = n
+        self.step = step
         self.reads = 0
 
     def __len__(self):
         return self.n
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            idx = range(self.n)[i]
+            self.reads += len(idx)
+            return tuple(self.step * (k + 1) for k in idx)
         if not 0 <= i < self.n:
             raise IndexError(i)
         self.reads += 1
-        return i + 1
+        return self.step * (i + 1)
 
 
 class TestGapScanWork:
@@ -450,6 +504,20 @@ class TestGapScanWork:
         run = ell // TUNED.window_div
         assert case == 2 and 1 <= len(pairs) <= 20
         assert vals.reads <= 4 * len(pairs) * (run + 2)
+
+    def test_runs_at_d_above_one_read_each_run_once(self):
+        # d = 3 over a million multiples of 3, served by pop_case2 alone (a
+        # case-1 walk would read every gap): each run's end is one bisect,
+        # and its class cut reads the run's values once
+        d, ell = 3, 8000
+        vals = CountingRange(10**6, d)
+        scan = GapScan(vals, d, ell, gamma_parameter(1000, 1000, ell, TUNED), TUNED)
+        run = ell // TUNED.window_div
+        for _ in range(20):
+            i, j = scan.pop_case2()
+            assert j - i == run
+            scan.remove_pair(i, j)
+        assert vals.reads <= 20 * (run + 2 * vals.n.bit_length())
 
     def test_finished_scan_freed_without_the_cycle_collector(self):
         pool = tuple(range(1, 5001))
@@ -531,17 +599,29 @@ class TestExtendOnce:
         with pytest.raises(PreconditionViolated):
             extend_ap_once(p, pool, 500, 3000, PAPER, gain_target=32)
 
+    def test_availability_counts_only_the_alive_pool(self):
+        # n = m = 1, d = 1, ell = 16000: gamma = 5 and the reserve is
+        # n + 40000*d*log2(2) + 8000*gamma = 80001, the pool's full length
+        pool = S(range(1, 80002))
+        p = ArithProgression(0, 1, 16000)
+        ap, _, _ = extend_ap_once(p, pool, 1, 1, PAPER, gain_target=1)
+        assert ap.length > p.length
+        with pytest.raises(PreconditionViolated) as exc:
+            extend_ap_once(p, pool, 1, 1, PAPER, gain_target=1, gone=frozenset({0}))
+        assert exc.value.name == "aug-availability"
+
 
 def spy_rounds(monkeypatch, edit=lambda step: step):
-    """Record the pool every extend_ap_once call sees and the values each
-    successful one uses; `edit` may change the step it returns."""
+    """Record the pool and the gone indices every extend_ap_once call sees,
+    and the values each successful one uses; `edit` may change the step it
+    returns."""
     real = apcert.subsetsum_ap.extend_ap_once
     calls = []
 
-    def spy(p, pool, *args):
-        calls.append([pool.elems, None])
-        step = real(p, pool, *args)
-        calls[-1][1] = set(step[2])
+    def spy(p, pool, n, m, profile, gain_target, seed, gone):
+        calls.append([pool, gone, None])
+        step = real(p, pool, n, m, profile, gain_target, seed, gone)
+        calls[-1][2] = set(step[2])
         return edit(step)
 
     monkeypatch.setattr(apcert.subsetsum_ap, "extend_ap_once", spy)
@@ -554,16 +634,19 @@ class TestPoolShrink:
         sorted(random.Random(10000).sample(range(1, 10001), 5000)),
     ], ids=["consecutive", "half"])
     def test_each_round_sees_the_filtered_pool(self, monkeypatch, values):
+        # every round sees the whole input less its gone indices
         calls = spy_rounds(monkeypatch)
         res = ap_in_subset_sums(values, 10**4, TUNED, seed=7)
-        assert sum(used is not None for _, used in calls) == res.rounds >= 13
-        used_all = set().union(*(used for _, used in calls if used))
+        assert sum(used is not None for *_, used in calls) == res.rounds >= 13
+        used_all = set().union(*(used for *_, used in calls if used))
         short = set(res.coreset) - used_all
         pool = tuple(v for v in values if v not in short)
-        for seen, used in calls:
-            assert seen == pool
+        for full, gone, used in calls:
+            assert full.elems == tuple(values)
+            assert tuple(v for i, v in enumerate(full.elems) if i not in gone) == pool
             if used is not None:
                 pool = tuple(v for v in pool if v not in used)
+        assert set(values) - set(pool) == set(res.coreset)
 
     def test_used_value_outside_the_pool_is_a_contract(self, monkeypatch):
         def stray(step):
@@ -571,6 +654,17 @@ class TestPoolShrink:
             return ap, layers, S([*used, 10**6])
 
         spy_rounds(monkeypatch, stray)
+        with pytest.raises(InternalContract, match="not in the set"):
+            ap_in_subset_sums(list(range(1, 3001)), 3000, TUNED, seed=1)
+
+    def test_used_value_already_gone_is_a_contract(self, monkeypatch):
+        # a value of the input that an earlier stage consumed
+        def reused(step):
+            ap, layers, used = step
+            full, gone, _ = calls[-1]
+            return ap, layers, S([*used, full.elems[min(gone)]])
+
+        calls = spy_rounds(monkeypatch, reused)
         with pytest.raises(InternalContract, match="not in the set"):
             ap_in_subset_sums(list(range(1, 3001)), 3000, TUNED, seed=1)
 
