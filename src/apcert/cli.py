@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -56,18 +55,6 @@ def _emit(report: dict, as_json: bool, lines: Sequence[str]) -> None:
     else:
         for line in lines:
             sys.stdout.write(line + "\n")
-
-
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("APCERT_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise PreconditionViolated(
-            "malformed-seed", f"APCERT_SEED={env!r} is not an integer"
-        ) from None
 
 
 def _sample_indices(length: int, count: int) -> list[int]:
@@ -128,17 +115,17 @@ def _ap_dict(ap) -> dict:
     return {"start": ap.start, "diff": ap.diff, "length": ap.length}
 
 
-def _certify(args, seed: int, witness, base: SortedIntSet, report: dict,
-             where: str, build_s: float) -> int:
+def _certify(args, witness, base: SortedIntSet, report: dict, where: str,
+             build_s: float) -> int:
     """Shared tail of the two build commands: check every selected term once,
     report the --sample certificates, and exit 2 if any check failed."""
     ap = witness.ap
     sample = _sample_indices(ap.length, args.sample)
     indices = range(ap.length + 1) if args.verify_all else sample
-    summary = verify_terms(witness, base, seed, indices, sample)
+    summary = verify_terms(witness, base, args.seed, indices, sample)
     passed, checked = summary["passed"], summary["checked"]
     report.update(
-        schema=SCHEMA, seed=seed, ap=_ap_dict(ap), certificates=summary["certificates"],
+        schema=SCHEMA, seed=args.seed, ap=_ap_dict(ap), certificates=summary["certificates"],
         verification={"checked": checked, "passed": passed},
     )
     head = (f"{report['command']}: AP (start={ap.start}, diff={ap.diff}, length={ap.length})"
@@ -150,7 +137,6 @@ def _certify(args, seed: int, witness, base: SortedIntSet, report: dict,
 
 
 def cmd_ap_sumset(args) -> int:
-    seed = _seed_from(args)
     raw = load_int_set(args.input)
     t0 = time.perf_counter()
     base = normalize(raw)[0]
@@ -159,33 +145,31 @@ def cmd_ap_sumset(args) -> int:
     report = {"command": "ap-sumset", "m": args.m, "k": args.k, "k_eff": res.k_eff,
               "fold_budget": res.fold_budget}
     where = f"in {332 * args.k}-fold sumset (budget {res.fold_budget})"
-    return _certify(args, seed, res.witness, base, report, where, build_s)
+    return _certify(args, res.witness, base, report, where, build_s)
 
 
 def cmd_ap_subsetsum(args) -> int:
-    seed = _seed_from(args)
     raw = load_int_set(args.input)
     profile = PROFILES[args.profile]
     t0 = time.perf_counter()
-    res = ap_in_subset_sums(raw, args.ell, profile, seed)
+    res = ap_in_subset_sums(raw, args.ell, profile, args.seed)
     build_s = time.perf_counter() - t0
     report = {"command": "ap-subsetsum", "profile": profile.name, "ell": args.ell,
               "coreset_size": len(res.coreset), "coreset": list(res.coreset.elems),
               "rounds": res.rounds}
     where = f"in S(coreset), coreset size {len(res.coreset)}, {res.rounds} rounds"
-    return _certify(args, seed, res.witness, res.coreset, report, where, build_s)
+    return _certify(args, res.witness, res.coreset, report, where, build_s)
 
 
 def cmd_unbounded(args) -> int:
-    seed = _seed_from(args)
     raw = load_int_set(args.input)
     solver = UnboundedSolver(tuple(raw))
-    rng = RandomSource(seed).derive("unbounded", args.target)
+    rng = RandomSource(args.seed).derive("unbounded", args.target)
     sol = solver.solve(args.target, rng)
     report = {
         "schema": SCHEMA,
         "command": "unbounded",
-        "seed": seed,
+        "seed": args.seed,
         "target": args.target,
         "threshold": solver.threshold,
         "x": [[a, x] for a, x in sol.multipliers],
@@ -199,16 +183,15 @@ def cmd_unbounded(args) -> int:
 
 
 def cmd_dense(args) -> int:
-    seed = _seed_from(args)
     raw = load_int_set(args.input)
     profile = PROFILES[args.profile]
-    decomp = build_rpg(raw, profile, seed)
+    decomp = build_rpg(raw, profile, args.seed)
     decision = dense_decide(decomp, args.target)
     report = {
         "schema": SCHEMA,
         "command": "dense",
         "profile": profile.name,
-        "seed": seed,
+        "seed": args.seed,
         "target": args.target,
         "gamma": decomp.gamma,
         "region": list(decomp.region()),
@@ -218,7 +201,7 @@ def cmd_dense(args) -> int:
         report["solution"] = None
         _emit(report, args.json, [f"dense: target {args.target} is NOT a subset sum"])
         return EXIT_DECISION_NO
-    rng = RandomSource(seed).derive("dense", args.target)
+    rng = RandomSource(args.seed).derive("dense", args.target)
     sol = dense_search(decomp, args.target, rng)
     report["solution"] = sol
     lines = [f"dense: target {args.target} = sum of {len(sol)} elements"]
@@ -323,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, profile=False):
         p.add_argument("--input", required=True, help="integer-set file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: APCERT_SEED)")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if profile:
             p.add_argument("--profile", choices=list(PROFILES), default="tuned")

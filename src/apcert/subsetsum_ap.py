@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, compress, filterfalse, starmap
 from math import gcd
 from operator import lt
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .augment import ApWitness, DivPairLayer, Layer, LadderLayer
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     CompactSolution,
     Exhausted,
     MultiplicityExceeded,
+    PreconditionViolated,
     RandomSource,
     SortedIntSet,
     ceil_div,
@@ -78,37 +79,16 @@ def gen_pairs(a: SortedIntSet) -> tuple[Pair, ...]:
     return tuple(chosen)
 
 
-def uniformize(keys: Sequence[int]) -> tuple[int, list[int]]:
-    """The multiplicity u maximizing u * #{key : multiplicity >= u} (smallest
-    u on ties), and the indices of the first u occurrences of every key that
-    occurs at least u times; at least len(keys) / log2(2*len(keys)) survive.
+def uniformize(mult: Iterable[int]) -> int:
+    """The multiplicity u maximizing u * #{key : multiplicity >= u} over the
+    key multiplicities `mult`, the smallest u on ties.
 
-    The count of keys with multiplicity >= u is constant between consecutive
-    distinct multiplicities, so the score is maximized at a distinct value.
+    In ascending order, asc[i] * (len(asc) - i) is that score at u = asc[i]
+    (lower at a repeat of asc[i] than at its first index), and `max` keeps
+    the first, so the smallest, of equal scores.
     """
-    require(len(keys) >= 1, "pairs-nonempty")
-    mult: dict[int, int] = {}
-    for k in keys:
-        mult[k] = mult.get(k, 0) + 1
-    asc = sorted(mult.values())
-    u, best_score = 1, 0
-    for i, v in enumerate(asc):
-        if i and v == asc[i - 1]:
-            continue
-        score = v * (len(asc) - i)
-        if score > best_score:
-            u, best_score = v, score
-    taken: dict[int, int] = {}
-    kept: list[int] = []
-    for i, k in enumerate(keys):
-        if mult[k] >= u and taken.get(k, 0) < u:
-            taken[k] = taken.get(k, 0) + 1
-            kept.append(i)
-    contract(
-        len(kept) * ceil_log2(2 * len(keys)) >= len(keys),
-        "uniform subset below |T|/log2(2|T|)",
-    )
-    return u, kept
+    asc = sorted(mult)
+    return asc[max(range(len(asc)), key=lambda i: asc[i] * (len(asc) - i))]
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +150,22 @@ def bank_pairs(
     pairs: Sequence[Pair], keys: Sequence[int], bound: int, free: Sequence[int], noun: str,
     seed: int,
 ) -> PairBank:
-    """Uniformize the keys, certify every term of the progression of length
-    `bound` over the gcd-reduced kept keys and `free` values once, and keep
-    for each key as many pairs as the certificates use of it. `noun` names a
-    key in Exhausted."""
-    _, kept = uniformize(keys)
-    by_key: dict[int, list[Pair]] = {}
-    for i in kept:
-        by_key.setdefault(keys[i], []).append(pairs[i])
-    values = set(free) | set(by_key)
+    """Group the pairs by key in one pass, keep the keys of at least u pairs
+    (u from `uniformize`), certify every term of the progression of length
+    `bound` over the gcd-reduced kept keys and `free` values once, and bank
+    for each kept key its first pairs, as many as the certificates use of it.
+    `noun` names a key in Exhausted."""
+    require(len(pairs) >= 1, "pairs-nonempty")
+    groups: dict[int, list[Pair]] = {}
+    for key, pair in zip(keys, pairs):
+        groups.setdefault(key, []).append(pair)
+    u = uniformize(map(len, groups.values()))
+    kept_keys = sorted(k for k, g in groups.items() if len(g) >= u)
+    contract(
+        u * len(kept_keys) * ceil_log2(2 * len(pairs)) >= len(pairs),
+        "uniform subset below |T|/log2(2|T|)",
+    )
+    values = set(free).union(kept_keys)
     scale = gcd(*values)
     reduced = SortedIntSet.from_iterable(v // scale for v in values)
     witness = ap_in_kfold_sumset(reduced, bound, ceil_div(bound + 1, len(reduced))).witness
@@ -190,14 +177,12 @@ def bank_pairs(
             use[v] = max(use.get(v, 0), c)
     banked: list[Pair] = []
     buckets: dict[int, tuple[int, ...]] = {}
-    for key, plist in sorted(by_key.items()):
+    for key in kept_keys:
         need = use.get(key // scale, 0)
-        if need > len(plist):
-            raise Exhausted(
-                f"{noun} {key} needs multiplicity {need}, uniform set has {len(plist)}"
-            )
+        if need > u:
+            raise Exhausted(f"{noun} {key} needs multiplicity {need}, uniform set has {u}")
         buckets[key // scale] = tuple(range(len(banked), len(banked) + need))
-        banked.extend(plist[:need])
+        banked.extend(groups[key][:need])
     base = sum(lo for lo, _ in banked)
     w = witness.ap
     ap = ArithProgression(base + w.start * scale, w.diff * scale, w.length)
@@ -214,11 +199,9 @@ def ap_by_pairs(
     bank.pairs, whose query_parts(j) certifies term j."""
     require(len(t) >= 1, "pairs-nonempty")
     gaps = [hi - lo for lo, hi in t]
-    require(
-        all(1 <= g <= g_bound for g in gaps),
-        "gaps-within-bound",
-        f"gaps up to {max(gaps)} vs bound {g_bound}",
-    )
+    g_max = max(gaps)
+    if min(gaps) < 1 or g_max > g_bound:
+        raise PreconditionViolated("gaps-within-bound", f"gaps up to {g_max} vs bound {g_bound}")
     if profile.enforce_caps:
         require(
             g_bound * profile.pair_cap * ceil_log2(2 * len(t)) <= len(t),
@@ -542,10 +525,10 @@ def extend_ap_once(
     gain_target: int,
     seed: int = 0,
     gone: frozenset[int] = frozenset(),
-) -> tuple[ArithProgression, tuple[Layer, ...], SortedIntSet]:
+) -> tuple[ArithProgression, tuple[Layer, ...], tuple[int, ...]]:
     """(ap, layers, used): the progression grown by at least gain_target with
     pairs of `pool` less its elements at the indices in `gone`, its layers
-    outermost first, and the pool elements consumed."""
+    outermost first, and the endpoints of the pairs it consumed."""
     d, ell = p.diff, p.length
     gamma = gamma_parameter(m, n, ell, profile)
     if profile.enforce_caps:
@@ -560,7 +543,6 @@ def extend_ap_once(
         require(alive >= reserve, "aug-availability", f"|pool|={alive} < {reserve}")
     case, pairs = extract_aug_pairs(pool, d, ell, m, n, profile, gain_target, gone)
     layers: list[Layer] = []
-    used_vals: list[int] = []
     if case == 2:
         cur = p
         for lo, hi in pairs:
@@ -569,7 +551,8 @@ def extend_ap_once(
             layer = DivPairLayer(cur, lo, hi - lo, 1)
             cur = layer.outer
             layers.insert(0, layer)
-            used_vals.extend((lo, hi))
+        # one layer per pair, in pair order
+        used = pairs[: len(layers)]
     else:
         ladder = residue_ladder(pairs, d, profile, seed)
         if p.length < ladder.h_max - ladder.h_min:
@@ -580,13 +563,12 @@ def extend_ap_once(
         layer = LadderLayer(p, ladder)
         cur = layer.outer
         layers = [layer]
-        for lo, hi in ladder.bank.pairs:
-            used_vals.extend((lo, hi))
+        used = ladder.bank.pairs
     if cur.length < ell + gain_target:
         raise Exhausted(
             f"augmentation gained {cur.length - ell}, wanted {gain_target}"
         )
-    return cur, tuple(layers), SortedIntSet.from_iterable(used_vals)
+    return cur, tuple(layers), tuple(chain.from_iterable(used))
 
 
 def _gone_with(elems: tuple[int, ...], gone: frozenset[int], values) -> frozenset[int]:

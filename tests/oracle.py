@@ -6,10 +6,11 @@ match pair for pair and the gap-by-gap run walk that its bisected walk must
 match run for run, the single divisible-pair step that a run of steps in
 `DivPairLayer` must match part for part, the per-element input checks, the
 per-part certificate check and the pair harvest that the C-level passes of
-the package must match error for error, the per-element loops of the k-fold
-build (endpoint scan, closest-gap class, gap pairs) that its C-level
-passes must match value for value and tie for tie, plus the small set and
-certificate helpers that only the tests read.
+the package must match error for error, the select-by-index uniformize whose
+selection the pair bank's one grouping pass must bank pair for pair, the
+per-element loops of the k-fold build (endpoint scan, closest-gap class, gap
+pairs) that its C-level passes must match value for value and tie for tie,
+plus the small set and certificate helpers that only the tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -500,6 +501,33 @@ def gen_pairs_by_index(a: SortedIntSet) -> tuple[tuple[int, int], ...]:
         if (elems[i + 1] - elems[i]) * n <= m:
             (even if i % 2 == 0 else odd).append((elems[i], elems[i + 1]))
     return tuple(even if len(even) >= len(odd) else odd)
+
+
+def uniformize_by_index(keys: Sequence[int]) -> tuple[int, list[int]]:
+    """Reference for `subsetsum_ap.uniformize` and the selection `bank_pairs`
+    makes from it: the multiplicity u maximizing u * #{key : multiplicity >=
+    u} (smallest u on ties), and the indices of the first u occurrences of
+    every key that occurs at least u times, from a count loop and a
+    select-by-index pass."""
+    require(len(keys) >= 1, "pairs-nonempty")
+    mult: dict[int, int] = {}
+    for k in keys:
+        mult[k] = mult.get(k, 0) + 1
+    asc = sorted(mult.values())
+    u, best_score = 1, 0
+    for i, v in enumerate(asc):
+        if i and v == asc[i - 1]:
+            continue
+        score = v * (len(asc) - i)
+        if score > best_score:
+            u, best_score = v, score
+    taken: dict[int, int] = {}
+    kept: list[int] = []
+    for i, k in enumerate(keys):
+        if mult[k] >= u and taken.get(k, 0) < u:
+            taken[k] = taken.get(k, 0) + 1
+            kept.append(i)
+    return u, kept
 
 
 def scan_two_pointer(elems: Sequence[int], m: int, k: int) -> int:

@@ -119,20 +119,11 @@ class TestApSumset:
                       "--k", "101", "--sample", "3", "--json")
         assert code == 0 and calls == [11]
 
-    def test_env_seed_fallback(self, workdir, capsys, monkeypatch):
-        monkeypatch.setenv("APCERT_SEED", "99")
-        _, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt",
-                     "--m", "1000", "--k", "101", "--json")
-        assert json.loads(out)["seed"] == 99
-
-    def test_env_seed_not_an_integer(self, workdir, capsys, monkeypatch):
-        monkeypatch.setenv("APCERT_SEED", "abc")
-        code, out = run(capsys, "ap-sumset", "--input", workdir / "a.txt",
-                        "--m", "1000", "--k", "101", "--json")
-        assert code == 1
-        rep = json.loads(out)
-        assert rep["error"] == "precondition" and rep["name"] == "malformed-seed"
-
+    def test_seed_defaults_to_zero(self, workdir, capsys):
+        args = ["ap-sumset", "--input", workdir / "a.txt", *M_K, "--sample", "3", "--json"]
+        _, out = run(capsys, *args)
+        assert json.loads(out)["seed"] == 0
+        assert run(capsys, *args, "--seed", "0")[1] == out
 
     @pytest.mark.parametrize("values, flags, code, error, detail", [
         (A_VALUES, M_K, 0, None, None),
@@ -197,7 +188,9 @@ class TestApSubsetsum:
         (range(1, 301), ELL + ["--workers", "2"], 1, USAGE,
          "unrecognized arguments: --workers 2"),
         (range(1, 301), [], 1, USAGE, "the following arguments are required: --ell"),
-    ], ids=["certified", "zero", "negative", "over-cap", "workers-option", "missing-ell"])
+        (range(2, 2000, 3), ["--ell", "1"], 1, "gaps-within-bound", "gaps up to 3 vs bound 1"),
+    ], ids=["certified", "zero", "negative", "over-cap", "workers-option", "missing-ell",
+            "gap-above-bound"])
     def test_exit_codes(self, tmp_path, capsys, values, flags, code, error, detail):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")

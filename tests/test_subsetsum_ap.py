@@ -9,12 +9,13 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apcert.subsetsum_ap
 from apcert.augment import ApWitness, LadderLayer
 from apcert.core import (
+    ApcertError,
     ArithProgression,
     CompactSolution,
     Exhausted,
@@ -47,6 +48,7 @@ from oracle import (
     check_pairs,
     error_of,
     gen_pairs_by_index,
+    uniformize_by_index,
     verify_solution,
     walk_run_by_steps,
 )
@@ -140,35 +142,59 @@ def gaps(pairs):
     return [hi - lo for lo, hi in pairs]
 
 
+def uniform(keys):
+    """u from the key multiplicities of `keys`, and the keys of at least u
+    occurrences, ascending."""
+    mult = Counter(keys)
+    u = uniformize(mult.values())
+    return u, sorted(k for k, c in mult.items() if c >= u)
+
+
 class TestUniformize:
     def test_mixed_gaps(self):
-        keys = gaps(((0, 1), (2, 3), (5, 6), (10, 12)))
-        u, kept = uniformize(keys)
-        assert u == 3
-        assert [keys[i] for i in kept] == [1, 1, 1]
+        u, kept = uniform(gaps(((0, 1), (2, 3), (5, 6), (10, 12))))
+        assert u == 3 and kept == [1]
 
     def test_all_distinct(self):
-        u, kept = uniformize(gaps((10 * i, 10 * i + i + 1) for i in range(8)))
+        u, kept = uniform(gaps((10 * i, 10 * i + i + 1) for i in range(8)))
         assert u == 1 and len(kept) == 8
 
     def test_all_equal(self):
-        u, kept = uniformize(gaps((10 * i, 10 * i + 3) for i in range(8)))
-        assert u == 8 and len(kept) == 8
+        u, kept = uniform(gaps((10 * i, 10 * i + 3) for i in range(8)))
+        assert u == 8 and kept == [3]
 
     def test_size_bound_random(self):
         rnd = random.Random(4)
         for _ in range(50):
             keys = [rnd.randint(1, 6) for _ in range(rnd.randint(1, 400))]
-            u, kept = uniformize(keys)
-            assert len(kept) * math.log2(2 * len(keys)) >= len(keys) - 1e-9
+            u, kept = uniform(keys)
+            assert u * len(kept) * math.log2(2 * len(keys)) >= len(keys) - 1e-9
 
     def test_size_bound_ten_thousand_pairs(self):
         rnd = random.Random(6)
         keys = [rnd.randint(1, 40) for _ in range(10**4)]
-        u, kept = uniformize(keys)
-        assert len(kept) * math.log2(2 * len(keys)) >= len(keys) - 1e-9
-        mult = Counter(keys)
-        assert all(mult[keys[i]] >= u for i in kept)
+        u, kept = uniform(keys)
+        assert u * len(kept) * math.log2(2 * len(keys)) >= len(keys) - 1e-9
+        assert u == uniformize_by_index(keys)[0]
+
+
+def bank_or_error(pairs, keys, bound, seed):
+    """The fields of the gap bank over `pairs` under `keys`, or the error it
+    raises as (class, message)."""
+    try:
+        bank = bank_pairs(pairs, keys, bound, (0,), "gap", seed)
+    except ApcertError as exc:
+        return type(exc), str(exc)
+    return bank.pairs, bank.buckets, bank.base, bank.ap, bank.certs
+
+
+@st.composite
+def bank_keys(draw):
+    """(keys, bound): 1-400 gap keys in [1, bound], drawn from a few values so
+    that keys repeat and multiplicities tie."""
+    bound = draw(st.integers(1, 40))
+    alphabet = draw(st.lists(st.integers(1, bound), min_size=1, max_size=8, unique=True))
+    return draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=400)), bound
 
 
 def cert(*parts):
@@ -255,6 +281,30 @@ class TestBankPairs:
         unused = [key for key in bank.buckets if not largest_use(bank.certs)[key]]
         assert unused and all(bank.buckets[key] == () for key in unused)
 
+    @settings(max_examples=150, deadline=None)
+    @given(bank_keys(), st.integers(0, 3))
+    @example(([3], 5), 0)  # one key
+    @example(([2] * 50, 4), 1)  # all keys equal
+    @example((list(range(1, 41)), 40), 2)  # all keys distinct
+    @example(([1, 1, 2, 2, 3, 4], 4), 0)  # u = 1 and u = 2 tie at score 4
+    @example(([1, 1, 1, 2, 2, 2, 3], 3), 0)  # two keys of multiplicity exactly u = 3
+    @example(([1] * 13 + [2] * 3 + [3], 5), 3)  # u = 13 leaves key 1 alone
+    def test_matches_the_reference_selection(self, keys_bound, seed):
+        """The one grouping pass banks what the select-by-index reference
+        selects: every key of that selection has exactly u pairs, so a bank
+        over the selection keeps all its keys, and must equal the bank over
+        every pair."""
+        keys, bound = keys_bound
+        pairs = tuple((100 * i + 1, 100 * i + 1 + k) for i, k in enumerate(keys))
+        u, kept = uniformize_by_index(keys)
+        assert uniformize(Counter(keys).values()) == u
+        chosen = [pairs[i] for i in kept], [keys[i] for i in kept]
+        assert bank_or_error(pairs, keys, bound, seed) == bank_or_error(*chosen, bound, seed)
+
+    def test_empty_rejected(self):
+        assert error_of(lambda t: bank_pairs(t, [], 5, (0,), "gap", 0), ()) == (
+            PreconditionViolated, "pairs-nonempty", "")
+
 
 def make_pairs(gap_counts, spacing=5):
     pairs = []
@@ -294,6 +344,17 @@ class TestApByPairs:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionViolated):
             ap_by_pairs((), 2, TUNED)
+
+    @pytest.mark.parametrize("build, detail", [
+        (lambda: ap_by_pairs(((1, 4), (6, 7)), 2, TUNED), "gaps up to 3 vs bound 2"),
+        (lambda: ap_by_pairs(((1, 3), (5, 5)), 4, TUNED), "gaps up to 2 vs bound 4"),
+        # every pair of range(2, 2000, 3) has gap 3, above ell = 1
+        (lambda: ap_in_subset_sums(range(2, 2000, 3), 1), "gaps up to 3 vs bound 1"),
+    ], ids=["above-bound", "zero-gap", "from-the-pipeline"])
+    def test_gap_outside_the_bound_rejected(self, build, detail):
+        with pytest.raises(PreconditionViolated) as exc:
+            build()
+        assert (exc.value.name, exc.value.detail) == ("gaps-within-bound", detail)
 
     def test_paper_cap_enforced(self):
         t = make_pairs([(1, 8)])
