@@ -8,15 +8,19 @@ int(density * m))) with build seed s. Print how many builds succeed and how
 many raise Exhausted, the coreset sizes of the successful builds against
 coreset_size_bound, and the first Exhausted reason of the cell.
 
-    PYTHONPATH=src python3 scripts/coreset_growth.py --trials 6
+    python3 scripts/coreset_growth.py --trials 6
 """
 
 import argparse
 import random
+import sys
+from pathlib import Path
 
-from apcert.core import Exhausted
-from apcert.profiles import TUNED
-from apcert.subsetsum_ap import ap_in_subset_sums, coreset_size_bound
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from apcert.core import Exhausted  # noqa: E402
+from apcert.profiles import TUNED  # noqa: E402
+from apcert.subsetsum_ap import ap_in_subset_sums, coreset_size_bound  # noqa: E402
 
 SIZES = (10**4, 10**5)
 DENSITIES = (0.05, 0.1, 0.2, 0.3, 0.5)

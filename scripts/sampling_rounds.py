@@ -8,9 +8,13 @@ most 2. This script measures the actual mean across density regimes.
 
 import argparse
 import random
+import sys
+from pathlib import Path
 
-from apcert.core import RandomSource, SortedIntSet, density_with_argmin
-from apcert.density_witness import build_density_witness
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from apcert.core import RandomSource, SortedIntSet, density_with_argmin  # noqa: E402
+from apcert.density_witness import build_density_witness  # noqa: E402
 
 
 def run(trials: int, queries: int, seed: int) -> None:

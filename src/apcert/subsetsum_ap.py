@@ -15,12 +15,12 @@ most once (checked on every merge).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, filterfalse, starmap
+from itertools import chain, compress, filterfalse, repeat, starmap
 from math import gcd
-from operator import lt
+from operator import ge, lt, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .augment import ApWitness, DivPairLayer, Layer, LadderLayer
@@ -62,21 +62,27 @@ def conflict_free_pairs(pairs: Sequence[Pair]) -> tuple[Pair, ...]:
     return p
 
 
-def gen_pairs(a: SortedIntSet) -> tuple[Pair, ...]:
-    """At least n conflict-free consecutive pairs with gaps <= m/n, where the
-    largest |A| mod 4 elements are dropped first. Conflict-free by
-    construction: the pairs (elems[i], elems[i + 1]) of one parity of i are
-    disjoint, and lo < hi in a strictly increasing set."""
+def gen_pairs(a: SortedIntSet) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Columns (lo, hi, gaps) of at least n conflict-free consecutive pairs
+    (lo[i], hi[i]) with gaps[i] = hi[i] - lo[i] <= m/n, where the largest
+    |A| mod 4 elements are dropped first. Conflict-free by construction: the
+    pairs (elems[i], elems[i + 1]) of one parity of i are disjoint, and
+    lo < hi in a strictly increasing set. Every pass is C-level, and no
+    pair tuple is built."""
     elems = a.elems[: len(a) - len(a) % 4]
     require(len(elems) >= 4, "set-at-least-four", f"kept {len(elems)}")
     n = len(elems) // 4
-    m = elems[-1]
+    cap = elems[-1] // n  # gap * n <= m exactly when gap <= m // n
+    sides = []
     # the pairs at even and at odd positions i, (elems[i], elems[i + 1])
-    even = [(lo, hi) for lo, hi in zip(elems[0::2], elems[1::2]) if (hi - lo) * n <= m]
-    odd = [(lo, hi) for lo, hi in zip(elems[1::2], elems[2::2]) if (hi - lo) * n <= m]
-    chosen = even if len(even) >= len(odd) else odd
-    contract(len(chosen) >= n, "pigeonhole guarantees n small-gap pairs")
-    return tuple(chosen)
+    for lo, hi in ((elems[0::2], elems[1::2]), (elems[1::2], elems[2::2])):
+        gaps = list(map(sub, hi, lo))
+        keep = list(map(ge, repeat(cap), gaps))
+        sides.append((keep.count(True), lo, hi, gaps, keep))
+    even, odd = sides
+    count, lo, hi, gaps, keep = even if even[0] >= odd[0] else odd
+    contract(count >= n, "pigeonhole guarantees n small-gap pairs")
+    return tuple(compress(lo, keep)), tuple(compress(hi, keep)), tuple(compress(gaps, keep))
 
 
 def uniformize(mult: Iterable[int]) -> int:
@@ -147,22 +153,22 @@ class PairBank:
 
 
 def bank_pairs(
-    pairs: Sequence[Pair], keys: Sequence[int], bound: int, free: Sequence[int], noun: str,
-    seed: int,
+    lo: Sequence[int], hi: Sequence[int], keys: Sequence[int], bound: int,
+    free: Sequence[int], noun: str, seed: int,
 ) -> PairBank:
-    """Group the pairs by key in one pass, keep the keys of at least u pairs
-    (u from `uniformize`), certify every term of the progression of length
-    `bound` over the gcd-reduced kept keys and `free` values once, and bank
-    for each kept key its first pairs, as many as the certificates use of it.
-    `noun` names a key in Exhausted."""
-    require(len(pairs) >= 1, "pairs-nonempty")
-    groups: dict[int, list[Pair]] = {}
-    for key, pair in zip(keys, pairs):
-        groups.setdefault(key, []).append(pair)
-    u = uniformize(map(len, groups.values()))
-    kept_keys = sorted(k for k, g in groups.items() if len(g) >= u)
+    """Count the keys of the pairs (lo[i], hi[i]), keep the keys of at least
+    u pairs (u from `uniformize`), certify every term of the progression of
+    length `bound` over the gcd-reduced kept keys and `free` values once,
+    and bank for each kept key its first pairs, as many as the certificates
+    use of it. One index-order scan finds them and stops once all are
+    found, and only they become pair tuples. `noun` names a key in
+    Exhausted."""
+    require(len(keys) >= 1, "pairs-nonempty")
+    mult = Counter(keys)
+    u = uniformize(mult.values())
+    kept_keys = sorted(k for k, c in mult.items() if c >= u)
     contract(
-        u * len(kept_keys) * ceil_log2(2 * len(pairs)) >= len(pairs),
+        u * len(kept_keys) * ceil_log2(2 * len(keys)) >= len(keys),
         "uniform subset below |T|/log2(2|T|)",
     )
     values = set(free).union(kept_keys)
@@ -175,40 +181,55 @@ def bank_pairs(
     for sol in certs:
         for v, c in sol.parts:
             use[v] = max(use.get(v, 0), c)
-    banked: list[Pair] = []
+    need: dict[int, int] = {}
+    for key in kept_keys:
+        need[key] = use.get(key // scale, 0)
+        if need[key] > u:
+            raise Exhausted(f"{noun} {key} needs multiplicity {need[key]}, uniform set has {u}")
+    found: dict[int, list[int]] = {key: [] for key in kept_keys}
+    todo = {key: c for key, c in need.items() if c}  # pairs still to find, by key
+    for i, key in enumerate(keys):
+        if key in todo:
+            found[key].append(i)
+            todo[key] -= 1
+            if not todo[key]:
+                del todo[key]
+                if not todo:
+                    break
+    order: list[int] = []
     buckets: dict[int, tuple[int, ...]] = {}
     for key in kept_keys:
-        need = use.get(key // scale, 0)
-        if need > u:
-            raise Exhausted(f"{noun} {key} needs multiplicity {need}, uniform set has {u}")
-        buckets[key // scale] = tuple(range(len(banked), len(banked) + need))
-        banked.extend(groups[key][:need])
-    base = sum(lo for lo, _ in banked)
+        buckets[key // scale] = tuple(range(len(order), len(order) + need[key]))
+        order += found[key]
+    lo_ends = tuple(map(lo.__getitem__, order))
     w = witness.ap
+    base = sum(lo_ends)
     ap = ArithProgression(base + w.start * scale, w.diff * scale, w.length)
     return PairBank(
-        ap, certs, scale, base, tuple(banked), buckets, frozenset(v // scale for v in free)
+        ap, certs, scale, base, tuple(zip(lo_ends, map(hi.__getitem__, order))), buckets,
+        frozenset(v // scale for v in free),
     )
 
 
 def ap_by_pairs(
-    t: tuple[Pair, ...], g_bound: int, profile: ConstantsProfile = TUNED, seed: int = 0
+    lo: Sequence[int], hi: Sequence[int], gaps: Sequence[int], g_bound: int,
+    profile: ConstantsProfile = TUNED, seed: int = 0,
 ) -> PairBank:
     """AP of length g_bound in S(A_{T*}) for a small subset T* of the
-    conflict-free pairs t (those of gen_pairs): the bank over T* =
-    bank.pairs, whose query_parts(j) certifies term j."""
-    require(len(t) >= 1, "pairs-nonempty")
-    gaps = [hi - lo for lo, hi in t]
+    conflict-free pairs (lo[i], hi[i]) with gaps[i] = hi[i] - lo[i] (the
+    columns of gen_pairs): the bank over T* = bank.pairs, whose
+    query_parts(j) certifies term j."""
+    require(len(gaps) >= 1, "pairs-nonempty")
     g_max = max(gaps)
     if min(gaps) < 1 or g_max > g_bound:
         raise PreconditionViolated("gaps-within-bound", f"gaps up to {g_max} vs bound {g_bound}")
     if profile.enforce_caps:
         require(
-            g_bound * profile.pair_cap * ceil_log2(2 * len(t)) <= len(t),
+            g_bound * profile.pair_cap * ceil_log2(2 * len(gaps)) <= len(gaps),
             "pairs-vs-gap-cap",
-            f"g_bound={g_bound}, |T|={len(t)}",
+            f"g_bound={g_bound}, |T|={len(gaps)}",
         )
-    bank = bank_pairs(t, gaps, g_bound, (0,), "gap", seed)
+    bank = bank_pairs(lo, hi, gaps, g_bound, (0,), "gap", seed)
     if profile.enforce_caps:
         contract(len(bank.pairs) <= profile.pair_cap * g_bound, "pair coreset above cap")
     return bank
@@ -231,7 +252,7 @@ def short_ap_in_subset_sums(
             "length-cap",
             f"ell={ell}, n={n}",
         )
-    bank = ap_by_pairs(gen_pairs(a), ell, profile, seed)
+    bank = ap_by_pairs(*gen_pairs(a), ell, profile, seed)
     contract(bank.ap.diff * n <= m, "short progression diff above m/n")
     return bank
 
@@ -239,6 +260,42 @@ def short_ap_in_subset_sums(
 # ---------------------------------------------------------------------------
 # Gap scan: qualifying pairs under removals, for one augmentation round
 # ---------------------------------------------------------------------------
+
+class Gone:
+    """The indices gone from a sorted pool, and the links that step over
+    them: nxt[i] (prv[i]) is the next (previous) index not gone, stored only
+    where an unlink made it differ from i + 1 (i - 1). Only the links of
+    indices not gone are read; those of gone indices go stale, and -1 and
+    the pool's length may get entries too."""
+
+    __slots__ = ("dead", "nxt", "prv")
+
+    def __init__(self) -> None:
+        self.dead: set[int] = set()
+        self.nxt: dict[int, int] = {}
+        self.prv: dict[int, int] = {}
+
+    def __contains__(self, i: int) -> bool:
+        return i in self.dead
+
+    def __len__(self) -> int:
+        return len(self.dead)
+
+    def copy(self) -> Gone:
+        """Three C-level copies: unlinking on the copy leaves this one as it is."""
+        c = Gone()
+        c.dead, c.nxt, c.prv = set(self.dead), self.nxt.copy(), self.prv.copy()
+        return c
+
+    def unlink(self, i: int) -> int:
+        """Mark index i, not yet gone, gone and link its neighbours across
+        it; returns the previous index not gone (-1 if none)."""
+        p, q = self.prv.get(i, i - 1), self.nxt.get(i, i + 1)
+        self.nxt[p] = q
+        self.prv[q] = p
+        self.dead.add(i)
+        return p
+
 
 def _gap_case(d: int, case1_cap: int, c2_lo: int, c2_hi: int):
     """The gap classifier: 1 for case 1, 2 for a case-2 run start, else 0."""
@@ -250,7 +307,7 @@ def _gap_case(d: int, case1_cap: int, c2_lo: int, c2_hi: int):
 
 
 def _initial_walk(
-    vals: Sequence[int], gone: frozenset[int], case, want: int
+    vals: Sequence[int], gone: set[int], case, want: int
 ) -> Iterator[int]:
     """The indices i not in `gone`, ascending, whose gap to the next index not
     in `gone` is of case `want`. Not a method: a generator holding its scan
@@ -284,11 +341,11 @@ class GapScan:
     tail, and either way a candidate is judged on the state at its pop. So a
     round reads gaps only up to its last pair, and none for case 1 when d = 1
     (every gap is divisible). The elements at the indices in `gone` start
-    dead, and set-up links the alive neighbours across each block of them,
-    O(|gone|); other links and deaths are stored only where a removal changed
-    them (defaults i - 1, i + 1, alive). A run's end comes from one bisect on
-    its value bound, cut before the first alive element of another class
-    mod d, since its gaps telescope.
+    dead, and the scan unlinks its removals on a copy of `gone`'s links, so
+    set-up makes no Python-level pass over them and `gone` is left as it
+    was. A run's end comes from one bisect on its value bound, cut before
+    the first alive element of another class mod d, since its gaps
+    telescope.
     """
 
     def __init__(
@@ -298,8 +355,10 @@ class GapScan:
         ell: int,
         gamma: Fraction,
         profile: ConstantsProfile,
-        gone: frozenset[int] = frozenset(),
+        gone: Optional[Gone] = None,
     ):
+        if gone is None:
+            gone = Gone()
         self.vals = values
         self.n = len(values)
         self.d = d
@@ -308,21 +367,11 @@ class GapScan:
         den = profile.window_lo_div * gamma.numerator
         self.c2_lo = max(1, ceil_div(num, den))
         self.case = _gap_case(d, ell // profile.window_div, self.c2_lo, self.c2_hi)
-        self.nxt: dict[int, int] = {}
-        self.prv: dict[int, int] = {}
-        self.dead: set[int] = set(gone)
-        for i in gone:
-            if i - 1 not in gone:
-                # i starts a block of gone indices; q is the first index past it
-                q = i + 1
-                while q in gone:
-                    q += 1
-                if i > 0:
-                    self.nxt[i - 1] = q
-                if q < self.n:
-                    self.prv[q] = i - 1
-        self.fresh1 = _initial_walk(values, gone, self.case, 1) if d > 1 else iter(())
-        self.fresh2 = _initial_walk(values, gone, self.case, 2)
+        links = gone.copy()
+        self.nxt, self.dead, self.unlink = links.nxt, links.dead, links.unlink
+        # the walks read the round's starting state, which the copy leaves as it is
+        self.fresh1 = _initial_walk(values, gone.dead, self.case, 1) if d > 1 else iter(())
+        self.fresh2 = _initial_walk(values, gone.dead, self.case, 2)
         self.c1: deque[int] = deque()
         self.c2: deque[int] = deque()
 
@@ -380,12 +429,7 @@ class GapScan:
     def remove_pair(self, i: int, j: int) -> None:
         for idx in (j, i):
             contract(idx not in self.dead, "removing a dead element")
-            p, q = self.prv.get(idx, idx - 1), self.nxt.get(idx, idx + 1)
-            if p >= 0:
-                self.nxt[p] = q
-            if q < self.n:
-                self.prv[q] = p
-            self.dead.add(idx)
+            p = self.unlink(idx)
             g = self._gap(p) if p >= 0 else None
             case = 0 if g is None else self.case(g)
             if case:
@@ -404,7 +448,7 @@ def extract_aug_pairs(
     n: int,
     profile: ConstantsProfile = TUNED,
     gain_target: Optional[int] = None,
-    gone: frozenset[int] = frozenset(),
+    gone: Optional[Gone] = None,
 ) -> tuple[int, list[Pair]]:
     """Extract conflict-free augmentation pairs from `pool` less its elements
     at the indices in `gone` until one case reaches its target: case 1 at
@@ -492,8 +536,10 @@ def residue_ladder(
     """
     require(d >= 2, "modulus-at-least-2", f"d={d}")
     pairs = conflict_free_pairs(pairs)
+    lo, hi = tuple(zip(*pairs)) or ((), ())
+    residues = [g % d for g in map(sub, hi, lo)]
     require(
-        all((hi - lo) % d for lo, hi in pairs),
+        all(residues),
         "gaps-not-divisible",
         "residue ladder needs d to divide no gap",
     )
@@ -504,7 +550,7 @@ def residue_ladder(
             f"d={d}, |T|={len(pairs)}",
         )
     # d joins the residues, so the progression's difference is gcd(residues, d)
-    bank = bank_pairs(pairs, [(hi - lo) % d for lo, hi in pairs], d, (0, d), "residue", seed)
+    bank = bank_pairs(lo, hi, residues, d, (0, d), "residue", seed)
     dp = bank.ap.diff
     contract(1 <= dp < d and d % dp == 0, "residue gcd must properly divide d")
     if profile.enforce_caps:
@@ -524,7 +570,7 @@ def extend_ap_once(
     profile: ConstantsProfile,
     gain_target: int,
     seed: int = 0,
-    gone: frozenset[int] = frozenset(),
+    gone: Optional[Gone] = None,
 ) -> tuple[ArithProgression, tuple[Layer, ...], tuple[int, ...]]:
     """(ap, layers, used): the progression grown by at least gain_target with
     pairs of `pool` less its elements at the indices in `gone`, its layers
@@ -539,7 +585,7 @@ def extend_ap_once(
             + profile.reserve_factor * d * ceil_log2(max(d, 2))
             + ceil_div(profile.window_lo_div * gamma.numerator, gamma.denominator)
         )
-        alive = len(pool) - len(gone)
+        alive = len(pool) - len(gone or ())
         require(alive >= reserve, "aug-availability", f"|pool|={alive} < {reserve}")
     case, pairs = extract_aug_pairs(pool, d, ell, m, n, profile, gain_target, gone)
     layers: list[Layer] = []
@@ -571,18 +617,16 @@ def extend_ap_once(
     return cur, tuple(layers), tuple(chain.from_iterable(used))
 
 
-def _gone_with(elems: tuple[int, ...], gone: frozenset[int], values) -> frozenset[int]:
-    """`gone` plus the index in `elems` of each of `values`, every one an
-    element at an index not yet gone."""
-    idx = []
+def _unlink_values(elems: tuple[int, ...], gone: Gone, values) -> None:
+    """Unlink from `gone` the index in `elems` of each of `values`, every one
+    an element at an index not yet gone."""
     for v in values:
         i = bisect_left(elems, v)
         contract(
-            i < len(elems) and elems[i] == v and i not in gone,
+            i < len(elems) and elems[i] == v and i not in gone.dead,
             "removed value is not in the set",
         )
-        idx.append(i)
-    return gone.union(idx)
+        gone.unlink(i)
 
 
 def coreset_size_bound(ell: int, n: int, profile: ConstantsProfile) -> int:
@@ -643,8 +687,11 @@ def ap_in_subset_sums(
         ell0 = min(max(ell0, floor), max(cap, floor), ell)
         ell0 = max(ell0, 1)
     bank = short_ap_in_subset_sums(first, ell0, profile, seed)
-    # the pool is `a` less its elements at the indices in `gone`
-    gone = _gone_with(a.elems, frozenset(), chain.from_iterable(bank.pairs))
+    # the pool is `a` less its elements at the indices in `gone`; a round
+    # scans a copy of its links, and only the values a round uses are
+    # unlinked here, so a failed or partly used round consumes nothing
+    gone = Gone()
+    _unlink_values(a.elems, gone, chain.from_iterable(bank.pairs))
     p = bank.ap
     layers: list[Layer] = []
     rounds = 0
@@ -654,7 +701,7 @@ def ap_in_subset_sums(
         contract(rounds <= round_cap, "augmentation rounds exceeded the cap")
         gain_target = min(ceil_div(p.length, 2), ell - p.length)
         while True:
-            # a failed round consumes nothing, so retry with a smaller target
+            # retry a failed round with a smaller target
             try:
                 step = extend_ap_once(p, a, nbar, m, profile, gain_target, seed + rounds, gone)
                 break
@@ -664,9 +711,9 @@ def ap_in_subset_sums(
                 gain_target //= 2
         p, step_layers, used = step
         layers = list(step_layers) + layers
-        gone = _gone_with(a.elems, gone, used)
+        _unlink_values(a.elems, gone, used)
     # the elements of `a` at ascending indices
-    coreset = SortedIntSet._ordered(tuple(map(a.elems.__getitem__, sorted(gone))))
+    coreset = SortedIntSet._ordered(tuple(map(a.elems.__getitem__, sorted(gone.dead))))
     contract(p.diff * big_n <= 7 * m, f"diff {p.diff} above 7m/n")
     bound = coreset_size_bound(ell, big_n, profile)
     if len(coreset) > bound:

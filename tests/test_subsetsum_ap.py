@@ -28,6 +28,7 @@ from apcert.core import (
 from apcert.profiles import PAPER, TUNED
 from apcert.subsetsum_ap import (
     GapScan,
+    Gone,
     PairBank,
     ap_by_pairs,
     ap_in_subset_sums,
@@ -54,6 +55,30 @@ from oracle import (
 )
 
 S = SortedIntSet.from_iterable
+
+
+def columns(pairs):
+    """The columns (lo, hi, gaps) of `pairs`."""
+    pairs = tuple(pairs)
+    return (tuple(lo for lo, _ in pairs), tuple(hi for _, hi in pairs),
+            tuple(hi - lo for lo, hi in pairs))
+
+
+def pairs_of(cols):
+    """The pairs of the columns (lo, hi, gaps), each column a tuple of one
+    length and each gap its pair's."""
+    lo, hi, gaps = cols
+    assert all(type(c) is tuple for c in cols) and len(lo) == len(hi) == len(gaps)
+    assert gaps == tuple(h - l for l, h in zip(lo, hi))
+    return tuple(zip(lo, hi))
+
+
+def gone_of(indices):
+    """A Gone with `indices` unlinked, in the given order."""
+    gone = Gone()
+    for i in indices:
+        gone.unlink(i)
+    return gone
 
 
 @st.composite
@@ -99,31 +124,32 @@ class TestPairSet:
 class TestGenPairs:
     @given(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 300)), min_size=3,
                     max_size=40))
+    @example([1, 1, 1, 1, 1, 1, 7])  # the pair (7, 14) has gap m // n = 7 and is kept
     def test_same_pairs_as_the_index_loop(self, gaps):
         a = S(itertools.accumulate(gaps, initial=1))
-        pairs = gen_pairs(a)
+        pairs = pairs_of(gen_pairs(a))
         assert pairs == gen_pairs_by_index(a)
         check_pairs(pairs)
 
     def test_odd_pairs_chosen(self):
         # three wide gaps at even positions leave the odd pairs the majority
         a = S(itertools.accumulate([100, 1, 100, 1, 100] + [1] * 10, initial=1))
-        assert gen_pairs(a) == gen_pairs_by_index(a) == tuple(
+        assert pairs_of(gen_pairs(a)) == gen_pairs_by_index(a) == tuple(
             (v, v + 1) for v in (101, 202, 303, 305, 307, 309, 311))
 
     def test_consecutive(self):
-        t = gen_pairs(S(range(1, 9)))
+        t = pairs_of(gen_pairs(S(range(1, 9))))
         assert len(t) >= 2
         n, m = 2, 8
         assert all(hi - lo <= m // n for lo, hi in t)
 
     def test_clustered(self):
-        t = gen_pairs(S([1, 2, 100, 101, 200, 201, 300, 301]))
+        t = pairs_of(gen_pairs(S([1, 2, 100, 101, 200, 201, 300, 301])))
         assert len(t) >= 2
         assert all(hi - lo == 1 for lo, hi in t)
 
     def test_drop_count(self):
-        t = gen_pairs(S(range(1, 12)))  # 11 elements -> drop 3
+        t = pairs_of(gen_pairs(S(range(1, 12))))  # 11 elements -> drop 3
         assert not set(itertools.chain.from_iterable(t)) & {9, 10, 11}
 
     def test_pigeonhole_bound_random(self):
@@ -132,7 +158,7 @@ class TestGenPairs:
             n4 = 4 * rnd.randint(1, 30)
             m = rnd.randint(n4, n4 * 20)
             a = S(rnd.sample(range(1, m + 1), n4))
-            t = gen_pairs(a)
+            t = pairs_of(gen_pairs(a))
             n = n4 // 4
             assert len(t) >= n
             assert all((hi - lo) * n <= a.max for lo, hi in t)
@@ -182,7 +208,7 @@ def bank_or_error(pairs, keys, bound, seed):
     """The fields of the gap bank over `pairs` under `keys`, or the error it
     raises as (class, message)."""
     try:
-        bank = bank_pairs(pairs, keys, bound, (0,), "gap", seed)
+        bank = bank_pairs(*columns(pairs)[:2], keys, bound, (0,), "gap", seed)
     except ApcertError as exc:
         return type(exc), str(exc)
     return bank.pairs, bank.buckets, bank.base, bank.ap, bank.certs
@@ -275,7 +301,7 @@ def assert_bank_reserves_its_use(bank):
 class TestBankPairs:
     def test_bucket_is_the_largest_use_of_its_key(self):
         t = make_pairs([(1, 20), (2, 20), (3, 20), (5, 20)])
-        bank = bank_pairs(t, gaps(t), 5, (0,), "gap", 0)
+        bank = bank_pairs(*columns(t), 5, (0,), "gap", 0)
         assert len(bank.certs) == bank.ap.length + 1 == 6
         assert_bank_reserves_its_use(bank)
         unused = [key for key in bank.buckets if not largest_use(bank.certs)[key]]
@@ -302,8 +328,51 @@ class TestBankPairs:
         assert bank_or_error(pairs, keys, bound, seed) == bank_or_error(*chosen, bound, seed)
 
     def test_empty_rejected(self):
-        assert error_of(lambda t: bank_pairs(t, [], 5, (0,), "gap", 0), ()) == (
+        assert error_of(lambda t: bank_pairs(t, t, t, 5, (0,), "gap", 0), ()) == (
             PreconditionViolated, "pairs-nonempty", "")
+
+    def test_reads_only_the_banked_pairs(self):
+        # 2,000 pairs with gaps 1-4 in turn: a bound-4 progression needs a
+        # few pairs of each gap, all near the front, so the banking scan
+        # stops early and reads lo and hi only at the banked indices
+        t = tuple((10 * i + 1, 10 * i + 1 + i % 4 + 1) for i in range(2000))
+        lo, hi, keys = columns(t)
+        lo, hi, keys = ReadLog(lo), ReadLog(hi), IterLog(keys)
+        bank = bank_pairs(lo, hi, keys, 4, (0,), "gap", 0)
+        order = [t.index(pair) for pair in bank.pairs]
+        assert bank.pairs and lo.read == hi.read == order
+        assert keys.yielded == [2000, max(order) + 1] and max(order) < 40
+        assert bank_or_error(t, keys, 4, 0) == (
+            bank.pairs, bank.buckets, bank.base, bank.ap, bank.certs)
+
+
+class ReadLog(Sequence):
+    """A tuple that logs the indices read from it."""
+
+    def __init__(self, values):
+        self.values = tuple(values)
+        self.read = []
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return self.values[i]
+
+
+class IterLog(list):
+    """A list that logs how many items each iteration over it yields."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.yielded = []
+
+    def __iter__(self):
+        self.yielded.append(0)
+        for v in super().__iter__():
+            self.yielded[-1] += 1
+            yield v
 
 
 def make_pairs(gap_counts, spacing=5):
@@ -319,7 +388,7 @@ def make_pairs(gap_counts, spacing=5):
 class TestApByPairs:
     def test_toy_against_subset_oracle(self):
         t = make_pairs([(1, 32), (2, 32)])
-        bank = ap_by_pairs(t, 2, TUNED)
+        bank = ap_by_pairs(*columns(t), 2, TUNED)
         base = S(itertools.chain.from_iterable(bank.pairs))
         tbl = brute_subset_sums(base, bank.ap.last + 1)
         witness = ApWitness(bank)
@@ -335,7 +404,7 @@ class TestApByPairs:
         ([(3, 200), (5, 200), (7, 200)], 7),
     ], ids=["gaps-1-2", "gcd-2", "gaps-3-5-7"])
     def test_every_flip_is_its_term(self, gap_counts, g_bound):
-        bank = ap_by_pairs(make_pairs(gap_counts), g_bound, TUNED)
+        bank = ap_by_pairs(*columns(make_pairs(gap_counts)), g_bound, TUNED)
         assert len(bank.certs) == bank.ap.length + 1
         for j in range(bank.ap.length + 1):
             total, parts = bank.flip(j)
@@ -343,11 +412,11 @@ class TestApByPairs:
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionViolated):
-            ap_by_pairs((), 2, TUNED)
+            ap_by_pairs((), (), (), 2, TUNED)
 
     @pytest.mark.parametrize("build, detail", [
-        (lambda: ap_by_pairs(((1, 4), (6, 7)), 2, TUNED), "gaps up to 3 vs bound 2"),
-        (lambda: ap_by_pairs(((1, 3), (5, 5)), 4, TUNED), "gaps up to 2 vs bound 4"),
+        (lambda: ap_by_pairs(*columns(((1, 4), (6, 7))), 2, TUNED), "gaps up to 3 vs bound 2"),
+        (lambda: ap_by_pairs(*columns(((1, 3), (5, 5))), 4, TUNED), "gaps up to 2 vs bound 4"),
         # every pair of range(2, 2000, 3) has gap 3, above ell = 1
         (lambda: ap_in_subset_sums(range(2, 2000, 3), 1), "gaps up to 3 vs bound 1"),
     ], ids=["above-bound", "zero-gap", "from-the-pipeline"])
@@ -359,7 +428,7 @@ class TestApByPairs:
     def test_paper_cap_enforced(self):
         t = make_pairs([(1, 8)])
         with pytest.raises(PreconditionViolated) as exc:
-            ap_by_pairs(t, 2, PAPER)
+            ap_by_pairs(*columns(t), 2, PAPER)
         assert exc.value.name == "pairs-vs-gap-cap"
 
 
@@ -473,6 +542,10 @@ def gone_inputs(draw):
 
 
 def _extract_or_exhausted(pool, d, ell, m, n, gain_target, gone=frozenset()):
+    """The case and pairs of one round, or "exhausted"; `gone` is a Gone or
+    the gone indices."""
+    if not isinstance(gone, Gone):
+        gone = gone_of(gone)
     try:
         return extract_aug_pairs(pool, d, ell, m, n, TUNED, gain_target, gone)
     except Exhausted:
@@ -506,7 +579,8 @@ class TestGapScanMatchesEagerScan:
     def test_bisected_run_matches_the_walk_by_steps(self, args, rnd):
         # every alive start, on the set-up state and after each removal
         full, gone, _, d, ell, m, n, _ = args
-        scan = GapScan(full.elems, d, ell, gamma_parameter(m, n, ell, TUNED), TUNED, gone)
+        scan = GapScan(full.elems, d, ell, gamma_parameter(m, n, ell, TUNED), TUNED,
+                       gone_of(gone))
         for _ in range(6):
             alive = [i for i in range(scan.n) if i not in scan.dead]
             for i in alive:
@@ -523,6 +597,10 @@ class TestGapScanMatchesEagerScan:
         (range(1, 2001), 1, 800, 2000, 300, None, 2),
         (range(5, 3000, 5), 5, 600, 3000, 200, None, 2),
         ([1, 1000000, 1999999, 2999998], 2, 16, 3 * 10**6, 4, None, None),
+        # removing the run (158, 182) changes the gap after 173 from 9 to 86,
+        # which puts 173 on the case-2 tail; the walk, on the round's starting
+        # state, must not serve it before (259, 265)
+        ([158, 171, 173, 182, 259, 265], 6, 53, 978, 121, 1, 2),
     ])
     def test_fixed_cases(self, pool, d, ell, m, n, gain_target, case):
         lazy = _extract_or_exhausted(S(pool), d, ell, m, n, gain_target)
@@ -530,6 +608,67 @@ class TestGapScanMatchesEagerScan:
             eager = _extract_or_exhausted(S(pool), d, ell, m, n, gain_target)
         assert lazy == eager
         assert (lazy == "exhausted") if case is None else lazy[0] == case
+
+
+def assert_links_step_over_gone(gone, n):
+    """Every index below n that is not gone links to its nearest neighbours
+    that are not gone (-1 and n past the ends)."""
+    alive = [i for i in range(n) if i not in gone.dead]
+    for p, i, q in zip([-1, *alive], alive, [*alive[1:], n]):
+        assert (gone.prv.get(i, i - 1), gone.nxt.get(i, i + 1)) == (p, q)
+
+
+class TestGoneAcrossRounds:
+    @settings(max_examples=150, deadline=None)
+    @given(gone_inputs(), st.lists(st.tuples(
+        st.integers(1, 6), st.integers(8, 600), st.none() | st.integers(1, 400),
+        st.integers(0, 4)), min_size=1, max_size=6), st.randoms(use_true_random=False))
+    def test_kept_links_serve_what_a_fresh_eager_scan_serves(self, args, rounds, rnd):
+        """Rounds on one Gone, each using only its first `keep` pairs, as the
+        build does: every scan starts from a copy of the kept links and
+        leaves them as they were, and serves the pairs of an eager scan
+        built fresh from the gone indices of that round."""
+        full, gone_idx, _, _, _, m, n, _ = args
+        gone = gone_of(rnd.sample(sorted(gone_idx), len(gone_idx)))
+        for d, ell, gain_target, keep in rounds:
+            assert_links_step_over_gone(gone, len(full))
+            before = set(gone.dead), dict(gone.nxt), dict(gone.prv)
+            lazy = _extract_or_exhausted(full, d, ell, m, n, gain_target, gone)
+            assert (gone.dead, gone.nxt, gone.prv) == before
+            with mock.patch.object(apcert.subsetsum_ap, "GapScan", EagerGapScan):
+                eager = _extract_or_exhausted(full, d, ell, m, n, gain_target, gone)
+            assert lazy == eager
+            if lazy != "exhausted":
+                for v in itertools.chain.from_iterable(lazy[1][:keep]):
+                    gone.unlink(full.elems.index(v))
+
+    @pytest.mark.parametrize("values, ell", [
+        (list(range(1, 10001)), 10**4),
+        (sorted(random.Random(10000).sample(range(1, 10001), 5000)), 10**4),
+        (sorted(random.Random(3).sample(range(1, 30001), 9000)), 30000),
+    ], ids=["consecutive", "half", "rand30"])
+    def test_build_matches_eager_scans_built_each_round(self, values, ell):
+        res = ap_in_subset_sums(values, ell, TUNED, seed=7)
+        with mock.patch.object(apcert.subsetsum_ap, "GapScan", EagerGapScan):
+            eager = ap_in_subset_sums(values, ell, TUNED, seed=7)
+        assert res.rounds >= 10 and (res.ap, res.coreset, res.rounds) == (
+            eager.ap, eager.coreset, eager.rounds)
+        for j in (0, 1, ell // 2, ell):
+            rng = RandomSource(1).derive("q", j)
+            assert res.witness.query(j, rng) == eager.witness.query(j, rng)
+
+    def test_links_are_updated_only_for_used_indices(self, monkeypatch):
+        # the build unlinks each coreset index once, and each scan only the
+        # indices it removes: no set-up pass over the gone indices
+        unlinks, removals = [], []
+        real_unlink, real_remove = Gone.unlink, GapScan.remove_pair
+        monkeypatch.setattr(Gone, "unlink", lambda g, i: unlinks.append(i) or real_unlink(g, i))
+        monkeypatch.setattr(GapScan, "remove_pair",
+                            lambda sc, i, j: removals.append((i, j)) or real_remove(sc, i, j))
+        values = sorted(random.Random(10000).sample(range(1, 10001), 5000))
+        res = ap_in_subset_sums(values, 10**4, TUNED, seed=7)
+        assert res.rounds >= 10
+        assert len(unlinks) == len(res.coreset) + 2 * len(removals)
 
 
 class CountingRange(Sequence):
@@ -668,19 +807,21 @@ class TestExtendOnce:
         ap, _, _ = extend_ap_once(p, pool, 1, 1, PAPER, gain_target=1)
         assert ap.length > p.length
         with pytest.raises(PreconditionViolated) as exc:
-            extend_ap_once(p, pool, 1, 1, PAPER, gain_target=1, gone=frozenset({0}))
+            extend_ap_once(p, pool, 1, 1, PAPER, gain_target=1, gone=gone_of({0}))
         assert exc.value.name == "aug-availability"
 
 
 def spy_rounds(monkeypatch, edit=lambda step: step):
-    """Record the pool and the gone indices every extend_ap_once call sees,
-    and the values each successful one uses; `edit` may change the step it
-    returns."""
+    """Record the pool and the gone indices every extend_ap_once call sees
+    (a copy, since the build keeps one Gone across rounds), after checking
+    that its links step over them, and the values each successful one uses;
+    `edit` may change the step it returns."""
     real = apcert.subsetsum_ap.extend_ap_once
     calls = []
 
     def spy(p, pool, n, m, profile, gain_target, seed, gone):
-        calls.append([pool, gone, None])
+        assert_links_step_over_gone(gone, len(pool))
+        calls.append([pool, frozenset(gone.dead), None])
         step = real(p, pool, n, m, profile, gain_target, seed, gone)
         calls[-1][2] = set(step[2])
         return edit(step)
