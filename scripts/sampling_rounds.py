@@ -13,8 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from apcert.core import RandomSource, SortedIntSet, density_with_argmin  # noqa: E402
-from apcert.density_witness import build_density_witness  # noqa: E402
+from apcert.core import RandomSource, SortedIntSet  # noqa: E402
+from apcert.density_witness import build_density_witness, density_with_argmin  # noqa: E402
 
 
 def run(trials: int, queries: int, seed: int) -> None:

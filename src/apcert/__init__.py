@@ -5,6 +5,7 @@ certified decomposition into base-set elements out. Certificates are checked
 by an independent verifier; randomness only ever affects running time.
 """
 
+from .augment import solve_residue_coefficient
 from .core import (
     ApcertError,
     ArithProgression,
@@ -23,7 +24,6 @@ from .core import (
     check_solution,
     gcd_all,
     normalize,
-    solve_residue_coefficient,
 )
 from .dense import build_rpg, dense_decide, dense_search
 from .profiles import PAPER, PROFILES, TUNED, ConstantsProfile

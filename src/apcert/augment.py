@@ -38,7 +38,6 @@ from .core import (
     contract,
     gcd_all,
     require,
-    solve_residue_coefficient,
 )
 
 Parts = Sequence[tuple[int, int]]
@@ -129,6 +128,21 @@ class LadderAccessor(Protocol):
     h_max: int
 
     def lookup(self, i: int) -> tuple[int, Parts]: ...
+
+
+def solve_residue_coefficient(d: int, g: int) -> tuple[int, int]:
+    """Return (d', j*) with d' = gcd(d, g) and j*·g ≡ d' (mod d), 0 <= j* <= (d-d')/d'.
+
+    Writing g = d'·g1 and d = d'·d1 with gcd(g1, d1) = 1, j* is the inverse of
+    g1 modulo d1.
+    """
+    require(d >= 2, "modulus-at-least-2", f"d={d}")
+    require(g >= 1, "gap-positive", f"g={g}")
+    dp = gcd(d, g)
+    d1 = d // dp
+    if d1 == 1:
+        return dp, 0
+    return dp, pow(g // dp, -1, d1)
 
 
 class PairLadder:

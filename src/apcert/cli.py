@@ -21,12 +21,12 @@ from typing import Optional, Sequence
 
 from .core import (
     ApcertError,
-    CompactSolution,
     Exhausted,
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
-    check_solution,
+    check_certificate,
+    check_report,
     load_int_set,
     normalize,
 )
@@ -66,19 +66,6 @@ def _sample_indices(length: int, count: int) -> list[int]:
     if count == 1:
         return [0]
     return sorted({round(i * length / (count - 1)) for i in range(count)})
-
-
-def check_certificate(base: SortedIntSet, sol: CompactSolution, budget: int,
-                      target: int) -> Optional[str]:
-    """The one per-certificate check, shared by the build commands and
-    `verify`: the declared fold budget, check_solution against `base`, then
-    the claimed term. None if all hold, else the reason code."""
-    if sol.fold_budget != budget:
-        return "fold-budget-mismatch"
-    reason = check_solution(base, sol)
-    if reason is None and sol.target != target:
-        return "target-mismatch"
-    return reason
 
 
 def verify_terms(witness, base: SortedIntSet, seed: int, indices: Sequence[int],
@@ -209,90 +196,17 @@ def cmd_dense(args) -> int:
     return EXIT_OK
 
 
-def _report_int(value, what: str) -> int:
-    if type(value) is not int:
-        raise PreconditionViolated("malformed-report", f"{what} is not an integer: {value!r}")
-    return value
-
-
-def _report_certificate(cert) -> tuple[int, CompactSolution]:
-    """(index, certificate) from one report entry; malformed entries raise
-    the named precondition "malformed-report"."""
-    try:
-        parts = tuple(
-            (_report_int(v, "part value"), _report_int(c, "part count")) for v, c in cert["parts"]
-        )
-        sol = CompactSolution(
-            parts, _report_int(cert["target"], "target"),
-            _report_int(cert["fold_budget"], "fold_budget"),
-        )
-        return _report_int(cert["index"], "index"), sol
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionViolated(
-            "malformed-report", f"certificate {cert!r}: {type(exc).__name__} {exc}"
-        ) from exc
-
-
 def cmd_verify(args) -> int:
-    """Check each certificate against the input and against what the report
-    claims: ap-sumset certificates carry the declared fold budget;
-    ap-subsetsum certificates are subsets (budget 0) of the reported coreset,
-    which must lie inside the input; every certificate claims the term of
-    the report's `ap` at its index, which must lie in [0, ap length]. The
-    `ap` needs a diff of at least 1 and a length of at least 0."""
+    """Decode the report, load the input and emit what `check_report` finds."""
     with open(args.report, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
         except ValueError as exc:
             raise PreconditionViolated("malformed-report", f"not JSON: {exc}") from None
-    if not isinstance(report, dict):
-        raise PreconditionViolated("malformed-report", "report is not a JSON object")
     base = normalize(load_int_set(args.input))[0]
-    entries = report.get("certificates", [])
-    if not isinstance(entries, list):
-        raise PreconditionViolated("malformed-report", "certificates is not a list")
-    certs = [_report_certificate(c) for c in entries]
-    ap = report.get("ap")
-    if certs or ap is not None:
-        if not isinstance(ap, dict):
-            raise PreconditionViolated("malformed-report", "ap is not a JSON object")
-        start = _report_int(ap.get("start"), "ap start")
-        diff = _report_int(ap.get("diff"), "ap diff")
-        length = _report_int(ap.get("length"), "ap length")
-        if diff < 1 or length < 0:
-            raise PreconditionViolated(
-                "malformed-report", f"ap diff {diff}, length {length}: need diff >= 1, length >= 0"
-            )
-    command = report.get("command")
-    base_error = None
-    if command == "ap-sumset":
-        budget = _report_int(report.get("fold_budget"), "fold_budget")
-    elif command == "ap-subsetsum":
-        budget = 0
-        coreset = report.get("coreset")
-        if not isinstance(coreset, list):
-            raise PreconditionViolated("malformed-report", "coreset is not a list")
-        coreset = [_report_int(v, "coreset value") for v in coreset]
-        if not all(v in base for v in coreset):
-            base_error = "coreset-not-in-input"
-        base = SortedIntSet.from_iterable(coreset)
-    elif certs:
-        raise PreconditionViolated(
-            "malformed-report", f"certificates in a report of command {command!r}"
-        )
-    failures = []
-    for index, sol in certs:
-        reason = ("index-out-of-range" if not 0 <= index <= length
-                  else base_error or check_certificate(base, sol, budget, start + index * diff))
-        if reason is not None:
-            failures.append((index, reason))
-    out = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "checked": len(certs),
-        "passed": len(certs) - len(failures),
-        "failures": failures[:16],
-    }
+    checked, failures = check_report(report, base)
+    out = {"schema": SCHEMA, "command": "verify", "checked": checked,
+           "passed": checked - len(failures), "failures": failures[:16]}
     _emit(out, args.json, [f"verify: {out['passed']}/{out['checked']} certificates pass"])
     return EXIT_OK if not failures else EXIT_CERTIFICATE
 

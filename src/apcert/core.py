@@ -1,4 +1,4 @@
-"""Shared domain types, exact arithmetic helpers, and certificate checking.
+"""Shared domain types and errors, and the certificate-checking kernel.
 
 Everything downstream works over three small value types:
 
@@ -9,15 +9,17 @@ Everything downstream works over three small value types:
                       (k-fold sumset mode) or with every count equal to 1 and all
                       values distinct (subset-sum mode, fold_budget == 0).
 
-All density arithmetic is exact (integer cross-multiplication via Fraction);
-no floating point is used on any decision path.
+Every accept/reject decision on a certificate or a report is made here
+(`check_solution`, `check_certificate`, `check_report`). The module imports
+only the standard library, so the checks share no code with the builders
+they check. `RandomSource` stays here because the benchmark wraps it and
+`check_solution` under these names.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from hashlib import blake2b
 from itertools import chain, islice, pairwise
@@ -199,8 +201,9 @@ class SortedIntSet:
     @cached_property
     def members(self) -> frozenset[int]:
         """The elements as a frozenset, built on first use and kept; equality
-        and hashing stay on `elems`. Only subset-mode checks read it, so a
-        base checked in fold mode never pays its memory."""
+        and hashing stay on `elems`. Only subset-mode checks and the coreset
+        check of `check_report` read it, so a base checked in fold mode never
+        pays its memory."""
         return frozenset(self.elems)
 
 
@@ -265,56 +268,6 @@ def gcd_all(a: SortedIntSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Density (exact rationals)
-# ---------------------------------------------------------------------------
-
-def density_with_argmin(a: SortedIntSet, z: int) -> tuple[Fraction, int]:
-    """min over z' in [1, z] of |A[1, z']| / z', with a minimizing z'.
-
-    |A[1, z']| is a step function that increases only at elements of A, so the
-    ratio's minimum over [1, z] occurs immediately before a step (z' = e - 1
-    for e in A with 2 <= e <= z) or at the right endpoint z' = z.
-
-    A is sorted and distinct, so the i elements before e = elems[i] are
-    A[0, e - 1]: |A[1, e - 1]| is i, less one if 0 is in A. No search needed.
-    """
-    require(z >= 1, "density-z-positive", f"z={z}")
-    best_num, best_den = a.count_range(1, z), z
-    best_z = z
-    zero = int(0 in a)
-    for i, e in enumerate(a.elems):
-        zp = e - 1
-        if zp < 1:
-            continue
-        if zp >= z:
-            break
-        num = i - zero
-        # num/zp < best_num/best_den, compared exactly
-        if num * best_den < best_num * zp:
-            best_num, best_den, best_z = num, zp, zp
-    return Fraction(best_num, best_den), best_z
-
-
-# ---------------------------------------------------------------------------
-# Residue coefficient
-# ---------------------------------------------------------------------------
-
-def solve_residue_coefficient(d: int, g: int) -> tuple[int, int]:
-    """Return (d', j*) with d' = gcd(d, g) and j*·g ≡ d' (mod d), 0 <= j* <= (d-d')/d'.
-
-    Writing g = d'·g1 and d = d'·d1 with gcd(g1, d1) = 1, j* is the inverse of
-    g1 modulo d1.
-    """
-    require(d >= 2, "modulus-at-least-2", f"d={d}")
-    require(g >= 1, "gap-positive", f"g={g}")
-    dp = gcd(d, g)
-    d1 = d // dp
-    if d1 == 1:
-        return dp, 0
-    return dp, pow(g // dp, -1, d1)
-
-
-# ---------------------------------------------------------------------------
 # Compact solutions and certificate checking
 # ---------------------------------------------------------------------------
 
@@ -372,6 +325,109 @@ def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
     if sol.fold_budget > 0 and total > sol.fold_budget:
         return "budget-exceeded"
     return None
+
+
+def check_certificate(base: SortedIntSet, sol: CompactSolution, budget: int,
+                      target: int) -> Optional[str]:
+    """The one per-certificate check, shared by the build commands and
+    `verify`: the declared fold budget, check_solution against `base`, then
+    the claimed term. None if all hold, else the reason code."""
+    if sol.fold_budget != budget:
+        return "fold-budget-mismatch"
+    reason = check_solution(base, sol)
+    if reason is None and sol.target != target:
+        return "target-mismatch"
+    return reason
+
+
+def _report_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise PreconditionViolated("malformed-report", f"{what} is not an integer: {value!r}")
+    return value
+
+
+def _report_certificate(cert) -> tuple[int, CompactSolution]:
+    """(index, certificate) from one report entry; malformed entries raise
+    the named precondition "malformed-report"."""
+    try:
+        parts = tuple(
+            (_report_int(v, "part value"), _report_int(c, "part count")) for v, c in cert["parts"]
+        )
+        sol = CompactSolution(
+            parts, _report_int(cert["target"], "target"),
+            _report_int(cert["fold_budget"], "fold_budget"),
+        )
+        return _report_int(cert["index"], "index"), sol
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionViolated(
+            "malformed-report", f"certificate {cert!r}: {type(exc).__name__} {exc}"
+        ) from exc
+
+
+def check_report(report, base: SortedIntSet) -> tuple[int, list[tuple[int, str]]]:
+    """(certificates checked, [(index, reason), ...] of those that fail) for a
+    decoded report against the input `base` and the report's own claims:
+    ap-sumset certificates carry its fold budget, at most 332·k, for an `ap`
+    of diff 1 and length m; ap-subsetsum ones are subsets (budget 0) of its
+    coreset, which must lie inside the input, for an `ap` of length ell; each
+    claims the term of its `ap` (diff >= 1, length >= 0) at its index, which
+    must lie in [0, ap length]. A claim that fails fails every certificate
+    with its reason; a report of the wrong shape, or with k or an ap-sumset
+    fold budget below 1, raises the named precondition "malformed-report"."""
+    if not isinstance(report, dict):
+        raise PreconditionViolated("malformed-report", "report is not a JSON object")
+    entries = report.get("certificates", [])
+    if not isinstance(entries, list):
+        raise PreconditionViolated("malformed-report", "certificates is not a list")
+    certs = [_report_certificate(c) for c in entries]
+    ap = report.get("ap")
+    diff = length = None  # read below unless the report has neither an ap nor a certificate
+    if certs or ap is not None:
+        if not isinstance(ap, dict):
+            raise PreconditionViolated("malformed-report", "ap is not a JSON object")
+        start = _report_int(ap.get("start"), "ap start")
+        diff = _report_int(ap.get("diff"), "ap diff")
+        length = _report_int(ap.get("length"), "ap length")
+        if diff < 1 or length < 0:
+            raise PreconditionViolated(
+                "malformed-report", f"ap diff {diff}, length {length}: need diff >= 1, length >= 0"
+            )
+    command = report.get("command")
+    base_error = None
+    if command == "ap-sumset":
+        budget = _report_int(report.get("fold_budget"), "fold_budget")
+        k = _report_int(report.get("k"), "k")
+        if k < 1 or budget < 1:
+            raise PreconditionViolated(
+                "malformed-report", f"k {k}, fold_budget {budget}: need both >= 1"
+            )
+        if (diff, length) != (1, _report_int(report.get("m"), "m")):
+            base_error = "ap-not-as-claimed"
+        elif budget > 332 * k:
+            base_error = "fold-budget-above-claim"
+    elif command == "ap-subsetsum":
+        budget = 0
+        coreset = report.get("coreset")
+        if not isinstance(coreset, list):
+            raise PreconditionViolated("malformed-report", "coreset is not a list")
+        coreset = [_report_int(v, "coreset value") for v in coreset]
+        if length != _report_int(report.get("ell"), "ell"):
+            base_error = "ap-not-as-claimed"
+        elif not base.members.issuperset(coreset):
+            base_error = "coreset-not-in-input"
+        else:
+            base = SortedIntSet.from_iterable(coreset)
+    elif certs:
+        raise PreconditionViolated(
+            "malformed-report", f"certificates in a report of command {command!r}"
+        )
+    failures = []
+    for index, sol in certs:
+        reason = ("index-out-of-range" if not 0 <= index <= length
+                  else base_error or check_certificate(base, sol, budget, start + index * diff))
+        if reason is not None:
+            failures.append((index, reason))
+    return len(certs), failures
 
 
 # ---------------------------------------------------------------------------

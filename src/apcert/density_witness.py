@@ -13,12 +13,16 @@ Membership in the k-fold greedy sumset is decided by running k greedy picks,
 each the largest element of A not exceeding the residual; consecutive equal
 picks are batched, so a test costs O(#distinct picks * log n) and the
 returned runs encode the certificate compactly.
+
+All density arithmetic is exact (integer cross-multiplication via Fraction);
+no floating point is used on any decision path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -29,8 +33,35 @@ from .core import (
     SortedIntSet,
     ceil_div,
     ceil_log2,
-    density_with_argmin,
+    require,
 )
+
+
+def density_with_argmin(a: SortedIntSet, z: int) -> tuple[Fraction, int]:
+    """min over z' in [1, z] of |A[1, z']| / z', with a minimizing z'.
+
+    |A[1, z']| is a step function that increases only at elements of A, so the
+    ratio's minimum over [1, z] occurs immediately before a step (z' = e - 1
+    for e in A with 2 <= e <= z) or at the right endpoint z' = z.
+
+    A is sorted and distinct, so the i elements before e = elems[i] are
+    A[0, e - 1]: |A[1, e - 1]| is i, less one if 0 is in A. No search needed.
+    """
+    require(z >= 1, "density-z-positive", f"z={z}")
+    best_num, best_den = a.count_range(1, z), z
+    best_z = z
+    zero = int(0 in a)
+    for i, e in enumerate(a.elems):
+        zp = e - 1
+        if zp < 1:
+            continue
+        if zp >= z:
+            break
+        num = i - zero
+        # num/zp < best_num/best_den, compared exactly
+        if num * best_den < best_num * zp:
+            best_num, best_den, best_z = num, zp, zp
+    return Fraction(best_num, best_den), best_z
 
 
 def kfold_greedy_steps(a: SortedIntSet, k: int, z: int) -> Optional[list[tuple[int, int]]]:

@@ -37,10 +37,9 @@ from apcert.core import (
     ceil_div,
     check_solution,
     contract,
-    density_with_argmin,
     require,
 )
-from apcert.density_witness import kfold_greedy_steps
+from apcert.density_witness import density_with_argmin, kfold_greedy_steps
 from apcert.profiles import ConstantsProfile
 
 HARD_CAP = 10**8

@@ -1,7 +1,8 @@
 """The public API of `apcert` is exactly this list, and every name in it
 resolves, so a deletion that misses `__init__.py` fails here. The package
 also stays one process: no module of it imports a process or thread pool.
-And every set built without the full order pass says why its order holds."""
+The checking kernel, `apcert.core`, imports only the standard library. And
+every set built without the full order pass says why its order holds."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,23 @@ def test_package_runs_in_one_process():
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = Path(apcert.__file__).parent
+
+# every module core imports, anywhere in the file; a relative import would
+# show as ".name"
+CORE_IMPORTS = ["__future__", "bisect", "dataclasses", "functools", "hashlib", "itertools",
+                "math", "operator", "typing"]
+
+
+def test_core_imports_only_the_standard_library():
+    # the checks share no code with the builders whose output they check
+    path = PACKAGE / "core.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+    assert sorted(found) == CORE_IMPORTS
 
 
 def _calls(path: Path):

@@ -318,6 +318,12 @@ def _add_foreign_coreset_value(rep):
     rep["coreset"].append(10**6)
 
 
+def _coreset_value_before(value):
+    """A value put in front of the coreset; one outside the element range is
+    a value outside the input like any other, not an input error."""
+    return lambda rep: rep["coreset"].insert(0, value)
+
+
 def _swap_last_value_out_of_coreset(rep):
     """The last part of the first certificate becomes a value above the
     coreset (so the parts stay in order); its target no longer matches."""
@@ -343,6 +349,45 @@ def _negative_diff_and_length(rep):
     # no certificate is left to fail against the progression
     rep["ap"].update(diff=-5, length=-1)
     rep["certificates"] = []
+
+
+def _zeros_under_their_own_budget(rep):
+    # 10^6 extra zeros under a budget of 10^9 still sum to the target
+    cert = rep["certificates"][0]
+    cert["parts"][0][1] += 10**6
+    cert["fold_budget"] = 10**9
+
+
+def _budget_past_332k(rep):
+    # 20,250 summands for term 250, past 332k = 15,936, under a budget the
+    # report raised everywhere; only the bound of 332k refuses it
+    for holder in (rep, *rep["certificates"]):
+        holder["fold_budget"] = 10**6
+    rep["certificates"][1]["parts"] = [[0, 20000], [1, 250]]
+
+
+def _budget_zero(rep):
+    rep["fold_budget"] = 0
+
+
+def _k_zero(rep):
+    rep["k"] = 0
+
+
+def _m_not_the_ap_length(rep):
+    rep["m"] = 10**6
+
+
+# (edit of the golden ap-sumset-r1 report, exit code, the failures: one
+# reason that every certificate fails with, or the list itself; or for exit 1
+# the named precondition)
+FOLD_BUDGET_ROWS = [
+    (_zeros_under_their_own_budget, 2, [[0, "fold-budget-mismatch"]]),
+    (_budget_past_332k, 2, "fold-budget-above-claim"),
+    (_budget_zero, 1, "malformed-report"),
+    (_k_zero, 1, "malformed-report"),
+    (_m_not_the_ap_length, 2, "ap-not-as-claimed"),
+]
 
 
 class TestVerifyCommand:
@@ -373,6 +418,9 @@ class TestVerifyCommand:
         (None, "b.txt", 0, None),
         (_bump_first_count, "b.txt", 2, "count-not-one"),
         (_add_foreign_coreset_value, "b.txt", 2, "coreset-not-in-input"),
+        (_coreset_value_before(-5), "b.txt", 2, "coreset-not-in-input"),
+        (_coreset_value_before(2**63), "b.txt", 2, "coreset-not-in-input"),
+        (lambda rep: rep.update(ell=rep["ell"] + 1), "b.txt", 2, "ap-not-as-claimed"),
         (_swap_last_value_out_of_coreset, "b.txt", 2, "value-not-in-base"),
         (_duplicate_first_part, "b.txt", 2, "parts-not-sorted-distinct"),
         (_index_past_the_ap, "b.txt", 2, "index-out-of-range"),
@@ -382,7 +430,8 @@ class TestVerifyCommand:
         (_zero_diff_first_certificate, "b.txt", 1, "malformed-report"),
         (_negative_diff_and_length, "b.txt", 1, "malformed-report"),
         (None, "missing.txt", 1, None),
-    ], ids=["valid", "tampered-count", "coreset-outside-input", "part-outside-coreset",
+    ], ids=["valid", "tampered-count", "coreset-outside-input", "negative-coreset-value",
+            "coreset-value-past-the-cap", "ell-not-the-ap-length", "part-outside-coreset",
             "duplicated-part", "index-past-the-ap", "not-json", "certificates-in-dense",
             "non-integer-ap-length", "zero-ap-diff", "negative-ap-length", "missing-input"])
     def test_exit_codes(self, workdir, capsys, tmp_path, edit, input_name, code, name):
@@ -522,17 +571,35 @@ class TestVerifyCommand:
         code, out = self._verify(capsys, tmp_path, rep, golden / "inputs" / "r1.txt")
         assert code == 2 and out["failures"] == [[2001, "index-out-of-range"]]
 
-    def test_fold_budget_bound_to_the_report(self, workdir, capsys, tmp_path):
-        rep = self._sumset_report(workdir, capsys)
-        cert = rep["certificates"][0]
-        # 10^6 extra zeros under a budget of 10^9 still sum to the target
-        counts = {v: c for v, c in cert["parts"]}
-        counts[0] = counts.get(0, 0) + 10**6
-        cert["parts"] = sorted([v, c] for v, c in counts.items())
-        cert["fold_budget"] = 10**9
-        code, out = self._verify(capsys, tmp_path, rep, workdir / "a.txt")
-        assert code == 2
-        assert out["failures"] == [[cert["index"], "fold-budget-mismatch"]]
+    def test_fold_budget_bound_to_the_report(self, capsys, tmp_path):
+        golden = Path(__file__).parent / "golden"
+        report = json.loads((golden / "cli" / "ap-sumset-r1.stdout").read_text())
+        assert (report["k"], report["m"], report["fold_budget"]) == (48, 2000, 15360)
+        indices = [c["index"] for c in report["certificates"]]
+        for edit, code, want in FOLD_BUDGET_ROWS:
+            rep = json.loads(json.dumps(report))
+            edit(rep)
+            got, out = self._verify(capsys, tmp_path, rep, golden / "inputs" / "r1.txt")
+            assert got == code, edit.__name__
+            if code == 1:
+                assert out["name"] == want, edit.__name__
+            elif isinstance(want, str):  # a claim of the report fails every certificate
+                assert out["failures"] == [[j, want] for j in indices], edit.__name__
+            else:
+                assert out["failures"] == want, edit.__name__
+
+    @pytest.mark.parametrize("case", ["ap-sumset-r1", "ap-sumset-m61015",
+                                      "ap-subsetsum-consecutive", "ap-subsetsum-gcd2",
+                                      "ap-subsetsum-ladder"])
+    def test_golden_build_reports_pass(self, capsys, case):
+        # the claim checks refuse no honest report
+        golden = Path(__file__).parent / "golden"
+        argv = json.loads((golden / "cli" / f"{case}.json").read_text())["argv"]
+        inp = golden / argv[argv.index("--input") + 1]
+        code, out = run(capsys, "verify", "--report", golden / "cli" / f"{case}.stdout",
+                        "--input", inp, "--json")
+        rep = json.loads(out)
+        assert code == 0 and rep["passed"] == rep["checked"] == 9
 
     def test_subsetsum_report_claims(self, workdir, capsys, tmp_path):
         _, out = run(capsys, "ap-subsetsum", "--input", workdir / "b.txt", "--ell", "60",

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import apcert.core
+from apcert.augment import solve_residue_coefficient
 from apcert.core import (
     MAX_ELEMENT,
     ArithProgression,
@@ -19,13 +20,12 @@ from apcert.core import (
     RandomSource,
     SortedIntSet,
     check_solution,
-    density_with_argmin,
     gcd_all,
     load_int_set,
     normalize,
     parse_int_set_text,
-    solve_residue_coefficient,
 )
+from apcert.density_witness import density_with_argmin
 from oracle import (
     check_solution_loop,
     check_sorted_elems,
