@@ -367,13 +367,15 @@ def _report_certificate(cert) -> tuple[int, CompactSolution]:
 def check_report(report, base: SortedIntSet) -> tuple[int, list[tuple[int, str]]]:
     """(certificates checked, [(index, reason), ...] of those that fail) for a
     decoded report against the input `base` and the report's own claims:
-    ap-sumset certificates carry its fold budget, at most 332·k, for an `ap`
-    of diff 1 and length m; ap-subsetsum ones are subsets (budget 0) of its
-    coreset, which must lie inside the input, for an `ap` of length ell; each
-    claims the term of its `ap` (diff >= 1, length >= 0) at its index, which
-    must lie in [0, ap length]. A claim that fails fails every certificate
-    with its reason; a report of the wrong shape, or with k or an ap-sumset
-    fold budget below 1, raises the named precondition "malformed-report"."""
+    ap-sumset certificates carry its fold budget, at most 332·k_eff, for an
+    `ap` of diff 1 and length m, where k_eff is ceil((m+1)/|base|) and at
+    most k; ap-subsetsum ones are subsets (budget 0) of its coreset, of
+    coreset_size values, which must lie inside the input, for an `ap` of
+    length ell; each claims the term of its `ap` (diff >= 1, length >= 0) at
+    its index, which must lie in [0, ap length]. A claim that fails fails
+    every certificate with its reason; a report of the wrong shape, or with k
+    or an ap-sumset fold budget below 1, raises the named precondition
+    "malformed-report"."""
     if not isinstance(report, dict):
         raise PreconditionViolated("malformed-report", "report is not a JSON object")
     entries = report.get("certificates", [])
@@ -397,13 +399,16 @@ def check_report(report, base: SortedIntSet) -> tuple[int, list[tuple[int, str]]
     if command == "ap-sumset":
         budget = _report_int(report.get("fold_budget"), "fold_budget")
         k = _report_int(report.get("k"), "k")
+        k_eff = _report_int(report.get("k_eff"), "k_eff")
         if k < 1 or budget < 1:
             raise PreconditionViolated(
                 "malformed-report", f"k {k}, fold_budget {budget}: need both >= 1"
             )
         if (diff, length) != (1, _report_int(report.get("m"), "m")):
             base_error = "ap-not-as-claimed"
-        elif budget > 332 * k:
+        elif not base or k_eff != ceil_div(length + 1, len(base)) or k_eff > k:
+            base_error = "k-eff-not-as-claimed"
+        elif budget > 332 * k_eff:
             base_error = "fold-budget-above-claim"
     elif command == "ap-subsetsum":
         budget = 0
@@ -413,6 +418,8 @@ def check_report(report, base: SortedIntSet) -> tuple[int, list[tuple[int, str]]
         coreset = [_report_int(v, "coreset value") for v in coreset]
         if length != _report_int(report.get("ell"), "ell"):
             base_error = "ap-not-as-claimed"
+        elif _report_int(report.get("coreset_size"), "coreset_size") != len(coreset):
+            base_error = "coreset-size-not-as-claimed"
         elif not base.members.issuperset(coreset):
             base_error = "coreset-not-in-input"
         else:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, filterfalse, repeat, starmap
+from itertools import accumulate, chain, compress, filterfalse, repeat, starmap
 from math import gcd
 from operator import ge, lt, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -114,6 +114,12 @@ class PairBank:
     to `ap.term(j)`. `buckets` maps each reduced key to the indices of its
     pairs in `pairs`; reduced values in `free` need no pair when they occur
     in a certificate.
+
+    Derived once from the fields: `lows`, the parts (lo, 1) of the all-lo
+    subset in pair order, which sums to `base`, and `gains`, for each key
+    the prefix sums of its bucket's gaps, so gains[key][c] is what flipping
+    its first c pairs adds. A flip patches a C-level copy of `lows` at the
+    pairs it turns over, with no Python-level work per banked pair.
     """
 
     ap: ArithProgression
@@ -123,14 +129,26 @@ class PairBank:
     pairs: tuple[Pair, ...]
     buckets: dict[int, tuple[int, ...]]
     free: frozenset[int]
+    lows: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    gains: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lo, hi = tuple(zip(*self.pairs)) or ((), ())
+        gaps = tuple(map(sub, hi, lo))
+        object.__setattr__(self, "lows", tuple(zip(lo, repeat(1))))
+        object.__setattr__(self, "gains", {
+            key: (0, *accumulate(map(gaps.__getitem__, idxs)))
+            for key, idxs in self.buckets.items()
+        })
 
     def flip(self, j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Flip `count` pairs of each reduced key of `certs[j]` from lo to hi.
 
         Returns the sum of the subset and its parts (hi for flipped pairs,
-        lo for the rest)."""
-        flipped: set[int] = set()
+        lo for the rest); a certificate that flips no pair gets `lows`
+        itself."""
         total = self.base
+        flipped: list[int] = []
         for key, c in self.certs[j].parts:
             if key in self.free:
                 continue
@@ -139,12 +157,14 @@ class PairBank:
                 raise MultiplicityExceeded(
                     f"key {key * self.scale} needs {c} pairs, only {len(idxs)} present"
                 )
-            for i in idxs[:c]:
-                flipped.add(i)
-                lo, hi = self.pairs[i]
-                total += hi - lo
-        parts = tuple((hi if i in flipped else lo, 1) for i, (lo, hi) in enumerate(self.pairs))
-        return total, parts
+            total += self.gains[key][c]
+            flipped += idxs[:c]
+        if not flipped:
+            return total, self.lows
+        parts = list(self.lows)
+        for i in flipped:
+            parts[i] = (self.pairs[i][1], 1)
+        return total, tuple(parts)
 
     def query_parts(self, j: int, rng: RandomSource):
         total, parts = self.flip(j)
@@ -454,7 +474,7 @@ def extract_aug_pairs(
     at the indices in `gone` until one case reaches its target: case 1 at
     case1_pair_factor*d*log2(d) pairs, case 2 at window_div*gamma pairs or
     (when given) at a total length gain of gain_target. Returns (case, pairs
-    of that case)."""
+    of that case), each pair the indices (i, j) of its ends in pool.elems."""
     gamma = gamma_parameter(m, n, ell, profile)
     scan = GapScan(pool.elems, d, ell, gamma, profile, gone)
     c1_target = (
@@ -475,15 +495,14 @@ def extract_aug_pairs(
         if hit is None:
             break
         i, j = hit
-        lo, hi = scan.vals[i], scan.vals[j]
         scan.remove_pair(i, j)
         if case == 1:
-            case1.append((lo, hi))
+            case1.append(hit)
             if c1_target is not None and len(case1) >= c1_target:
                 return 1, case1
         else:
-            case2.append((lo, hi))
-            gain += (hi - lo) // d
+            case2.append(hit)
+            gain += (pool.elems[j] - pool.elems[i]) // d
             if gain_target is not None and gain >= gain_target:
                 return 2, case2
             if len(case2) >= c2_pair_target:
@@ -574,7 +593,8 @@ def extend_ap_once(
 ) -> tuple[ArithProgression, tuple[Layer, ...], tuple[int, ...]]:
     """(ap, layers, used): the progression grown by at least gain_target with
     pairs of `pool` less its elements at the indices in `gone`, its layers
-    outermost first, and the endpoints of the pairs it consumed."""
+    outermost first, and the indices in pool.elems of the endpoints of the
+    pairs it consumed."""
     d, ell = p.diff, p.length
     gamma = gamma_parameter(m, n, ell, profile)
     if profile.enforce_caps:
@@ -587,20 +607,21 @@ def extend_ap_once(
         )
         alive = len(pool) - len(gone or ())
         require(alive >= reserve, "aug-availability", f"|pool|={alive} < {reserve}")
-    case, pairs = extract_aug_pairs(pool, d, ell, m, n, profile, gain_target, gone)
+    case, spots = extract_aug_pairs(pool, d, ell, m, n, profile, gain_target, gone)
+    vals = pool.elems
     layers: list[Layer] = []
     if case == 2:
         cur = p
-        for lo, hi in pairs:
+        for i, j in spots:
             if cur.length >= ell + gain_target:
                 break
-            layer = DivPairLayer(cur, lo, hi - lo, 1)
+            layer = DivPairLayer(cur, vals[i], vals[j] - vals[i], 1)
             cur = layer.outer
             layers.insert(0, layer)
         # one layer per pair, in pair order
-        used = pairs[: len(layers)]
+        used = spots[: len(layers)]
     else:
-        ladder = residue_ladder(pairs, d, profile, seed)
+        ladder = residue_ladder([(vals[i], vals[j]) for i, j in spots], d, profile, seed)
         if p.length < ladder.h_max - ladder.h_min:
             raise Exhausted(
                 f"ladder window {ladder.h_max - ladder.h_min} "
@@ -609,7 +630,9 @@ def extend_ap_once(
         layer = LadderLayer(p, ladder)
         cur = layer.outer
         layers = [layer]
-        used = ladder.bank.pairs
+        # the bank keeps a subset of the pairs; lo ends are distinct
+        spot_of = {vals[i]: (i, j) for i, j in spots}
+        used = [spot_of[lo] for lo, _ in ladder.bank.pairs]
     if cur.length < ell + gain_target:
         raise Exhausted(
             f"augmentation gained {cur.length - ell}, wanted {gain_target}"
@@ -617,15 +640,11 @@ def extend_ap_once(
     return cur, tuple(layers), tuple(chain.from_iterable(used))
 
 
-def _unlink_values(elems: tuple[int, ...], gone: Gone, values) -> None:
-    """Unlink from `gone` the index in `elems` of each of `values`, every one
-    an element at an index not yet gone."""
-    for v in values:
-        i = bisect_left(elems, v)
-        contract(
-            i < len(elems) and elems[i] == v and i not in gone.dead,
-            "removed value is not in the set",
-        )
+def _unlink_indices(gone: Gone, n: int, indices: Iterable[int]) -> None:
+    """Unlink from `gone` each of `indices`, every one an index of a pool of
+    n elements that is not yet gone."""
+    for i in indices:
+        contract(0 <= i < n and i not in gone.dead, "removed value is not in the set")
         gone.unlink(i)
 
 
@@ -688,10 +707,12 @@ def ap_in_subset_sums(
         ell0 = max(ell0, 1)
     bank = short_ap_in_subset_sums(first, ell0, profile, seed)
     # the pool is `a` less its elements at the indices in `gone`; a round
-    # scans a copy of its links, and only the values a round uses are
-    # unlinked here, so a failed or partly used round consumes nothing
+    # scans a copy of its links, and only the indices a round uses are
+    # unlinked here, so a failed or partly used round consumes nothing. The
+    # first bank's endpoints are elements of `first`, a prefix of `a`.
     gone = Gone()
-    _unlink_values(a.elems, gone, chain.from_iterable(bank.pairs))
+    ends = chain.from_iterable(bank.pairs)
+    _unlink_indices(gone, big_n, map(bisect_left, repeat(a.elems), ends))
     p = bank.ap
     layers: list[Layer] = []
     rounds = 0
@@ -711,7 +732,7 @@ def ap_in_subset_sums(
                 gain_target //= 2
         p, step_layers, used = step
         layers = list(step_layers) + layers
-        _unlink_values(a.elems, gone, used)
+        _unlink_indices(gone, big_n, used)
     # the elements of `a` at ascending indices
     coreset = SortedIntSet._ordered(tuple(map(a.elems.__getitem__, sorted(gone.dead))))
     contract(p.diff * big_n <= 7 * m, f"diff {p.diff} above 7m/n")

@@ -8,6 +8,8 @@ match run for run, the single divisible-pair step that a run of steps in
 per-part certificate check and the pair harvest that the C-level passes of
 the package must match error for error, the select-by-index uniformize whose
 selection the pair bank's one grouping pass must bank pair for pair, the
+flip that rebuilds a part for every banked pair, which the pair bank's
+patched flip must match part for part and error for error, the
 per-element loops of the k-fold build (endpoint scan, closest-gap class, gap
 pairs) that its C-level passes must match value for value and tie for tie,
 plus the small set and certificate helpers that only the tests read.
@@ -30,6 +32,7 @@ from apcert.core import (
     ApcertError,
     CompactSolution,
     EmptySet,
+    MultiplicityExceeded,
     NegativeInput,
     OverflowRisk,
     PreconditionViolated,
@@ -350,8 +353,9 @@ class EagerGapScan:
     """Reference for `subsetsum_ap.GapScan`, with the same interface: the
     values at the indices in `gone` are dropped first, every gap of the rest
     is classified up front into the deques c1 and c2, and the gaps
-    re-classified after a removal are appended behind them. Indices are into
-    the compacted values, which `vals` holds."""
+    re-classified after a removal are appended behind them. The scan runs on
+    the compacted values `kept`; the indices it serves and removes are those
+    of `values`, as GapScan's are, and `at` maps the one to the other."""
 
     def __init__(
         self,
@@ -362,8 +366,10 @@ class EagerGapScan:
         profile: ConstantsProfile,
         gone: frozenset[int] = frozenset(),
     ):
-        self.vals = [v for i, v in enumerate(values) if i not in gone]
-        n = len(self.vals)
+        self.at = [i for i in range(len(values)) if i not in gone]
+        self.pos = {i: k for k, i in enumerate(self.at)}
+        self.kept = [values[i] for i in self.at]
+        n = len(self.kept)
         self.d = d
         self.case1_cap = ell // profile.window_div
         self.c2_hi = ell * d // profile.window_div
@@ -382,7 +388,7 @@ class EagerGapScan:
         j = self.nxt[i]
         if j < 0:
             return None
-        return self.vals[j] - self.vals[i]
+        return self.kept[j] - self.kept[i]
 
     def _is_c1(self, g: int) -> bool:
         return g % self.d != 0 and g <= self.case1_cap
@@ -409,7 +415,7 @@ class EagerGapScan:
             g = self._gap(i)
             if g is None or not self._is_c1(g):
                 continue
-            return i, self.nxt[i]
+            return self.at[i], self.at[self.nxt[i]]
         return None
 
     def pop_case2(self) -> Optional[tuple[int, int]]:
@@ -422,7 +428,7 @@ class EagerGapScan:
                 continue
             pair = self._walk_run(i)
             if pair is not None:
-                return pair
+                return self.at[pair[0]], self.at[pair[1]]
         return None
 
     def _walk_run(self, start: int) -> Optional[tuple[int, int]]:
@@ -431,7 +437,7 @@ class EagerGapScan:
         )
 
     def remove_pair(self, i: int, j: int) -> None:
-        for idx in (j, i):
+        for idx in (self.pos[j], self.pos[i]):
             contract(self.alive[idx], "removing a dead element")
             p, q = self.prv[idx], self.nxt[idx]
             if p >= 0:
@@ -500,6 +506,28 @@ def gen_pairs_by_index(a: SortedIntSet) -> tuple[tuple[int, int], ...]:
         if (elems[i + 1] - elems[i]) * n <= m:
             (even if i % 2 == 0 else odd).append((elems[i], elems[i + 1]))
     return tuple(even if len(even) >= len(odd) else odd)
+
+
+def flip_by_pair(bank, j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """`PairBank.flip(j)` by one pass over every banked pair: the set of the
+    flipped indices with their gaps added pair by pair, then a part (hi if
+    flipped, else lo, 1) per pair."""
+    flipped: set[int] = set()
+    total = bank.base
+    for key, c in bank.certs[j].parts:
+        if key in bank.free:
+            continue
+        idxs = bank.buckets.get(key, ())
+        if c > len(idxs):
+            raise MultiplicityExceeded(
+                f"key {key * bank.scale} needs {c} pairs, only {len(idxs)} present"
+            )
+        for i in idxs[:c]:
+            flipped.add(i)
+            lo, hi = bank.pairs[i]
+            total += hi - lo
+    parts = tuple((hi if i in flipped else lo, 1) for i, (lo, hi) in enumerate(bank.pairs))
+    return total, parts
 
 
 def uniformize_by_index(keys: Sequence[int]) -> tuple[int, list[int]]:

@@ -7,7 +7,8 @@ import apcert.cli
 import apcert.sumset_ap
 from apcert.augment import ApWitness
 from apcert.cli import main, verify_terms
-from apcert.core import CompactSolution, normalize
+from apcert.core import CompactSolution, MultiplicityExceeded, normalize
+from apcert.subsetsum_ap import PairBank
 from apcert.sumset_ap import ap_in_kfold_sumset
 from oracle import block_plus_sparse, merge_counts
 
@@ -37,6 +38,9 @@ USAGE = "usage"
 # error column of an exit-code row whose build asks for more memory than any
 # 64-bit address space holds, so the allocation fails at once
 OOM = "out-of-memory"
+# error column of an exit-code row whose build runs with PairBank.flip
+# raising MultiplicityExceeded, an internal fault that no input causes
+INTERNAL = "internal-error"
 
 
 def assert_usage_error(captured, detail):
@@ -49,6 +53,17 @@ def assert_usage_error(captured, detail):
 def assert_out_of_memory(captured):
     """One named line on stderr, no traceback and nothing on stdout."""
     assert captured.out == "" and captured.err == "error: out of memory\n"
+
+
+def _flip_exceeds_multiplicity(bank, j):
+    raise MultiplicityExceeded("key 1 needs 2 pairs, only 1 present")
+
+
+def assert_internal_error(captured):
+    """One line on stderr naming the fault, even under --json, and nothing
+    on stdout; the exit code, 2, is the one of a failed certificate."""
+    assert captured.out == ""
+    assert captured.err == "internal error: key 1 needs 2 pairs, only 1 present\n"
 
 
 @pytest.mark.parametrize("command", ["ap-sumset", "ap-subsetsum", "unbounded", "dense",
@@ -189,16 +204,23 @@ class TestApSubsetsum:
          "unrecognized arguments: --workers 2"),
         (range(1, 301), [], 1, USAGE, "the following arguments are required: --ell"),
         (range(2, 2000, 3), ["--ell", "1"], 1, "gaps-within-bound", "gaps up to 3 vs bound 1"),
+        # one augmentation round of this build flips the pairs of a residue ladder
+        ([*range(2, 601, 2), *range(601, 900, 2)], ["--ell", "899"], 2, INTERNAL, None),
     ], ids=["certified", "zero", "negative", "over-cap", "workers-option", "missing-ell",
-            "gap-above-bound"])
-    def test_exit_codes(self, tmp_path, capsys, values, flags, code, error, detail):
+            "gap-above-bound", "multiplicity-exceeded"])
+    def test_exit_codes(self, tmp_path, capsys, monkeypatch, values, flags, code, error,
+                        detail):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")
+        if error == INTERNAL:
+            monkeypatch.setattr(PairBank, "flip", _flip_exceeds_multiplicity)
         got = main(["ap-subsetsum", "--input", str(inp), *flags, "--seed", "0", "--json"])
         captured = capsys.readouterr()
         assert got == code
         if error == USAGE:
             return assert_usage_error(captured, detail)
+        if error == INTERNAL:
+            return assert_internal_error(captured)
         rep = json.loads(captured.out)
         assert rep.get("name") == error and rep.get("detail") == detail
         assert ("ap" in rep) == (error is None)
@@ -314,14 +336,24 @@ def _bump_first_count(rep):
     rep["certificates"][0]["parts"][0][1] += 1
 
 
+def _resize_coreset(rep):
+    """Keep the report's coreset_size claim true after an edit of its
+    coreset, so only the edit itself can fail the report."""
+    rep["coreset_size"] = len(rep["coreset"])
+
+
 def _add_foreign_coreset_value(rep):
     rep["coreset"].append(10**6)
+    _resize_coreset(rep)
 
 
 def _coreset_value_before(value):
     """A value put in front of the coreset; one outside the element range is
     a value outside the input like any other, not an input error."""
-    return lambda rep: rep["coreset"].insert(0, value)
+    def edit(rep):
+        rep["coreset"].insert(0, value)
+        _resize_coreset(rep)
+    return edit
 
 
 def _swap_last_value_out_of_coreset(rep):
@@ -378,6 +410,20 @@ def _m_not_the_ap_length(rep):
     rep["m"] = 10**6
 
 
+def _k_eff_raised(rep):
+    # 332·k_eff would allow a budget far above what the input needs
+    rep["k_eff"] = 10**6
+
+
+def _k_below_k_eff(rep):
+    # k_eff = ceil(2001/42) = 48 stays, and the budget 15,360 is under 332·47
+    rep["k"] = 47
+
+
+def _k_eff_not_an_integer(rep):
+    rep["k_eff"] = "48"
+
+
 # (edit of the golden ap-sumset-r1 report, exit code, the failures: one
 # reason that every certificate fails with, or the list itself; or for exit 1
 # the named precondition)
@@ -387,6 +433,9 @@ FOLD_BUDGET_ROWS = [
     (_budget_zero, 1, "malformed-report"),
     (_k_zero, 1, "malformed-report"),
     (_m_not_the_ap_length, 2, "ap-not-as-claimed"),
+    (_k_eff_raised, 2, "k-eff-not-as-claimed"),
+    (_k_below_k_eff, 2, "k-eff-not-as-claimed"),
+    (_k_eff_not_an_integer, 1, "malformed-report"),
 ]
 
 
@@ -421,6 +470,9 @@ class TestVerifyCommand:
         (_coreset_value_before(-5), "b.txt", 2, "coreset-not-in-input"),
         (_coreset_value_before(2**63), "b.txt", 2, "coreset-not-in-input"),
         (lambda rep: rep.update(ell=rep["ell"] + 1), "b.txt", 2, "ap-not-as-claimed"),
+        (lambda rep: rep.update(coreset_size=1), "b.txt", 2, "coreset-size-not-as-claimed"),
+        (lambda rep: rep.update(coreset_size=str(rep["coreset_size"])), "b.txt", 1,
+         "malformed-report"),
         (_swap_last_value_out_of_coreset, "b.txt", 2, "value-not-in-base"),
         (_duplicate_first_part, "b.txt", 2, "parts-not-sorted-distinct"),
         (_index_past_the_ap, "b.txt", 2, "index-out-of-range"),
@@ -431,7 +483,8 @@ class TestVerifyCommand:
         (_negative_diff_and_length, "b.txt", 1, "malformed-report"),
         (None, "missing.txt", 1, None),
     ], ids=["valid", "tampered-count", "coreset-outside-input", "negative-coreset-value",
-            "coreset-value-past-the-cap", "ell-not-the-ap-length", "part-outside-coreset",
+            "coreset-value-past-the-cap", "ell-not-the-ap-length", "coreset-size-not-the-coreset",
+            "non-integer-coreset-size", "part-outside-coreset",
             "duplicated-part", "index-past-the-ap", "not-json", "certificates-in-dense",
             "non-integer-ap-length", "zero-ap-diff", "negative-ap-length", "missing-input"])
     def test_exit_codes(self, workdir, capsys, tmp_path, edit, input_name, code, name):
@@ -574,7 +627,8 @@ class TestVerifyCommand:
     def test_fold_budget_bound_to_the_report(self, capsys, tmp_path):
         golden = Path(__file__).parent / "golden"
         report = json.loads((golden / "cli" / "ap-sumset-r1.stdout").read_text())
-        assert (report["k"], report["m"], report["fold_budget"]) == (48, 2000, 15360)
+        assert (report["k"], report["k_eff"], report["m"], report["fold_budget"]) == (
+            48, 48, 2000, 15360)
         indices = [c["index"] for c in report["certificates"]]
         for edit, code, want in FOLD_BUDGET_ROWS:
             rep = json.loads(json.dumps(report))
@@ -587,6 +641,17 @@ class TestVerifyCommand:
                 assert out["failures"] == [[j, want] for j in indices], edit.__name__
             else:
                 assert out["failures"] == want, edit.__name__
+
+    def test_k_eff_claim_against_an_empty_input(self, capsys, tmp_path):
+        # no n gives ceil((m+1)/n), so the claim fails rather than divides by 0
+        golden = Path(__file__).parent / "golden"
+        report = golden / "cli" / "ap-sumset-r1.stdout"
+        (tmp_path / "empty.txt").write_text("")
+        code, out = run(capsys, "verify", "--report", report, "--input",
+                        tmp_path / "empty.txt", "--json")
+        out = json.loads(out)
+        assert code == 2 and out["checked"] == 9
+        assert {r for _, r in out["failures"]} == {"k-eff-not-as-claimed"}
 
     @pytest.mark.parametrize("case", ["ap-sumset-r1", "ap-sumset-m61015",
                                       "ap-subsetsum-consecutive", "ap-subsetsum-gcd2",
@@ -618,12 +683,14 @@ class TestVerifyCommand:
         outside = json.loads(out)
         used = outside["certificates"][-1]["parts"][0][0]
         outside["coreset"].remove(used)
+        _resize_coreset(outside)
         code, res = self._verify(capsys, tmp_path, outside, inp)
         assert code == 2
         assert [outside["certificates"][-1]["index"], "value-not-in-base"] in res["failures"]
 
         foreign = json.loads(out)
         foreign["coreset"].append(10**6)
+        _resize_coreset(foreign)
         code, res = self._verify(capsys, tmp_path, foreign, inp)
         assert code == 2 and res["passed"] == 0
         assert {r for _, r in res["failures"]} == {"coreset-not-in-input"}

@@ -1,10 +1,12 @@
 import gc
+import importlib.util
 import itertools
 import math
 import random
 import weakref
 from collections import Counter
 from collections.abc import Sequence
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -48,6 +50,7 @@ from oracle import (
     brute_subset_sums,
     check_pairs,
     error_of,
+    flip_by_pair,
     gen_pairs_by_index,
     uniformize_by_index,
     verify_solution,
@@ -55,6 +58,12 @@ from oracle import (
 )
 
 S = SortedIntSet.from_iterable
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_corpus", Path(__file__).resolve().parent / "golden" / "corpus.py"
+)
+corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus)
 
 
 def columns(pairs):
@@ -276,6 +285,75 @@ class TestPairsToSubsetSum:
             off.query_parts(1, None)
 
 
+def flip_or_error(flip, bank, j):
+    """flip(bank, j), or the message of the MultiplicityExceeded it raises."""
+    try:
+        return flip(bank, j)
+    except MultiplicityExceeded as exc:
+        return f"MultiplicityExceeded: {exc}"
+
+
+def assert_flips_match_the_reference(bank):
+    """Every certificate of the bank flips as the per-pair rebuild flips it,
+    and one that flips no pair gets the bank's all-lo parts themselves."""
+    for j in range(len(bank.certs)):
+        got = flip_or_error(PairBank.flip, bank, j)
+        assert got == flip_or_error(flip_by_pair, bank, j)
+        if not isinstance(got, str) and got[1] == bank.lows:
+            assert got[1] is bank.lows
+
+
+@st.composite
+def flip_banks(draw):
+    """A PairBank over shuffled conflict-free pairs whose indices are spread
+    over reduced keys 1..3 (a bucket need not be a run of indices), with
+    sometimes an empty bucket for key 4, behind certificates over keys 0..6:
+    0 and sometimes 5 are free, 6 has no bucket, and a count may exceed its
+    bucket by one, so some flips raise MultiplicityExceeded."""
+    n = draw(st.integers(0, 12))
+    pairs, x = [], 1
+    for gap in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n)):
+        pairs.append((x, x + gap))
+        x += gap + draw(st.integers(1, 5))
+    pairs = tuple(draw(st.permutations(pairs)))
+    key_of = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    buckets = {k: tuple(i for i in range(n) if key_of[i] == k) for k in set(key_of)}
+    if draw(st.booleans()):
+        buckets[4] = ()
+    free = frozenset(draw(st.sampled_from([{0}, {0, 5}])))
+    certs = []
+    for _ in range(draw(st.integers(1, 6))):
+        keys = sorted(draw(st.sets(st.integers(0, 6), max_size=5)))
+        counts = [draw(st.integers(1, len(buckets.get(k, ())) + 1)) for k in keys]
+        certs.append(CompactSolution(tuple(zip(keys, counts)), 0, 2))
+    base = sum(lo for lo, _ in pairs)
+    ap = ArithProgression(base, 1, len(certs) - 1)
+    return PairBank(ap, tuple(certs), draw(st.integers(1, 3)), base, pairs, buckets, free)
+
+
+class TestFlipMatchesReference:
+    """The patched flip against the per-pair rebuild of tests/oracle.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flip_banks())
+    def test_drawn_banks(self, bank):
+        assert_flips_match_the_reference(bank)
+
+    @pytest.mark.parametrize("case", [c for c in corpus.LIBRARY_CASES
+                                      if c[1] in ("ap-subsetsum", "subsetsum-rounds")],
+                             ids=lambda c: c[0])
+    def test_golden_builds(self, case):
+        # the bridge leaf and the bank of every residue ladder, every term
+        _, _, inp, length, _ = case
+        witness = ap_in_subset_sums(corpus.INPUTS[inp](), length, TUNED, corpus.SEED).witness
+        banks = [witness.leaf] + [layer.ladder.bank for layer in witness.layers
+                                  if isinstance(layer, LadderLayer)]
+        if inp == "evens_odds":  # the golden case with a residue ladder
+            assert len(banks) > 1
+        for bank in banks:
+            assert_flips_match_the_reference(bank)
+
+
 def largest_use(certs):
     """The largest count of each reduced key in any certificate."""
     use = Counter()
@@ -453,10 +531,16 @@ class TestShortAp:
             short_ap_in_subset_sums(S(range(1, 4001)), 10, PAPER)
 
 
+def extract_values(pool, *args):
+    """extract_aug_pairs with each pair's indices read as its values in pool."""
+    case, spots = extract_aug_pairs(pool, *args)
+    return case, [(pool.elems[i], pool.elems[j]) for i, j in spots]
+
+
 class TestExtractAugPairs:
     def test_case1_on_consecutive(self):
         pool = S(range(1, 2001))
-        case, pairs = extract_aug_pairs(pool, 3, 600, 2000, 300, TUNED)
+        case, pairs = extract_values(pool, 3, 600, 2000, 300, TUNED)
         assert case == 1
         assert all((hi - lo) % 3 != 0 for lo, hi in pairs)
         assert all(hi - lo <= 600 // TUNED.window_div for lo, hi in pairs)
@@ -465,7 +549,7 @@ class TestExtractAugPairs:
 
     def test_case2_when_diff_one(self):
         pool = S(range(1, 2001))
-        case, pairs = extract_aug_pairs(pool, 1, 800, 2000, 300, TUNED, gain_target=400)
+        case, pairs = extract_values(pool, 1, 800, 2000, 300, TUNED, 400)
         assert case == 2
         gains = [hi - lo for lo, hi in pairs]
         assert sum(gains) >= 400
@@ -542,12 +626,12 @@ def gone_inputs(draw):
 
 
 def _extract_or_exhausted(pool, d, ell, m, n, gain_target, gone=frozenset()):
-    """The case and pairs of one round, or "exhausted"; `gone` is a Gone or
-    the gone indices."""
+    """The case and pairs (as values) of one round, or "exhausted"; `gone` is
+    a Gone or the gone indices."""
     if not isinstance(gone, Gone):
         gone = gone_of(gone)
     try:
-        return extract_aug_pairs(pool, d, ell, m, n, TUNED, gain_target, gone)
+        return extract_values(pool, d, ell, m, n, TUNED, gain_target, gone)
     except Exhausted:
         return "exhausted"
 
@@ -791,7 +875,7 @@ class TestExtendOnce:
         p = ArithProgression(50, 1, 64)
         ap, _, used = extend_ap_once(p, pool, 500, 3000, TUNED, gain_target=32, seed=1)
         assert ap.length >= 96
-        assert all(v in pool for v in used)
+        assert len(set(used)) == len(used) and all(0 <= i < len(pool) for i in used)
 
     def test_availability_enforced_under_paper(self):
         pool = S(range(1, 3001))
@@ -814,8 +898,8 @@ class TestExtendOnce:
 def spy_rounds(monkeypatch, edit=lambda step: step):
     """Record the pool and the gone indices every extend_ap_once call sees
     (a copy, since the build keeps one Gone across rounds), after checking
-    that its links step over them, and the values each successful one uses;
-    `edit` may change the step it returns."""
+    that its links step over them, and the values at the indices each
+    successful one uses; `edit` may change the step it returns."""
     real = apcert.subsetsum_ap.extend_ap_once
     calls = []
 
@@ -823,7 +907,7 @@ def spy_rounds(monkeypatch, edit=lambda step: step):
         assert_links_step_over_gone(gone, len(pool))
         calls.append([pool, frozenset(gone.dead), None])
         step = real(p, pool, n, m, profile, gain_target, seed, gone)
-        calls[-1][2] = set(step[2])
+        calls[-1][2] = {pool.elems[i] for i in step[2]}
         return edit(step)
 
     monkeypatch.setattr(apcert.subsetsum_ap, "extend_ap_once", spy)
@@ -851,20 +935,21 @@ class TestPoolShrink:
         assert set(values) - set(pool) == set(res.coreset)
 
     def test_used_value_outside_the_pool_is_a_contract(self, monkeypatch):
+        # an index past the end of the pool
         def stray(step):
             ap, layers, used = step
-            return ap, layers, S([*used, 10**6])
+            return ap, layers, (*used, len(calls[-1][0]))
 
-        spy_rounds(monkeypatch, stray)
+        calls = spy_rounds(monkeypatch, stray)
         with pytest.raises(InternalContract, match="not in the set"):
             ap_in_subset_sums(list(range(1, 3001)), 3000, TUNED, seed=1)
 
     def test_used_value_already_gone_is_a_contract(self, monkeypatch):
-        # a value of the input that an earlier stage consumed
+        # the index of a value of the input that an earlier stage consumed
         def reused(step):
             ap, layers, used = step
-            full, gone, _ = calls[-1]
-            return ap, layers, S([*used, full.elems[min(gone)]])
+            _, gone, _ = calls[-1]
+            return ap, layers, (*used, min(gone))
 
         calls = spy_rounds(monkeypatch, reused)
         with pytest.raises(InternalContract, match="not in the set"):
