@@ -23,7 +23,7 @@ from __future__ import annotations
 from copy import copy
 from itertools import compress, islice, repeat
 from math import gcd
-from operator import mod, sub
+from operator import itemgetter, lt, mod, sub
 from typing import Optional, Protocol, Sequence
 
 from .core import (
@@ -100,11 +100,15 @@ class ApWitness:
             sol = CompactSolution.from_counts(counts, target, self.fold_budget)
             total = sum(v * c for v, c in sol.parts)
         else:
+            # the list is this query's own, so sorting it leaves every
+            # layer's and the leaf's stored parts as they are
             collected.extend(leaf_parts)
+            collected.sort(key=itemgetter(0))
             values, counts = zip(*collected) if collected else ((), ())
             contract(counts.count(1) == len(counts), "subset-sum parts must have count 1")
-            contract(len(set(values)) == len(values), "subset-sum parts must be distinct")
-            sol = CompactSolution(tuple(zip(sorted(values), repeat(1))), target, 0)
+            contract(all(map(lt, values, islice(values, 1, None))),
+                     "subset-sum parts must be distinct")
+            sol = CompactSolution(tuple(collected), target, 0)
             total = sum(values)
         if total != target:
             raise InternalContract(f"certificate sums to {total}, wanted {target}")

@@ -296,7 +296,8 @@ def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
     Subset mode accepts in C-level passes (counts, order, membership in
     `base.members`, sum). When one fails, the per-part loop runs and names
     the reason, so in both modes the code is that of the first fault in part
-    order."""
+    order. A fold budget below 0 declares neither mode and fails before any
+    part is read."""
     parts = sol.parts
     subset_mode = sol.fold_budget == 0
     if subset_mode and parts:
@@ -304,6 +305,8 @@ def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
         if (counts.count(1) == len(counts) and all(map(lt, values, islice(values, 1, None)))
                 and base.members.issuperset(values) and sum(values) == sol.target):
             return None
+    if sol.fold_budget < 0:
+        return "negative-fold-budget"
     elems = base.elems
     seen = parts[0][0] - 1 if parts else 0  # the first value is never out of order
     total = acc = i = 0
@@ -370,9 +373,9 @@ def check_report(report, base: SortedIntSet) -> tuple[int, list[tuple[int, str]]
     ap-sumset certificates carry its fold budget, at most 332·k_eff, for an
     `ap` of diff 1 and length m, where k_eff is ceil((m+1)/|base|) and at
     most k; ap-subsetsum ones are subsets (budget 0) of its coreset, of
-    coreset_size values, which must lie inside the input, for an `ap` of
-    length ell; each claims the term of its `ap` (diff >= 1, length >= 0) at
-    its index, which must lie in [0, ap length]. A claim that fails fails
+    coreset_size distinct values, which must lie inside the input, for an
+    `ap` of length ell; each claims the term of its `ap` (diff >= 1, length
+    >= 0) at its index, which must lie in [0, ap length]. A claim that fails
     every certificate with its reason; a report of the wrong shape, or with k
     or an ap-sumset fold budget below 1, raises the named precondition
     "malformed-report"."""
@@ -420,6 +423,8 @@ def check_report(report, base: SortedIntSet) -> tuple[int, list[tuple[int, str]]
             base_error = "ap-not-as-claimed"
         elif _report_int(report.get("coreset_size"), "coreset_size") != len(coreset):
             base_error = "coreset-size-not-as-claimed"
+        elif len(set(coreset)) != len(coreset):
+            base_error = "coreset-repeats-a-value"
         elif not base.members.issuperset(coreset):
             base_error = "coreset-not-in-input"
         else:

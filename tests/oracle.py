@@ -10,9 +10,12 @@ the package must match error for error, the select-by-index uniformize whose
 selection the pair bank's one grouping pass must bank pair for pair, the
 flip that rebuilds a part for every banked pair, which the pair bank's
 patched flip must match part for part and error for error, the
-per-element loops of the k-fold build (endpoint scan, closest-gap class, gap
-pairs) that its C-level passes must match value for value and tie for tie,
-plus the small set and certificate helpers that only the tests read.
+subset-sum query that unzips, sets, sorts and rebuilds every part, which
+`ApWitness.query` must match certificate for certificate and message for
+message, the per-element loops of the k-fold build (endpoint scan,
+closest-gap class, gap pairs) that its C-level passes must match value for
+value and tie for tie, plus the small set and certificate helpers that only
+the tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -25,6 +28,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from apcert.core import (
@@ -32,10 +36,12 @@ from apcert.core import (
     ApcertError,
     CompactSolution,
     EmptySet,
+    InternalContract,
     MultiplicityExceeded,
     NegativeInput,
     OverflowRisk,
     PreconditionViolated,
+    RandomSource,
     SortedIntSet,
     ceil_div,
     check_solution,
@@ -69,7 +75,10 @@ def verify_solution(base: SortedIntSet, sol: CompactSolution) -> bool:
 
 def check_solution_loop(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
     """Reference for `core.check_solution`: one bisect per part, in both
-    modes; the reason code of the first fault in part order, else None."""
+    modes; the reason code of the first fault in part order, else None. A
+    negative fold budget fails before any part is read."""
+    if sol.fold_budget < 0:
+        return "negative-fold-budget"
     elems = base.elems
     subset_mode = sol.fold_budget == 0
     seen = sol.parts[0][0] - 1 if sol.parts else 0  # the first value is never out of order
@@ -528,6 +537,35 @@ def flip_by_pair(bank, j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
             total += hi - lo
     parts = tuple((hi if i in flipped else lo, 1) for i, (lo, hi) in enumerate(bank.pairs))
     return total, parts
+
+
+def subset_query_by_set(witness, j: int, rng) -> CompactSolution:
+    """`ApWitness.query(j)` in subset mode by unzipping the parts of every
+    layer and the leaf: a set checks the values distinct, and the sorted
+    values are rebuilt into a fresh (value, 1) part each."""
+    target = witness.ap.term(j)
+    collected: list[tuple[int, int]] = []
+    for layer in witness.layers:
+        j, extra = layer.resolve(j)
+        collected.extend(extra)
+    collected.extend(witness.leaf.query_parts(j, rng))
+    values, counts = zip(*collected) if collected else ((), ())
+    contract(counts.count(1) == len(counts), "subset-sum parts must have count 1")
+    contract(len(set(values)) == len(values), "subset-sum parts must be distinct")
+    total = sum(values)
+    if total != target:
+        raise InternalContract(f"certificate sums to {total}, wanted {target}")
+    return CompactSolution(tuple(zip(sorted(values), repeat(1))), target, 0)
+
+
+def query_or_message(query, witness, j: int):
+    """(parts, target, fold budget) of query(witness, j, rng) with a fresh
+    stream of seed j, or the message of the InternalContract it raises."""
+    try:
+        sol = query(witness, j, RandomSource(j))
+    except InternalContract as exc:
+        return f"InternalContract: {exc}"
+    return sol.parts, sol.target, sol.fold_budget
 
 
 def uniformize_by_index(keys: Sequence[int]) -> tuple[int, list[int]]:

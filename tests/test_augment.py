@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apcert.augment import (
@@ -24,7 +24,7 @@ from apcert.core import (
     SortedIntSet,
     ceil_div,
 )
-from oracle import div_pair_step, verify_solution
+from oracle import div_pair_step, query_or_message, subset_query_by_set, verify_solution
 
 S = SortedIntSet.from_iterable
 AP = ArithProgression
@@ -447,3 +447,47 @@ class TestSubsetWitnessContracts:
         with pytest.raises(InternalContract) as exc:
             self._query(30, [(4, 2), (9, 1)], fold_budget=3)
         assert str(exc.value) == "certificate sums to 17, wanted 30"
+
+
+@st.composite
+def subset_stacks(draw):
+    """A subset-mode witness: a run of 1-4 DivPairLayer(h=1) steps on an
+    ExplicitLeaf whose parts come shuffled. A leaf term's parts are a few
+    values below 20 plus the one value that makes them sum to the term;
+    sometimes a count is 0 or 2, a value repeats or the sum is off by one,
+    and a step's pair may hit a leaf value, so some queries break a contract."""
+    d = draw(st.integers(1, 3))
+    leaf_ap = AP(draw(st.integers(100, 200)), d, draw(st.integers(1, 6)))
+    table = {}
+    for j in range(leaf_ap.length + 1):
+        small = sorted(draw(st.sets(st.integers(1, 19), max_size=4)))
+        parts = [(v, 1) for v in small] + [(leaf_ap.term(j) - sum(small), 1)]
+        fault = draw(st.sampled_from([None] * 6 + ["count", "repeat", "sum"]))
+        if fault == "count":
+            i = draw(st.integers(0, len(parts) - 1))
+            parts[i] = (parts[i][0], draw(st.sampled_from([0, 2])))
+        elif fault == "repeat":
+            parts.append(draw(st.sampled_from(parts)))
+        elif fault == "sum":
+            parts[-1] = (parts[-1][0] + draw(st.sampled_from([-1, 1])), 1)
+        table[j] = draw(st.permutations(parts))
+    layers, p = [], leaf_ap
+    for _ in range(draw(st.integers(1, 4))):
+        g = d * draw(st.integers(1, p.length))
+        a = draw(st.one_of(st.integers(1, 19), st.integers(300, 400)))
+        layers.insert(0, DivPairLayer(p, a, g, 1))
+        p = layers[0].outer
+    return ApWitness(ExplicitLeaf(leaf_ap, table), layers, fold_budget=0)
+
+
+class TestSubsetAssemblyMatchesReference:
+    """The subset-sum query, which sorts its own list of the emitted parts,
+    against the unzip-set-sort-rebuild query of tests/oracle.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(subset_stacks())
+    @example(ApWitness(ExplicitLeaf(AP(12, 1, 0), {0: [(7, 1), (2, 1), (3, 1)]}), ()))
+    def test_drawn_stacks(self, witness):
+        for j in range(witness.ap.length + 1):
+            assert (query_or_message(ApWitness.query, witness, j)
+                    == query_or_message(subset_query_by_set, witness, j)), j

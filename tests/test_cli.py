@@ -356,6 +356,13 @@ def _coreset_value_before(value):
     return edit
 
 
+def _repeat_first_coreset_value(rep):
+    # a set of the coreset would drop the copy, so the claimed size must
+    # count it and every certificate still be a subset of the coreset
+    rep["coreset"].append(rep["coreset"][0])
+    _resize_coreset(rep)
+
+
 def _swap_last_value_out_of_coreset(rep):
     """The last part of the first certificate becomes a value above the
     coreset (so the parts stay in order); its target no longer matches."""
@@ -471,6 +478,7 @@ class TestVerifyCommand:
         (_coreset_value_before(2**63), "b.txt", 2, "coreset-not-in-input"),
         (lambda rep: rep.update(ell=rep["ell"] + 1), "b.txt", 2, "ap-not-as-claimed"),
         (lambda rep: rep.update(coreset_size=1), "b.txt", 2, "coreset-size-not-as-claimed"),
+        (_repeat_first_coreset_value, "b.txt", 2, "coreset-repeats-a-value"),
         (lambda rep: rep.update(coreset_size=str(rep["coreset_size"])), "b.txt", 1,
          "malformed-report"),
         (_swap_last_value_out_of_coreset, "b.txt", 2, "value-not-in-base"),
@@ -484,7 +492,7 @@ class TestVerifyCommand:
         (None, "missing.txt", 1, None),
     ], ids=["valid", "tampered-count", "coreset-outside-input", "negative-coreset-value",
             "coreset-value-past-the-cap", "ell-not-the-ap-length", "coreset-size-not-the-coreset",
-            "non-integer-coreset-size", "part-outside-coreset",
+            "repeated-coreset-value", "non-integer-coreset-size", "part-outside-coreset",
             "duplicated-part", "index-past-the-ap", "not-json", "certificates-in-dense",
             "non-integer-ap-length", "zero-ap-diff", "negative-ap-length", "missing-input"])
     def test_exit_codes(self, workdir, capsys, tmp_path, edit, input_name, code, name):
@@ -665,6 +673,16 @@ class TestVerifyCommand:
                         "--input", inp, "--json")
         rep = json.loads(out)
         assert code == 0 and rep["passed"] == rep["checked"] == 9
+
+    def test_golden_coreset_with_a_repeated_value(self, capsys, tmp_path):
+        golden = Path(__file__).parent / "golden"
+        rep = json.loads((golden / "cli" / "ap-subsetsum-consecutive.stdout").read_text())
+        assert rep["coreset_size"] == len(rep["coreset"]) == 94
+        _repeat_first_coreset_value(rep)
+        code, out = self._verify(capsys, tmp_path, rep, golden / "inputs" / "consecutive300.txt")
+        assert code == 2 and out["checked"] == 9
+        assert out["failures"] == [[c["index"], "coreset-repeats-a-value"]
+                                   for c in rep["certificates"]]
 
     def test_subsetsum_report_claims(self, workdir, capsys, tmp_path):
         _, out = run(capsys, "ap-subsetsum", "--input", workdir / "b.txt", "--ell", "60",

@@ -19,6 +19,7 @@ from apcert.core import (
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
+    check_certificate,
     check_solution,
     gcd_all,
     load_int_set,
@@ -377,6 +378,15 @@ class TestVerifySolution:
                 assert check_solution(base, sol) == "value-not-in-base", (base, parts, budget)
         assert check_solution(a, CompactSolution(((1, 1),), 2, 1)) == "sum-mismatch"
         assert check_solution(a, CompactSolution(((1, 2),), 2, 0)) == "count-not-one"
+        # a negative budget bounds nothing: any multiplicity would pass the
+        # budget test, so it fails first, before the parts are read
+        b = S([0, 1, 5])
+        over = CompactSolution(((5, 100),), 500, -1)
+        assert check_solution(b, over) == "negative-fold-budget" == check_solution_loop(b, over)
+        assert check_certificate(b, over, -1, 500) == "negative-fold-budget"
+        assert check_solution(b, CompactSolution(((5, 100),), 500, 3)) == "budget-exceeded"
+        faulty = CompactSolution(((7, 0),), 1, -2)  # a part fault as well
+        assert check_solution(a, faulty) == "negative-fold-budget"
 
     @pytest.mark.parametrize("parts, target, reason", [
         (((0, 1), (1, 1), (3, 1)), 4, None),

@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib.util
 import itertools
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apcert.subsetsum_ap
-from apcert.augment import ApWitness, LadderLayer
+from apcert.augment import ApWitness, DivPairLayer, LadderLayer
 from apcert.core import (
     ApcertError,
     ArithProgression,
@@ -52,6 +53,8 @@ from oracle import (
     error_of,
     flip_by_pair,
     gen_pairs_by_index,
+    query_or_message,
+    subset_query_by_set,
     uniformize_by_index,
     verify_solution,
     walk_run_by_steps,
@@ -64,6 +67,14 @@ _spec = importlib.util.spec_from_file_location(
 )
 corpus = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(corpus)
+GOLDEN_SUBSET_BUILDS = [c for c in corpus.LIBRARY_CASES
+                        if c[1] in ("ap-subsetsum", "subsetsum-rounds")]
+
+
+@functools.lru_cache(maxsize=None)
+def golden_witness(inp, length):
+    """The witness of a golden subset-sum build, built once per test run."""
+    return ap_in_subset_sums(corpus.INPUTS[inp](), length, TUNED, corpus.SEED).witness
 
 
 def columns(pairs):
@@ -339,19 +350,59 @@ class TestFlipMatchesReference:
     def test_drawn_banks(self, bank):
         assert_flips_match_the_reference(bank)
 
-    @pytest.mark.parametrize("case", [c for c in corpus.LIBRARY_CASES
-                                      if c[1] in ("ap-subsetsum", "subsetsum-rounds")],
-                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("case", GOLDEN_SUBSET_BUILDS, ids=lambda c: c[0])
     def test_golden_builds(self, case):
         # the bridge leaf and the bank of every residue ladder, every term
         _, _, inp, length, _ = case
-        witness = ap_in_subset_sums(corpus.INPUTS[inp](), length, TUNED, corpus.SEED).witness
+        witness = golden_witness(inp, length)
         banks = [witness.leaf] + [layer.ladder.bank for layer in witness.layers
                                   if isinstance(layer, LadderLayer)]
         if inp == "evens_odds":  # the golden case with a residue ladder
             assert len(banks) > 1
         for bank in banks:
             assert_flips_match_the_reference(bank)
+
+
+def leaf_index(witness, j):
+    """The leaf term that term j of the witness resolves to."""
+    for layer in witness.layers:
+        j, _ = layer.resolve(j)
+    return j
+
+
+class TestQueryMatchesReference:
+    """The subset-sum query, which sorts its own list of the emitted parts,
+    against the unzip-set-sort-rebuild query of tests/oracle.py."""
+
+    @pytest.mark.parametrize("case", GOLDEN_SUBSET_BUILDS, ids=lambda c: c[0])
+    def test_golden_builds_every_term(self, case):
+        _, _, inp, length, _ = case
+        witness = golden_witness(inp, length)
+        assert witness.fold_budget == 0
+        for j in range(witness.ap.length + 1):
+            got = query_or_message(ApWitness.query, witness, j)
+            assert got == query_or_message(subset_query_by_set, witness, j), j
+            assert not isinstance(got, str)
+
+    def test_stored_parts_are_left_as_they_are(self):
+        # a term whose leaf certificate flips no pair gets the bank's `lows`
+        # themselves, here in pair order, not value order, and a run stores
+        # its steps with values falling; sorting the query's parts must
+        # touch neither
+        witness = golden_witness("half10k", 10**4)
+        bank = witness.leaf
+        j = next(j for j in range(witness.ap.length + 1)
+                 if bank.flip(leaf_index(witness, j))[1] is bank.lows)
+        lows = bank.lows
+        kept = list(lows)
+        runs = [layer for layer in witness.layers if isinstance(layer, DivPairLayer)]
+        steps = [list(run.steps) for run in runs]
+        assert runs and kept != sorted(kept)
+        first = witness.query(j, RandomSource(j))
+        assert witness.query(j, RandomSource(j)) == first
+        assert bank.lows is lows and list(lows) == kept
+        assert [list(run.steps) for run in runs] == steps
+        assert list(first.parts) == sorted(first.parts)
 
 
 def largest_use(certs):
