@@ -24,7 +24,7 @@ from copy import copy
 from itertools import compress, islice, repeat
 from math import gcd
 from operator import itemgetter, lt, mod, sub
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence, Union
 
 from .core import (
     ArithProgression,
@@ -48,9 +48,12 @@ Parts = Sequence[tuple[int, int]]
 # ---------------------------------------------------------------------------
 
 class LeafWitness(Protocol):
+    """In fold mode query_parts returns a fresh value -> count dict that the
+    witness adds into; in subset mode, parts that the witness never mutates."""
+
     ap: ArithProgression
 
-    def query_parts(self, j: int, rng: RandomSource) -> Parts: ...
+    def query_parts(self, j: int, rng: RandomSource) -> Union[dict[int, int], Parts]: ...
 
 
 class Layer(Protocol):
@@ -93,11 +96,10 @@ class ApWitness:
             collected.extend(extra)
         leaf_parts = self.leaf.query_parts(j, rng)
         if self.fold_budget:
-            counts = dict(leaf_parts)
-            contract(len(counts) == len(leaf_parts), "a fold-mode leaf emits each value once")
+            # the leaf's dict is this query's own, so the layers' parts add into it
             for v, c in collected:
-                counts[v] = counts.get(v, 0) + c
-            sol = CompactSolution.from_counts(counts, target, self.fold_budget)
+                leaf_parts[v] = leaf_parts.get(v, 0) + c
+            sol = CompactSolution.from_counts(leaf_parts, target, self.fold_budget)
             total = sum(v * c for v, c in sol.parts)
         else:
             # the list is this query's own, so sorting it leaves every

@@ -508,13 +508,15 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 
 def parse_int_set_text(text: str) -> list[int]:
-    """Whitespace-separated decimal integers; '#' starts a comment line.
-    Any other token raises the named precondition "malformed-input"."""
+    """Whitespace-separated ASCII decimal integers [+-]?[0-9]+; '#' starts a
+    comment. Any other token raises the named precondition "malformed-input"."""
     values = []
     for lineno, line in enumerate(text.splitlines(), 1):
         for tok in line.split("#", 1)[0].split():
             try:
-                values.append(int(tok))
+                if not tok.isascii() or "_" in tok:  # int() reads both
+                    raise ValueError(tok)
+                values.append(int(tok))  # ValueError past int()'s digit limit too
             except ValueError:
                 raise PreconditionViolated(
                     "malformed-input", f"line {lineno}: {tok!r} is not an integer"

@@ -295,12 +295,6 @@ class Gone:
         self.nxt: dict[int, int] = {}
         self.prv: dict[int, int] = {}
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.dead
-
-    def __len__(self) -> int:
-        return len(self.dead)
-
     def copy(self) -> Gone:
         """Three C-level copies: unlinking on the copy leaves this one as it is."""
         c = Gone()
@@ -363,9 +357,9 @@ class GapScan:
     (every gap is divisible). The elements at the indices in `gone` start
     dead, and the scan unlinks its removals on a copy of `gone`'s links, so
     set-up makes no Python-level pass over them and `gone` is left as it
-    was. A run's end comes from one bisect on its value bound, cut before
-    the first alive element of another class mod d, since its gaps
-    telescope.
+    was, for a failed round or a case-1 round that uses only some pairs. A
+    run's end comes from one bisect on its value bound, cut before the first
+    alive element of another class mod d, since its gaps telescope.
     """
 
     def __init__(
@@ -375,10 +369,8 @@ class GapScan:
         ell: int,
         gamma: Fraction,
         profile: ConstantsProfile,
-        gone: Optional[Gone] = None,
+        gone: Gone,
     ):
-        if gone is None:
-            gone = Gone()
         self.vals = values
         self.n = len(values)
         self.d = d
@@ -466,15 +458,15 @@ def extract_aug_pairs(
     ell: int,
     m: int,
     n: int,
-    profile: ConstantsProfile = TUNED,
-    gain_target: Optional[int] = None,
-    gone: Optional[Gone] = None,
+    profile: ConstantsProfile,
+    gain_target: int,
+    gone: Gone,
 ) -> tuple[int, list[Pair]]:
     """Extract conflict-free augmentation pairs from `pool` less its elements
     at the indices in `gone` until one case reaches its target: case 1 at
     case1_pair_factor*d*log2(d) pairs, case 2 at window_div*gamma pairs or
-    (when given) at a total length gain of gain_target. Returns (case, pairs
-    of that case), each pair the indices (i, j) of its ends in pool.elems."""
+    at a total length gain of gain_target. Returns (case, pairs of that
+    case), each pair the indices (i, j) of its ends in pool.elems."""
     gamma = gamma_parameter(m, n, ell, profile)
     scan = GapScan(pool.elems, d, ell, gamma, profile, gone)
     c1_target = (
@@ -503,9 +495,7 @@ def extract_aug_pairs(
         else:
             case2.append(hit)
             gain += (pool.elems[j] - pool.elems[i]) // d
-            if gain_target is not None and gain >= gain_target:
-                return 2, case2
-            if len(case2) >= c2_pair_target:
+            if gain >= gain_target or len(case2) >= c2_pair_target:
                 return 2, case2
     if case1:
         return 1, case1
@@ -588,8 +578,8 @@ def extend_ap_once(
     m: int,
     profile: ConstantsProfile,
     gain_target: int,
-    seed: int = 0,
-    gone: Optional[Gone] = None,
+    seed: int,
+    gone: Gone,
 ) -> tuple[ArithProgression, tuple[Layer, ...], tuple[int, ...]]:
     """(ap, layers, used): the progression grown by at least gain_target with
     pairs of `pool` less its elements at the indices in `gone`, its layers
@@ -605,21 +595,19 @@ def extend_ap_once(
             + profile.reserve_factor * d * ceil_log2(max(d, 2))
             + ceil_div(profile.window_lo_div * gamma.numerator, gamma.denominator)
         )
-        alive = len(pool) - len(gone or ())
+        alive = len(pool) - len(gone.dead)
         require(alive >= reserve, "aug-availability", f"|pool|={alive} < {reserve}")
     case, spots = extract_aug_pairs(pool, d, ell, m, n, profile, gain_target, gone)
     vals = pool.elems
     layers: list[Layer] = []
     if case == 2:
+        # extraction stops at the pair that reaches gain_target: one layer per pair
         cur = p
         for i, j in spots:
-            if cur.length >= ell + gain_target:
-                break
             layer = DivPairLayer(cur, vals[i], vals[j] - vals[i], 1)
             cur = layer.outer
             layers.insert(0, layer)
-        # one layer per pair, in pair order
-        used = spots[: len(layers)]
+        used = spots
     else:
         ladder = residue_ladder([(vals[i], vals[j]) for i, j in spots], d, profile, seed)
         if p.length < ladder.h_max - ladder.h_min:
@@ -708,8 +696,9 @@ def ap_in_subset_sums(
     bank = short_ap_in_subset_sums(first, ell0, profile, seed)
     # the pool is `a` less its elements at the indices in `gone`; a round
     # scans a copy of its links, and only the indices a round uses are
-    # unlinked here, so a failed or partly used round consumes nothing. The
-    # first bank's endpoints are elements of `first`, a prefix of `a`.
+    # unlinked here, so a failed round consumes nothing, nor a case-1 round
+    # the pairs its ladder leaves out. The first bank's endpoints are
+    # elements of `first`, a prefix of `a`.
     gone = Gone()
     ends = chain.from_iterable(bank.pairs)
     _unlink_indices(gone, big_n, map(bisect_left, repeat(a.elems), ends))

@@ -130,7 +130,7 @@ class ShortLeaf:
         v = x * self.g + self.a_prime
         return (v, self.a_star) if self.in_class[x] else (v - self.g, self.a_star + self.g)
 
-    def query_parts(self, j: int, rng: RandomSource):
+    def query_parts(self, j: int, rng: RandomSource) -> dict[int, int]:
         u, g, a_star, in_class = self.u, self.g, self.a_star, self.in_class
         shift = u * g + self.a_prime
         counts: dict[int, int] = {}
@@ -149,7 +149,7 @@ class ShortLeaf:
             if c:
                 for v in values:
                     counts[v] = counts.get(v, 0) + c
-        return list(counts.items())
+        return counts
 
 
 def _closest_class(elems: Sequence[int]) -> tuple[int, int, int, int, bytes, SortedIntSet]:

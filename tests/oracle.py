@@ -50,6 +50,7 @@ from apcert.core import (
 )
 from apcert.density_witness import density_with_argmin, kfold_greedy_steps
 from apcert.profiles import ConstantsProfile
+from apcert.subsetsum_ap import Gone
 
 HARD_CAP = 10**8
 
@@ -373,9 +374,9 @@ class EagerGapScan:
         ell: int,
         gamma: Fraction,
         profile: ConstantsProfile,
-        gone: frozenset[int] = frozenset(),
+        gone: Gone,
     ):
-        self.at = [i for i in range(len(values)) if i not in gone]
+        self.at = [i for i in range(len(values)) if i not in gone.dead]
         self.pos = {i: k for k, i in enumerate(self.at)}
         self.kept = [values[i] for i in self.at]
         n = len(self.kept)
@@ -556,6 +557,23 @@ def subset_query_by_set(witness, j: int, rng) -> CompactSolution:
     if total != target:
         raise InternalContract(f"certificate sums to {total}, wanted {target}")
     return CompactSolution(tuple(zip(sorted(values), repeat(1))), target, 0)
+
+
+def fold_query_by_merge(witness, j: int, rng) -> CompactSolution:
+    """`ApWitness.query(j)` in fold mode by merging the leaf's items and the
+    parts of every layer into a new dict with `merge_counts`, which leaves
+    the dict the leaf hands over as it is."""
+    target = witness.ap.term(j)
+    collected: list[tuple[int, int]] = []
+    for layer in witness.layers:
+        j, extra = layer.resolve(j)
+        collected.extend(extra)
+    counts = merge_counts(witness.leaf.query_parts(j, rng).items(), collected)
+    sol = CompactSolution.from_counts(counts, target, witness.fold_budget)
+    total = sum(v * c for v, c in sol.parts)
+    if total != target:
+        raise InternalContract(f"certificate sums to {total}, wanted {target}")
+    return sol
 
 
 def query_or_message(query, witness, j: int):

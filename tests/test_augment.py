@@ -24,7 +24,13 @@ from apcert.core import (
     SortedIntSet,
     ceil_div,
 )
-from oracle import div_pair_step, query_or_message, subset_query_by_set, verify_solution
+from oracle import (
+    div_pair_step,
+    fold_query_by_merge,
+    query_or_message,
+    subset_query_by_set,
+    verify_solution,
+)
 
 S = SortedIntSet.from_iterable
 AP = ArithProgression
@@ -39,6 +45,13 @@ class ExplicitLeaf:
 
     def query_parts(self, j, rng):
         return self.table[j]
+
+
+class FoldLeaf(ExplicitLeaf):
+    """A fold-mode ExplicitLeaf: every query gets a fresh value -> count dict."""
+
+    def query_parts(self, j, rng):
+        return dict(self.table[j])
 
 
 class FixedLadder:
@@ -300,7 +313,7 @@ def explicit_witness_over(a, p, budget):
         if budget - j:
             parts.append((0, budget - j))
         table[j] = tuple(parts)
-    return ExplicitLeaf(p, table)
+    return FoldLeaf(p, table)
 
 
 class TestAugmentOnce:
@@ -395,21 +408,15 @@ class TestAugmentToFull:
 
 class TestFoldWitnessCounts:
     def test_distinct_leaf_parts_pass_through(self):
-        leaf = ExplicitLeaf(AP(10, 1, 1), {0: [(7, 1), (3, 1)], 1: [(4, 2), (3, 1)]})
+        leaf = FoldLeaf(AP(10, 1, 1), {0: [(7, 1), (3, 1)], 1: [(4, 2), (3, 1)]})
         w = ApWitness(leaf, (), fold_budget=3)
         assert w.query(0, RandomSource(0)).parts == ((3, 1), (7, 1))
         assert w.query(1, RandomSource(0)).parts == ((3, 1), (4, 2))
 
-    def test_repeated_leaf_value_is_a_contract(self):
-        # a fold-mode leaf emits each value once: 5 arriving twice is a bug
-        leaf = ExplicitLeaf(AP(19, 1, 0), {0: [(5, 1), (2, 2), (5, 2)]})
-        with pytest.raises(InternalContract, match="emits each value once"):
-            ApWitness(leaf, (), fold_budget=5).query(0, RandomSource(0))
-
     def test_layer_part_adds_into_a_leaf_value(self):
         # the layer's low end 3, and past its threshold its high end 7, is
         # also a leaf value: the counts must add up, not overwrite
-        leaf = ExplicitLeaf(AP(10, 1, 4), {0: [(3, 1), (7, 1)], 1: [(3, 1), (8, 1)]})
+        leaf = FoldLeaf(AP(10, 1, 4), {0: [(3, 1), (7, 1)], 1: [(3, 1), (8, 1)]})
         w = ApWitness(leaf, (DivPairLayer(leaf.ap, 3, 4, 1),), fold_budget=3)
         assert w.ap == AP(13, 1, 8)
         for j, parts in [(0, ((3, 2), (7, 1))), (1, ((3, 2), (8, 1))),
@@ -420,7 +427,7 @@ class TestFoldWitnessCounts:
 
 class TestSubsetWitnessContracts:
     def _query(self, target, parts, fold_budget=0):
-        leaf = ExplicitLeaf(AP(target, 1, 0), {0: parts})
+        leaf = (FoldLeaf if fold_budget else ExplicitLeaf)(AP(target, 1, 0), {0: parts})
         return ApWitness(leaf, (), fold_budget=fold_budget).query(0, RandomSource(0))
 
     def test_distinct_unit_parts_are_sorted(self):
@@ -491,3 +498,46 @@ class TestSubsetAssemblyMatchesReference:
         for j in range(witness.ap.length + 1):
             assert (query_or_message(ApWitness.query, witness, j)
                     == query_or_message(subset_query_by_set, witness, j)), j
+
+
+@st.composite
+def fold_stacks(draw):
+    """A fold-mode witness: 1-4 layers, each a DivPairLayer (h copies of a
+    pair) or, while the difference is above 1, a pair-ladder LadderLayer, on
+    a FoldLeaf. A leaf term's counts are a few values below 13 plus the one
+    value that makes them sum to the term, sometimes off by one; the layers'
+    pair values are drawn below 13 too, so they often add into a leaf value."""
+    d = draw(st.integers(1, 6))
+    leaf_ap = AP(draw(st.integers(150, 250)), d, draw(st.integers(4, 12)))
+    table = {}
+    for j in range(leaf_ap.length + 1):
+        counts = draw(st.dictionaries(st.integers(0, 12), st.integers(1, 3), max_size=4))
+        rest = leaf_ap.term(j) - sum(v * c for v, c in counts.items())
+        counts[rest + draw(st.sampled_from([0] * 8 + [-1, 1]))] = 1
+        table[j] = tuple(counts.items())
+    layers, p = [], leaf_ap
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, 12))
+        if p.diff > 1 and draw(st.booleans()):
+            g = draw(st.integers(1, 2 * p.diff).filter(lambda g: g % p.diff))
+            if p.length < g:
+                continue
+            layer = augment_nondiv_pair(p, a, g)
+        else:
+            layer = DivPairLayer(p, a, p.diff * draw(st.integers(1, p.length)),
+                                 draw(st.integers(1, 3)))
+        layers.insert(0, layer)
+        p = layer.outer
+    return ApWitness(FoldLeaf(leaf_ap, table), layers, fold_budget=draw(st.integers(1, 60)))
+
+
+class TestFoldAssemblyMatchesReference:
+    """The fold-mode query, which adds the layers' parts into the dict the
+    leaf hands over, against the merge into a new dict of tests/oracle.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fold_stacks())
+    def test_drawn_stacks(self, witness):
+        for j in range(witness.ap.length + 1):
+            assert (query_or_message(ApWitness.query, witness, j)
+                    == query_or_message(fold_query_by_merge, witness, j)), j

@@ -146,14 +146,19 @@ class TestApSumset:
         ([0, 1, 2**62 + 1], M_K, 1, "element-cap", f"{2**62 + 1} > 2^62"),
         ([0, 1, 2**63, -2], M_K, 1, "element-cap", f"{2**63} > 2^62"),
         (["0", "1", "x2"], M_K, 1, "malformed-input", "line 1: 'x2' is not an integer"),
+        (["0", "1", "1_000"], M_K, 1, "malformed-input", "line 1: '1_000' is not an integer"),
+        (["0", "1", "\u0663"], M_K, 1, "malformed-input", "line 1: '\u0663' is not an integer"),
+        (["0", "1", "\uff11\uff12"], M_K, 1, "malformed-input",
+         "line 1: '\uff11\uff12' is not an integer"),
         (A_VALUES, M_K + ["--workers", "2"], 1, USAGE, "unrecognized arguments: --workers 2"),
         (A_VALUES, ["--k", "101"], 1, USAGE, "the following arguments are required: --m"),
         ([0, 1, 10**18], ["--m", str(10**18), "--k", str(34 * 10**16)], 1, OOM, None),
     ], ids=["certified", "negative", "over-cap", "first-fault-wins", "malformed-input",
+            "underscore-digits", "arabic-indic-digit", "fullwidth-digits",
             "workers-option", "missing-m", "out-of-memory"])
     def test_exit_codes(self, tmp_path, capsys, values, flags, code, error, detail):
         inp = tmp_path / "in.txt"
-        inp.write_text(" ".join(map(str, values)) + "\n")
+        inp.write_text(" ".join(map(str, values)) + "\n", encoding="utf-8")
         got = main(["ap-sumset", "--input", str(inp), *flags, "--seed", "0", "--json"])
         captured = capsys.readouterr()
         assert got == code

@@ -499,6 +499,20 @@ class TestFileFormat:
         assert exc.value.name == "malformed-input"
         assert exc.value.detail == "line 2: '4.5' is not an integer"
 
+    def test_signed_ascii_decimals_are_read(self):
+        assert parse_int_set_text("+7 -3 007 0 -0\n") == [7, -3, 7, 0, 0]
+
+    # int() reads each of these tokens, but none is an ASCII [+-]?[0-9]+ token
+    @pytest.mark.parametrize("tok", [
+        "1_000", "\u0663", "\uff11\uff12", "\u00b2", "+-1", "-", "1e3", "0x10", "5.", "\u0661_0",
+    ], ids=["underscore", "arabic-indic", "fullwidth", "superscript", "two-signs", "sign-only",
+            "exponent", "hex", "trailing-dot", "arabic-indic-underscore"])
+    def test_only_ascii_decimal_tokens(self, tok):
+        with pytest.raises(PreconditionViolated) as exc:
+            parse_int_set_text(f"1 {tok} 2\n")
+        assert exc.value.name == "malformed-input"
+        assert exc.value.detail == f"line 1: {tok!r} is not an integer"
+
     def test_undecodable_file_is_named(self, tmp_path):
         path = tmp_path / "bin.txt"
         path.write_bytes(b"\xff\xfe1 2\n")

@@ -582,6 +582,10 @@ class TestShortAp:
             short_ap_in_subset_sums(S(range(1, 4001)), 10, PAPER)
 
 
+# a gain target that no round reaches: only the pair-count target stops case 2
+UNREACHED = 10**9
+
+
 def extract_values(pool, *args):
     """extract_aug_pairs with each pair's indices read as its values in pool."""
     case, spots = extract_aug_pairs(pool, *args)
@@ -591,7 +595,7 @@ def extract_values(pool, *args):
 class TestExtractAugPairs:
     def test_case1_on_consecutive(self):
         pool = S(range(1, 2001))
-        case, pairs = extract_values(pool, 3, 600, 2000, 300, TUNED)
+        case, pairs = extract_values(pool, 3, 600, 2000, 300, TUNED, UNREACHED, Gone())
         assert case == 1
         assert all((hi - lo) % 3 != 0 for lo, hi in pairs)
         assert all(hi - lo <= 600 // TUNED.window_div for lo, hi in pairs)
@@ -600,7 +604,7 @@ class TestExtractAugPairs:
 
     def test_case2_when_diff_one(self):
         pool = S(range(1, 2001))
-        case, pairs = extract_values(pool, 1, 800, 2000, 300, TUNED, 400)
+        case, pairs = extract_values(pool, 1, 800, 2000, 300, TUNED, 400, Gone())
         assert case == 2
         gains = [hi - lo for lo, hi in pairs]
         assert sum(gains) >= 400
@@ -616,7 +620,7 @@ class TestExtractAugPairs:
         # every gap is odd (never divisible by 2) and far above the case-1 cap
         pool = S([1, 1000000, 1999999, 2999998])
         with pytest.raises(Exhausted):
-            extract_aug_pairs(pool, 2, 16, 3 * 10**6, 4, TUNED)
+            extract_aug_pairs(pool, 2, 16, 3 * 10**6, 4, TUNED, UNREACHED, Gone())
 
 
 def _from_gaps(start, gaps):
@@ -652,7 +656,7 @@ def scan_inputs(draw):
         vals = _from_gaps(draw(st.integers(1, 50)), gaps)
     m = draw(st.integers(max(1, vals[-1] // 4), 4 * vals[-1] + 1))
     n = draw(st.integers(1, 300))
-    gain_target = draw(st.none() | st.integers(1, 400))
+    gain_target = draw(st.just(UNREACHED) | st.integers(1, 400))
     return vals, d, ell, m, n, gain_target
 
 
@@ -738,6 +742,8 @@ class TestGapScanMatchesEagerScan:
         ([158, 171, 173, 182, 259, 265], 6, 53, 978, 121, 1, 2),
     ])
     def test_fixed_cases(self, pool, d, ell, m, n, gain_target, case):
+        # a gain target of None stands for one that no round reaches
+        gain_target = UNREACHED if gain_target is None else gain_target
         lazy = _extract_or_exhausted(S(pool), d, ell, m, n, gain_target)
         with mock.patch.object(apcert.subsetsum_ap, "GapScan", EagerGapScan):
             eager = _extract_or_exhausted(S(pool), d, ell, m, n, gain_target)
@@ -756,7 +762,7 @@ def assert_links_step_over_gone(gone, n):
 class TestGoneAcrossRounds:
     @settings(max_examples=150, deadline=None)
     @given(gone_inputs(), st.lists(st.tuples(
-        st.integers(1, 6), st.integers(8, 600), st.none() | st.integers(1, 400),
+        st.integers(1, 6), st.integers(8, 600), st.just(UNREACHED) | st.integers(1, 400),
         st.integers(0, 4)), min_size=1, max_size=6), st.randoms(use_true_random=False))
     def test_kept_links_serve_what_a_fresh_eager_scan_serves(self, args, rounds, rnd):
         """Rounds on one Gone, each using only its first `keep` pairs, as the
@@ -835,7 +841,8 @@ class TestGapScanWork:
         # at most c2_hi unit gaps, and nothing behind the last run is read
         vals = CountingRange(10**6)
         ell, m, n = 800, 1000, 1000
-        case, pairs = extract_aug_pairs(SimpleNamespace(elems=vals), 1, ell, m, n, TUNED)
+        case, pairs = extract_aug_pairs(SimpleNamespace(elems=vals), 1, ell, m, n, TUNED,
+                                        UNREACHED, Gone())
         run = ell // TUNED.window_div
         assert case == 2 and 1 <= len(pairs) <= 20
         assert vals.reads <= 4 * len(pairs) * (run + 2)
@@ -846,7 +853,7 @@ class TestGapScanWork:
         # and its class cut reads the run's values once
         d, ell = 3, 8000
         vals = CountingRange(10**6, d)
-        scan = GapScan(vals, d, ell, gamma_parameter(1000, 1000, ell, TUNED), TUNED)
+        scan = GapScan(vals, d, ell, gamma_parameter(1000, 1000, ell, TUNED), TUNED, Gone())
         run = ell // TUNED.window_div
         for _ in range(20):
             i, j = scan.pop_case2()
@@ -859,7 +866,7 @@ class TestGapScanWork:
         gamma = gamma_parameter(5000, 800, 800, TUNED)
         gc.disable()
         try:
-            scan = GapScan(pool, 1, 800, gamma, TUNED)
+            scan = GapScan(pool, 1, 800, gamma, TUNED, Gone())
             i, j = scan.pop_case2()
             scan.remove_pair(i, j)
             assert scan.pop_case1() is None and scan.pop_case2() is not None
@@ -924,7 +931,8 @@ class TestExtendOnce:
     def test_growth_and_disjoint_consumption(self):
         pool = S(range(1, 3001))
         p = ArithProgression(50, 1, 64)
-        ap, _, used = extend_ap_once(p, pool, 500, 3000, TUNED, gain_target=32, seed=1)
+        ap, _, used = extend_ap_once(p, pool, 500, 3000, TUNED, gain_target=32, seed=1,
+                                     gone=Gone())
         assert ap.length >= 96
         assert len(set(used)) == len(used) and all(0 <= i < len(pool) for i in used)
 
@@ -932,18 +940,70 @@ class TestExtendOnce:
         pool = S(range(1, 3001))
         p = ArithProgression(50, 1, 64)
         with pytest.raises(PreconditionViolated):
-            extend_ap_once(p, pool, 500, 3000, PAPER, gain_target=32)
+            extend_ap_once(p, pool, 500, 3000, PAPER, gain_target=32, seed=0, gone=Gone())
 
     def test_availability_counts_only_the_alive_pool(self):
         # n = m = 1, d = 1, ell = 16000: gamma = 5 and the reserve is
         # n + 40000*d*log2(2) + 8000*gamma = 80001, the pool's full length
         pool = S(range(1, 80002))
         p = ArithProgression(0, 1, 16000)
-        ap, _, _ = extend_ap_once(p, pool, 1, 1, PAPER, gain_target=1)
+        ap, _, _ = extend_ap_once(p, pool, 1, 1, PAPER, gain_target=1, seed=0, gone=Gone())
         assert ap.length > p.length
         with pytest.raises(PreconditionViolated) as exc:
-            extend_ap_once(p, pool, 1, 1, PAPER, gain_target=1, gone=gone_of({0}))
+            extend_ap_once(p, pool, 1, 1, PAPER, gain_target=1, seed=0, gone=gone_of({0}))
         assert exc.value.name == "aug-availability"
+
+
+def spy_served_rounds(monkeypatch):
+    """Record, for every extend_ap_once call that returns, its progression,
+    pool and gain target, the case and pairs extract_aug_pairs served it,
+    and the step it returns."""
+    mod = apcert.subsetsum_ap
+    real_extract, real_extend = mod.extract_aug_pairs, mod.extend_ap_once
+    served, rounds = [], []
+
+    def extract(pool, d, ell, m, n, profile, gain_target, gone):
+        served.append(real_extract(pool, d, ell, m, n, profile, gain_target, gone))
+        return served[-1]
+
+    def extend(p, pool, n, m, profile, gain_target, seed, gone):
+        step = real_extend(p, pool, n, m, profile, gain_target, seed, gone)
+        rounds.append((p, pool, gain_target, *served[-1], step))
+        return step
+
+    monkeypatch.setattr(mod, "extract_aug_pairs", extract)
+    monkeypatch.setattr(mod, "extend_ap_once", extend)
+    return rounds
+
+
+class TestCase2RoundsUseEveryPair:
+    """Extraction stops at the first case-2 pair whose summed gain reaches
+    the round's target, so a case-2 round needs, and uses, every pair."""
+
+    @pytest.mark.parametrize("inp, ell", [
+        ("consecutive10k", 10**4), ("half10k", 10**4), ("evens_odds", 899),
+    ])
+    def test_golden_builds(self, monkeypatch, inp, ell):
+        rounds = spy_served_rounds(monkeypatch)
+        res = ap_in_subset_sums(corpus.INPUTS[inp](), ell, TUNED, corpus.SEED)
+        case2 = [r for r in rounds if r[3] == 2]
+        assert len(rounds) == res.rounds and case2
+        for p, pool, gain_target, _, spots, (ap, layers, used) in case2:
+            vals = pool.elems
+            gains = list(itertools.accumulate((vals[j] - vals[i]) // p.diff for i, j in spots))
+            assert used == tuple(itertools.chain.from_iterable(spots))
+            assert len(layers) == len(spots) and ap.length == p.length + gains[-1]
+            # the summed gain first reaches the target at the last pair
+            assert gains[-1] >= gain_target > ([0] + gains)[-2]
+
+    def test_first_pair_reaching_the_target_is_the_only_one_used(self):
+        pool = S(range(1, 3001))
+        p = ArithProgression(50, 1, 64)
+        case, spots = extract_aug_pairs(pool, 1, 64, 3000, 500, TUNED, 1, Gone())
+        ap, layers, used = extend_ap_once(p, pool, 500, 3000, TUNED, 1, 0, Gone())
+        assert case == 2 and len(spots) == len(layers) == 1
+        (i, j), = spots
+        assert used == (i, j) and ap.length == p.length + j - i
 
 
 def spy_rounds(monkeypatch, edit=lambda step: step):

@@ -1,14 +1,17 @@
 import collections
+import functools
+import importlib.util
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apcert import sumset_ap
-from apcert.augment import ApWitness
+from apcert.augment import ApWitness, DivPairLayer, LadderLayer
 from apcert.core import (
     CompactSolution,
     PreconditionViolated,
@@ -27,13 +30,28 @@ from apcert.sumset_ap import (
 from oracle import (
     brute_kfold,
     closest_pair_lift,
+    fold_query_by_merge,
     merge_counts,
+    query_or_message,
     restricted_pairs,
     total_count,
     verify_solution,
 )
 
 S = SortedIntSet.from_iterable
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_corpus", Path(__file__).resolve().parent / "golden" / "corpus.py"
+)
+corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus)
+GOLDEN_KFOLD_BUILDS = [c for c in corpus.LIBRARY_CASES if c[1] == "ap-sumset"]
+
+
+@functools.lru_cache(maxsize=None)
+def golden_witness(inp, m, k):
+    """The witness of a golden k-fold build, built once per test run."""
+    return corpus.build_witness("ap-sumset", inp, m, k)
 
 
 def endpoint_quantifier_holds(a, m, k, u, side):
@@ -200,9 +218,7 @@ class TestApShort:
                 branches = set()
                 for j in range(leaf.ap.length + 1):
                     parts = leaf.query_parts(j, RandomSource(j))
-                    values = [v for v, _ in parts]
-                    assert len(values) == len(set(values)), (g, j)
-                    assert dict(parts) == self.reference_parts(leaf, base, j, branches), (g, j)
+                    assert parts == self.reference_parts(leaf, base, j, branches), (g, j)
                 assert branches == {True, False}, (g, family.__name__)
 
     @settings(max_examples=60, deadline=None)
@@ -219,7 +235,7 @@ class TestApShort:
         for j in js:
             j %= leaf.ap.length + 1
             parts = leaf.query_parts(j, RandomSource(j))
-            assert dict(parts) == self.reference_parts(leaf, base, j), (j, leaf.u)
+            assert parts == self.reference_parts(leaf, base, j), (j, leaf.u)
 
     def test_length_and_diff_bounds(self):
         rnd = random.Random(3)
@@ -341,3 +357,37 @@ class TestKfoldSumsetAp:
         for b_set, m2, (u, side) in calls:
             assert side is Side.LEFT, (b_set.elems, m2, u)
             assert 5 * (b_set.max - 1) <= m2, (b_set.elems, m2)
+
+
+class TestFoldQueryMatchesReference:
+    """The fold-mode query, which adds the layers' parts into the dict the
+    leaf hands over, against the merge into a new dict of tests/oracle.py."""
+
+    @pytest.mark.parametrize("case", GOLDEN_KFOLD_BUILDS, ids=lambda c: c[0])
+    def test_golden_builds_every_term(self, case):
+        _, _, inp, m, k = case
+        witness = golden_witness(inp, m, k)
+        assert witness.fold_budget > 0
+        if inp == "m61015":  # the golden case with augmentation layers
+            assert {type(layer) for layer in witness.layers} == {DivPairLayer, LadderLayer}
+        for j in range(witness.ap.length + 1):
+            got = query_or_message(ApWitness.query, witness, j)
+            assert got == query_or_message(fold_query_by_merge, witness, j), j
+            assert not isinstance(got, str)
+
+    @pytest.mark.parametrize("case", GOLDEN_KFOLD_BUILDS, ids=lambda c: c[0])
+    def test_leaf_hands_over_a_new_dict_every_call(self, case):
+        # the witness adds into the leaf's dict, so a dict the leaf kept
+        # would carry one query's layer parts into the next
+        _, _, inp, m, k = case
+        witness = golden_witness(inp, m, k)
+        leaf = witness.leaf
+        for j in range(0, witness.ap.length + 1, 97):
+            jl = j
+            for layer in witness.layers:
+                jl, _ = layer.resolve(jl)
+            first = leaf.query_parts(jl, RandomSource(j))
+            second = leaf.query_parts(jl, RandomSource(j))
+            assert type(first) is dict and first is not second and first == second
+            sols = [witness.query(j, RandomSource(j)) for _ in range(2)]
+            assert sols[0] == sols[1], j
