@@ -23,7 +23,7 @@ from __future__ import annotations
 from copy import copy
 from itertools import compress, islice, repeat
 from math import gcd
-from operator import itemgetter, lt, mod, sub
+from operator import itemgetter, lt, mod, mul, sub
 from typing import Optional, Protocol, Sequence, Union
 
 from .core import (
@@ -100,7 +100,7 @@ class ApWitness:
             for v, c in collected:
                 leaf_parts[v] = leaf_parts.get(v, 0) + c
             sol = CompactSolution.from_counts(leaf_parts, target, self.fold_budget)
-            total = sum(v * c for v, c in sol.parts)
+            total = sum(map(mul, leaf_parts, leaf_parts.values()))
         else:
             # the list is this query's own, so sorting it leaves every
             # layer's and the leaf's stored parts as they are

@@ -286,8 +286,18 @@ class CompactSolution:
 
     @staticmethod
     def from_counts(counts: dict[int, int], target: int, fold_budget: int) -> "CompactSolution":
-        parts = tuple(sorted((v, c) for v, c in counts.items() if c))
-        return CompactSolution(parts, target, fold_budget)
+        items = counts.items()  # distinct keys: the sort compares no count
+        if 0 in counts.values():
+            items = [(v, c) for v, c in items if c]
+        return CompactSolution._built(tuple(sorted(items)), target, fold_budget)
+
+    @classmethod
+    def _built(cls, parts: tuple[tuple[int, int], ...], target: int,
+               fold_budget: int) -> "CompactSolution":
+        """The instance the dataclass constructor makes, in one dict update."""
+        s = object.__new__(cls)
+        s.__dict__.update(parts=parts, target=target, fold_budget=fold_budget)
+        return s
 
 
 def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
@@ -489,9 +499,15 @@ class RandomSource:
                 if x < span:
                     return lo + x
         limit = ((_MASK64 + 1) // span) * span
+        state = self._state
         while True:
-            x = self._next64()
+            # _next64, inline
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+            x ^= x >> 31
             if x < limit:
+                self._state = state
                 return lo + x % span
 
     def derive(self, *tags) -> "RandomSource":
@@ -507,14 +523,23 @@ class RandomSource:
 # Integer-set file format
 # ---------------------------------------------------------------------------
 
+# the ASCII whitespace but the newline, each mapped to a space
+_ASCII_BLANKS = str.maketrans("\t\r\x0b\x0c", "    ")
+
+
 def parse_int_set_text(text: str) -> list[int]:
-    """Whitespace-separated ASCII decimal integers [+-]?[0-9]+; '#' starts a
-    comment. Any other token raises the named precondition "malformed-input"."""
+    """ASCII decimal integers [+-]?[0-9]+, separated by ASCII whitespace
+    (space, tab, CR, VT, FF, LF); lines are counted by LF alone, and '#'
+    starts a comment. Any other token, also one holding a Unicode space or
+    an ASCII control character such as U+001C, raises the named
+    precondition "malformed-input"."""
     values = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        for tok in line.split("#", 1)[0].split():
+    for lineno, line in enumerate(text.split("\n"), 1):
+        for tok in filter(None, line.split("#", 1)[0].translate(_ASCII_BLANKS).split(" ")):
             try:
-                if not tok.isascii() or "_" in tok:  # int() reads both
+                # digits after at most one sign; int() also reads "_",
+                # non-ASCII digits and surrounding whitespace
+                if not (tok.isascii() and tok[tok[0] in "+-":].isdigit()):
                     raise ValueError(tok)
                 values.append(int(tok))  # ValueError past int()'s digit limit too
             except ValueError:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -68,29 +69,31 @@ def kfold_greedy_steps(a: SortedIntSet, k: int, z: int) -> Optional[list[tuple[i
     """Run k greedy picks on z; return [(value, count), ...] or None.
 
     Picks are batched: once the greedy pick is v >= 1 it repeats while the
-    residual stays >= v, and a pick of 0 absorbs every remaining step.
+    residual stays >= v, so a pick that needs more than the remaining steps
+    fails the walk. Once the residual is 0 every later pick must be 0, so the
+    walk ends there: a run of 0 takes the remaining steps if 0 is in A, and
+    without 0 the walk fails.
     """
     elems = a.elems
     residual = z
     remaining = k
     runs: list[tuple[int, int]] = []
-    while remaining > 0:
+    while residual:
         i = bisect_right(elems, residual)
-        if not i:
+        v = elems[i - 1] if i else 0
+        if not v:  # no element in [1, residual]
             return None
-        v = elems[i - 1]
-        if v == 0:
-            if residual:
-                return None
-            runs.append((0, remaining))
-            break
         q = residual // v
         if q > remaining:
-            q = remaining
+            return None
         runs.append((v, q))
-        residual -= q * v
+        residual %= v
         remaining -= q
-    return runs if residual == 0 else None
+    if remaining > 0:
+        if not elems or elems[0]:
+            return None
+        runs.append((0, remaining))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,11 @@ class DensityWitness:
     base: SortedIntSet
     m: int
     k_inner: int
+
+    @cached_property
+    def cap(self) -> int:
+        """Sampling rounds before a query gives up; set on the first query."""
+        return 64 * ceil_log2(self.m + 2)
 
     @property
     def fold_budget(self) -> int:
@@ -113,18 +121,20 @@ class DensityWitness:
         k = self.k_inner
         if z == 0:
             return [(0, 2 * k)]
-        cap = 64 * ceil_log2(self.m + 2)
-        for _ in range(cap):
+        base = self.base
+        for _ in range(self.cap):
             x = rng.uniform_int(1, z)
-            left = kfold_greedy_steps(self.base, k, x)
+            left = kfold_greedy_steps(base, k, x)
             if left is None:
                 continue
-            right = kfold_greedy_steps(self.base, k, z - x)
+            right = kfold_greedy_steps(base, k, z - x)
             if right is None:
                 continue
-            return left + right
+            # both runs are this query's own
+            left += right
+            return left
         raise InternalContract(
-            f"sampling cap {cap} exhausted at z={z}; "
+            f"sampling cap {self.cap} exhausted at z={z}; "
             "the density precondition check must be wrong"
         )
 

@@ -109,8 +109,10 @@ class ShortLeaf:
     parts b: the restricted shift makes each b the pair (0, u+1) or (1, u+b),
     and the closest-pair lift makes each value x of a pair two A-elements
     summing to x*g + a' + a*. in_class[x] says whether x*g + a' is in A (if
-    not, (x-1)*g + a' is). The fixed values 0, 1 and u+1 are lifted at build,
-    so a part b != 0 costs one byte test, on u+b."""
+    not, (x-1)*g + a' is, and a* + g). The fixed values 0, 1 and u+1 are
+    lifted at build, so a part b != 0 costs one byte test, on u+b. Of the
+    2*fold_budget second sides, one int counts those that are a*; the rest
+    are a* + g."""
 
     def __init__(
         self, u: int, dw: DensityWitness, in_class: bytes, g: int, a_prime: int, a_star: int
@@ -121,9 +123,13 @@ class ShortLeaf:
         self.g = g
         self.a_prime = a_prime
         self.a_star = a_star
-        self.zero_lift = self._lift(0) + self._lift(u + 1)
-        self.one_lift = self._lift(1)
-        start = dw.fold_budget * (g * (u + 1) + 2 * (a_prime + a_star))
+        self.fold_budget = dw.fold_budget
+        self.shift = u * g + a_prime
+        # a zero part lifts 0 and u+1, any other part lifts 1: their first
+        # sides, each with how many of its second sides are a*
+        (v0, w0), (vu, wu), (v1, w1) = map(self._lift, (0, u + 1, 1))
+        self.fixed = (v0, vu, (w0 == a_star) + (wu == a_star), v1, int(w1 == a_star))
+        start = self.fold_budget * (g * (u + 1) + 2 * (a_prime + a_star))
         self.ap = ArithProgression(start, g, dw.m)
 
     def _lift(self, x: int) -> tuple[int, int]:
@@ -131,24 +137,34 @@ class ShortLeaf:
         return (v, self.a_star) if self.in_class[x] else (v - self.g, self.a_star + self.g)
 
     def query_parts(self, j: int, rng: RandomSource) -> dict[int, int]:
-        u, g, a_star, in_class = self.u, self.g, self.a_star, self.in_class
-        shift = u * g + self.a_prime
+        u, g, in_class, shift = self.u, self.g, self.in_class, self.shift
         counts: dict[int, int] = {}
-        zeros = 0
+        zeros = stars = 0
         for b, c in self.dw.query_parts(j, rng):
             if not b:
                 zeros += c
                 continue
             if in_class[u + b]:
-                v, w = b * g + shift, a_star
+                v = b * g + shift
+                stars += c
             else:
-                v, w = b * g + shift - g, a_star + g
+                v = b * g + shift - g
             counts[v] = counts.get(v, 0) + c
-            counts[w] = counts.get(w, 0) + c
-        for values, c in ((self.zero_lift, zeros), (self.one_lift, self.dw.fold_budget - zeros)):
-            if c:
-                for v in values:
-                    counts[v] = counts.get(v, 0) + c
+        fold = self.fold_budget
+        ones = fold - zeros
+        v0, vu, zero_stars, v1, one_stars = self.fixed
+        if zeros:
+            counts[v0] = counts.get(v0, 0) + zeros
+            counts[vu] = counts.get(vu, 0) + zeros
+        if ones:
+            counts[v1] = counts.get(v1, 0) + ones
+        stars += zeros * zero_stars + ones * one_stars
+        if stars:
+            v = self.a_star
+            counts[v] = counts.get(v, 0) + stars
+        if stars < 2 * fold:
+            v = self.a_star + g
+            counts[v] = counts.get(v, 0) + 2 * fold - stars
         return counts
 
 

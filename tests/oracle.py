@@ -14,8 +14,12 @@ subset-sum query that unzips, sets, sorts and rebuilds every part, which
 `ApWitness.query` must match certificate for certificate and message for
 message, the per-element loops of the k-fold build (endpoint scan,
 closest-gap class, gap pairs) that its C-level passes must match value for
-value and tie for tie, plus the small set and certificate helpers that only
-the tests read.
+value and tie for tie, the greedy walk that bisects for every pick, the
+draw that calls `_next64` per word, the certificate built by the dataclass
+constructor and the leaf that counts both sides of every lifted pair in its
+dict, which the k-fold term path must match run for run, draw for draw and
+part for part, plus the small set and certificate helpers that only the
+tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -667,3 +671,88 @@ def find_gap_pairs_loop(a: SortedIntSet, d: int, m: int):
         if hi - lo + 1 > best_size:
             best_lo, best_hi, best_size = lo, hi, hi - lo + 1
     return 2, pair1, (elems[best_lo], elems[best_hi + 1] - elems[best_lo])
+
+
+def kfold_greedy_steps_by_pick(a: SortedIntSet, k: int, z: int) -> Optional[list[tuple[int, int]]]:
+    """Reference for `density_witness.kfold_greedy_steps`: the walk that
+    bisects for every pick until k steps are taken, a pick of 0 included, and
+    caps a run at the remaining steps."""
+    elems = a.elems
+    residual = z
+    remaining = k
+    runs: list[tuple[int, int]] = []
+    while remaining > 0:
+        i = bisect_right(elems, residual)
+        if not i:
+            return None
+        v = elems[i - 1]
+        if v == 0:
+            if residual:
+                return None
+            runs.append((0, remaining))
+            break
+        q = residual // v
+        if q > remaining:
+            q = remaining
+        runs.append((v, q))
+        residual -= q * v
+        remaining -= q
+    return runs if residual == 0 else None
+
+
+def uniform_int_by_next64(rng: RandomSource, lo: int, hi: int) -> int:
+    """Reference for `RandomSource.uniform_int`: the same rejection sampling
+    with one `_next64` call per 64-bit word."""
+    if hi < lo:
+        raise ValueError("empty range")
+    rng.draws += 1
+    span = hi - lo + 1
+    mask64 = (1 << 64) - 1
+    if span > mask64:
+        width = span.bit_length()
+        while True:
+            x = 0
+            for _ in range((width + 63) // 64):
+                x = (x << 64) | rng._next64()
+            x &= (1 << width) - 1
+            if x < span:
+                return lo + x
+    limit = ((mask64 + 1) // span) * span
+    while True:
+        x = rng._next64()
+        if x < limit:
+            return lo + x % span
+
+
+def from_counts_by_constructor(counts: dict[int, int], target: int,
+                               fold_budget: int) -> CompactSolution:
+    """Reference for `CompactSolution.from_counts`: the nonzero counts,
+    sorted by a generator, through the dataclass constructor."""
+    parts = tuple(sorted((v, c) for v, c in counts.items() if c))
+    return CompactSolution(parts, target, fold_budget)
+
+
+def leaf_parts_by_pair(leaf, j: int, rng) -> dict[int, int]:
+    """Reference for `sumset_ap.ShortLeaf.query_parts`: each part b != 0
+    adds its lifted pair's two values into the counts, and the lifts of 0,
+    u+1 and 1 are added last, at the zero parts' count and the rest."""
+    u, g, a_star, in_class = leaf.u, leaf.g, leaf.a_star, leaf.in_class
+    shift = u * g + leaf.a_prime
+    counts: dict[int, int] = {}
+    zeros = 0
+    for b, c in leaf.dw.query_parts(j, rng):
+        if not b:
+            zeros += c
+            continue
+        if in_class[u + b]:
+            v, w = b * g + shift, a_star
+        else:
+            v, w = b * g + shift - g, a_star + g
+        counts[v] = counts.get(v, 0) + c
+        counts[w] = counts.get(w, 0) + c
+    zero_lift = leaf._lift(0) + leaf._lift(u + 1)
+    for values, c in ((zero_lift, zeros), (leaf._lift(1), leaf.dw.fold_budget - zeros)):
+        if c:
+            for v in values:
+                counts[v] = counts.get(v, 0) + c
+    return counts

@@ -150,11 +150,16 @@ class TestApSumset:
         (["0", "1", "\u0663"], M_K, 1, "malformed-input", "line 1: '\u0663' is not an integer"),
         (["0", "1", "\uff11\uff12"], M_K, 1, "malformed-input",
          "line 1: '\uff11\uff12' is not an integer"),
+        (["0", "1\u00a02"], M_K, 1, "malformed-input", "line 1: '1\\xa02' is not an integer"),
+        (["0", "1\u20032"], M_K, 1, "malformed-input", "line 1: '1\\u20032' is not an integer"),
+        (["0", "1\x1c2"], M_K, 1, "malformed-input", "line 1: '1\\x1c2' is not an integer"),
+        (["0\x0c1\n2\nx"], M_K, 1, "malformed-input", "line 3: 'x' is not an integer"),
         (A_VALUES, M_K + ["--workers", "2"], 1, USAGE, "unrecognized arguments: --workers 2"),
         (A_VALUES, ["--k", "101"], 1, USAGE, "the following arguments are required: --m"),
         ([0, 1, 10**18], ["--m", str(10**18), "--k", str(34 * 10**16)], 1, OOM, None),
     ], ids=["certified", "negative", "over-cap", "first-fault-wins", "malformed-input",
             "underscore-digits", "arabic-indic-digit", "fullwidth-digits",
+            "no-break-space", "em-space", "file-separator", "form-feed-is-no-line-break",
             "workers-option", "missing-m", "out-of-memory"])
     def test_exit_codes(self, tmp_path, capsys, values, flags, code, error, detail):
         inp = tmp_path / "in.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -32,7 +33,9 @@ from oracle import (
     check_sorted_elems,
     density,
     error_of,
+    from_counts_by_constructor,
     normalize_by_element,
+    uniform_int_by_next64,
     verify_solution,
 )
 
@@ -488,6 +491,58 @@ class TestRandomSource:
         assert c1.seed == c2.seed != c3.seed
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("span", [1, 2, 2**5, 2**5 + 1, 2**32, 2**32 + 1, 2**62 + 1, 2**63,
+                                      2**63 + 1, 2**64, 2**64 + 1, 2**70 + 3])
+    def test_uniform_int_matches_next64_reference(self, seed, span):
+        # 2**63 + 1 rejects close to half of all words; spans past 2**64
+        # take the chained-word branch
+        got, ref = RandomSource(seed), RandomSource(seed)
+        for lo in (0, 5, -(2**40)):
+            draws = [got.uniform_int(lo, lo + span - 1) for _ in range(40)]
+            assert draws == [uniform_int_by_next64(ref, lo, lo + span - 1) for _ in range(40)]
+            assert all(lo <= x < lo + span for x in draws)
+            assert (got.draws, got._state) == (ref.draws, ref._state)
+        assert got.draws == 120
+
+    def test_empty_range_draws_nothing(self):
+        r = RandomSource(3)
+        with pytest.raises(ValueError):
+            r.uniform_int(2, 1)
+        assert (r.draws, r._state) == (0, 3)
+
+
+class TestFromCounts:
+    """`CompactSolution.from_counts`, which sorts the items and builds past the
+    dataclass constructor, against the constructor of tests/oracle.py."""
+
+    @given(
+        counts=st.dictionaries(st.integers(0, 2**62), st.integers(0, 10**6), max_size=12),
+        target=st.integers(-5, 2**70),
+        fold_budget=st.integers(-2, 400),
+    )
+    def test_equal_hash_equal_and_repr_equal(self, counts, target, fold_budget):
+        got = from_counts_by_constructor(counts, target, fold_budget)
+        sol = CompactSolution.from_counts(dict(counts), target, fold_budget)
+        assert type(sol) is CompactSolution
+        assert sol == got and hash(sol) == hash(got) and repr(sol) == repr(got)
+        assert vars(sol) == vars(got)
+        assert all(c for _, c in sol.parts)
+        assert [v for v, _ in sol.parts] == sorted(v for v, c in counts.items() if c)
+
+    def test_zero_counts_are_dropped(self):
+        sol = CompactSolution.from_counts({9: 2, 4: 0, 1: 3, 7: 0}, 21, 5)
+        assert sol == CompactSolution(((1, 3), (9, 2)), 21, 5)
+        assert CompactSolution.from_counts({4: 0}, 0, 1).parts == ()
+        assert CompactSolution.from_counts({}, 0, 0) == CompactSolution((), 0, 0)
+
+    def test_frozen_like_the_constructor(self):
+        sol = CompactSolution.from_counts({3: 1}, 3, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.target = 4
+        assert {sol: 1}[CompactSolution(((3, 1),), 3, 1)] == 1
+
+
 class TestFileFormat:
     def test_comments_and_whitespace(self):
         text = "# heading\n1 2\t3\n4 # trailing\n"
@@ -512,6 +567,29 @@ class TestFileFormat:
             parse_int_set_text(f"1 {tok} 2\n")
         assert exc.value.name == "malformed-input"
         assert exc.value.detail == f"line 1: {tok!r} is not an integer"
+
+    def test_ascii_whitespace_separates(self):
+        assert parse_int_set_text("1\t2\r\n3\x0b4\x0c5 6\n") == [1, 2, 3, 4, 5, 6]
+
+    # str.split() and str.splitlines() would take each of these as a separator
+    @pytest.mark.parametrize("text, line, tok", [
+        ("1\u00a02\n", 1, "1\u00a02"),
+        ("1\u20032\n", 1, "1\u20032"),
+        ("1\x1c2\n", 1, "1\x1c2"),
+        ("\x1c5\n", 1, "\x1c5"),
+        ("7 \x85\n", 1, "\x85"),
+        ("1\u20282\n", 1, "1\u20282"),
+        ("1\x0c2\x1c3\nx\n", 1, "2\x1c3"),
+        ("1\x0c2\n3\nx\n", 3, "x"),
+        ("1\r2\r\nx\n", 2, "x"),
+    ], ids=["no-break-space", "em-space", "file-separator", "leading-file-separator",
+            "next-line", "line-separator", "form-feed-then-file-separator",
+            "form-feed-is-no-line-break", "lone-cr-is-no-line-break"])
+    def test_only_ascii_whitespace_separates_and_only_lf_breaks_lines(self, text, line, tok):
+        with pytest.raises(PreconditionViolated) as exc:
+            parse_int_set_text(text)
+        assert exc.value.name == "malformed-input"
+        assert exc.value.detail == f"line {line}: {tok!r} is not an integer"
 
     def test_undecodable_file_is_named(self, tmp_path):
         path = tmp_path / "bin.txt"

@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apcert.core import EmptySet, SortedIntSet
+from apcert.density_witness import kfold_greedy_steps
 from oracle import (
     density,
     greedy_kfold_materialize,
     greedy_membership,
     greedy_sumset,
     kfold_greedy_query,
+    kfold_greedy_steps_by_pick,
     total_count,
     verify_solution,
 )
@@ -135,6 +137,58 @@ class TestKfoldGreedy:
                     cur = greedy_sumset(a, cur)
                     cur = S(e for e in cur if e <= z)
                 assert density(cur, z) >= 1 - (1 - rho) ** k
+
+
+class TestGreedyWalkMatchesReference:
+    """The walk that ends once the residual is 0, against the walk of
+    tests/oracle.py that bisects for every pick until k steps are taken."""
+
+    @pytest.mark.parametrize("elems, k, z, runs", [
+        ((), 0, 0, []),
+        ((), 3, 0, None),
+        ((), 3, 4, None),
+        ((0,), 2, 0, [(0, 2)]),
+        ((0, 1), 0, 0, []),
+        ((0, 1), 0, 1, None),
+        ((1, 3), 0, 0, []),
+        ((1, 3), 2, 0, None),
+        ((1, 3), 2, 4, [(3, 1), (1, 1)]),
+        ((1, 3), 3, 4, None),
+        ((0, 1, 3), 3, 4, [(3, 1), (1, 1), (0, 1)]),
+        ((0, 1), 3, 5, None),
+        ((0, 2, 5), 3, 9, [(5, 1), (2, 2)]),
+        ((0, 2, 5), 4, 6, None),
+        ((0, 5), 3, 3, None),
+        ((0, 5), 3, 10, [(5, 2), (0, 1)]),
+        ((2, 5), 3, 1, None),
+        ((0, 1), -1, 0, []),
+        ((0, 1), -1, 2, None),
+        ((0, 1), 2, -1, None),
+    ], ids=["empty-k0", "empty-z0", "empty", "zero-only", "k0-z0", "k0-z1", "no-zero-k0-z0",
+            "no-zero-z0", "no-zero-exact", "no-zero-steps-left", "zero-fills",
+            "k-runs-out", "exact-k", "only-pick-is-zero-mid-walk", "only-pick-is-zero",
+            "zero-fills-after-run", "below-every-element", "negative-k-z0", "negative-k",
+            "negative-z"])
+    def test_cases(self, elems, k, z, runs):
+        a = SortedIntSet(elems)
+        assert kfold_greedy_steps_by_pick(a, k, z) == runs
+        assert kfold_greedy_steps(a, k, z) == runs
+
+    @given(
+        elems=st.sets(st.integers(0, 60), max_size=10),
+        k=st.integers(-2, 25),
+        z=st.one_of(st.just(0), st.integers(-3, 600)),
+    )
+    def test_same_runs_or_none(self, elems, k, z):
+        a = S(elems)
+        assert kfold_greedy_steps(a, k, z) == kfold_greedy_steps_by_pick(a, k, z)
+
+    def test_exhaustive_small(self):
+        for bits in range(1 << 7):
+            a = S(i for i in range(7) if bits >> i & 1)
+            for k in range(5):
+                for z in range(25):
+                    assert kfold_greedy_steps(a, k, z) == kfold_greedy_steps_by_pick(a, k, z)
 
 
 class TestGreedyDensityInequality:

@@ -1,5 +1,7 @@
 import collections
 import functools
+import hashlib
+import importlib
 import importlib.util
 import itertools
 import math
@@ -31,6 +33,7 @@ from oracle import (
     brute_kfold,
     closest_pair_lift,
     fold_query_by_merge,
+    leaf_parts_by_pair,
     merge_counts,
     query_or_message,
     restricted_pairs,
@@ -221,6 +224,24 @@ class TestApShort:
                     assert parts == self.reference_parts(leaf, base, j, branches), (g, j)
                 assert branches == {True, False}, (g, family.__name__)
 
+    def test_one_pass_matches_pair_by_pair_reference(self):
+        # the leaf counts the a* sides in one int; the reference adds both
+        # sides of every lifted pair into its dict
+        rnd = random.Random(11)
+        for g in (1, 2, 3):
+            for family in (gapped_set, top_block_set):
+                base = family(rnd, g)
+                leaf = ap_short(base, base.max, ceil_div(base.max + 1, len(base)))
+                branches = set()
+                for j in range(leaf.ap.length + 1):
+                    got = leaf.query_parts(j, RandomSource(j))
+                    assert got == leaf_parts_by_pair(leaf, j, RandomSource(j)), (g, j)
+                    assert 0 not in got.values()
+                    assert sum(got.values()) == 4 * leaf.fold_budget
+                    branches |= {bool(leaf.in_class[leaf.u + b])
+                                 for b, _ in leaf.dw.query_parts(j, RandomSource(j)) if b}
+                assert branches == {True, False}, (g, family.__name__)
+
     @settings(max_examples=60, deadline=None)
     @given(
         g=st.sampled_from([1, 2, 3]),
@@ -391,3 +412,26 @@ class TestFoldQueryMatchesReference:
             assert type(first) is dict and first is not second and first == second
             sols = [witness.query(j, RandomSource(j)) for _ in range(2)]
             assert sols[0] == sols[1], j
+
+
+class TestBenchmarkCertificates:
+    """The certificates of the benchmark's kfold-certify workload (its two
+    inputs at m = 10^6, seed 5, the first 4,000 terms of its op stream, each
+    with the benchmark's own stream) hash to the value pinned here, so a
+    change to the k-fold term path that moves a single part or draw fails."""
+
+    SHA = "eedc048320eba721da411310a1d0a0057613d1406b570672ab6568ceea69b836"
+
+    def test_first_4000_terms(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        wl = workloads.KfoldCertify(5)
+        for label, values, m in wl.inputs:
+            assert wl.build_instance(label, values, m)[1] is None
+        ops = wl.ops()
+        h = hashlib.sha256()
+        for _ in range(4000):
+            st, j = next(ops)
+            sol = st.witness.query(j, RandomSource(5).derive("query", j))
+            h.update(repr((st.label, j, sol.parts, sol.target, sol.fold_budget)).encode())
+        assert h.hexdigest() == self.SHA
