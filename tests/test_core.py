@@ -490,7 +490,6 @@ class TestRandomSource:
         c3 = r.derive("query", 4)
         assert c1.seed == c2.seed != c3.seed
 
-
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, 2**64 - 1])
     @pytest.mark.parametrize("span", [1, 2, 2**5, 2**5 + 1, 2**32, 2**32 + 1, 2**62 + 1, 2**63,
                                       2**63 + 1, 2**64, 2**64 + 1, 2**70 + 3])
