@@ -16,14 +16,20 @@ A ladder layer holds O(1) metadata plus its ladder, whose lookup is O(1):
 arithmetic for a pair ladder, a stored rung for a residue ladder. A run
 holds, per step, its threshold and the two part tuples it can emit whole, so
 only a partial k-fold step builds parts at query time.
+
+In subset-sum mode a term takes exactly one end of every pair that its
+sources own, so the witness stores the sorted pair ends with the byte mask of
+their lo ends, and a term patches a copy of that mask at the pairs it flips.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from copy import copy
-from itertools import compress, islice, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd
-from operator import itemgetter, lt, mod, mul, sub
+from operator import mod, mul, sub
 from typing import Optional, Protocol, Sequence, Union
 
 from .core import (
@@ -49,11 +55,12 @@ Parts = Sequence[tuple[int, int]]
 
 class LeafWitness(Protocol):
     """In fold mode query_parts returns a fresh value -> count dict that the
-    witness adds into; in subset mode, parts that the witness never mutates."""
+    witness adds into. In subset mode the leaf is a pair bank instead, with
+    (lo, hi) `pairs` and resolve_flips(j) -> (j, the pairs term j flips)."""
 
     ap: ArithProgression
 
-    def query_parts(self, j: int, rng: RandomSource) -> Union[dict[int, int], Parts]: ...
+    def query_parts(self, j: int, rng: RandomSource) -> dict[int, int]: ...
 
 
 class Layer(Protocol):
@@ -63,55 +70,87 @@ class Layer(Protocol):
     def resolve(self, j: int) -> tuple[int, Parts]: ...
 
 
+def _columns(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(zip(*pairs)) or ((), ())  # the lo ends and the hi ends
+
+
 class ApWitness:
     """Immutable composed witness: query(j) certifies term start + j*diff.
 
     fold_budget > 0 declares k-fold sumset mode; fold_budget == 0 declares
-    subset-sum mode, in which all emitted parts must be distinct base elements.
+    subset-sum mode, in which the leaf is a pair bank, every run step takes
+    one copy of its pair and every ladder flips a pair bank.
     """
 
     def __init__(self, leaf: LeafWitness, layers: Sequence[Layer] = (), fold_budget: int = 0):
         self.leaf = leaf
         # outermost first; each divisible-pair layer is joined onto the run
         # right outside it, so one run covers consecutive divisible-pair steps
-        chain: list[Layer] = []
+        joined: list[Layer] = []
         for layer in layers:
-            if chain:
-                contract(chain[-1].inner == layer.outer, "layer chain mismatch")
-                if isinstance(layer, DivPairLayer) and isinstance(chain[-1], DivPairLayer):
-                    chain[-1] = chain[-1].join(layer)
+            if joined:
+                contract(joined[-1].inner == layer.outer, "layer chain mismatch")
+                if isinstance(layer, DivPairLayer) and isinstance(joined[-1], DivPairLayer):
+                    joined[-1] = joined[-1].join(layer)
                     continue
-            chain.append(layer)
-        self.layers = tuple(chain)
+            joined.append(layer)
+        self.layers = tuple(joined)
         self.fold_budget = fold_budget
         self.ap = self.layers[0].outer if self.layers else leaf.ap
         if self.layers:
             contract(self.layers[-1].inner == leaf.ap, "innermost layer must sit on the leaf")
+        if not fold_budget:
+            self._rank_pairs()
+
+    def _rank_pairs(self) -> None:
+        """Subset-mode set-up: the ends of all pairs, checked distinct, sorted
+        (`ends`, with their (v, 1) parts `end_parts`), `lo_mask`, the byte
+        mask of their lo ends, and `sources`: outermost first, each layer and
+        then the leaf, with the ranks in `ends` of its pairs' lo and hi ends."""
+        sources = []  # (source, lo ends, hi ends)
+        for layer in self.layers:
+            if isinstance(layer, DivPairLayer):
+                _, _, fulls, lows = zip(*layer.steps)
+                (lo, lo_counts), (hi, hi_counts) = zip(*lows), zip(*fulls)
+                contract(set(lo_counts + hi_counts) == {1},
+                         "subset-sum run steps take one copy of their pair")
+                sources.append((layer, lo, hi))
+            else:
+                sources.append((layer, *_columns(layer.ladder.bank.pairs)))
+        sources.append((self.leaf, *_columns(self.leaf.pairs)))
+        ends = sorted(chain.from_iterable(chain.from_iterable(cols for _, *cols in sources)))
+        contract(len(set(ends)) == len(ends), "subset-sum pair ends must be distinct")
+        rank = {v: r for r, v in enumerate(ends)}.__getitem__
+        lo_ends = frozenset(chain.from_iterable(lo for _, lo, _ in sources))
+        self.ends = tuple(ends)
+        self.end_parts = tuple(zip(ends, repeat(1)))
+        self.lo_mask = bytes(map(lo_ends.__contains__, ends))
+        self.sources = tuple((source, tuple(map(rank, lo)), tuple(map(rank, hi)))
+                             for source, lo, hi in sources)
 
     def query(self, j: int, rng: RandomSource) -> CompactSolution:
         target = self.ap.term(j)
-        collected: list[tuple[int, int]] = []
-        for layer in self.layers:
-            j, extra = layer.resolve(j)
-            collected.extend(extra)
-        leaf_parts = self.leaf.query_parts(j, rng)
         if self.fold_budget:
+            collected: list[tuple[int, int]] = []
+            for layer in self.layers:
+                j, extra = layer.resolve(j)
+                collected.extend(extra)
             # the leaf's dict is this query's own, so the layers' parts add into it
+            leaf_parts = self.leaf.query_parts(j, rng)
             for v, c in collected:
                 leaf_parts[v] = leaf_parts.get(v, 0) + c
             sol = CompactSolution.from_counts(leaf_parts, target, self.fold_budget)
             total = sum(map(mul, leaf_parts, leaf_parts.values()))
         else:
-            # the list is this query's own, so sorting it leaves every
-            # layer's and the leaf's stored parts as they are
-            collected.extend(leaf_parts)
-            collected.sort(key=itemgetter(0))
-            values, counts = zip(*collected) if collected else ((), ())
-            contract(counts.count(1) == len(counts), "subset-sum parts must have count 1")
-            contract(all(map(lt, values, islice(values, 1, None))),
-                     "subset-sum parts must be distinct")
-            sol = CompactSolution(tuple(collected), target, 0)
-            total = sum(values)
+            mask = bytearray(self.lo_mask)
+            for source, lo, hi in self.sources:
+                j, flips = source.resolve_flips(j)
+                for i in flips:
+                    mask[lo[i]] = 0
+                    mask[hi[i]] = 1
+            contract(2 * mask.count(1) == len(mask), "flips must keep one end of every pair")
+            sol = CompactSolution._built(tuple(compress(self.end_parts, mask)), target, 0)
+            total = sum(compress(self.ends, mask))
         if total != target:
             raise InternalContract(f"certificate sums to {total}, wanted {target}")
         return sol
@@ -133,7 +172,8 @@ class LadderAccessor(Protocol):
     h_min: int
     h_max: int
 
-    def lookup(self, i: int) -> tuple[int, Parts]: ...
+    # (q_i, its parts), or over a pair bank, (q_i, the pairs rung i flips)
+    def lookup(self, i: int) -> tuple[int, Union[Parts, Sequence[int]]]: ...
 
 
 def solve_residue_coefficient(d: int, g: int) -> tuple[int, int]:
@@ -214,7 +254,7 @@ class LadderLayer:
             inner.start + ladder.s_q + ladder.h_max * d, dp, new_len
         )
 
-    def resolve(self, j: int) -> tuple[int, Parts]:
+    def resolve(self, j: int) -> tuple[int, Union[Parts, Sequence[int]]]:
         d = self.inner.diff
         dp = self.outer.diff
         q_i, parts = self.ladder.lookup((j * dp % d) // dp)
@@ -224,6 +264,10 @@ class LadderLayer:
         inner_j = off // d
         contract(inner_j <= self.inner.length, "ladder residual beyond inner progression")
         return inner_j, parts
+
+    def resolve_flips(self, j: int) -> tuple[int, Sequence[int]]:
+        """`resolve` in subset mode, where the ladder's rungs name flips."""
+        return self.resolve(j)
 
 
 class DivPairLayer:
@@ -255,6 +299,11 @@ class DivPairLayer:
         run.steps = self.steps + inner_run.steps
         return run
 
+    @cached_property
+    def prefix(self) -> tuple[int, ...]:
+        """The sums of the thresholds of the first 0, 1, ..., all steps."""
+        return (0, *accumulate(step[0] for step in self.steps))
+
     def resolve(self, j: int) -> tuple[int, Parts]:
         parts: list[tuple[int, int]] = []
         for threshold, e, full, low in self.steps:
@@ -269,6 +318,22 @@ class DivPairLayer:
                 parts.append((full[0], q))
                 parts.append((low[0], low[1] - q))
         return j, parts
+
+    def resolve_flips(self, j: int) -> tuple[int, list[int]]:
+        """`resolve` for a run of one-copy steps, as the indices of the steps
+        that take their pair's hi end. One bisect over `prefix` skips the
+        leading steps that take it; after the first that does not, each
+        step takes it when the index left reaches its threshold."""
+        prefix, steps = self.prefix, self.steps
+        k = bisect_right(prefix, j) - 1
+        j -= prefix[k]
+        flips = list(range(k))
+        for i in range(k + 1, len(steps)):
+            t = steps[i][0]
+            if j >= t:
+                j -= t
+                flips.append(i)
+        return j, flips
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,8 @@ def _emit(report: dict, as_json: bool, lines: Sequence[str]) -> None:
 
 
 def _sample_indices(length: int, count: int) -> list[int]:
-    """`count` evenly spaced term indices, always including both ends."""
+    """`count` evenly spaced term indices: both ends when count >= 2, the
+    first alone when count == 1, and every index when count > length."""
     if count <= 0:
         return []
     if count >= length + 1:

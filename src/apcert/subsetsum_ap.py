@@ -109,17 +109,15 @@ class PairBank:
     sumset of the keys divided by `scale` (their gcd together with the free
     values). `ap`, in subset-sum units, is that progression times `scale`
     plus `base`, the sum of the banked pairs' lo ends; `flip(j)` turns
-    `certs[j]` into a subset of the pair endpoints. As the leaf of the
-    gaps -> subset-sums bridge, `query_parts(j)` checks that this subset sums
-    to `ap.term(j)`. `buckets` maps each reduced key to the indices of its
-    pairs in `pairs`; reduced values in `free` need no pair when they occur
-    in a certificate.
+    `certs[j]` into the pairs to take at their hi end. As the leaf of the
+    gaps -> subset-sums bridge, `resolve_flips(j)` checks that this subset
+    sums to `ap.term(j)`. `buckets` maps each reduced key to the indices of
+    its pairs in `pairs`; reduced values in `free` need no pair when they
+    occur in a certificate.
 
-    Derived once from the fields: `lows`, the parts (lo, 1) of the all-lo
-    subset in pair order, which sums to `base`, and `gains`, for each key
-    the prefix sums of its bucket's gaps, so gains[key][c] is what flipping
-    its first c pairs adds. A flip patches a C-level copy of `lows` at the
-    pairs it turns over, with no Python-level work per banked pair.
+    Derived once from the fields: `gains`, for each key the prefix sums of
+    its bucket's gaps, so gains[key][c] is what flipping its first c pairs
+    adds. A flip does no Python-level work per banked pair.
     """
 
     ap: ArithProgression
@@ -129,24 +127,21 @@ class PairBank:
     pairs: tuple[Pair, ...]
     buckets: dict[int, tuple[int, ...]]
     free: frozenset[int]
-    lows: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     gains: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo, hi = tuple(zip(*self.pairs)) or ((), ())
         gaps = tuple(map(sub, hi, lo))
-        object.__setattr__(self, "lows", tuple(zip(lo, repeat(1))))
         object.__setattr__(self, "gains", {
             key: (0, *accumulate(map(gaps.__getitem__, idxs)))
             for key, idxs in self.buckets.items()
         })
 
-    def flip(self, j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def flip(self, j: int) -> tuple[int, list[int]]:
         """Flip `count` pairs of each reduced key of `certs[j]` from lo to hi.
 
-        Returns the sum of the subset and its parts (hi for flipped pairs,
-        lo for the rest); a certificate that flips no pair gets `lows`
-        itself."""
+        Returns the sum of the subset (hi ends of the flipped pairs, lo ends
+        of the rest) and the indices of the flipped pairs."""
         total = self.base
         flipped: list[int] = []
         for key, c in self.certs[j].parts:
@@ -159,17 +154,13 @@ class PairBank:
                 )
             total += self.gains[key][c]
             flipped += idxs[:c]
-        if not flipped:
-            return total, self.lows
-        parts = list(self.lows)
-        for i in flipped:
-            parts[i] = (self.pairs[i][1], 1)
-        return total, tuple(parts)
+        return total, flipped
 
-    def query_parts(self, j: int, rng: RandomSource):
-        total, parts = self.flip(j)
+    def resolve_flips(self, j: int) -> tuple[int, list[int]]:
+        """As a leaf: j itself and flip(j)'s flipped pairs, its sum checked."""
+        total, flipped = self.flip(j)
         contract(total == self.ap.term(j), "flipped gaps must reproduce the inner target")
-        return parts
+        return j, flipped
 
 
 def bank_pairs(
@@ -238,7 +229,7 @@ def ap_by_pairs(
     """AP of length g_bound in S(A_{T*}) for a small subset T* of the
     conflict-free pairs (lo[i], hi[i]) with gaps[i] = hi[i] - lo[i] (the
     columns of gen_pairs): the bank over T* = bank.pairs, whose
-    query_parts(j) certifies term j."""
+    resolve_flips(j) certifies term j."""
     require(len(gaps) >= 1, "pairs-nonempty")
     g_max = max(gaps)
     if min(gaps) < 1 or g_max > g_bound:
@@ -511,14 +502,15 @@ def extract_aug_pairs(
 class ResidueLadderAccessor:
     """Ladder whose rungs are subset sums of pair endpoints: rung i is
     congruent to s_q + i*d' modulo d, realized by flipping the pairs of the
-    bank's certificate i over the residues."""
+    bank's certificate i over the residues. Each rung is stored at build as
+    (q_i, the indices of the bank's pairs it flips)."""
 
     def __init__(self, bank: PairBank, d: int):
         self.bank = bank
         self.d = d
         self.dp = bank.ap.diff
         self.s_q = bank.ap.start
-        self.rungs = [bank.flip(i) for i in range(d // self.dp)]
+        self.rungs = [(q, tuple(f)) for q, f in map(bank.flip, range(d // self.dp))]
         for i, (q, _) in enumerate(self.rungs):
             contract(
                 (q - self.s_q) % d == (i * self.dp) % d,
@@ -528,7 +520,7 @@ class ResidueLadderAccessor:
         self.h_min = min(heights)
         self.h_max = max(heights)
 
-    def lookup(self, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def lookup(self, i: int) -> tuple[int, tuple[int, ...]]:
         return self.rungs[i]
 
 
@@ -730,5 +722,6 @@ def ap_in_subset_sums(
         raise Exhausted(f"coreset size {len(coreset)} above bound {bound}", partial=p)
     witness = ApWitness(bank, layers, fold_budget=0)
     contract(witness.ap == p, "assembled witness progression mismatch")
+    contract(witness.ends == coreset.elems, "witness pair ends must be the coreset")
     witness = witness.truncated(ell)
     return SubsetSumApResult(witness.ap, witness, coreset, rounds)

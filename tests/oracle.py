@@ -9,17 +9,18 @@ per-part certificate check and the pair harvest that the C-level passes of
 the package must match error for error, the select-by-index uniformize whose
 selection the pair bank's one grouping pass must bank pair for pair, the
 flip that rebuilds a part for every banked pair, which the pair bank's
-patched flip must match part for part and error for error, the
-subset-sum query that unzips, sets, sorts and rebuilds every part, which
-`ApWitness.query` must match certificate for certificate and message for
-message, the per-element loops of the k-fold build (endpoint scan,
-closest-gap class, gap pairs) that its C-level passes must match value for
-value and tie for tie, the greedy walk that bisects for every pick, the
-draw that calls `_next64` per word, the certificate built by the dataclass
-constructor and the leaf that counts both sides of every lifted pair in its
-dict, which the k-fold term path must match run for run, draw for draw and
-part for part, plus the small set and certificate helpers that only the
-tests read.
+flip must match part for part and error for error once its flipped
+indices are made parts, the subset-sum query that takes every source's
+parts step by step and flip by flip, then sets, sorts and rebuilds them,
+which the mask-patching `ApWitness.query` must match certificate for
+certificate and message for message, the per-element loops of the k-fold
+build (endpoint scan, closest-gap class, gap pairs) that its C-level passes
+must match value for value and tie for tie, the greedy walk that bisects
+for every pick, the draw that calls `_next64` per word, the certificate
+built by the dataclass constructor and the leaf that counts both sides of
+every lifted pair in its dict, which the k-fold term path must match run
+for run, draw for draw and part for part, plus the small set and
+certificate helpers that only the tests read.
 
 Bitsets are plain Python integers (bit i set iff i is reachable), which makes
 the convolution-by-shift rounds both exact and fast. These are deliberately
@@ -35,6 +36,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
+from apcert.augment import DivPairLayer
 from apcert.core import (
     MAX_ELEMENT,
     ApcertError,
@@ -522,6 +524,13 @@ def gen_pairs_by_index(a: SortedIntSet) -> tuple[tuple[int, int], ...]:
     return tuple(even if len(even) >= len(odd) else odd)
 
 
+def parts_of_flips(pairs, flipped) -> tuple[tuple[int, int], ...]:
+    """The part (hi if i is in `flipped`, else lo, 1) of every pair i, in
+    pair order."""
+    flipped = set(flipped)
+    return tuple((hi if i in flipped else lo, 1) for i, (lo, hi) in enumerate(pairs))
+
+
 def flip_by_pair(bank, j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """`PairBank.flip(j)` by one pass over every banked pair: the set of the
     flipped indices with their gaps added pair by pair, then a part (hi if
@@ -540,20 +549,30 @@ def flip_by_pair(bank, j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
             flipped.add(i)
             lo, hi = bank.pairs[i]
             total += hi - lo
-    parts = tuple((hi if i in flipped else lo, 1) for i, (lo, hi) in enumerate(bank.pairs))
-    return total, parts
+    return total, parts_of_flips(bank.pairs, flipped)
 
 
 def subset_query_by_set(witness, j: int, rng) -> CompactSolution:
-    """`ApWitness.query(j)` in subset mode by unzipping the parts of every
-    layer and the leaf: a set checks the values distinct, and the sorted
-    values are rebuilt into a fresh (value, 1) part each."""
+    """`ApWitness.query(j)` in subset mode from the parts of every source:
+    each step of a run by `div_pair_step`, each ladder rung and the leaf by
+    `flip_by_pair`. A set checks the values distinct, and the sorted values
+    are rebuilt into a fresh (value, 1) part each."""
     target = witness.ap.term(j)
     collected: list[tuple[int, int]] = []
     for layer in witness.layers:
-        j, extra = layer.resolve(j)
-        collected.extend(extra)
-    collected.extend(witness.leaf.query_parts(j, rng))
+        d = layer.inner.diff
+        if isinstance(layer, DivPairLayer):
+            for _, _, (hi, h), (lo, _) in layer.steps:
+                j, parts = div_pair_step(d, lo, hi - lo, h, j)
+                collected.extend(parts)
+        else:
+            dp = layer.outer.diff
+            q, parts = flip_by_pair(layer.ladder.bank, (j * dp % d) // dp)
+            j = (layer.outer.term(j) - q - layer.inner.start) // d
+            collected.extend(parts)
+    total, parts = flip_by_pair(witness.leaf, j)
+    contract(total == witness.leaf.ap.term(j), "flipped gaps must reproduce the inner target")
+    collected.extend(parts)
     values, counts = zip(*collected) if collected else ((), ())
     contract(counts.count(1) == len(counts), "subset-sum parts must have count 1")
     contract(len(set(values)) == len(values), "subset-sum parts must be distinct")

@@ -18,12 +18,15 @@ from apcert.augment import (
 )
 from apcert.core import (
     ArithProgression,
+    CompactSolution,
     InternalContract,
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
     ceil_div,
 )
+from apcert.profiles import TUNED
+from apcert.subsetsum_ap import PairBank, residue_ladder
 from oracle import (
     div_pair_step,
     fold_query_by_merge,
@@ -36,19 +39,13 @@ S = SortedIntSet.from_iterable
 AP = ArithProgression
 
 
-class ExplicitLeaf:
-    """Leaf backed by a precomputed table of parts per term."""
+class FoldLeaf:
+    """A fold-mode leaf backed by a precomputed table of parts per term:
+    every query gets a fresh value -> count dict."""
 
     def __init__(self, ap, table):
         self.ap = ap
         self.table = {j: tuple(parts) for j, parts in table.items()}
-
-    def query_parts(self, j, rng):
-        return self.table[j]
-
-
-class FoldLeaf(ExplicitLeaf):
-    """A fold-mode ExplicitLeaf: every query gets a fresh value -> count dict."""
 
     def query_parts(self, j, rng):
         return dict(self.table[j])
@@ -208,15 +205,16 @@ class TestAugmentDivPair:
 
 
 @st.composite
-def div_pair_runs(draw):
+def div_pair_runs(draw, max_h=4):
     """An inner progression and 1-8 divisible-pair steps (a, g, h) on it,
-    innermost first, with d in 1..6, d | g, g at most the span and h in 1..4."""
+    innermost first, with d in 1..6, d | g, g at most the span and h in
+    1..max_h."""
     d = draw(st.integers(1, 6))
     cur = AP(draw(st.integers(0, 20)), d, draw(st.integers(1, 10)))
     inner, steps = cur, []
     for _ in range(draw(st.integers(1, 8))):
         g = d * draw(st.integers(1, min(cur.length, 8)))
-        a, h = draw(st.integers(0, 30)), draw(st.integers(1, 4))
+        a, h = draw(st.integers(0, 30)), draw(st.integers(1, max_h))
         steps.append((a, g, h))
         cur = DivPairLayer(cur, a, g, h).outer
     return inner, steps
@@ -246,6 +244,27 @@ class TestDivPairRunMatchesSteps:
             got_j, got_parts = run.resolve(j)
             assert (got_j, list(got_parts)) == (ref_j, ref_parts)
 
+    @settings(max_examples=200, deadline=None)
+    @given(div_pair_runs(max_h=1))
+    def test_one_copy_run_flips_match_chained_steps(self, drawn):
+        # resolve_flips names, outermost first, the steps whose part is the
+        # pair's hi end, and lands on the inner index the steps reach
+        inner, steps = drawn
+        layers, cur = [], inner
+        for a, g, h in steps:
+            layers.insert(0, DivPairLayer(cur, a, g, h))
+            cur = layers[0].outer
+        run = layers[0]
+        for layer in layers[1:]:
+            run = run.join(layer)
+        for j in range(run.outer.length + 1):
+            ref_j, ref_flips = j, []
+            for i, (a, g, h) in enumerate(reversed(steps)):
+                ref_j, ((v, _),) = div_pair_step(inner.diff, a, g, h, ref_j)
+                if v == a + g:
+                    ref_flips.append(i)
+            assert run.resolve_flips(j) == (ref_j, ref_flips)
+
     def test_join_checks_the_chain(self):
         inner = DivPairLayer(AP(0, 2, 5), 1, 4, 1)
         with pytest.raises(InternalContract):
@@ -257,8 +276,8 @@ class TestDivPairRunMatchesSteps:
         lad = LadderLayer(first.outer, PairLadder(2, 0, 1))
         second = DivPairLayer(lad.outer, 0, 2, 2)
         third = DivPairLayer(second.outer, 3, 4, 1)
-        leaf = ExplicitLeaf(p0, {})
-        w = ApWitness(leaf, (third, second, lad, first))
+        leaf = FoldLeaf(p0, {})
+        w = ApWitness(leaf, (third, second, lad, first), fold_budget=1)
         assert [type(layer) for layer in w.layers] == [DivPairLayer, LadderLayer, DivPairLayer]
         assert len(w.layers[0].steps) == 2 and w.layers[0].inner == lad.outer
         assert w.layers[2] is first and w.ap == third.outer
@@ -425,76 +444,140 @@ class TestFoldWitnessCounts:
             assert (sol.parts, sol.target) == (parts, 13 + j)
 
 
-class TestSubsetWitnessContracts:
-    def _query(self, target, parts, fold_budget=0):
-        leaf = (FoldLeaf if fold_budget else ExplicitLeaf)(AP(target, 1, 0), {0: parts})
-        return ApWitness(leaf, (), fold_budget=fold_budget).query(0, RandomSource(0))
+def unit_bank(pairs, certs):
+    """A PairBank over `pairs`, all of gap g, in the one bucket of reduced
+    key 1 (scale g), behind the certificates `certs`, each a tuple of
+    (1, count) parts; its progression is {sum of the lo ends} + {0, g, ...}."""
+    g = pairs[0][1] - pairs[0][0] if pairs else 1
+    base = sum(lo for lo, _ in pairs)
+    return PairBank(AP(base, g, len(certs) - 1),
+                    tuple(CompactSolution(tuple(c), 0, 2) for c in certs), g, base,
+                    tuple(pairs), {1: tuple(range(len(pairs)))}, frozenset({0}))
 
+
+class TestSubsetWitnessContracts:
     def test_distinct_unit_parts_are_sorted(self):
-        sol = self._query(12, [(7, 1), (2, 1), (3, 1)])
-        assert sol.parts == ((2, 1), (3, 1), (7, 1))
-        assert (sol.target, sol.fold_budget) == (12, 0)
+        # pairs in falling value order; term 1 flips the first, (7, 8)
+        w = ApWitness(unit_bank(((7, 8), (2, 3)), ((), ((1, 1),))))
+        sol = w.query(1, RandomSource(0))
+        assert sol.parts == ((2, 1), (8, 1))
+        assert (sol.target, sol.fold_budget) == (10, 0)
 
     def test_empty_parts_give_an_empty_certificate(self):
-        sol = self._query(0, [])
+        sol = ApWitness(unit_bank((), ((),))).query(0, RandomSource(0))
         assert (sol.parts, sol.target, sol.fold_budget) == ((), 0, 0)
 
-    @pytest.mark.parametrize("parts, target, message", [
-        ([(4, 1), (9, 0)], 4, "subset-sum parts must have count 1"),
-        ([(4, 1), (9, 2)], 22, "subset-sum parts must have count 1"),
-        ([(4, 1), (9, 1), (4, 1)], 17, "subset-sum parts must be distinct"),
-        ([(4, 1), (9, 1)], 14, "certificate sums to 13, wanted 14"),
-    ])
-    def test_bad_parts_raise_their_message(self, parts, target, message):
+    def test_shared_end_fails_at_set_up(self):
+        # the run's pair (3, 4) shares the end 3 with the leaf's pair (2, 3)
+        leaf = unit_bank(((2, 3), (7, 8)), ((), ((1, 1),)))
         with pytest.raises(InternalContract) as exc:
-            self._query(target, parts)
+            ApWitness(leaf, (DivPairLayer(leaf.ap, 3, 1, 1),))
+        assert str(exc.value) == "subset-sum pair ends must be distinct"
+
+    def test_two_copy_run_step_fails_at_set_up(self):
+        leaf = unit_bank(((1, 3), (5, 7)), ((), ((1, 1),), ((1, 2),)))
+        with pytest.raises(InternalContract) as exc:
+            ApWitness(leaf, (DivPairLayer(leaf.ap, 20, 2, 2),))
+        assert str(exc.value) == "subset-sum run steps take one copy of their pair"
+
+    def test_colliding_flip_trips_the_popcount(self):
+        # the leaf's hi end of pair 0 is ranked onto the lo end of pair 1:
+        # flipping pair 0 sets a byte that is already set
+        w = ApWitness(unit_bank(((2, 3), (7, 8)), ((), ((1, 1),))))
+        (leaf, lo, hi), = w.sources
+        w.sources = ((leaf, lo, (lo[1], hi[1])),)
+        assert w.query(0, RandomSource(0)).parts == ((2, 1), (7, 1))
+        with pytest.raises(InternalContract) as exc:
+            w.query(1, RandomSource(0))
+        assert str(exc.value) == "flips must keep one end of every pair"
+
+    @pytest.mark.parametrize("term, message", [
+        # the certificate of term 1 names key 1 twice: its gains add up to
+        # two flips, but the progression's term 1 is one flip above the base
+        (1, "flipped gaps must reproduce the inner target"),
+        # at term 2 the gains match, but pair 0 flips twice, so only once
+        (2, "certificate sums to 10, wanted 11"),
+    ], ids=["bank-total", "sum"])
+    def test_repeated_flip_trips_a_total(self, term, message):
+        leaf = unit_bank(((2, 3), (7, 8)), ((), ((1, 1), (1, 1)), ((1, 1), (1, 1))))
+        with pytest.raises(InternalContract) as exc:
+            ApWitness(leaf).query(term, RandomSource(0))
         assert str(exc.value) == message
 
     def test_fold_sum_mismatch_message(self):
+        leaf = FoldLeaf(AP(30, 1, 0), {0: [(4, 2), (9, 1)]})
         with pytest.raises(InternalContract) as exc:
-            self._query(30, [(4, 2), (9, 1)], fold_budget=3)
+            ApWitness(leaf, (), fold_budget=3).query(0, RandomSource(0))
         assert str(exc.value) == "certificate sums to 17, wanted 30"
 
 
 @st.composite
 def subset_stacks(draw):
-    """A subset-mode witness: a run of 1-4 DivPairLayer(h=1) steps on an
-    ExplicitLeaf whose parts come shuffled. A leaf term's parts are a few
-    values below 20 plus the one value that makes them sum to the term;
-    sometimes a count is 0 or 2, a value repeats or the sum is off by one,
-    and a step's pair may hit a leaf value, so some queries break a contract."""
+    """(leaf, layers, ends) of a subset-mode witness. The leaf is a pair
+    bank over 0-6 pairs of gap d (d in 1..3) in shuffled order, so their lo
+    ends are not in value order; the certificate of term j flips j of them,
+    or sometimes one too many or too few, or names the key twice (a
+    repeated flip), so some queries break the bank's total or the
+    certificate's sum. On it sit 1-4 layers, innermost first: a one-copy
+    run step whose pair has ends below 200, so it may share an end with the
+    leaf or another step, or, while the difference is above 1, a residue
+    ladder over 2d pairs of one gap, 1 or d+1, with ends of at least 1000.
+    `ends` lists the ends of every pair, from the draw."""
     d = draw(st.integers(1, 3))
-    leaf_ap = AP(draw(st.integers(100, 200)), d, draw(st.integers(1, 6)))
-    table = {}
-    for j in range(leaf_ap.length + 1):
-        small = sorted(draw(st.sets(st.integers(1, 19), max_size=4)))
-        parts = [(v, 1) for v in small] + [(leaf_ap.term(j) - sum(small), 1)]
-        fault = draw(st.sampled_from([None] * 6 + ["count", "repeat", "sum"]))
-        if fault == "count":
-            i = draw(st.integers(0, len(parts) - 1))
-            parts[i] = (parts[i][0], draw(st.sampled_from([0, 2])))
-        elif fault == "repeat":
-            parts.append(draw(st.sampled_from(parts)))
-        elif fault == "sum":
-            parts[-1] = (parts[-1][0] + draw(st.sampled_from([-1, 1])), 1)
-        table[j] = draw(st.permutations(parts))
-    layers, p = [], leaf_ap
-    for _ in range(draw(st.integers(1, 4))):
-        g = d * draw(st.integers(1, p.length))
-        a = draw(st.one_of(st.integers(1, 19), st.integers(300, 400)))
-        layers.insert(0, DivPairLayer(p, a, g, 1))
-        p = layers[0].outer
-    return ApWitness(ExplicitLeaf(leaf_ap, table), layers, fold_budget=0)
+    xs = draw(st.lists(st.integers(0, 29), max_size=6, unique=True))
+    pairs = [(2 * d * x + 1, 2 * d * x + 1 + d) for x in xs]
+    certs = []
+    for j in range(len(pairs) + 1):
+        fault = draw(st.sampled_from([None] * 6 + ["off", "repeat"]))
+        if fault == "off":
+            certs.append(((1, j + 1),) if j < len(pairs) else ((1, j - 1),))
+        elif fault == "repeat" and j >= 2:
+            a = draw(st.integers(1, j - 1))
+            certs.append(((1, a), (1, j - a)))
+        else:
+            certs.append(((1, j),) if j else ())
+    leaf = unit_bank(tuple(draw(st.permutations(pairs))), certs)
+    ends = [v for pair in pairs for v in pair]
+    layers, p = [], leaf.ap
+    for n in range(draw(st.integers(1, 4))):
+        if p.diff > 1 and draw(st.booleans()):
+            r = draw(st.sampled_from([1, p.diff + 1]))
+            rungs = tuple((1000 * (n + 1) + 10 * i, 1000 * (n + 1) + 10 * i + r)
+                          for i in range(2 * p.diff))
+            ladder = residue_ladder(rungs, p.diff, TUNED, draw(st.integers(0, 3)))
+            if p.length < ladder.h_max - ladder.h_min:
+                continue
+            layer = LadderLayer(p, ladder)
+            ends += [v for pair in ladder.bank.pairs for v in pair]
+        else:
+            g = p.diff * draw(st.integers(1, max(1, p.length)))
+            if g > p.length * p.diff:
+                continue
+            a = draw(st.integers(1, 199))
+            layer = DivPairLayer(p, a, g, 1)
+            ends += [a, a + g]
+        layers.insert(0, layer)
+        p = layer.outer
+    return leaf, layers, ends
 
 
 class TestSubsetAssemblyMatchesReference:
-    """The subset-sum query, which sorts its own list of the emitted parts,
-    against the unzip-set-sort-rebuild query of tests/oracle.py."""
+    """The subset-sum query, which patches a copy of the lo-end mask at the
+    pairs its sources flip, against the step-by-step and flip-by-flip query
+    of tests/oracle.py."""
 
     @settings(max_examples=300, deadline=None)
     @given(subset_stacks())
-    @example(ApWitness(ExplicitLeaf(AP(12, 1, 0), {0: [(7, 1), (2, 1), (3, 1)]}), ()))
-    def test_drawn_stacks(self, witness):
+    @example((unit_bank(((7, 8), (2, 3)), ((), ((1, 1),))), [], [7, 8, 2, 3]))
+    def test_drawn_stacks(self, drawn):
+        leaf, layers, ends = drawn
+        if len(set(ends)) < len(ends):
+            with pytest.raises(InternalContract) as exc:
+                ApWitness(leaf, layers)
+            assert str(exc.value) == "subset-sum pair ends must be distinct"
+            return
+        witness = ApWitness(leaf, layers)
+        assert witness.ends == tuple(sorted(ends))
         for j in range(witness.ap.length + 1):
             assert (query_or_message(ApWitness.query, witness, j)
                     == query_or_message(subset_query_by_set, witness, j)), j

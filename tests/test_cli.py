@@ -66,6 +66,19 @@ def assert_internal_error(captured):
     assert captured.err == "internal error: key 1 needs 2 pairs, only 1 present\n"
 
 
+@pytest.mark.parametrize("length, count, indices", [
+    (10, 0, []),
+    (10, 1, [0]),
+    (10, 2, [0, 10]),
+    (10, 3, [0, 5, 10]),
+    (10, 11, list(range(11))),
+    (10, 50, list(range(11))),
+    (0, 1, [0]),
+])
+def test_sample_indices(length, count, indices):
+    assert apcert.cli._sample_indices(length, count) == indices
+
+
 @pytest.mark.parametrize("command", ["ap-sumset", "ap-subsetsum", "unbounded", "dense",
                                      "verify"])
 def test_help_exits_zero(capsys, command):

@@ -100,13 +100,13 @@ def test_subsetsum_rounds_resolve_in_one_call(monkeypatch):
     w = corpus.build_witness("ap-subsetsum", "consecutive10k", 10**4, None)
     assert [type(layer) for layer in w.layers] == [DivPairLayer]
     calls = []
-    resolve = DivPairLayer.resolve
+    resolve = DivPairLayer.resolve_flips
 
     def spy(self, j):
         calls.append(j)
         return resolve(self, j)
 
-    monkeypatch.setattr(DivPairLayer, "resolve", spy)
+    monkeypatch.setattr(DivPairLayer, "resolve_flips", spy)
     w.query(w.ap.length // 3, RandomSource(corpus.SEED))
     assert len(calls) == 1
     # a ladder round ends a run: the rounds before and after it stay apart

@@ -1,3 +1,4 @@
+import copy
 import functools
 import gc
 import importlib.util
@@ -53,6 +54,7 @@ from oracle import (
     error_of,
     flip_by_pair,
     gen_pairs_by_index,
+    parts_of_flips,
     query_or_message,
     subset_query_by_set,
     uniformize_by_index,
@@ -261,22 +263,23 @@ class TestPairsToSubsetSum:
 
     def test_example_two_ones(self):
         bank = two_pair_bank(cert(), cert((1, 1)), cert((1, 2)))
-        assert bank.flip(2) == (8, ((2, 1), (6, 1)))
+        assert bank.flip(2) == (8, [0, 1])
 
     def test_zero(self):
         bank = two_pair_bank(cert(), cert((0, 2)))
         for j in (0, 1):
-            assert bank.flip(j) == (6, ((1, 1), (5, 1)))
+            assert bank.flip(j) == (6, [])
 
     def test_single_flip(self):
-        total, parts = two_pair_bank(cert(), cert((1, 1))).flip(1)
-        assert total == 7
-        assert sum(v for v, _ in parts) == 7
+        bank = two_pair_bank(cert(), cert((1, 1)))
+        total, flipped = bank.flip(1)
+        assert (total, flipped) == (7, [0])
+        assert sum(v for v, _ in parts_of_flips(bank.pairs, flipped)) == 7
 
     def test_scaled_keys(self):
         # reduced key 1 stands for gap 2; the flip adds the gap, not the key
         bank = two_pair_bank(cert(), cert((1, 1)), scale=2)
-        assert bank.flip(1) == (8, ((3, 1), (5, 1))) and bank.ap.term(1) == 8
+        assert bank.flip(1) == (8, [0]) and bank.ap.term(1) == 8
 
     def test_multiplicity_guard(self):
         ap = ArithProgression(1, 1, 1)
@@ -289,11 +292,10 @@ class TestPairsToSubsetSum:
 
     def test_query_checks_the_flip_against_the_progression(self):
         bank = two_pair_bank(cert(), cert((1, 1)), cert((1, 2)))
-        assert [bank.query_parts(j, None) for j in range(3)] == [
-            ((1, 1), (5, 1)), ((2, 1), (5, 1)), ((2, 1), (6, 1))]
+        assert [bank.resolve_flips(j) for j in range(3)] == [(0, []), (1, [0]), (2, [0, 1])]
         off = two_pair_bank(cert(), cert((1, 2)))
         with pytest.raises(InternalContract):
-            off.query_parts(1, None)
+            off.resolve_flips(1)
 
 
 def flip_or_error(flip, bank, j):
@@ -305,13 +307,16 @@ def flip_or_error(flip, bank, j):
 
 
 def assert_flips_match_the_reference(bank):
-    """Every certificate of the bank flips as the per-pair rebuild flips it,
-    and one that flips no pair gets the bank's all-lo parts themselves."""
+    """Every certificate of the bank names each pair at most once and flips
+    as the per-pair rebuild flips it, once its flipped indices are made
+    parts."""
     for j in range(len(bank.certs)):
         got = flip_or_error(PairBank.flip, bank, j)
+        if not isinstance(got, str):
+            total, flipped = got
+            assert len(set(flipped)) == len(flipped)
+            got = total, parts_of_flips(bank.pairs, flipped)
         assert got == flip_or_error(flip_by_pair, bank, j)
-        if not isinstance(got, str) and got[1] == bank.lows:
-            assert got[1] is bank.lows
 
 
 @st.composite
@@ -363,13 +368,6 @@ class TestFlipMatchesReference:
             assert_flips_match_the_reference(bank)
 
 
-def leaf_index(witness, j):
-    """The leaf term that term j of the witness resolves to."""
-    for layer in witness.layers:
-        j, _ = layer.resolve(j)
-    return j
-
-
 class TestQueryMatchesReference:
     """The subset-sum query, which sorts its own list of the emitted parts,
     against the unzip-set-sort-rebuild query of tests/oracle.py."""
@@ -384,25 +382,47 @@ class TestQueryMatchesReference:
             assert got == query_or_message(subset_query_by_set, witness, j), j
             assert not isinstance(got, str)
 
+    @pytest.mark.parametrize("m", [10**5, 10**6])
+    def test_density_half_builds_on_seeded_terms(self, m):
+        # at these sizes the lo ends, source by source, are not in value
+        # order (at 10^6 neither are the bank's own) and a term flips dozens
+        # of pairs across the run and the bank
+        a = sorted(random.Random(5).sample(range(1, m + 1), m // 2))
+        witness = ap_in_subset_sums(a, m, TUNED, seed=5).witness
+        (run,) = witness.layers
+        lows = [lo for lo, _ in witness.leaf.pairs]
+        assert (lows == sorted(lows)) == (m == 10**5)
+        lows = [low[0] for *_, low in run.steps] + lows
+        assert lows != sorted(lows)
+        his = set(itertools.compress(witness.ends, (1 - b for b in witness.lo_mask)))
+        rnd = random.Random(5)
+        flips = []
+        for j in (rnd.randint(0, m) for _ in range(2000)):
+            got = query_or_message(ApWitness.query, witness, j)
+            assert got == query_or_message(subset_query_by_set, witness, j), j
+            flips.append(len(his.intersection(v for v, _ in got[0])))
+        assert max(flips) >= 24
+
     def test_stored_parts_are_left_as_they_are(self):
-        # a term whose leaf certificate flips no pair gets the bank's `lows`
-        # themselves, here in pair order, not value order, and a run stores
-        # its steps with values falling; sorting the query's parts must
-        # touch neither
+        # the bank's pairs are not in value order and a run stores its steps
+        # with values falling; the witness's mask marks their lo ends, and a
+        # query patches a copy of it, so what the witness stores stays as
+        # it is while every certificate comes out in value order
         witness = golden_witness("half10k", 10**4)
         bank = witness.leaf
-        j = next(j for j in range(witness.ap.length + 1)
-                 if bank.flip(leaf_index(witness, j))[1] is bank.lows)
-        lows = bank.lows
-        kept = list(lows)
         runs = [layer for layer in witness.layers if isinstance(layer, DivPairLayer)]
-        steps = [list(run.steps) for run in runs]
-        assert runs and kept != sorted(kept)
-        first = witness.query(j, RandomSource(j))
-        assert witness.query(j, RandomSource(j)) == first
-        assert bank.lows is lows and list(lows) == kept
-        assert [list(run.steps) for run in runs] == steps
-        assert list(first.parts) == sorted(first.parts)
+        lows = [lo for lo, _ in bank.pairs]
+        assert runs and lows != sorted(lows)
+        lows += [low[0] for run in runs for *_, low in run.steps]
+        assert list(itertools.compress(witness.ends, witness.lo_mask)) == sorted(lows)
+        stored = (witness.lo_mask, witness.ends, witness.end_parts,
+                  [(lo, hi) for _, lo, hi in witness.sources], [run.steps for run in runs])
+        kept = copy.deepcopy(stored)
+        for j in range(0, witness.ap.length + 1, 97):
+            first = witness.query(j, RandomSource(j))
+            assert witness.query(j, RandomSource(j)) == first
+            assert list(first.parts) == sorted(first.parts)
+        assert stored == kept
 
 
 def largest_use(certs):
@@ -419,8 +439,7 @@ def assert_bank_reserves_its_use(bank):
     the most any flip turns over from it."""
     flipped = Counter()
     for j in range(len(bank.certs)):
-        _, parts = bank.flip(j)
-        hi = {i for i, ((v, _), (_, h)) in enumerate(zip(parts, bank.pairs)) if v == h}
+        hi = set(bank.flip(j)[1])
         for key, idxs in bank.buckets.items():
             flipped[key] = max(flipped[key], len(hi.intersection(idxs)))
     assert all(len(idxs) == flipped[key] for key, idxs in bank.buckets.items())
@@ -536,7 +555,8 @@ class TestApByPairs:
         bank = ap_by_pairs(*columns(make_pairs(gap_counts)), g_bound, TUNED)
         assert len(bank.certs) == bank.ap.length + 1
         for j in range(bank.ap.length + 1):
-            total, parts = bank.flip(j)
+            total, flipped = bank.flip(j)
+            parts = parts_of_flips(bank.pairs, flipped)
             assert total == bank.ap.term(j) == sum(v for v, _ in parts)
 
     def test_empty_rejected(self):
@@ -886,7 +906,8 @@ class TestResidueLadder:
         assert 4 % dp == 0 and dp < 4
         base = S(itertools.chain.from_iterable(ladder.bank.pairs))
         for i in range(d // dp):
-            q, parts = ladder.lookup(i)
+            q, flips = ladder.lookup(i)
+            parts = parts_of_flips(ladder.bank.pairs, flips)
             assert (q - ladder.s_q) % d == (i * dp) % d
             assert sum(v * c for v, c in parts) == q
             vals = [v for v, _ in parts]
@@ -919,7 +940,8 @@ class TestResidueLadder:
         layer = LadderLayer(inner, ladder)
         endpoints = set(itertools.chain.from_iterable(ladder.bank.pairs))
         for j in range(layer.outer.length + 1):
-            inner_j, parts = layer.resolve(j)
+            inner_j, flips = layer.resolve(j)
+            parts = parts_of_flips(ladder.bank.pairs, flips)
             vals = [v for v, c in parts if c == 1]
             assert len(vals) == len(parts) == len(set(vals))
             assert endpoints.issuperset(vals)
