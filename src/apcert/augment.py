@@ -1,4 +1,4 @@
-"""Iterative augmentation of arithmetic progressions, with witness layers.
+"""Iterative augmentation of progressions in k-fold sumsets, with witness layers.
 
 An ApWitness answers "give me a certificate for term j" by walking a stack of
 layers from the outermost progression down to a leaf witness. Each layer maps
@@ -7,27 +7,21 @@ parts; the leaf resolves the innermost index to a certificate. Two layer kinds
 exist:
 
   * a ladder layer subdivides the common difference d into a proper divisor d'
-    using a set Q whose elements hit every residue s_q + i*d' modulo d;
+    using a set Q whose elements hit every residue s_q + i*d' modulo d (the
+    subset-sum witness of subsetsum_ap uses it too, over a residue ladder);
   * a divisible-pair layer stretches the progression using h copies of a pair
-    {a, a + g} with d | g. Consecutive such steps at one difference form a
-    single layer, a run, which resolves all of its steps in one loop.
+    {a, a + g} with d | g.
 
 A ladder layer holds O(1) metadata plus its ladder, whose lookup is O(1):
-arithmetic for a pair ladder, a stored rung for a residue ladder. A run
-holds, per step, its threshold and the two part tuples it can emit whole, so
-only a partial k-fold step builds parts at query time.
-
-In subset-sum mode a term takes exactly one end of every pair that its
-sources own, so the witness stores the sorted pair ends with the byte mask of
-their lo ends, and a term patches a copy of that mask at the pairs it flips.
+arithmetic for a pair ladder, a stored rung for a residue ladder. A
+divisible-pair layer stores the part tuples it emits whole, so only a partial
+step builds parts at query time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from copy import copy
-from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from math import gcd
 from operator import mod, mul, sub
 from typing import Optional, Protocol, Sequence, Union
@@ -54,9 +48,7 @@ Parts = Sequence[tuple[int, int]]
 # ---------------------------------------------------------------------------
 
 class LeafWitness(Protocol):
-    """In fold mode query_parts returns a fresh value -> count dict that the
-    witness adds into. In subset mode the leaf is a pair bank instead, with
-    (lo, hi) `pairs` and resolve_flips(j) -> (j, the pairs term j flips)."""
+    """query_parts returns a fresh value -> count dict that the witness adds into."""
 
     ap: ArithProgression
 
@@ -70,90 +62,40 @@ class Layer(Protocol):
     def resolve(self, j: int) -> tuple[int, Parts]: ...
 
 
-def _columns(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return tuple(zip(*pairs)) or ((), ())  # the lo ends and the hi ends
+def stacked_ap(leaf_ap: ArithProgression, layers: Sequence[Layer]) -> ArithProgression:
+    """The outer progression of `layers`, outermost first, checked to chain
+    down onto the leaf's progression `leaf_ap`."""
+    ap = leaf_ap
+    for layer in reversed(layers):
+        contract(layer.inner == ap, "layer chain mismatch")
+        ap = layer.outer
+    return ap
 
 
 class ApWitness:
-    """Immutable composed witness: query(j) certifies term start + j*diff.
+    """Immutable composed k-fold witness: query(j) certifies term start +
+    j*diff with a total multiplicity of at most fold_budget."""
 
-    fold_budget > 0 declares k-fold sumset mode; fold_budget == 0 declares
-    subset-sum mode, in which the leaf is a pair bank, every run step takes
-    one copy of its pair and every ladder flips a pair bank.
-    """
-
-    def __init__(self, leaf: LeafWitness, layers: Sequence[Layer] = (), fold_budget: int = 0):
+    def __init__(self, leaf: LeafWitness, layers: Sequence[Layer], fold_budget: int):
         self.leaf = leaf
-        # outermost first; each divisible-pair layer is joined onto the run
-        # right outside it, so one run covers consecutive divisible-pair steps
-        joined: list[Layer] = []
-        for layer in layers:
-            if joined:
-                contract(joined[-1].inner == layer.outer, "layer chain mismatch")
-                if isinstance(layer, DivPairLayer) and isinstance(joined[-1], DivPairLayer):
-                    joined[-1] = joined[-1].join(layer)
-                    continue
-            joined.append(layer)
-        self.layers = tuple(joined)
+        self.layers = tuple(layers)  # outermost first
         self.fold_budget = fold_budget
-        self.ap = self.layers[0].outer if self.layers else leaf.ap
-        if self.layers:
-            contract(self.layers[-1].inner == leaf.ap, "innermost layer must sit on the leaf")
-        if not fold_budget:
-            self._rank_pairs()
-
-    def _rank_pairs(self) -> None:
-        """Subset-mode set-up: the ends of all pairs, checked distinct, sorted
-        (`ends`, with their (v, 1) parts `end_parts`), `lo_mask`, the byte
-        mask of their lo ends, and `sources`: outermost first, each layer and
-        then the leaf, with the ranks in `ends` of its pairs' lo and hi ends."""
-        sources = []  # (source, lo ends, hi ends)
-        for layer in self.layers:
-            if isinstance(layer, DivPairLayer):
-                _, _, fulls, lows = zip(*layer.steps)
-                (lo, lo_counts), (hi, hi_counts) = zip(*lows), zip(*fulls)
-                contract(set(lo_counts + hi_counts) == {1},
-                         "subset-sum run steps take one copy of their pair")
-                sources.append((layer, lo, hi))
-            else:
-                sources.append((layer, *_columns(layer.ladder.bank.pairs)))
-        sources.append((self.leaf, *_columns(self.leaf.pairs)))
-        ends = sorted(chain.from_iterable(chain.from_iterable(cols for _, *cols in sources)))
-        contract(len(set(ends)) == len(ends), "subset-sum pair ends must be distinct")
-        rank = {v: r for r, v in enumerate(ends)}.__getitem__
-        lo_ends = frozenset(chain.from_iterable(lo for _, lo, _ in sources))
-        self.ends = tuple(ends)
-        self.end_parts = tuple(zip(ends, repeat(1)))
-        self.lo_mask = bytes(map(lo_ends.__contains__, ends))
-        self.sources = tuple((source, tuple(map(rank, lo)), tuple(map(rank, hi)))
-                             for source, lo, hi in sources)
+        self.ap = stacked_ap(leaf.ap, self.layers)
 
     def query(self, j: int, rng: RandomSource) -> CompactSolution:
         target = self.ap.term(j)
-        if self.fold_budget:
-            collected: list[tuple[int, int]] = []
-            for layer in self.layers:
-                j, extra = layer.resolve(j)
-                collected.extend(extra)
-            # the leaf's dict is this query's own, so the layers' parts add into it
-            leaf_parts = self.leaf.query_parts(j, rng)
-            for v, c in collected:
-                leaf_parts[v] = leaf_parts.get(v, 0) + c
-            sol = CompactSolution.from_counts(leaf_parts, target, self.fold_budget)
-            total = sum(map(mul, leaf_parts, leaf_parts.values()))
-        else:
-            mask = bytearray(self.lo_mask)
-            for source, lo, hi in self.sources:
-                j, flips = source.resolve_flips(j)
-                for i in flips:
-                    mask[lo[i]] = 0
-                    mask[hi[i]] = 1
-            contract(2 * mask.count(1) == len(mask), "flips must keep one end of every pair")
-            sol = CompactSolution._built(tuple(compress(self.end_parts, mask)), target, 0)
-            total = sum(compress(self.ends, mask))
+        collected: list[tuple[int, int]] = []
+        for layer in self.layers:
+            j, extra = layer.resolve(j)
+            collected.extend(extra)
+        # the leaf's dict is this query's own, so the layers' parts add into it
+        leaf_parts = self.leaf.query_parts(j, rng)
+        for v, c in collected:
+            leaf_parts[v] = leaf_parts.get(v, 0) + c
+        total = sum(map(mul, leaf_parts, leaf_parts.values()))
         if total != target:
             raise InternalContract(f"certificate sums to {total}, wanted {target}")
-        return sol
+        return CompactSolution.from_counts(leaf_parts, target, self.fold_budget)
 
     def truncated(self, length: int) -> "ApWitness":
         w = copy(self)
@@ -265,20 +207,12 @@ class LadderLayer:
         contract(inner_j <= self.inner.length, "ladder residual beyond inner progression")
         return inner_j, parts
 
-    def resolve_flips(self, j: int) -> tuple[int, Sequence[int]]:
-        """`resolve` in subset mode, where the ladder's rungs name flips."""
-        return self.resolve(j)
-
 
 class DivPairLayer:
-    """A run of divisible-pair steps at one difference d, outermost first.
-
-    A step adds h copies of {a, a+g} with d | g and stretches the length by
-    h*g/d. DivPairLayer(inner, a, g, h) is a run of one step; `join` puts a
-    run on top of another. Each step is stored as (h*g/d, g/d, (a+g, h),
-    (a, h)): its threshold, its pair gap in terms, and the parts it emits
-    when the outer index is past the threshold or below g/d.
-    """
+    """A divisible-pair step: h copies of {a, a+g} with d | g stretch the
+    length by h*g/d. An outer index at least the threshold h*g/d takes every
+    copy at a+g, one below g/d every copy at a, and one in between its
+    quotient by g/d of copies at a+g, the rest at a."""
 
     def __init__(self, inner: ArithProgression, a: int, g: int, h: int):
         d = inner.diff
@@ -288,52 +222,18 @@ class DivPairLayer:
         require(a >= 0, "pair-value-nonnegative", f"a={a}")
         self.inner = inner
         self.outer = ArithProgression(inner.start + h * a, d, inner.length + h * g // d)
-        self.steps = ((h * g // d, g // d, (a + g, h), (a, h)),)
-
-    def join(self, inner_run: "DivPairLayer") -> "DivPairLayer":
-        """The run of this run's steps followed by those of inner_run, which
-        this run must sit on."""
-        contract(self.inner == inner_run.outer, "layer chain mismatch")
-        run = DivPairLayer.__new__(DivPairLayer)
-        run.inner, run.outer = inner_run.inner, self.outer
-        run.steps = self.steps + inner_run.steps
-        return run
-
-    @cached_property
-    def prefix(self) -> tuple[int, ...]:
-        """The sums of the thresholds of the first 0, 1, ..., all steps."""
-        return (0, *accumulate(step[0] for step in self.steps))
+        self.a, self.hi, self.h, self.e = a, a + g, h, g // d  # e: the pair gap in terms
+        self.threshold = h * self.e
+        self.full, self.low = ((a + g, h),), ((a, h),)
 
     def resolve(self, j: int) -> tuple[int, Parts]:
-        parts: list[tuple[int, int]] = []
-        for threshold, e, full, low in self.steps:
-            if j >= threshold:
-                j -= threshold
-                parts.append(full)
-            elif j < e:
-                parts.append(low)
-            else:
-                # 0 < q < h copies take the larger value
-                q, j = divmod(j, e)
-                parts.append((full[0], q))
-                parts.append((low[0], low[1] - q))
-        return j, parts
-
-    def resolve_flips(self, j: int) -> tuple[int, list[int]]:
-        """`resolve` for a run of one-copy steps, as the indices of the steps
-        that take their pair's hi end. One bisect over `prefix` skips the
-        leading steps that take it; after the first that does not, each
-        step takes it when the index left reaches its threshold."""
-        prefix, steps = self.prefix, self.steps
-        k = bisect_right(prefix, j) - 1
-        j -= prefix[k]
-        flips = list(range(k))
-        for i in range(k + 1, len(steps)):
-            t = steps[i][0]
-            if j >= t:
-                j -= t
-                flips.append(i)
-        return j, flips
+        if j >= self.threshold:
+            return j - self.threshold, self.full
+        if j < self.e:
+            return j, self.low
+        # 0 < q < h copies take the larger value
+        q, j = divmod(j, self.e)
+        return j, ((self.hi, q), (self.a, self.h - q))
 
 
 # ---------------------------------------------------------------------------

@@ -7,28 +7,30 @@ The short progression is then lengthened round by round: pairs whose gap the
 current difference divides stretch it (one fold each), and pairs with
 non-divisible gaps feed a residue ladder that subdivides the difference.
 
-Element-disjointness is structural: every layer owns pairs drawn from a pool
-that shrinks as rounds consume it, and each certificate uses each element at
-most once (checked on every merge).
+Element-disjointness is structural: every source (the bridge bank, each run
+of one-copy divisible-pair steps, each residue ladder's bank) owns pairs from
+a pool that shrinks as rounds consume it, and a term takes exactly one end of
+every pair (the witness checks the ends distinct and each query's mask).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, filterfalse, repeat, starmap
 from math import gcd
 from operator import ge, lt, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .augment import ApWitness, DivPairLayer, Layer, LadderLayer
+from .augment import LadderLayer, stacked_ap
 from .core import (
     ArithProgression,
     CompactSolution,
     Exhausted,
-    MultiplicityExceeded,
+    InternalContract,
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
@@ -98,69 +100,28 @@ def uniformize(mult: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The pair bank: the gaps -> subset-sums bridge, and the one flip routine
+# The pair bank: the gaps -> subset-sums bridge
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PairBank:
     """Pairs banked behind a progression of their subset sums.
 
-    `certs[j]` certifies term j of {s} + {0, 1, ..., bound} in a k-fold
-    sumset of the keys divided by `scale` (their gcd together with the free
-    values). `ap`, in subset-sum units, is that progression times `scale`
-    plus `base`, the sum of the banked pairs' lo ends; `flip(j)` turns
-    `certs[j]` into the pairs to take at their hi end. As the leaf of the
-    gaps -> subset-sums bridge, `resolve_flips(j)` checks that this subset
-    sums to `ap.term(j)`. `buckets` maps each reduced key to the indices of
-    its pairs in `pairs`; reduced values in `free` need no pair when they
-    occur in a certificate.
-
-    Derived once from the fields: `gains`, for each key the prefix sums of
-    its bucket's gaps, so gains[key][c] is what flipping its first c pairs
-    adds. A flip does no Python-level work per banked pair.
-    """
+    Term j's subset takes the hi end of the pairs at the indices `flips[j]`
+    and the lo end of every other pair, and sums to `sums[j]`. `ap`, in
+    subset-sum units, is the bank's key progression times its gcd plus the
+    sum of the lo ends. As the leaf of the gaps -> subset-sums bridge,
+    `sums[j] == ap.term(j)` (checked once, by ap_by_pairs); a residue
+    ladder's bank only keeps each sum on its residue."""
 
     ap: ArithProgression
-    certs: tuple[CompactSolution, ...]
-    scale: int
-    base: int
     pairs: tuple[Pair, ...]
-    buckets: dict[int, tuple[int, ...]]
-    free: frozenset[int]
-    gains: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    flips: tuple[tuple[int, ...], ...]
+    sums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        lo, hi = tuple(zip(*self.pairs)) or ((), ())
-        gaps = tuple(map(sub, hi, lo))
-        object.__setattr__(self, "gains", {
-            key: (0, *accumulate(map(gaps.__getitem__, idxs)))
-            for key, idxs in self.buckets.items()
-        })
-
-    def flip(self, j: int) -> tuple[int, list[int]]:
-        """Flip `count` pairs of each reduced key of `certs[j]` from lo to hi.
-
-        Returns the sum of the subset (hi ends of the flipped pairs, lo ends
-        of the rest) and the indices of the flipped pairs."""
-        total = self.base
-        flipped: list[int] = []
-        for key, c in self.certs[j].parts:
-            if key in self.free:
-                continue
-            idxs = self.buckets.get(key, ())
-            if c > len(idxs):
-                raise MultiplicityExceeded(
-                    f"key {key * self.scale} needs {c} pairs, only {len(idxs)} present"
-                )
-            total += self.gains[key][c]
-            flipped += idxs[:c]
-        return total, flipped
-
-    def resolve_flips(self, j: int) -> tuple[int, list[int]]:
-        """As a leaf: j itself and flip(j)'s flipped pairs, its sum checked."""
-        total, flipped = self.flip(j)
-        contract(total == self.ap.term(j), "flipped gaps must reproduce the inner target")
-        return j, flipped
+    def resolve(self, j: int) -> tuple[int, tuple[int, ...]]:
+        """As a leaf: j itself and the pairs term j flips."""
+        return j, self.flips[j]
 
 
 def bank_pairs(
@@ -172,8 +133,9 @@ def bank_pairs(
     length `bound` over the gcd-reduced kept keys and `free` values once,
     and bank for each kept key its first pairs, as many as the certificates
     use of it. One index-order scan finds them and stops once all are
-    found, and only they become pair tuples. `noun` names a key in
-    Exhausted."""
+    found, and only they become pair tuples. Each certificate becomes its
+    flip list: for every (key, count) part that is not free, the first
+    `count` pairs of that key. `noun` names a key in Exhausted."""
     require(len(keys) >= 1, "pairs-nonempty")
     mult = Counter(keys)
     u = uniformize(mult.values())
@@ -208,18 +170,20 @@ def bank_pairs(
                 if not todo:
                     break
     order: list[int] = []
-    buckets: dict[int, tuple[int, ...]] = {}
+    first: dict[int, int] = {}  # reduced key -> the index of its first banked pair
     for key in kept_keys:
-        buckets[key // scale] = tuple(range(len(order), len(order) + need[key]))
+        first[key // scale] = len(order)
         order += found[key]
-    lo_ends = tuple(map(lo.__getitem__, order))
-    w = witness.ap
+    lo_ends, hi_ends = tuple(map(lo.__getitem__, order)), tuple(map(hi.__getitem__, order))
+    gaps = tuple(map(sub, hi_ends, lo_ends))
+    # a reduced value is a kept key or free, and the free values have no pairs
+    flips = tuple(tuple(chain.from_iterable(range(first[v], first[v] + c)
+                                            for v, c in sol.parts if v in first)) for sol in certs)
     base = sum(lo_ends)
-    ap = ArithProgression(base + w.start * scale, w.diff * scale, w.length)
-    return PairBank(
-        ap, certs, scale, base, tuple(zip(lo_ends, map(hi.__getitem__, order))), buckets,
-        frozenset(v // scale for v in free),
-    )
+    sums = tuple(base + sum(map(gaps.__getitem__, f)) for f in flips)
+    w = witness.ap
+    return PairBank(ArithProgression(base + w.start * scale, w.diff * scale, w.length),
+                    tuple(zip(lo_ends, hi_ends)), flips, sums)
 
 
 def ap_by_pairs(
@@ -228,8 +192,8 @@ def ap_by_pairs(
 ) -> PairBank:
     """AP of length g_bound in S(A_{T*}) for a small subset T* of the
     conflict-free pairs (lo[i], hi[i]) with gaps[i] = hi[i] - lo[i] (the
-    columns of gen_pairs): the bank over T* = bank.pairs, whose
-    resolve_flips(j) certifies term j."""
+    columns of gen_pairs): the bank over T* = bank.pairs, each of whose
+    flip lists is checked to sum to its term."""
     require(len(gaps) >= 1, "pairs-nonempty")
     g_max = max(gaps)
     if min(gaps) < 1 or g_max > g_bound:
@@ -241,6 +205,7 @@ def ap_by_pairs(
             f"g_bound={g_bound}, |T|={len(gaps)}",
         )
     bank = bank_pairs(lo, hi, gaps, g_bound, (0,), "gap", seed)
+    contract(bank.sums == tuple(bank.ap.terms()), "flipped gaps must reproduce the inner target")
     if profile.enforce_caps:
         contract(len(bank.pairs) <= profile.pair_cap * g_bound, "pair coreset above cap")
     return bank
@@ -502,26 +467,20 @@ def extract_aug_pairs(
 class ResidueLadderAccessor:
     """Ladder whose rungs are subset sums of pair endpoints: rung i is
     congruent to s_q + i*d' modulo d, realized by flipping the pairs of the
-    bank's certificate i over the residues. Each rung is stored at build as
-    (q_i, the indices of the bank's pairs it flips)."""
+    bank's certificate i over the residues: rung i is (q_i, the indices of
+    the bank's pairs it flips), the bank's sum and flip list of term i, for
+    i < d/d'."""
 
     def __init__(self, bank: PairBank, d: int):
-        self.bank = bank
-        self.d = d
-        self.dp = bank.ap.diff
-        self.s_q = bank.ap.start
-        self.rungs = [(q, tuple(f)) for q, f in map(bank.flip, range(d // self.dp))]
-        for i, (q, _) in enumerate(self.rungs):
-            contract(
-                (q - self.s_q) % d == (i * self.dp) % d,
-                "ladder rung residue mismatch",
-            )
-        heights = [(q - self.s_q) // d for q, _ in self.rungs]
-        self.h_min = min(heights)
-        self.h_max = max(heights)
+        self.bank, self.d, self.dp, self.s_q = bank, d, bank.ap.diff, bank.ap.start
+        rungs = bank.sums[: d // self.dp]
+        for i, q in enumerate(rungs):
+            contract((q - self.s_q) % d == i * self.dp % d, "ladder rung residue mismatch")
+        heights = [(q - self.s_q) // d for q in rungs]
+        self.h_min, self.h_max = min(heights), max(heights)
 
     def lookup(self, i: int) -> tuple[int, tuple[int, ...]]:
-        return self.rungs[i]
+        return self.bank.sums[i], self.bank.flips[i]
 
 
 def residue_ladder(
@@ -560,6 +519,109 @@ def residue_ladder(
 
 
 # ---------------------------------------------------------------------------
+# Runs of one-copy divisible pairs, and the subset-sum witness
+# ---------------------------------------------------------------------------
+
+class PairRun:
+    """One-copy divisible-pair steps at one difference d, outermost first: a
+    step takes the lo or the hi end of its pair (lo, hi), d | hi - lo, and
+    stretches the length by its gain (hi - lo)/d. `prefix` holds the sums of
+    the gains of the first 0, 1, ..., all steps."""
+
+    def __init__(self, inner: ArithProgression, pairs: Sequence[Pair]):
+        """The run of `pairs`, innermost first, on `inner`, each checked
+        against the progression the steps before it reach."""
+        d, start, length = inner.diff, inner.start, inner.length
+        for a, b in pairs:
+            g = b - a
+            require(g >= 1 and g % d == 0, "pair-gap-divisible", f"d={d}, g={g}")
+            require(g <= length * d, "pair-gap-at-most-span", f"g={g}, span={length * d}")
+            require(a >= 0, "pair-value-nonnegative", f"a={a}")
+            start, length = start + a, length + g // d
+        self.inner, self.outer = inner, ArithProgression(start, d, length)
+        self.pairs = tuple(pairs[::-1])
+        self.gains = tuple((b - a) // d for a, b in self.pairs)
+        self.prefix = (0, *accumulate(self.gains))
+
+    def join(self, inner_run: "PairRun") -> "PairRun":
+        """This run's steps followed by those of inner_run, which it must sit
+        on; no step is checked again."""
+        contract(self.inner == inner_run.outer, "layer chain mismatch")
+        run = copy(self)
+        run.inner, run.pairs = inner_run.inner, self.pairs + inner_run.pairs
+        run.gains = self.gains + inner_run.gains
+        run.prefix = (0, *accumulate(run.gains))
+        return run
+
+    def resolve(self, j: int) -> tuple[int, list[int]]:
+        """(the inner index, the indices of the steps that take their pair's
+        hi end). One bisect over `prefix` skips the leading steps that take
+        it; after the first that does not, each step takes it when the index
+        left reaches its gain."""
+        prefix, gains = self.prefix, self.gains
+        k = bisect_right(prefix, j) - 1
+        j -= prefix[k]
+        flips = list(range(k))
+        for i in range(k + 1, len(gains)):
+            t = gains[i]
+            if j >= t:
+                j -= t
+                flips.append(i)
+        return j, flips
+
+
+class SubsetWitness:
+    """Immutable subset-sum witness: query(j) certifies term start + j*diff.
+
+    Its sources, outermost first, are the `layers` (each a PairRun or a
+    LadderLayer over a residue ladder's bank) and then the bridge bank
+    `leaf`; a term takes exactly one end of each of their pairs. Set-up
+    stores the pair ends, checked distinct, sorted (`ends`, with their (v, 1)
+    `end_parts`), the byte mask `lo_mask` of the lo ends and, per source, the
+    ranks of its pairs' ends (`sources`). A query copies the mask and patches
+    two bytes per pair that a source's resolve(j) -> (inner j, flipped pair
+    indices) names."""
+
+    fold_budget = 0
+
+    def __init__(self, leaf: PairBank, layers: Sequence[Union[PairRun, LadderLayer]] = ()):
+        self.leaf = leaf
+        self.layers = tuple(layers)
+        self.ap = stacked_ap(leaf.ap, self.layers)
+        sources = [(layer, layer.ladder.bank.pairs if isinstance(layer, LadderLayer)
+                    else layer.pairs) for layer in self.layers]
+        sources.append((leaf, leaf.pairs))
+        ends = sorted(chain.from_iterable(chain.from_iterable(p for _, p in sources)))
+        contract(len(set(ends)) == len(ends), "subset-sum pair ends must be distinct")
+        rank = {v: r for r, v in enumerate(ends)}.__getitem__
+        lo_ends = frozenset(lo for _, pairs in sources for lo, _ in pairs)
+        self.ends = tuple(ends)
+        self.end_parts = tuple(zip(ends, repeat(1)))
+        self.lo_mask = bytes(map(lo_ends.__contains__, ends))
+        self.sources = tuple((source, tuple(rank(lo) for lo, _ in pairs),
+                              tuple(rank(hi) for _, hi in pairs)) for source, pairs in sources)
+
+    def query(self, j: int, rng: RandomSource) -> CompactSolution:
+        target = self.ap.term(j)
+        mask = bytearray(self.lo_mask)
+        for source, lo, hi in self.sources:
+            j, flips = source.resolve(j)
+            for i in flips:
+                mask[lo[i]] = 0
+                mask[hi[i]] = 1
+        contract(2 * mask.count(1) == len(mask), "flips must keep one end of every pair")
+        total = sum(compress(self.ends, mask))
+        if total != target:
+            raise InternalContract(f"certificate sums to {total}, wanted {target}")
+        return CompactSolution._built(tuple(compress(self.end_parts, mask)), target, 0)
+
+    def truncated(self, length: int) -> "SubsetWitness":
+        w = copy(self)
+        w.ap = self.ap.truncate(length)
+        return w
+
+
+# ---------------------------------------------------------------------------
 # One augmentation round and the full pipeline
 # ---------------------------------------------------------------------------
 
@@ -572,10 +634,10 @@ def extend_ap_once(
     gain_target: int,
     seed: int,
     gone: Gone,
-) -> tuple[ArithProgression, tuple[Layer, ...], tuple[int, ...]]:
-    """(ap, layers, used): the progression grown by at least gain_target with
-    pairs of `pool` less its elements at the indices in `gone`, its layers
-    outermost first, and the indices in pool.elems of the endpoints of the
+) -> tuple[ArithProgression, Union[PairRun, LadderLayer], tuple[int, ...]]:
+    """(ap, layer, used): the progression grown by at least gain_target with
+    pairs of `pool` less its elements at the indices in `gone`, the layer
+    that grows it, and the indices in pool.elems of the endpoints of the
     pairs it consumed."""
     d, ell = p.diff, p.length
     gamma = gamma_parameter(m, n, ell, profile)
@@ -591,14 +653,9 @@ def extend_ap_once(
         require(alive >= reserve, "aug-availability", f"|pool|={alive} < {reserve}")
     case, spots = extract_aug_pairs(pool, d, ell, m, n, profile, gain_target, gone)
     vals = pool.elems
-    layers: list[Layer] = []
     if case == 2:
-        # extraction stops at the pair that reaches gain_target: one layer per pair
-        cur = p
-        for i, j in spots:
-            layer = DivPairLayer(cur, vals[i], vals[j] - vals[i], 1)
-            cur = layer.outer
-            layers.insert(0, layer)
+        # extraction stops at the pair that reaches gain_target: one step per pair
+        layer = PairRun(p, [(vals[i], vals[j]) for i, j in spots])
         used = spots
     else:
         ladder = residue_ladder([(vals[i], vals[j]) for i, j in spots], d, profile, seed)
@@ -608,16 +665,15 @@ def extend_ap_once(
                 f"exceeds progression length {p.length}"
             )
         layer = LadderLayer(p, ladder)
-        cur = layer.outer
-        layers = [layer]
         # the bank keeps a subset of the pairs; lo ends are distinct
         spot_of = {vals[i]: (i, j) for i, j in spots}
         used = [spot_of[lo] for lo, _ in ladder.bank.pairs]
+    cur = layer.outer
     if cur.length < ell + gain_target:
         raise Exhausted(
             f"augmentation gained {cur.length - ell}, wanted {gain_target}"
         )
-    return cur, tuple(layers), tuple(chain.from_iterable(used))
+    return cur, layer, tuple(chain.from_iterable(used))
 
 
 def _unlink_indices(gone: Gone, n: int, indices: Iterable[int]) -> None:
@@ -642,7 +698,7 @@ class SubsetSumApResult:
     """AP of length ell in S(coreset) with a subset-sum witness."""
 
     ap: ArithProgression
-    witness: ApWitness
+    witness: SubsetWitness
     coreset: SortedIntSet
     rounds: int
 
@@ -695,7 +751,7 @@ def ap_in_subset_sums(
     ends = chain.from_iterable(bank.pairs)
     _unlink_indices(gone, big_n, map(bisect_left, repeat(a.elems), ends))
     p = bank.ap
-    layers: list[Layer] = []
+    layers: list[Union[PairRun, LadderLayer]] = []  # outermost first
     rounds = 0
     round_cap = 2 * ceil_log2(max(2, nbar)) + ceil_log2(ell + 2) + 8
     while p.length < ell:
@@ -711,8 +767,12 @@ def ap_in_subset_sums(
                 if profile.enforce_caps or gain_target <= 1:
                     raise Exhausted(exc.reason, partial=p) from exc
                 gain_target //= 2
-        p, step_layers, used = step
-        layers = list(step_layers) + layers
+        p, layer, used = step
+        # a case-2 round right after another extends its run
+        if isinstance(layer, PairRun) and layers and isinstance(layers[0], PairRun):
+            layers[0] = layer.join(layers[0])
+        else:
+            layers.insert(0, layer)
         _unlink_indices(gone, big_n, used)
     # the elements of `a` at ascending indices
     coreset = SortedIntSet._ordered(tuple(map(a.elems.__getitem__, sorted(gone.dead))))
@@ -720,7 +780,7 @@ def ap_in_subset_sums(
     bound = coreset_size_bound(ell, big_n, profile)
     if len(coreset) > bound:
         raise Exhausted(f"coreset size {len(coreset)} above bound {bound}", partial=p)
-    witness = ApWitness(bank, layers, fold_budget=0)
+    witness = SubsetWitness(bank, layers)
     contract(witness.ap == p, "assembled witness progression mismatch")
     contract(witness.ends == coreset.elems, "witness pair ends must be the coreset")
     witness = witness.truncated(ell)

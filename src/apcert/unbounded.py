@@ -78,8 +78,8 @@ class UnboundedSolver:
         self.threshold = 333 * ceil_div(a_n, n - 1) * values[-2]
         # a_n is invertible modulo d, so i_t = t * a_n^'-1' hits t's residue (0 at d = 1)
         self.inv_an = pow(a_n, -1, d)
-        # inner index r -> its multipliers of _lower
         self._lower = values[:-1]
+        # inner index r -> its multipliers of _lower
         self._rows: dict[int, tuple[int, ...]] = {}
 
     def solve(self, t: int, rng: RandomSource) -> UnboundedSolution:

@@ -3,17 +3,18 @@ coin-style reachability, greedy sumsets (materialized and by membership) and
 k-fold greedy certificates, the restricted shift and closest-pair lift that
 the one-pass k-fold leaf must match value for value, the eager gap scan that the lazy `GapScan` must
 match pair for pair and the gap-by-gap run walk that its bisected walk must
-match run for run, the single divisible-pair step that a run of steps in
-`DivPairLayer` must match part for part, the per-element input checks, the
-per-part certificate check and the pair harvest that the C-level passes of
-the package must match error for error, the select-by-index uniformize whose
-selection the pair bank's one grouping pass must bank pair for pair, the
-flip that rebuilds a part for every banked pair, which the pair bank's
-flip must match part for part and error for error once its flipped
-indices are made parts, the subset-sum query that takes every source's
-parts step by step and flip by flip, then sets, sorts and rebuilds them,
-which the mask-patching `ApWitness.query` must match certificate for
-certificate and message for message, the per-element loops of the k-fold
+match run for run, the single divisible-pair step that `DivPairLayer` and
+every step of a `PairRun` must match part for part, the per-element input
+checks, the per-part certificate check and the pair harvest that the C-level
+passes of the package must match error for error, the select-by-index
+uniformize whose selection the pair bank's one grouping pass must bank pair
+for pair, the flip of a k-fold certificate that rebuilds a part for every
+banked pair, which the flip lists and sums that `bank_pairs` stores must
+match part for part once their flipped indices are made parts, the
+subset-sum query that takes every source's parts step by step and flip by
+flip, then sets, sorts and rebuilds them, which the mask-patching
+`SubsetWitness.query` must match certificate for certificate and message
+for message, the per-element loops of the k-fold
 build (endpoint scan, closest-gap class, gap pairs) that its C-level passes
 must match value for value and tie for tie, the greedy walk that bisects
 for every pick, the draw that calls `_next64` per word, the certificate
@@ -36,7 +37,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
-from apcert.augment import DivPairLayer
+from apcert.augment import LadderLayer
 from apcert.core import (
     MAX_ELEMENT,
     ApcertError,
@@ -531,48 +532,49 @@ def parts_of_flips(pairs, flipped) -> tuple[tuple[int, int], ...]:
     return tuple((hi if i in flipped else lo, 1) for i, (lo, hi) in enumerate(pairs))
 
 
-def flip_by_pair(bank, j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """`PairBank.flip(j)` by one pass over every banked pair: the set of the
-    flipped indices with their gaps added pair by pair, then a part (hi if
-    flipped, else lo, 1) per pair."""
+def flip_by_pair(pairs, keys, scale: int, free, cert) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The subset of `pairs` that the k-fold certificate `cert` over keys
+    divided by `scale` flips, by one pass over every pair: for each part
+    (v, c) whose key v*scale is not in `free`, the first c pairs i with
+    keys[i] == v*scale are flipped. Returns the sum of the lo ends with
+    every flipped pair's gap added, and a part (hi if flipped, else lo, 1)
+    per pair."""
     flipped: set[int] = set()
-    total = bank.base
-    for key, c in bank.certs[j].parts:
-        if key in bank.free:
+    total = sum(lo for lo, _ in pairs)
+    for v, c in cert.parts:
+        key = v * scale
+        if key in free:
             continue
-        idxs = bank.buckets.get(key, ())
+        idxs = [i for i, k in enumerate(keys) if k == key]
         if c > len(idxs):
-            raise MultiplicityExceeded(
-                f"key {key * bank.scale} needs {c} pairs, only {len(idxs)} present"
-            )
+            raise MultiplicityExceeded(f"key {key} needs {c} pairs, only {len(idxs)} present")
         for i in idxs[:c]:
             flipped.add(i)
-            lo, hi = bank.pairs[i]
+            lo, hi = pairs[i]
             total += hi - lo
-    return total, parts_of_flips(bank.pairs, flipped)
+    return total, parts_of_flips(pairs, flipped)
 
 
 def subset_query_by_set(witness, j: int, rng) -> CompactSolution:
-    """`ApWitness.query(j)` in subset mode from the parts of every source:
-    each step of a run by `div_pair_step`, each ladder rung and the leaf by
-    `flip_by_pair`. A set checks the values distinct, and the sorted values
-    are rebuilt into a fresh (value, 1) part each."""
+    """`SubsetWitness.query(j)` from the parts of every source: each step of
+    a run by `div_pair_step`, each ladder rung and the leaf by their stored
+    flip lists. A set checks the values distinct, and the sorted values are
+    rebuilt into a fresh (value, 1) part each."""
     target = witness.ap.term(j)
     collected: list[tuple[int, int]] = []
     for layer in witness.layers:
         d = layer.inner.diff
-        if isinstance(layer, DivPairLayer):
-            for _, _, (hi, h), (lo, _) in layer.steps:
-                j, parts = div_pair_step(d, lo, hi - lo, h, j)
-                collected.extend(parts)
-        else:
+        if isinstance(layer, LadderLayer):
             dp = layer.outer.diff
-            q, parts = flip_by_pair(layer.ladder.bank, (j * dp % d) // dp)
-            j = (layer.outer.term(j) - q - layer.inner.start) // d
-            collected.extend(parts)
-    total, parts = flip_by_pair(witness.leaf, j)
-    contract(total == witness.leaf.ap.term(j), "flipped gaps must reproduce the inner target")
-    collected.extend(parts)
+            bank = layer.ladder.bank
+            i = (j * dp % d) // dp
+            j = (layer.outer.term(j) - bank.sums[i] - layer.inner.start) // d
+            collected.extend(parts_of_flips(bank.pairs, bank.flips[i]))
+        else:
+            for lo, hi in layer.pairs:
+                j, parts = div_pair_step(d, lo, hi - lo, 1, j)
+                collected.extend(parts)
+    collected.extend(parts_of_flips(witness.leaf.pairs, witness.leaf.flips[j]))
     values, counts = zip(*collected) if collected else ((), ())
     contract(counts.count(1) == len(counts), "subset-sum parts must have count 1")
     contract(len(set(values)) == len(values), "subset-sum parts must be distinct")

@@ -18,7 +18,6 @@ from apcert.augment import (
 )
 from apcert.core import (
     ArithProgression,
-    CompactSolution,
     InternalContract,
     PreconditionViolated,
     RandomSource,
@@ -26,7 +25,7 @@ from apcert.core import (
     ceil_div,
 )
 from apcert.profiles import TUNED
-from apcert.subsetsum_ap import PairBank, residue_ladder
+from apcert.subsetsum_ap import PairBank, PairRun, SubsetWitness, ap_by_pairs, residue_ladder
 from oracle import (
     div_pair_step,
     fold_query_by_merge,
@@ -205,82 +204,72 @@ class TestAugmentDivPair:
 
 
 @st.composite
-def div_pair_runs(draw, max_h=4):
-    """An inner progression and 1-8 divisible-pair steps (a, g, h) on it,
-    innermost first, with d in 1..6, d | g, g at most the span and h in
-    1..max_h."""
+def div_pair_steps(draw):
+    """(inner, a, g, h): one divisible-pair step on an inner progression,
+    with d in 1..6, d | g, g at most the span and h in 1..20."""
     d = draw(st.integers(1, 6))
-    cur = AP(draw(st.integers(0, 20)), d, draw(st.integers(1, 10)))
-    inner, steps = cur, []
+    inner = AP(draw(st.integers(0, 20)), d, draw(st.integers(1, 10)))
+    g = d * draw(st.integers(1, inner.length))
+    return inner, draw(st.integers(0, 30)), g, draw(st.integers(1, 20))
+
+
+@st.composite
+def one_copy_runs(draw):
+    """An inner progression and 1-8 one-copy divisible pairs (a, a+g) on it,
+    innermost first, with d in 1..6, d | g and g at most the span that the
+    steps before it reach."""
+    d = draw(st.integers(1, 6))
+    inner = AP(draw(st.integers(0, 20)), d, draw(st.integers(1, 10)))
+    length, pairs = inner.length, []
     for _ in range(draw(st.integers(1, 8))):
-        g = d * draw(st.integers(1, min(cur.length, 8)))
-        a, h = draw(st.integers(0, 30)), draw(st.integers(1, max_h))
-        steps.append((a, g, h))
-        cur = DivPairLayer(cur, a, g, h).outer
-    return inner, steps
+        g = d * draw(st.integers(1, min(length, 8)))
+        a = draw(st.integers(0, 30))
+        pairs.append((a, a + g))
+        length += g // d
+    return inner, pairs
 
 
 class TestDivPairRunMatchesSteps:
     @settings(max_examples=200, deadline=None)
-    @given(div_pair_runs())
-    def test_run_matches_chained_steps(self, drawn):
-        inner, steps = drawn
-        d = inner.diff
-        layers, cur = [], inner
-        for a, g, h in steps:
-            layers.insert(0, DivPairLayer(cur, a, g, h))
-            cur = layers[0].outer
-        run = layers[0]
-        for layer in layers[1:]:
-            run = run.join(layer)
-        assert (run.inner, run.outer) == (inner, cur)
-        # every outer index; each step maps its outer indices onto all of its
-        # inner ones, so each step also sees 0, h*g/d - 1, h*g/d and its length
-        for j in range(run.outer.length + 1):
-            ref_j, ref_parts = j, []
-            for a, g, h in reversed(steps):
-                ref_j, parts = div_pair_step(d, a, g, h, ref_j)
-                ref_parts.extend(parts)
-            got_j, got_parts = run.resolve(j)
-            assert (got_j, list(got_parts)) == (ref_j, ref_parts)
+    @given(div_pair_steps())
+    @example((AP(3, 2, 6), 5, 4, 20))  # h = 20: every branch, and 0 < q < h often
+    def test_step_matches_the_oracle_step(self, drawn):
+        # every outer index: below g/d, between it and the threshold h*g/d
+        # (when h > 1), and past the threshold up to the outer length
+        inner, a, g, h = drawn
+        layer = DivPairLayer(inner, a, g, h)
+        assert layer.inner == inner
+        assert layer.outer == AP(inner.start + h * a, inner.diff, inner.length + h * g // inner.diff)
+        for j in range(layer.outer.length + 1):
+            got_j, got_parts = layer.resolve(j)
+            assert (got_j, tuple(got_parts)) == div_pair_step(inner.diff, a, g, h, j)
 
     @settings(max_examples=200, deadline=None)
-    @given(div_pair_runs(max_h=1))
+    @given(one_copy_runs())
     def test_one_copy_run_flips_match_chained_steps(self, drawn):
-        # resolve_flips names, outermost first, the steps whose part is the
-        # pair's hi end, and lands on the inner index the steps reach
-        inner, steps = drawn
-        layers, cur = [], inner
-        for a, g, h in steps:
-            layers.insert(0, DivPairLayer(cur, a, g, h))
-            cur = layers[0].outer
-        run = layers[0]
-        for layer in layers[1:]:
-            run = run.join(layer)
+        # resolve names, outermost first, the steps whose part is the pair's
+        # hi end, and lands on the inner index the steps reach
+        inner, pairs = drawn
+        run = PairRun(inner, pairs)
+        assert run.pairs == tuple(reversed(pairs))
         for j in range(run.outer.length + 1):
             ref_j, ref_flips = j, []
-            for i, (a, g, h) in enumerate(reversed(steps)):
-                ref_j, ((v, _),) = div_pair_step(inner.diff, a, g, h, ref_j)
-                if v == a + g:
+            for i, (a, b) in enumerate(reversed(pairs)):
+                ref_j, ((v, _),) = div_pair_step(inner.diff, a, b - a, 1, ref_j)
+                if v == b:
                     ref_flips.append(i)
-            assert run.resolve_flips(j) == (ref_j, ref_flips)
+            assert run.resolve(j) == (ref_j, ref_flips)
+        # a run split in two and joined again resolves alike
+        cut = len(pairs) // 2
+        lower = PairRun(inner, pairs[:cut])
+        joined = PairRun(lower.outer, pairs[cut:]).join(lower)
+        assert (joined.inner, joined.outer, joined.pairs) == (inner, run.outer, run.pairs)
+        assert all(joined.resolve(j) == run.resolve(j) for j in range(run.outer.length + 1))
 
     def test_join_checks_the_chain(self):
-        inner = DivPairLayer(AP(0, 2, 5), 1, 4, 1)
+        inner = PairRun(AP(0, 2, 5), [(1, 5)])
         with pytest.raises(InternalContract):
-            DivPairLayer(AP(0, 2, 7), 0, 2, 1).join(inner)
-
-    def test_witness_joins_adjacent_runs_only(self):
-        p0 = AP(0, 2, 6)
-        first = DivPairLayer(p0, 1, 4, 1)
-        lad = LadderLayer(first.outer, PairLadder(2, 0, 1))
-        second = DivPairLayer(lad.outer, 0, 2, 2)
-        third = DivPairLayer(second.outer, 3, 4, 1)
-        leaf = FoldLeaf(p0, {})
-        w = ApWitness(leaf, (third, second, lad, first), fold_budget=1)
-        assert [type(layer) for layer in w.layers] == [DivPairLayer, LadderLayer, DivPairLayer]
-        assert len(w.layers[0].steps) == 2 and w.layers[0].inner == lad.outer
-        assert w.layers[2] is first and w.ap == third.outer
+            PairRun(AP(0, 2, 7), [(0, 2)]).join(inner)
 
 
 class TestFindGapPairs:
@@ -445,45 +434,48 @@ class TestFoldWitnessCounts:
 
 
 def unit_bank(pairs, certs):
-    """A PairBank over `pairs`, all of gap g, in the one bucket of reduced
-    key 1 (scale g), behind the certificates `certs`, each a tuple of
-    (1, count) parts; its progression is {sum of the lo ends} + {0, g, ...}."""
+    """A PairBank over `pairs`, all of gap g, behind the certificates
+    `certs` of one reduced key, each a tuple of (1, count) parts: as
+    bank_pairs does, a part flips the first `count` pairs. Its progression
+    is {sum of the lo ends} + {0, g, ...}."""
     g = pairs[0][1] - pairs[0][0] if pairs else 1
     base = sum(lo for lo, _ in pairs)
-    return PairBank(AP(base, g, len(certs) - 1),
-                    tuple(CompactSolution(tuple(c), 0, 2) for c in certs), g, base,
-                    tuple(pairs), {1: tuple(range(len(pairs)))}, frozenset({0}))
+    flips = tuple(tuple(i for _, c in cert for i in range(c)) for cert in certs)
+    return PairBank(AP(base, g, len(certs) - 1), tuple(pairs), flips,
+                    tuple(base + g * len(f) for f in flips))
+
+
+def bridge_over(monkeypatch, bank):
+    """ap_by_pairs over the pairs of `bank`, with bank_pairs handing it
+    `bank` as the bank it drew."""
+    monkeypatch.setattr("apcert.subsetsum_ap.bank_pairs", lambda *args: bank)
+    lo, hi = zip(*bank.pairs)
+    return ap_by_pairs(lo, hi, tuple(b - a for a, b in bank.pairs), bank.ap.diff)
 
 
 class TestSubsetWitnessContracts:
     def test_distinct_unit_parts_are_sorted(self):
         # pairs in falling value order; term 1 flips the first, (7, 8)
-        w = ApWitness(unit_bank(((7, 8), (2, 3)), ((), ((1, 1),))))
+        w = SubsetWitness(unit_bank(((7, 8), (2, 3)), ((), ((1, 1),))))
         sol = w.query(1, RandomSource(0))
         assert sol.parts == ((2, 1), (8, 1))
         assert (sol.target, sol.fold_budget) == (10, 0)
 
     def test_empty_parts_give_an_empty_certificate(self):
-        sol = ApWitness(unit_bank((), ((),))).query(0, RandomSource(0))
+        sol = SubsetWitness(unit_bank((), ((),))).query(0, RandomSource(0))
         assert (sol.parts, sol.target, sol.fold_budget) == ((), 0, 0)
 
     def test_shared_end_fails_at_set_up(self):
         # the run's pair (3, 4) shares the end 3 with the leaf's pair (2, 3)
         leaf = unit_bank(((2, 3), (7, 8)), ((), ((1, 1),)))
         with pytest.raises(InternalContract) as exc:
-            ApWitness(leaf, (DivPairLayer(leaf.ap, 3, 1, 1),))
+            SubsetWitness(leaf, (PairRun(leaf.ap, [(3, 4)]),))
         assert str(exc.value) == "subset-sum pair ends must be distinct"
-
-    def test_two_copy_run_step_fails_at_set_up(self):
-        leaf = unit_bank(((1, 3), (5, 7)), ((), ((1, 1),), ((1, 2),)))
-        with pytest.raises(InternalContract) as exc:
-            ApWitness(leaf, (DivPairLayer(leaf.ap, 20, 2, 2),))
-        assert str(exc.value) == "subset-sum run steps take one copy of their pair"
 
     def test_colliding_flip_trips_the_popcount(self):
         # the leaf's hi end of pair 0 is ranked onto the lo end of pair 1:
         # flipping pair 0 sets a byte that is already set
-        w = ApWitness(unit_bank(((2, 3), (7, 8)), ((), ((1, 1),))))
+        w = SubsetWitness(unit_bank(((2, 3), (7, 8)), ((), ((1, 1),))))
         (leaf, lo, hi), = w.sources
         w.sources = ((leaf, lo, (lo[1], hi[1])),)
         assert w.query(0, RandomSource(0)).parts == ((2, 1), (7, 1))
@@ -491,17 +483,20 @@ class TestSubsetWitnessContracts:
             w.query(1, RandomSource(0))
         assert str(exc.value) == "flips must keep one end of every pair"
 
-    @pytest.mark.parametrize("term, message", [
-        # the certificate of term 1 names key 1 twice: its gains add up to
-        # two flips, but the progression's term 1 is one flip above the base
-        (1, "flipped gaps must reproduce the inner target"),
-        # at term 2 the gains match, but pair 0 flips twice, so only once
-        (2, "certificate sums to 10, wanted 11"),
+    @pytest.mark.parametrize("trip, message", [
+        # the certificate of term 1 names key 1 twice: its sum adds two
+        # gaps, but the progression's term 1 is one gap above the base; the
+        # bridge checks every sum once, at build
+        (lambda leaf, monkeypatch: bridge_over(monkeypatch, leaf),
+         "flipped gaps must reproduce the inner target"),
+        # at term 2 the sum matches, but pair 0 flips twice, so only once
+        (lambda leaf, monkeypatch: SubsetWitness(leaf).query(2, RandomSource(0)),
+         "certificate sums to 10, wanted 11"),
     ], ids=["bank-total", "sum"])
-    def test_repeated_flip_trips_a_total(self, term, message):
+    def test_repeated_flip_trips_a_total(self, monkeypatch, trip, message):
         leaf = unit_bank(((2, 3), (7, 8)), ((), ((1, 1), (1, 1)), ((1, 1), (1, 1))))
         with pytest.raises(InternalContract) as exc:
-            ApWitness(leaf).query(term, RandomSource(0))
+            trip(leaf, monkeypatch)
         assert str(exc.value) == message
 
     def test_fold_sum_mismatch_message(self):
@@ -513,16 +508,16 @@ class TestSubsetWitnessContracts:
 
 @st.composite
 def subset_stacks(draw):
-    """(leaf, layers, ends) of a subset-mode witness. The leaf is a pair
+    """(leaf, layers, ends) of a subset-sum witness. The leaf is a pair
     bank over 0-6 pairs of gap d (d in 1..3) in shuffled order, so their lo
     ends are not in value order; the certificate of term j flips j of them,
     or sometimes one too many or too few, or names the key twice (a
-    repeated flip), so some queries break the bank's total or the
-    certificate's sum. On it sit 1-4 layers, innermost first: a one-copy
-    run step whose pair has ends below 200, so it may share an end with the
-    leaf or another step, or, while the difference is above 1, a residue
-    ladder over 2d pairs of one gap, 1 or d+1, with ends of at least 1000.
-    `ends` lists the ends of every pair, from the draw."""
+    repeated flip), so some queries break the certificate's sum. On it sit
+    1-4 layers, innermost first: a run of one or two one-copy steps whose
+    pairs have ends below 200, so they may share an end with the leaf or
+    another step, or, while the difference is above 1, a residue ladder
+    over 2d pairs of one gap, 1 or d+1, with ends of at least 1000. `ends`
+    lists the ends of every pair, from the draw."""
     d = draw(st.integers(1, 3))
     xs = draw(st.lists(st.integers(0, 29), max_size=6, unique=True))
     pairs = [(2 * d * x + 1, 2 * d * x + 1 + d) for x in xs]
@@ -550,12 +545,18 @@ def subset_stacks(draw):
             layer = LadderLayer(p, ladder)
             ends += [v for pair in ladder.bank.pairs for v in pair]
         else:
-            g = p.diff * draw(st.integers(1, max(1, p.length)))
-            if g > p.length * p.diff:
+            steps, length = [], p.length
+            for _ in range(draw(st.integers(1, 2))):
+                g = p.diff * draw(st.integers(1, max(1, length)))
+                if g > length * p.diff:
+                    break
+                a = draw(st.integers(1, 199))
+                steps.append((a, a + g))
+                length += g // p.diff
+            if not steps:
                 continue
-            a = draw(st.integers(1, 199))
-            layer = DivPairLayer(p, a, g, 1)
-            ends += [a, a + g]
+            layer = PairRun(p, steps)
+            ends += [v for pair in steps for v in pair]
         layers.insert(0, layer)
         p = layer.outer
     return leaf, layers, ends
@@ -573,13 +574,13 @@ class TestSubsetAssemblyMatchesReference:
         leaf, layers, ends = drawn
         if len(set(ends)) < len(ends):
             with pytest.raises(InternalContract) as exc:
-                ApWitness(leaf, layers)
+                SubsetWitness(leaf, layers)
             assert str(exc.value) == "subset-sum pair ends must be distinct"
             return
-        witness = ApWitness(leaf, layers)
+        witness = SubsetWitness(leaf, layers)
         assert witness.ends == tuple(sorted(ends))
         for j in range(witness.ap.length + 1):
-            assert (query_or_message(ApWitness.query, witness, j)
+            assert (query_or_message(SubsetWitness.query, witness, j)
                     == query_or_message(subset_query_by_set, witness, j)), j
 
 

@@ -4,11 +4,11 @@ from pathlib import Path
 import pytest
 
 import apcert.cli
+import apcert.subsetsum_ap
 import apcert.sumset_ap
 from apcert.augment import ApWitness
 from apcert.cli import main, verify_terms
 from apcert.core import CompactSolution, MultiplicityExceeded, normalize
-from apcert.subsetsum_ap import PairBank
 from apcert.sumset_ap import ap_in_kfold_sumset
 from oracle import block_plus_sparse, merge_counts
 
@@ -38,7 +38,7 @@ USAGE = "usage"
 # error column of an exit-code row whose build asks for more memory than any
 # 64-bit address space holds, so the allocation fails at once
 OOM = "out-of-memory"
-# error column of an exit-code row whose build runs with PairBank.flip
+# error column of an exit-code row whose build runs with residue_ladder
 # raising MultiplicityExceeded, an internal fault that no input causes
 INTERNAL = "internal-error"
 
@@ -55,7 +55,7 @@ def assert_out_of_memory(captured):
     assert captured.out == "" and captured.err == "error: out of memory\n"
 
 
-def _flip_exceeds_multiplicity(bank, j):
+def _ladder_exceeds_multiplicity(*args):
     raise MultiplicityExceeded("key 1 needs 2 pairs, only 1 present")
 
 
@@ -227,7 +227,7 @@ class TestApSubsetsum:
          "unrecognized arguments: --workers 2"),
         (range(1, 301), [], 1, USAGE, "the following arguments are required: --ell"),
         (range(2, 2000, 3), ["--ell", "1"], 1, "gaps-within-bound", "gaps up to 3 vs bound 1"),
-        # one augmentation round of this build flips the pairs of a residue ladder
+        # one augmentation round of this build builds a residue ladder
         ([*range(2, 601, 2), *range(601, 900, 2)], ["--ell", "899"], 2, INTERNAL, None),
     ], ids=["certified", "zero", "negative", "over-cap", "workers-option", "missing-ell",
             "gap-above-bound", "multiplicity-exceeded"])
@@ -236,7 +236,7 @@ class TestApSubsetsum:
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")
         if error == INTERNAL:
-            monkeypatch.setattr(PairBank, "flip", _flip_exceeds_multiplicity)
+            monkeypatch.setattr(apcert.subsetsum_ap, "residue_ladder", _ladder_exceeds_multiplicity)
         got = main(["ap-subsetsum", "--input", str(inp), *flags, "--seed", "0", "--json"])
         captured = capsys.readouterr()
         assert got == code

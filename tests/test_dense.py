@@ -5,7 +5,6 @@ import random
 import pytest
 
 from apcert import dense
-from apcert.augment import ApWitness
 from apcert.core import (
     CompactSolution,
     InternalContract,
@@ -28,6 +27,7 @@ from apcert.dense import (
     walk_residue_table,
 )
 from apcert.profiles import PAPER, TUNED
+from apcert.subsetsum_ap import SubsetWitness
 from oracle import block_plus_sparse, brute_subset_sums
 
 S = SortedIntSet.from_iterable
@@ -388,13 +388,13 @@ class TestDecideSearch:
 
     def test_search_queries_with_the_callers_rng(self, monkeypatch):
         seen = []
-        query = ApWitness.query
+        query = SubsetWitness.query
 
         def spy(self, j, rng):
             seen.append(rng)
             return query(self, j, rng)
 
-        monkeypatch.setattr(ApWitness, "query", spy)
+        monkeypatch.setattr(SubsetWitness, "query", spy)
         rng = RandomSource(11)
         t = (self.lo + self.hi) // 2
         assert sum(dense_search(self.decomp, t, rng)) == t
@@ -526,14 +526,14 @@ class TestSearchContracts:
         expect_contract(d, targets, "out of range|repeats an element")
 
     def test_witness_part_off_by_one(self, name, d, targets, monkeypatch):
-        query = ApWitness.query
+        query = SubsetWitness.query
 
         def off_by_one(self, j, rng):
             sol = query(self, j, rng)
             (v, c), rest = sol.parts[-1], sol.parts[:-1]
             return CompactSolution(rest + ((v + 1, c),), sol.target, sol.fold_budget)
 
-        monkeypatch.setattr(ApWitness, "query", off_by_one)
+        monkeypatch.setattr(SubsetWitness, "query", off_by_one)
         expect_contract(d, targets, "^reduced subset misses its target$")
 
 

@@ -65,12 +65,11 @@ def test_inputs_take_the_pinned_paths():
     from apcert.augment import DivPairLayer
 
     kfold = corpus.build_witness("ap-sumset", "m61015", 3000, 4)
-    ladder_layer, run = kfold.layers
-    assert isinstance(run, DivPairLayer) and run.inner.diff == 2
-    (threshold, e, (_, h), _), = run.steps
-    assert h == 15
+    ladder_layer, step = kfold.layers
+    assert isinstance(step, DivPairLayer) and step.inner.diff == 2
+    assert step.h == 15
     inner = [ladder_layer.resolve(j)[0] for j in range(kfold.ap.length + 1)]
-    assert sum(e <= j < threshold for j in inner) == 336
+    assert sum(step.e <= j < step.threshold for j in inner) == 336
 
 
 def test_top_input_has_a_positive_endpoint(monkeypatch):
@@ -93,25 +92,26 @@ def test_top_input_has_a_positive_endpoint(monkeypatch):
 
 
 def test_subsetsum_rounds_resolve_in_one_call(monkeypatch):
-    from apcert.augment import DivPairLayer, LadderLayer
+    from apcert.augment import LadderLayer
     from apcert.core import RandomSource
+    from apcert.subsetsum_ap import PairRun
 
     # 14 rounds of divisible pairs at diff 1 make one run
     w = corpus.build_witness("ap-subsetsum", "consecutive10k", 10**4, None)
-    assert [type(layer) for layer in w.layers] == [DivPairLayer]
+    assert [type(layer) for layer in w.layers] == [PairRun]
     calls = []
-    resolve = DivPairLayer.resolve_flips
+    resolve = PairRun.resolve
 
     def spy(self, j):
         calls.append(j)
         return resolve(self, j)
 
-    monkeypatch.setattr(DivPairLayer, "resolve_flips", spy)
+    monkeypatch.setattr(PairRun, "resolve", spy)
     w.query(w.ap.length // 3, RandomSource(corpus.SEED))
     assert len(calls) == 1
     # a ladder round ends a run: the rounds before and after it stay apart
     w = corpus.build_witness("ap-subsetsum", "evens_odds", 1798, None)
-    assert [type(layer) for layer in w.layers] == [DivPairLayer, LadderLayer, DivPairLayer]
+    assert [type(layer) for layer in w.layers] == [PairRun, LadderLayer, PairRun]
 
 
 def test_dense_cases_take_the_pinned_paths():

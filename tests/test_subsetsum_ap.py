@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import gc
 import importlib.util
@@ -17,14 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apcert.subsetsum_ap
-from apcert.augment import ApWitness, DivPairLayer, LadderLayer
+from apcert.augment import ApWitness, LadderLayer
 from apcert.core import (
     ApcertError,
     ArithProgression,
-    CompactSolution,
     Exhausted,
     InternalContract,
-    MultiplicityExceeded,
     PreconditionViolated,
     RandomSource,
     SortedIntSet,
@@ -33,7 +32,8 @@ from apcert.profiles import PAPER, TUNED
 from apcert.subsetsum_ap import (
     GapScan,
     Gone,
-    PairBank,
+    PairRun,
+    SubsetWitness,
     ap_by_pairs,
     ap_in_subset_sums,
     bank_pairs,
@@ -233,7 +233,7 @@ def bank_or_error(pairs, keys, bound, seed):
         bank = bank_pairs(*columns(pairs)[:2], keys, bound, (0,), "gap", seed)
     except ApcertError as exc:
         return type(exc), str(exc)
-    return bank.pairs, bank.buckets, bank.base, bank.ap, bank.certs
+    return bank.pairs, bank.flips, bank.sums, bank.ap
 
 
 @st.composite
@@ -245,127 +245,139 @@ def bank_keys(draw):
     return draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=400)), bound
 
 
-def cert(*parts):
-    """A 2-fold gap certificate with the given (reduced key, count) parts."""
-    return CompactSolution(parts, sum(v * c for v, c in parts), 2)
+def drawn_bank(*args):
+    """bank_pairs(*args) and the k-fold certificates its witness query drew,
+    one per term."""
+    real, certs = ApWitness.query, []
+
+    def query(self, j, rng):
+        certs.append(real(self, j, rng))
+        return certs[-1]
+
+    with mock.patch.object(ApWitness, "query", query):
+        bank = bank_pairs(*args)
+    return bank, certs
 
 
-def two_pair_bank(*certs, scale=1):
-    """Bank of the pairs (1, 1+s), (5, 5+s) for s = scale, both under reduced
-    key 1, behind the given certificates of the terms of {6} + {0, s, 2s, ...}."""
-    pairs = ((1, 1 + scale), (5, 5 + scale))
-    ap = ArithProgression(6, scale, len(certs) - 1)
-    return PairBank(ap, certs, scale, 6, pairs, {1: (0, 1)}, frozenset({0}))
+def banks_drawn_by(build):
+    """build() and (bank, the arguments of bank_pairs, its certificates) for
+    every bank that bank_pairs returned during it, in build order."""
+    banks = []
+
+    def spy(*args):
+        bank, certs = drawn_bank(*args)
+        banks.append((bank, args, certs))
+        return bank
+
+    with mock.patch.object(apcert.subsetsum_ap, "bank_pairs", spy):
+        return build(), banks
+
+
+def banked_keys(bank, args):
+    """(the key of each banked pair, the gcd of the kept keys and the free
+    values, the free values), rebuilt from the arguments of bank_pairs."""
+    lo, hi, keys, _, free, _, _ = args
+    _, kept = uniformize_by_index(keys)
+    key_of = dict(zip(zip(lo, hi), keys))
+    return [key_of[pair] for pair in bank.pairs], math.gcd(*free, *(keys[i] for i in kept)), free
+
+
+def assert_bank_matches_the_reference(bank, args, certs):
+    """Each stored flip list names a pair at most once, and it and the
+    stored sum are what oracle.flip_by_pair makes of the k-fold certificate
+    that the bank drew for its term."""
+    pair_keys, scale, free = banked_keys(bank, args)
+    assert len(certs) == len(bank.flips) == len(bank.sums) == bank.ap.length + 1
+    for cert, flips, total in zip(certs, bank.flips, bank.sums):
+        assert len(set(flips)) == len(flips)
+        assert ((total, parts_of_flips(bank.pairs, flips))
+                == flip_by_pair(bank.pairs, pair_keys, scale, free, cert))
+
+
+def two_pair_bank(scale=1):
+    """The gap bank of the pairs (1, 1+s), (5, 5+s) for s = scale, both of
+    key s, behind the progression {6} + {0, s, 2s}, with its certificates."""
+    return drawn_bank((1, 5), (1 + scale, 5 + scale), (scale, scale), 2, (0,), "gap", 0)
 
 
 class TestPairsToSubsetSum:
-    """Gap certificates become endpoint subsets through PairBank.flip."""
+    """Gap certificates become endpoint subsets: bank_pairs stores each
+    term's flip list and sum."""
 
     def test_example_two_ones(self):
-        bank = two_pair_bank(cert(), cert((1, 1)), cert((1, 2)))
-        assert bank.flip(2) == (8, [0, 1])
+        bank, _ = two_pair_bank()
+        assert (bank.flips[2], bank.sums[2]) == ((0, 1), 8)
 
     def test_zero(self):
-        bank = two_pair_bank(cert(), cert((0, 2)))
-        for j in (0, 1):
-            assert bank.flip(j) == (6, [])
+        # the certificate of term 0 is copies of the free value 0 alone
+        bank, certs = two_pair_bank()
+        assert [v for v, _ in certs[0].parts] == [0]
+        assert (bank.flips[0], bank.sums[0]) == ((), 6)
 
     def test_single_flip(self):
-        bank = two_pair_bank(cert(), cert((1, 1)))
-        total, flipped = bank.flip(1)
-        assert (total, flipped) == (7, [0])
-        assert sum(v for v, _ in parts_of_flips(bank.pairs, flipped)) == 7
+        bank, _ = two_pair_bank()
+        assert (bank.flips[1], bank.sums[1]) == ((0,), 7)
+        assert sum(v for v, _ in parts_of_flips(bank.pairs, bank.flips[1])) == 7
 
     def test_scaled_keys(self):
         # reduced key 1 stands for gap 2; the flip adds the gap, not the key
-        bank = two_pair_bank(cert(), cert((1, 1)), scale=2)
-        assert bank.flip(1) == (8, [0]) and bank.ap.term(1) == 8
+        bank, certs = two_pair_bank(scale=2)
+        assert (1, 1) in certs[1].parts
+        assert (bank.flips[1], bank.sums[1]) == ((0,), 8) and bank.ap.term(1) == 8
 
-    def test_multiplicity_guard(self):
-        ap = ArithProgression(1, 1, 1)
-        bank = PairBank(ap, (cert((1, 2)), cert((3, 1))), 1, 1, ((1, 2),), {1: (0,)},
-                        frozenset({0}))
-        with pytest.raises(MultiplicityExceeded):
-            bank.flip(0)
-        with pytest.raises(MultiplicityExceeded):
-            bank.flip(1)
-
-    def test_query_checks_the_flip_against_the_progression(self):
-        bank = two_pair_bank(cert(), cert((1, 1)), cert((1, 2)))
-        assert [bank.resolve_flips(j) for j in range(3)] == [(0, []), (1, [0]), (2, [0, 1])]
-        off = two_pair_bank(cert(), cert((1, 2)))
-        with pytest.raises(InternalContract):
-            off.resolve_flips(1)
-
-
-def flip_or_error(flip, bank, j):
-    """flip(bank, j), or the message of the MultiplicityExceeded it raises."""
-    try:
-        return flip(bank, j)
-    except MultiplicityExceeded as exc:
-        return f"MultiplicityExceeded: {exc}"
-
-
-def assert_flips_match_the_reference(bank):
-    """Every certificate of the bank names each pair at most once and flips
-    as the per-pair rebuild flips it, once its flipped indices are made
-    parts."""
-    for j in range(len(bank.certs)):
-        got = flip_or_error(PairBank.flip, bank, j)
-        if not isinstance(got, str):
-            total, flipped = got
-            assert len(set(flipped)) == len(flipped)
-            got = total, parts_of_flips(bank.pairs, flipped)
-        assert got == flip_or_error(flip_by_pair, bank, j)
-
-
-@st.composite
-def flip_banks(draw):
-    """A PairBank over shuffled conflict-free pairs whose indices are spread
-    over reduced keys 1..3 (a bucket need not be a run of indices), with
-    sometimes an empty bucket for key 4, behind certificates over keys 0..6:
-    0 and sometimes 5 are free, 6 has no bucket, and a count may exceed its
-    bucket by one, so some flips raise MultiplicityExceeded."""
-    n = draw(st.integers(0, 12))
-    pairs, x = [], 1
-    for gap in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n)):
-        pairs.append((x, x + gap))
-        x += gap + draw(st.integers(1, 5))
-    pairs = tuple(draw(st.permutations(pairs)))
-    key_of = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    buckets = {k: tuple(i for i in range(n) if key_of[i] == k) for k in set(key_of)}
-    if draw(st.booleans()):
-        buckets[4] = ()
-    free = frozenset(draw(st.sampled_from([{0}, {0, 5}])))
-    certs = []
-    for _ in range(draw(st.integers(1, 6))):
-        keys = sorted(draw(st.sets(st.integers(0, 6), max_size=5)))
-        counts = [draw(st.integers(1, len(buckets.get(k, ())) + 1)) for k in keys]
-        certs.append(CompactSolution(tuple(zip(keys, counts)), 0, 2))
-    base = sum(lo for lo, _ in pairs)
-    ap = ArithProgression(base, 1, len(certs) - 1)
-    return PairBank(ap, tuple(certs), draw(st.integers(1, 3)), base, pairs, buckets, free)
+    def test_bridge_checks_every_sum_against_its_term(self):
+        # a query reads the stored flips; the bridge checked their sums once
+        t = ((1, 2), (5, 6))
+        bank = ap_by_pairs(*columns(t), 2, TUNED)
+        assert [bank.resolve(j) for j in range(3)] == [(0, ()), (1, (0,)), (2, (0, 1))]
+        off = dataclasses.replace(bank, sums=(6, 8, 8))
+        with mock.patch.object(apcert.subsetsum_ap, "bank_pairs", lambda *args: off):
+            with pytest.raises(InternalContract) as exc:
+                ap_by_pairs(*columns(t), 2, TUNED)
+        assert str(exc.value) == "flipped gaps must reproduce the inner target"
 
 
 class TestFlipMatchesReference:
-    """The patched flip against the per-pair rebuild of tests/oracle.py."""
+    """The flip lists and sums that bank_pairs stores against the per-pair
+    rebuild of tests/oracle.py, on the k-fold certificates the bank drew."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(flip_banks())
-    def test_drawn_banks(self, bank):
-        assert_flips_match_the_reference(bank)
+    @settings(max_examples=150, deadline=None)
+    @given(bank_keys(), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_drawn_banks(self, keys_bound, seed, rnd):
+        # pairs in shuffled value order, so a key's pairs are spread out
+        keys, bound = keys_bound
+        pairs = [(100 * i + 1, 100 * i + 1 + k) for i, k in enumerate(keys)]
+        order = list(range(len(keys)))
+        rnd.shuffle(order)
+        lo, hi, keys = columns(pairs[i] for i in order)
+        args = (lo, hi, keys, bound, (0,), "gap", seed)
+        try:
+            bank, certs = drawn_bank(*args)
+        except Exhausted:
+            return
+        assert_bank_matches_the_reference(bank, args, certs)
 
     @pytest.mark.parametrize("case", GOLDEN_SUBSET_BUILDS, ids=lambda c: c[0])
     def test_golden_builds(self, case):
-        # the bridge leaf and the bank of every residue ladder, every term
+        # the bridge bank and the bank of every residue ladder, every term
         _, _, inp, length, _ = case
-        witness = golden_witness(inp, length)
-        banks = [witness.leaf] + [layer.ladder.bank for layer in witness.layers
-                                  if isinstance(layer, LadderLayer)]
+        res, banks = banks_drawn_by(
+            lambda: ap_in_subset_sums(corpus.INPUTS[inp](), length, TUNED, corpus.SEED))
+        kept = [res.witness.leaf] + [layer.ladder.bank for layer in res.witness.layers
+                                     if isinstance(layer, LadderLayer)]
+        assert all(any(bank is got for got, _, _ in banks) for bank in kept)
         if inp == "evens_odds":  # the golden case with a residue ladder
-            assert len(banks) > 1
-        for bank in banks:
-            assert_flips_match_the_reference(bank)
+            assert len(kept) > 1
+        for drawn in banks:
+            assert_bank_matches_the_reference(*drawn)
+
+    def test_density_half_build(self):
+        m = 10**5
+        a = sorted(random.Random(5).sample(range(1, m + 1), m // 2))
+        res, banks = banks_drawn_by(lambda: ap_in_subset_sums(a, m, TUNED, seed=5))
+        assert banks[0][0] is res.witness.leaf
+        for drawn in banks:
+            assert_bank_matches_the_reference(*drawn)
 
 
 class TestQueryMatchesReference:
@@ -378,7 +390,7 @@ class TestQueryMatchesReference:
         witness = golden_witness(inp, length)
         assert witness.fold_budget == 0
         for j in range(witness.ap.length + 1):
-            got = query_or_message(ApWitness.query, witness, j)
+            got = query_or_message(SubsetWitness.query, witness, j)
             assert got == query_or_message(subset_query_by_set, witness, j), j
             assert not isinstance(got, str)
 
@@ -392,13 +404,13 @@ class TestQueryMatchesReference:
         (run,) = witness.layers
         lows = [lo for lo, _ in witness.leaf.pairs]
         assert (lows == sorted(lows)) == (m == 10**5)
-        lows = [low[0] for *_, low in run.steps] + lows
+        lows = [lo for lo, _ in run.pairs] + lows
         assert lows != sorted(lows)
         his = set(itertools.compress(witness.ends, (1 - b for b in witness.lo_mask)))
         rnd = random.Random(5)
         flips = []
         for j in (rnd.randint(0, m) for _ in range(2000)):
-            got = query_or_message(ApWitness.query, witness, j)
+            got = query_or_message(SubsetWitness.query, witness, j)
             assert got == query_or_message(subset_query_by_set, witness, j), j
             flips.append(len(his.intersection(v for v, _ in got[0])))
         assert max(flips) >= 24
@@ -410,13 +422,14 @@ class TestQueryMatchesReference:
         # it is while every certificate comes out in value order
         witness = golden_witness("half10k", 10**4)
         bank = witness.leaf
-        runs = [layer for layer in witness.layers if isinstance(layer, DivPairLayer)]
+        runs = [layer for layer in witness.layers if isinstance(layer, PairRun)]
         lows = [lo for lo, _ in bank.pairs]
         assert runs and lows != sorted(lows)
-        lows += [low[0] for run in runs for *_, low in run.steps]
+        lows += [lo for run in runs for lo, _ in run.pairs]
         assert list(itertools.compress(witness.ends, witness.lo_mask)) == sorted(lows)
         stored = (witness.lo_mask, witness.ends, witness.end_parts,
-                  [(lo, hi) for _, lo, hi in witness.sources], [run.steps for run in runs])
+                  [(lo, hi) for _, lo, hi in witness.sources],
+                  [(run.pairs, run.gains, run.prefix) for run in runs], bank.flips)
         kept = copy.deepcopy(stored)
         for j in range(0, witness.ap.length + 1, 97):
             first = witness.query(j, RandomSource(j))
@@ -425,35 +438,26 @@ class TestQueryMatchesReference:
         assert stored == kept
 
 
-def largest_use(certs):
-    """The largest count of each reduced key in any certificate."""
-    use = Counter()
+def assert_bank_reserves_its_use(bank, args, certs):
+    """Each key banks as many pairs as the most that any certificate uses
+    of it, and some flip list turns over that many of them."""
+    pair_keys, scale, free = banked_keys(bank, args)
+    use, flipped = Counter(), Counter()
     for sol in certs:
-        for v, c in sol.parts:
-            use[v] = max(use[v], c)
-    return use
-
-
-def assert_bank_reserves_its_use(bank):
-    """Every certificate flips, and each key's bucket holds as many pairs as
-    the most any flip turns over from it."""
-    flipped = Counter()
-    for j in range(len(bank.certs)):
-        hi = set(bank.flip(j)[1])
-        for key, idxs in bank.buckets.items():
-            flipped[key] = max(flipped[key], len(hi.intersection(idxs)))
-    assert all(len(idxs) == flipped[key] for key, idxs in bank.buckets.items())
-    assert len(bank.pairs) == sum(map(len, bank.buckets.values()))
+        use |= Counter({v * scale: c for v, c in sol.parts if v * scale not in free})
+    for flips in bank.flips:
+        flipped |= Counter(map(pair_keys.__getitem__, flips))
+    assert Counter(pair_keys) == flipped == use
 
 
 class TestBankPairs:
     def test_bucket_is_the_largest_use_of_its_key(self):
-        t = make_pairs([(1, 20), (2, 20), (3, 20), (5, 20)])
-        bank = bank_pairs(*columns(t), 5, (0,), "gap", 0)
-        assert len(bank.certs) == bank.ap.length + 1 == 6
-        assert_bank_reserves_its_use(bank)
-        unused = [key for key in bank.buckets if not largest_use(bank.certs)[key]]
-        assert unused and all(bank.buckets[key] == () for key in unused)
+        # every gap is a kept key, and one of them no certificate uses
+        args = (*columns(make_pairs([(1, 20), (2, 20), (3, 20), (5, 20)])), 5, (0,), "gap", 0)
+        bank, certs = drawn_bank(*args)
+        assert len(certs) == bank.ap.length + 1 == 6
+        assert_bank_reserves_its_use(bank, args, certs)
+        assert {hi - lo for lo, hi in bank.pairs} < {1, 2, 3, 5}
 
     @settings(max_examples=150, deadline=None)
     @given(bank_keys(), st.integers(0, 3))
@@ -490,8 +494,7 @@ class TestBankPairs:
         order = [t.index(pair) for pair in bank.pairs]
         assert bank.pairs and lo.read == hi.read == order
         assert keys.yielded == [2000, max(order) + 1] and max(order) < 40
-        assert bank_or_error(t, keys, 4, 0) == (
-            bank.pairs, bank.buckets, bank.base, bank.ap, bank.certs)
+        assert bank_or_error(t, keys, 4, 0) == (bank.pairs, bank.flips, bank.sums, bank.ap)
 
 
 class ReadLog(Sequence):
@@ -539,7 +542,7 @@ class TestApByPairs:
         bank = ap_by_pairs(*columns(t), 2, TUNED)
         base = S(itertools.chain.from_iterable(bank.pairs))
         tbl = brute_subset_sums(base, bank.ap.last + 1)
-        witness = ApWitness(bank)
+        witness = SubsetWitness(bank)
         for j in range(bank.ap.length + 1):
             sol = witness.query(j, RandomSource(j))
             assert verify_solution(base, sol)
@@ -553,11 +556,10 @@ class TestApByPairs:
     ], ids=["gaps-1-2", "gcd-2", "gaps-3-5-7"])
     def test_every_flip_is_its_term(self, gap_counts, g_bound):
         bank = ap_by_pairs(*columns(make_pairs(gap_counts)), g_bound, TUNED)
-        assert len(bank.certs) == bank.ap.length + 1
+        assert len(bank.flips) == len(bank.sums) == bank.ap.length + 1
         for j in range(bank.ap.length + 1):
-            total, flipped = bank.flip(j)
-            parts = parts_of_flips(bank.pairs, flipped)
-            assert total == bank.ap.term(j) == sum(v for v, _ in parts)
+            parts = parts_of_flips(bank.pairs, bank.flips[j])
+            assert bank.sums[j] == bank.ap.term(j) == sum(v for v, _ in parts)
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -589,7 +591,7 @@ class TestShortAp:
         assert bank.ap.diff * (len(a) // 4) <= a.max
         coreset = S(itertools.chain.from_iterable(bank.pairs))
         tbl = brute_subset_sums(coreset, bank.ap.last + 1)
-        witness = ApWitness(bank)
+        witness = SubsetWitness(bank)
         for j in range(11):
             sol = witness.query(j, RandomSource(j))
             assert verify_solution(coreset, sol)
@@ -915,16 +917,18 @@ class TestResidueLadder:
             assert all(v in base for v in vals)
         # every banked certificate, not only the d/d' rungs, lands on its residue
         bank = ladder.bank
-        for i in range(len(bank.certs)):
-            assert (bank.flip(i)[0] - bank.ap.start) % d == i * dp % d
+        for i, q in enumerate(bank.sums):
+            assert (q - bank.ap.start) % d == i * dp % d
 
     def test_window_is_the_rung_heights(self):
         # gaps 7, 9, 14 leave residues 1, 3, 2 modulo 6; rungs reach height 4
         pairs = tuple((100 * i + 1, 100 * i + 1 + (7, 9, 14)[i % 3]) for i in range(60))
-        ladder = residue_ladder(pairs, 6, TUNED, seed=3)
+        ladder, ((bank, args, certs),) = banks_drawn_by(
+            lambda: residue_ladder(pairs, 6, TUNED, seed=3))
         heights = [(ladder.lookup(i)[0] - ladder.s_q) // 6 for i in range(6 // ladder.dp)]
         assert (ladder.h_min, ladder.h_max) == (min(heights), max(heights)) == (0, 4)
-        assert_bank_reserves_its_use(ladder.bank)
+        assert bank is ladder.bank
+        assert_bank_reserves_its_use(bank, args, certs)
 
     def test_divisible_gap_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -1010,11 +1014,11 @@ class TestCase2RoundsUseEveryPair:
         res = ap_in_subset_sums(corpus.INPUTS[inp](), ell, TUNED, corpus.SEED)
         case2 = [r for r in rounds if r[3] == 2]
         assert len(rounds) == res.rounds and case2
-        for p, pool, gain_target, _, spots, (ap, layers, used) in case2:
+        for p, pool, gain_target, _, spots, (ap, run, used) in case2:
             vals = pool.elems
             gains = list(itertools.accumulate((vals[j] - vals[i]) // p.diff for i, j in spots))
             assert used == tuple(itertools.chain.from_iterable(spots))
-            assert len(layers) == len(spots) and ap.length == p.length + gains[-1]
+            assert len(run.pairs) == len(spots) and ap.length == p.length + gains[-1]
             # the summed gain first reaches the target at the last pair
             assert gains[-1] >= gain_target > ([0] + gains)[-2]
 
@@ -1022,8 +1026,8 @@ class TestCase2RoundsUseEveryPair:
         pool = S(range(1, 3001))
         p = ArithProgression(50, 1, 64)
         case, spots = extract_aug_pairs(pool, 1, 64, 3000, 500, TUNED, 1, Gone())
-        ap, layers, used = extend_ap_once(p, pool, 500, 3000, TUNED, 1, 0, Gone())
-        assert case == 2 and len(spots) == len(layers) == 1
+        ap, run, used = extend_ap_once(p, pool, 500, 3000, TUNED, 1, 0, Gone())
+        assert case == 2 and len(spots) == len(run.pairs) == 1
         (i, j), = spots
         assert used == (i, j) and ap.length == p.length + j - i
 
@@ -1120,9 +1124,9 @@ class TestFullPipeline:
     def test_random_sets_build_across_seeds(self, m, density):
         for s in range(6):
             a = sorted(random.Random(s).sample(range(1, m + 1), int(density * m)))
-            res = ap_in_subset_sums(a, m, TUNED, seed=s)
-            assert res.ap.length == m
-            assert_bank_reserves_its_use(res.witness.leaf)
+            res, banks = banks_drawn_by(lambda: ap_in_subset_sums(a, m, TUNED, seed=s))
+            assert res.ap.length == m and banks[0][0] is res.witness.leaf
+            assert_bank_reserves_its_use(*banks[0])
             for j in (0, m // 2, m):
                 sol = res.witness.query(j, RandomSource(j))
                 assert verify_solution(res.coreset, sol) and sol.target == res.ap.term(j)
