@@ -13,7 +13,6 @@ from .core import (
     EmptySet,
     Exhausted,
     InternalContract,
-    MultiplicityExceeded,
     NegativeInput,
     OutOfRange,
     OutOfRegion,
@@ -40,7 +39,6 @@ __all__ = [
     "Exhausted",
     "InternalContract",
     "KfoldApResult",
-    "MultiplicityExceeded",
     "NegativeInput",
     "OutOfRange",
     "OutOfRegion",

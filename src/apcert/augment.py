@@ -6,16 +6,16 @@ an outer term index to an inner term index plus a fixed bag of extra base-set
 parts; the leaf resolves the innermost index to a certificate. Two layer kinds
 exist:
 
-  * a ladder layer subdivides the common difference d into a proper divisor d'
-    using a set Q whose elements hit every residue s_q + i*d' modulo d (the
-    subset-sum witness of subsetsum_ap uses it too, over a residue ladder);
+  * a ladder layer subdivides the common difference d into d' = gcd(d, g)
+    using w = d/d' copies of a pair {a, a + g} with d not dividing g: its rung
+    for each residue s_q + i*d' modulo d takes some copies at a + g, the rest
+    at a;
   * a divisible-pair layer stretches the progression using h copies of a pair
     {a, a + g} with d | g.
 
-A ladder layer holds O(1) metadata plus its ladder, whose lookup is O(1):
-arithmetic for a pair ladder, a stored rung for a residue ladder. A
-divisible-pair layer stores the part tuples it emits whole, so only a partial
-step builds parts at query time.
+A ladder layer holds O(1) metadata and works out its rung's parts with O(1)
+arithmetic. A divisible-pair layer stores the part tuples it emits whole, so
+only a partial step builds parts at query time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from copy import copy
 from itertools import compress, islice, repeat
 from math import gcd
 from operator import mod, mul, sub
-from typing import Optional, Protocol, Sequence, Union
+from typing import Optional, Protocol, Sequence
 
 from .core import (
     ArithProgression,
@@ -104,19 +104,8 @@ class ApWitness:
 
 
 # ---------------------------------------------------------------------------
-# Ladder accessors
+# Layers
 # ---------------------------------------------------------------------------
-
-class LadderAccessor(Protocol):
-    d: int
-    dp: int
-    s_q: int
-    h_min: int
-    h_max: int
-
-    # (q_i, its parts), or over a pair bank, (q_i, the pairs rung i flips)
-    def lookup(self, i: int) -> tuple[int, Union[Parts, Sequence[int]]]: ...
-
 
 def solve_residue_coefficient(d: int, g: int) -> tuple[int, int]:
     """Return (d', j*) with d' = gcd(d, g) and j*·g ≡ d' (mod d), 0 <= j* <= (d-d')/d'.
@@ -133,79 +122,44 @@ def solve_residue_coefficient(d: int, g: int) -> tuple[int, int]:
     return dp, pow(g // dp, -1, d1)
 
 
-class PairLadder:
-    """Ladder built from a pair {a, a+g} with d not dividing g.
+class LadderLayer:
+    """Augmentation by the ladder of a pair {a, a+g} whose gap the inner
+    difference d does not divide: P' = {s + s_q + h_max*d} + {0, d', ...,
+    l'd'} with d' = gcd(d, g), w = d/d' and s_q = w*a.
 
-    Entry i is q_i = d*a/d' + (i*jstar mod d/d') * g, a member of the
-    (d/d')-fold sumset of {a, a+g}, and q_i = s_q + i*d' (mod d).
-    """
+    Rung i is q_i = s_q + k*g with k = i*j* mod w, a member of the w-fold
+    sumset of {a, a+g}, and q_i = s_q + i*d' (mod d); its height
+    floor(k*g/d) is at most h_max = (w-1)*g // d."""
 
-    def __init__(self, d: int, a: int, g: int):
-        require(d >= 2, "modulus-at-least-2", f"d={d}")
+    def __init__(self, inner: ArithProgression, a: int, g: int):
+        d = inner.diff
+        require(d > 1, "diff-above-one", f"diff={d}")
         require(g >= 1 and g % d != 0, "pair-gap-not-divisible", f"d={d}, g={g}")
         require(a >= 0, "pair-value-nonnegative", f"a={a}")
         dp, jstar = solve_residue_coefficient(d, g)
-        self.d = d
-        self.dp = dp
-        self.a = a
-        self.g = g
-        self.jstar = jstar
-        self.width = d // dp
-        self.s_q = d * a // dp
-        self.h_min = 0
-        # rung heights are floor(j*g/d) for j < d/dp; the exact maximum (at
-        # most the conservative g/dp) buys a longer progression
-        self.h_max = (self.width - 1) * g // d
+        require(inner.length >= g // dp, "ap-long-enough-for-pair",
+                f"length {inner.length} < g/d' = {g // dp}")
+        w = d // dp
+        # the exact maximum rung height, at most the conservative g/d', buys
+        # a longer progression
+        h_max = (w - 1) * g // d
+        self.inner, self.a, self.g, self.jstar, self.width = inner, a, g, jstar, w
+        self.s_q, self.low = w * a, ((a, w),)
+        start = inner.start + w * a + h_max * d
+        self.outer = ArithProgression(start, dp, (inner.length - h_max) * w)
 
-    def lookup(self, i: int) -> tuple[int, Parts]:
-        width = self.width
-        if not 0 <= i < width:
-            raise InternalContract(f"ladder index {i} out of [0, {width})")
-        # j < width, so a is always taken
-        j = (i * self.jstar) % width
-        if not j:
-            return self.s_q, ((self.a, width),)
-        return self.s_q + j * self.g, ((self.a, width - j), (self.a + self.g, j))
-
-
-# ---------------------------------------------------------------------------
-# Layers
-# ---------------------------------------------------------------------------
-
-class LadderLayer:
-    """Augmentation by a ladder: P' = {s + s_q + h_max*d} + {0, d', ..., l'd'}."""
-
-    def __init__(self, inner: ArithProgression, ladder: LadderAccessor):
-        d = inner.diff
-        require(ladder.d == d, "ladder-modulus-matches-diff", f"{ladder.d} != {d}")
-        require(
-            1 <= ladder.dp < d and d % ladder.dp == 0,
-            "ladder-proper-divisor",
-            f"d'={ladder.dp}, d={d}",
-        )
-        require(
-            inner.length >= ladder.h_max - ladder.h_min,
-            "ap-long-enough-for-ladder",
-            f"length {inner.length} < {ladder.h_max - ladder.h_min}",
-        )
-        self.inner = inner
-        self.ladder = ladder
-        dp = ladder.dp
-        new_len = (inner.length - ladder.h_max + ladder.h_min) * (d // dp)
-        self.outer = ArithProgression(
-            inner.start + ladder.s_q + ladder.h_max * d, dp, new_len
-        )
-
-    def resolve(self, j: int) -> tuple[int, Union[Parts, Sequence[int]]]:
-        d = self.inner.diff
-        dp = self.outer.diff
-        q_i, parts = self.ladder.lookup((j * dp % d) // dp)
-        p = self.outer.term(j) - q_i
+    def resolve(self, j: int) -> tuple[int, Parts]:
+        d, dp, w = self.inner.diff, self.outer.diff, self.width
+        # rung i = (j*d' mod d)/d' takes k of its w copies at a+g
+        k = (j * dp % d) // dp * self.jstar % w
+        p = self.outer.term(j) - self.s_q - k * self.g
         off = p - self.inner.start
         contract(off >= 0 and off % d == 0, f"ladder residual {p} not on inner progression")
         inner_j = off // d
         contract(inner_j <= self.inner.length, "ladder residual beyond inner progression")
-        return inner_j, parts
+        if not k:
+            return inner_j, self.low
+        return inner_j, ((self.a, w - k), (self.a + self.g, k))
 
 
 class DivPairLayer:
@@ -239,19 +193,6 @@ class DivPairLayer:
 # ---------------------------------------------------------------------------
 # Augmentation operations
 # ---------------------------------------------------------------------------
-
-def augment_nondiv_pair(p: ArithProgression, a: int, g: int) -> LadderLayer:
-    """Subdivide P's difference using a pair whose gap d does not divide;
-    the layer's outer progression has the new difference d' = gcd(d, g)."""
-    require(p.diff > 1, "diff-above-one", f"diff={p.diff}")
-    ladder = PairLadder(p.diff, a, g)
-    require(
-        p.length >= g // ladder.dp,
-        "ap-long-enough-for-pair",
-        f"length {p.length} < g/d' = {g // ladder.dp}",
-    )
-    return LadderLayer(p, ladder)
-
 
 def find_gap_pairs(
     a: SortedIntSet, d: int, m: int
@@ -315,7 +256,7 @@ def augment_once(
     dp = gcd(d, g1)
     h = ceil_div(4 * m, n * dp)
     if case == 1:
-        return (augment_nondiv_pair(p, a1, g1),), d // dp + h
+        return (LadderLayer(p, a1, g1),), d // dp + h
     a2, g2 = pair2
     div_layer = DivPairLayer(p, a2, g2, h)
     p_mid = div_layer.outer
@@ -323,7 +264,7 @@ def augment_once(
         p_mid.length >= p.length + g1 // dp,
         "divisible-pair stretch must cover the ladder loss",
     )
-    return (augment_nondiv_pair(p_mid, a1, g1), div_layer), d // dp + h
+    return (LadderLayer(p_mid, a1, g1), div_layer), d // dp + h
 
 
 def augment_to_full(

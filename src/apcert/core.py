@@ -72,10 +72,6 @@ class OutOfRegion(PreconditionViolated):
         super().__init__("target-out-of-region", detail)
 
 
-class MultiplicityExceeded(ApcertError):
-    pass
-
-
 class Exhausted(ApcertError):
     """Construction gave up without a certificate (tuned-profile outcome)."""
 

@@ -4,8 +4,9 @@ Strategy: harvest conflict-free consecutive pairs with small gaps, make the
 gap multiset uniform, and transfer a progression in the k-fold sumset of the
 gaps into S(A) by flipping chosen pairs from their low to their high endpoint.
 The short progression is then lengthened round by round: pairs whose gap the
-current difference divides stretch it (one fold each), and pairs with
-non-divisible gaps feed a residue ladder that subdivides the difference.
+current difference divides stretch it (one fold each, a PairRun), and pairs
+with non-divisible gaps feed a residue ladder (a ResidueLadderAccessor, this
+module's ladder layer) that subdivides the difference.
 
 Element-disjointness is structural: every source (the bridge bank, each run
 of one-copy divisible-pair steps, each residue ladder's bank) owns pairs from
@@ -25,7 +26,7 @@ from math import gcd
 from operator import ge, lt, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .augment import LadderLayer, stacked_ap
+from .augment import stacked_ap
 from .core import (
     ArithProgression,
     CompactSolution,
@@ -465,35 +466,58 @@ def extract_aug_pairs(
 # ---------------------------------------------------------------------------
 
 class ResidueLadderAccessor:
-    """Ladder whose rungs are subset sums of pair endpoints: rung i is
-    congruent to s_q + i*d' modulo d, realized by flipping the pairs of the
-    bank's certificate i over the residues: rung i is (q_i, the indices of
-    the bank's pairs it flips), the bank's sum and flip list of term i, for
-    i < d/d'."""
+    """The subset-sum ladder layer: P' = {s + s_q + h_max*d} + {0, d', ...,
+    l'd'}, where the bank's progression {s_q} + {0, d', ...} lists its rungs.
+    Rung i, for i < d/d', is the bank's sum q_i and flip list of term i, and
+    q_i = s_q + i*d' (mod d); h_min and h_max are the least and the greatest
+    rung height floor((q_i - s_q)/d). A term takes exactly one end of each of
+    the bank's `pairs`."""
 
-    def __init__(self, bank: PairBank, d: int):
-        self.bank, self.d, self.dp, self.s_q = bank, d, bank.ap.diff, bank.ap.start
-        rungs = bank.sums[: d // self.dp]
+    def __init__(self, inner: ArithProgression, bank: PairBank):
+        d, dp, s_q = inner.diff, bank.ap.diff, bank.ap.start
+        rungs = bank.sums[: d // dp]
         for i, q in enumerate(rungs):
-            contract((q - self.s_q) % d == i * self.dp % d, "ladder rung residue mismatch")
-        heights = [(q - self.s_q) // d for q in rungs]
-        self.h_min, self.h_max = min(heights), max(heights)
+            contract((q - s_q) % d == i * dp % d, "ladder rung residue mismatch")
+        heights = [(q - s_q) // d for q in rungs]
+        h_min, h_max = min(heights), max(heights)
+        if inner.length < h_max - h_min:
+            raise Exhausted(
+                f"ladder window {h_max - h_min} exceeds progression length {inner.length}"
+            )
+        self.inner, self.bank, self.pairs = inner, bank, bank.pairs
+        self.outer = ArithProgression(
+            inner.start + s_q + h_max * d, dp, (inner.length - h_max + h_min) * (d // dp)
+        )
 
     def lookup(self, i: int) -> tuple[int, tuple[int, ...]]:
+        """(q_i, the indices of the pairs rung i flips)."""
         return self.bank.sums[i], self.bank.flips[i]
+
+    def resolve(self, j: int) -> tuple[int, tuple[int, ...]]:
+        """(the inner index, the pairs the rung of outer index j flips)."""
+        d, dp = self.inner.diff, self.outer.diff
+        q_i, flips = self.lookup((j * dp % d) // dp)
+        p = self.outer.term(j) - q_i
+        off = p - self.inner.start
+        contract(off >= 0 and off % d == 0, f"ladder residual {p} not on inner progression")
+        inner_j = off // d
+        contract(inner_j <= self.inner.length, "ladder residual beyond inner progression")
+        return inner_j, flips
 
 
 def residue_ladder(
+    p: ArithProgression,
     pairs: Sequence[Pair],
-    d: int,
     profile: ConstantsProfile = TUNED,
     seed: int = 0,
 ) -> ResidueLadderAccessor:
-    """Ladder over S(A_{T*}) for pairs whose gaps d does not divide; T* is
-    the accessor's bank.pairs.
+    """The ladder layer on `p` over S(A_{T*}) for pairs whose gaps d =
+    p.diff does not divide; T* is the layer's `pairs`.
 
     d' = gcd of the gap residues together with d, a proper divisor of d.
+    Raises Exhausted when the rung heights span more than p's length.
     """
+    d = p.diff
     require(d >= 2, "modulus-at-least-2", f"d={d}")
     pairs = conflict_free_pairs(pairs)
     lo, hi = tuple(zip(*pairs)) or ((), ())
@@ -515,7 +539,7 @@ def residue_ladder(
     contract(1 <= dp < d and d % dp == 0, "residue gcd must properly divide d")
     if profile.enforce_caps:
         contract(len(bank.pairs) <= profile.pair_cap * d, "ladder coreset above cap")
-    return ResidueLadderAccessor(bank, d)
+    return ResidueLadderAccessor(p, bank)
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +594,15 @@ class PairRun:
         return j, flips
 
 
+SubsetLayer = Union[PairRun, ResidueLadderAccessor]
+
+
 class SubsetWitness:
     """Immutable subset-sum witness: query(j) certifies term start + j*diff.
 
     Its sources, outermost first, are the `layers` (each a PairRun or a
-    LadderLayer over a residue ladder's bank) and then the bridge bank
-    `leaf`; a term takes exactly one end of each of their pairs. Set-up
+    residue ladder's ResidueLadderAccessor) and then the bridge bank `leaf`;
+    each holds its `pairs`, and a term takes exactly one end of each. Set-up
     stores the pair ends, checked distinct, sorted (`ends`, with their (v, 1)
     `end_parts`), the byte mask `lo_mask` of the lo ends and, per source, the
     ranks of its pairs' ends (`sources`). A query copies the mask and patches
@@ -584,13 +611,11 @@ class SubsetWitness:
 
     fold_budget = 0
 
-    def __init__(self, leaf: PairBank, layers: Sequence[Union[PairRun, LadderLayer]] = ()):
+    def __init__(self, leaf: PairBank, layers: Sequence[SubsetLayer] = ()):
         self.leaf = leaf
         self.layers = tuple(layers)
         self.ap = stacked_ap(leaf.ap, self.layers)
-        sources = [(layer, layer.ladder.bank.pairs if isinstance(layer, LadderLayer)
-                    else layer.pairs) for layer in self.layers]
-        sources.append((leaf, leaf.pairs))
+        sources = [(source, source.pairs) for source in (*self.layers, leaf)]
         ends = sorted(chain.from_iterable(chain.from_iterable(p for _, p in sources)))
         contract(len(set(ends)) == len(ends), "subset-sum pair ends must be distinct")
         rank = {v: r for r, v in enumerate(ends)}.__getitem__
@@ -634,7 +659,7 @@ def extend_ap_once(
     gain_target: int,
     seed: int,
     gone: Gone,
-) -> tuple[ArithProgression, Union[PairRun, LadderLayer], tuple[int, ...]]:
+) -> tuple[ArithProgression, SubsetLayer, tuple[int, ...]]:
     """(ap, layer, used): the progression grown by at least gain_target with
     pairs of `pool` less its elements at the indices in `gone`, the layer
     that grows it, and the indices in pool.elems of the endpoints of the
@@ -658,16 +683,10 @@ def extend_ap_once(
         layer = PairRun(p, [(vals[i], vals[j]) for i, j in spots])
         used = spots
     else:
-        ladder = residue_ladder([(vals[i], vals[j]) for i, j in spots], d, profile, seed)
-        if p.length < ladder.h_max - ladder.h_min:
-            raise Exhausted(
-                f"ladder window {ladder.h_max - ladder.h_min} "
-                f"exceeds progression length {p.length}"
-            )
-        layer = LadderLayer(p, ladder)
+        layer = residue_ladder(p, [(vals[i], vals[j]) for i, j in spots], profile, seed)
         # the bank keeps a subset of the pairs; lo ends are distinct
         spot_of = {vals[i]: (i, j) for i, j in spots}
-        used = [spot_of[lo] for lo, _ in ladder.bank.pairs]
+        used = [spot_of[lo] for lo, _ in layer.pairs]
     cur = layer.outer
     if cur.length < ell + gain_target:
         raise Exhausted(
@@ -751,7 +770,7 @@ def ap_in_subset_sums(
     ends = chain.from_iterable(bank.pairs)
     _unlink_indices(gone, big_n, map(bisect_left, repeat(a.elems), ends))
     p = bank.ap
-    layers: list[Union[PairRun, LadderLayer]] = []  # outermost first
+    layers: list[SubsetLayer] = []  # outermost first
     rounds = 0
     round_cap = 2 * ceil_log2(max(2, nbar)) + ceil_log2(ell + 2) + 8
     while p.length < ell:

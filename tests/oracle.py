@@ -4,10 +4,11 @@ k-fold greedy certificates, the restricted shift and closest-pair lift that
 the one-pass k-fold leaf must match value for value, the eager gap scan that the lazy `GapScan` must
 match pair for pair and the gap-by-gap run walk that its bisected walk must
 match run for run, the single divisible-pair step that `DivPairLayer` and
-every step of a `PairRun` must match part for part, the per-element input
-checks, the per-part certificate check and the pair harvest that the C-level
-passes of the package must match error for error, the select-by-index
-uniformize whose selection the pair bank's one grouping pass must bank pair
+every step of a `PairRun` must match part for part, the pair-ladder rung,
+with j* found by search, that `LadderLayer` must match part for part, the
+per-element input checks, the per-part certificate check and the pair
+harvest that the C-level passes of the package must match error for error,
+the select-by-index uniformize whose selection the pair bank's one grouping pass must bank pair
 for pair, the flip of a k-fold certificate that rebuilds a part for every
 banked pair, which the flip lists and sums that `bank_pairs` stores must
 match part for part once their flipped indices are made parts, the
@@ -35,16 +36,15 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from apcert.augment import LadderLayer
 from apcert.core import (
     MAX_ELEMENT,
     ApcertError,
     CompactSolution,
     EmptySet,
     InternalContract,
-    MultiplicityExceeded,
     NegativeInput,
     OverflowRisk,
     PreconditionViolated,
@@ -57,7 +57,7 @@ from apcert.core import (
 )
 from apcert.density_witness import density_with_argmin, kfold_greedy_steps
 from apcert.profiles import ConstantsProfile
-from apcert.subsetsum_ap import Gone
+from apcert.subsetsum_ap import Gone, ResidueLadderAccessor
 
 HARD_CAP = 10**8
 
@@ -345,6 +345,20 @@ def div_pair_step(d: int, a: int, g: int, h: int, j: int) -> tuple[int, tuple]:
     return inner_j, tuple(parts)
 
 
+def pair_ladder_rung(d: int, a: int, g: int, i: int) -> tuple[int, tuple]:
+    """Rung i of the ladder of a pair {a, a+g} with d not dividing g: with
+    d' = gcd(d, g), w = d/d' and j* the least j >= 0 with j*g = d' (mod d),
+    found by search, it is (q_i, parts), where k = i*j* mod w copies take
+    a+g and the other w - k take a, q_i = w*a + k*g."""
+    dp = gcd(d, g)
+    w = d // dp
+    jstar = next(j for j in range(w) if j * g % d == dp)
+    k = i * jstar % w
+    if not k:
+        return w * a, ((a, w),)
+    return w * a + k * g, ((a, w - k), (a + g, k))
+
+
 def walk_run_by_steps(gap, nxt, start: int, d: int, c2_lo: int, c2_hi: int):
     """(start, end) of the run of divisible gaps from `start`, read one gap at
     a time: `gap(i)` is the gap from alive index i to the next alive index
@@ -547,7 +561,7 @@ def flip_by_pair(pairs, keys, scale: int, free, cert) -> tuple[int, tuple[tuple[
             continue
         idxs = [i for i, k in enumerate(keys) if k == key]
         if c > len(idxs):
-            raise MultiplicityExceeded(f"key {key} needs {c} pairs, only {len(idxs)} present")
+            raise InternalContract(f"key {key} needs {c} pairs, only {len(idxs)} present")
         for i in idxs[:c]:
             flipped.add(i)
             lo, hi = pairs[i]
@@ -564,9 +578,9 @@ def subset_query_by_set(witness, j: int, rng) -> CompactSolution:
     collected: list[tuple[int, int]] = []
     for layer in witness.layers:
         d = layer.inner.diff
-        if isinstance(layer, LadderLayer):
+        if isinstance(layer, ResidueLadderAccessor):
             dp = layer.outer.diff
-            bank = layer.ladder.bank
+            bank = layer.bank
             i = (j * dp % d) // dp
             j = (layer.outer.term(j) - bank.sums[i] - layer.inner.start) // d
             collected.extend(parts_of_flips(bank.pairs, bank.flips[i]))

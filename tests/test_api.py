@@ -18,7 +18,6 @@ PUBLIC = [
     "Exhausted",
     "InternalContract",
     "KfoldApResult",
-    "MultiplicityExceeded",
     "NegativeInput",
     "OutOfRange",
     "OutOfRegion",

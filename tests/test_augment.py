@@ -10,14 +10,13 @@ from apcert.augment import (
     ApWitness,
     DivPairLayer,
     LadderLayer,
-    PairLadder,
-    augment_nondiv_pair,
     augment_once,
     augment_to_full,
     find_gap_pairs,
 )
 from apcert.core import (
     ArithProgression,
+    Exhausted,
     InternalContract,
     PreconditionViolated,
     RandomSource,
@@ -29,6 +28,7 @@ from apcert.subsetsum_ap import PairBank, PairRun, SubsetWitness, ap_by_pairs, r
 from oracle import (
     div_pair_step,
     fold_query_by_merge,
+    pair_ladder_rung,
     query_or_message,
     subset_query_by_set,
     verify_solution,
@@ -50,111 +50,85 @@ class FoldLeaf:
         return dict(self.table[j])
 
 
-class FixedLadder:
-    """Explicit ladder table for unit tests."""
-
-    def __init__(self, d, dp, s_q, entries, h_min, h_max):
-        self.d, self.dp, self.s_q = d, dp, s_q
-        self.entries = entries  # i -> (q_i, parts)
-        self.h_min, self.h_max = h_min, h_max
-
-    def lookup(self, i):
-        return self.entries[i]
+def rung_of(layer, j):
+    """(the rung's sum, its parts) of outer index j, checked to land on the
+    inner term that makes up outer.term(j)."""
+    inner_j, parts = layer.resolve(j)
+    q = sum(v * c for v, c in parts)
+    assert 0 <= inner_j <= layer.inner.length
+    assert layer.inner.term(inner_j) + q == layer.outer.term(j)
+    return q, parts
 
 
 class TestPairLadder:
     def test_example_d6_g4(self):
-        lad = PairLadder(6, 0, 4)
-        assert lad.dp == 2
-        q1, parts1 = lad.lookup(1)
+        layer = LadderLayer(AP(0, 6, 5), 0, 4)
+        assert layer.outer.diff == 2
+        q1, parts1 = rung_of(layer, 1)
         assert q1 == 8 and dict(parts1) == {0: 1, 4: 2}
-        q2, parts2 = lad.lookup(2)
+        q2, _ = rung_of(layer, 2)
         assert q2 == 4
 
     def test_example_d6_g5(self):
-        lad = PairLadder(6, 0, 5)
-        assert lad.dp == 1
-        q3, _ = lad.lookup(3)
+        layer = LadderLayer(AP(0, 6, 5), 0, 5)
+        assert layer.outer.diff == 1
+        q3, _ = rung_of(layer, 3)
         assert q3 == 15 and q3 % 6 == 3
 
     def test_example_d2_g1(self):
-        lad = PairLadder(2, 1, 1)
-        assert lad.dp == 1
-        q1, parts = lad.lookup(1)
+        layer = LadderLayer(AP(0, 2, 1), 1, 1)
+        assert layer.outer.diff == 1
+        q1, parts = rung_of(layer, 1)
         assert q1 == 3 and dict(parts) == {1: 1, 2: 1}
 
     def test_congruences_and_solutions_exhaustive(self):
+        # outer index j < d/d' is rung j, on the shortest inner progression
         for d in range(2, 61):
             for g in range(1, 121):
                 if g % d == 0:
                     continue
+                dp = math.gcd(d, g)
                 for a in range(0, 6):
-                    lad = PairLadder(d, a, g)
-                    dp = lad.dp
-                    assert dp == math.gcd(d, g)
+                    layer = LadderLayer(AP(0, d, g // dp), a, g)
+                    assert layer.outer.diff == dp
                     for i in range(d // dp):
-                        q, parts = lad.lookup(i)
+                        q, parts = rung_of(layer, i)
+                        assert (q, tuple(parts)) == pair_ladder_rung(d, a, g, i)
                         assert q % d == (d * a // dp + i * dp) % d
-                        assert sum(c for _, c in parts) == d // dp
-                        assert sum(v * c for v, c in parts) == q
-                        assert all(v in (a, a + g) for v, _ in parts)
 
     def test_divisible_gap_rejected(self):
         with pytest.raises(PreconditionViolated):
-            PairLadder(4, 0, 8)
+            LadderLayer(AP(0, 4, 10), 0, 8)
 
 
 class TestAugmentByLadder:
-    def test_spec_ladder_example(self):
-        # d=6 -> d'=2 ladder with entries 0, 8, 4 and heights within [0, 1]
-        p = AP(0, 6, 5)
-        lad = FixedLadder(
-            6, 2, 0,
-            {0: (0, ()), 1: (8, ((8, 1),)), 2: (4, ((4, 1),))},
-            0, 1,
-        )
-        layer = LadderLayer(p, lad)
-        p2 = layer.outer
-        assert (p2.start, p2.diff, p2.length) == (6, 2, 12)
-        # term value 8 is index j' = 1: resolves to rung 1 with residual 0
-        j_inner, parts = layer.resolve(1)
-        assert p.term(j_inner) == 0 and dict(parts) == {8: 1}
-
-    def test_boundary_zero_length(self):
-        p = AP(0, 6, 1)
-        lad = FixedLadder(6, 2, 0, {0: (0, ()), 1: (8, ()), 2: (4, ())}, 0, 1)
-        assert LadderLayer(p, lad).outer.length == 0
-
     def test_terms_belong_to_p_plus_q_exhaustively(self):
         for d in (4, 6, 8, 9, 12):
             for g in range(1, 2 * d):
                 if g % d == 0:
                     continue
-                for ell in range(0, 9):
+                dp = math.gcd(d, g)
+                for ell in range(g // dp, 9):
                     for a in (0, 3):
-                        lad = PairLadder(d, a, g)
                         p = AP(5, d, ell)
-                        if ell < lad.h_max - lad.h_min:
-                            continue
-                        layer = LadderLayer(p, lad)
+                        layer = LadderLayer(p, a, g)
                         p2 = layer.outer
-                        q_set = {lad.lookup(i)[0] for i in range(d // lad.dp)}
+                        q_set = {pair_ladder_rung(d, a, g, i)[0] for i in range(d // dp)}
                         p_plus_q = {x + q for x in p.terms() for q in q_set}
                         for j in range(p2.length + 1):
                             assert p2.term(j) in p_plus_q
-                            j_in, parts = layer.resolve(j)
-                            assert p.term(j_in) + sum(v * c for v, c in parts) == p2.term(j)
+                            rung_of(layer, j)
 
 
 class TestAugmentNondivPair:
     def test_example_matches_ladder(self):
         p = AP(0, 6, 5)
-        p2 = augment_nondiv_pair(p, 0, 4).outer
+        p2 = LadderLayer(p, 0, 4).outer
         assert (p2.start, p2.diff, p2.length) == (6, 2, 12)
 
     def test_example_diff_two(self):
         p = AP(0, 2, 10)
-        p2 = augment_nondiv_pair(p, 0, 1).outer
+        p2 = LadderLayer(p, 0, 1).outer
         assert p2.diff == 1 and p2.length >= 18
         pset = set(p.terms())
         twofold = {x + y for x in (0, 1) for y in (0, 1)}
@@ -162,8 +136,9 @@ class TestAugmentNondivPair:
         assert set(p2.terms()) <= full
 
     def test_boundary_violation(self):
-        with pytest.raises(PreconditionViolated):
-            augment_nondiv_pair(AP(0, 6, 0), 0, 4)
+        with pytest.raises(PreconditionViolated) as exc:
+            LadderLayer(AP(0, 6, 0), 0, 4)
+        assert exc.value.name == "ap-long-enough-for-pair"
 
 
 class TestAugmentDivPair:
@@ -539,11 +514,11 @@ def subset_stacks(draw):
             r = draw(st.sampled_from([1, p.diff + 1]))
             rungs = tuple((1000 * (n + 1) + 10 * i, 1000 * (n + 1) + 10 * i + r)
                           for i in range(2 * p.diff))
-            ladder = residue_ladder(rungs, p.diff, TUNED, draw(st.integers(0, 3)))
-            if p.length < ladder.h_max - ladder.h_min:
+            try:
+                layer = residue_ladder(p, rungs, TUNED, draw(st.integers(0, 3)))
+            except Exhausted:  # the rung heights span more than p's length
                 continue
-            layer = LadderLayer(p, ladder)
-            ends += [v for pair in ladder.bank.pairs for v in pair]
+            ends += [v for pair in layer.pairs for v in pair]
         else:
             steps, length = [], p.length
             for _ in range(draw(st.integers(1, 2))):
@@ -606,7 +581,7 @@ def fold_stacks(draw):
             g = draw(st.integers(1, 2 * p.diff).filter(lambda g: g % p.diff))
             if p.length < g:
                 continue
-            layer = augment_nondiv_pair(p, a, g)
+            layer = LadderLayer(p, a, g)
         else:
             layer = DivPairLayer(p, a, p.diff * draw(st.integers(1, p.length)),
                                  draw(st.integers(1, 3)))

@@ -8,7 +8,7 @@ import apcert.subsetsum_ap
 import apcert.sumset_ap
 from apcert.augment import ApWitness
 from apcert.cli import main, verify_terms
-from apcert.core import CompactSolution, MultiplicityExceeded, normalize
+from apcert.core import CompactSolution, InternalContract, normalize
 from apcert.sumset_ap import ap_in_kfold_sumset
 from oracle import block_plus_sparse, merge_counts
 
@@ -39,7 +39,7 @@ USAGE = "usage"
 # 64-bit address space holds, so the allocation fails at once
 OOM = "out-of-memory"
 # error column of an exit-code row whose build runs with residue_ladder
-# raising MultiplicityExceeded, an internal fault that no input causes
+# failing one of its contracts, an internal fault that no input causes
 INTERNAL = "internal-error"
 
 
@@ -55,15 +55,15 @@ def assert_out_of_memory(captured):
     assert captured.out == "" and captured.err == "error: out of memory\n"
 
 
-def _ladder_exceeds_multiplicity(*args):
-    raise MultiplicityExceeded("key 1 needs 2 pairs, only 1 present")
+def _ladder_breaks_a_contract(*args):
+    raise InternalContract("residue gcd must properly divide d")
 
 
 def assert_internal_error(captured):
     """One line on stderr naming the fault, even under --json, and nothing
     on stdout; the exit code, 2, is the one of a failed certificate."""
     assert captured.out == ""
-    assert captured.err == "internal error: key 1 needs 2 pairs, only 1 present\n"
+    assert captured.err == "internal error: residue gcd must properly divide d\n"
 
 
 @pytest.mark.parametrize("length, count, indices", [
@@ -230,13 +230,13 @@ class TestApSubsetsum:
         # one augmentation round of this build builds a residue ladder
         ([*range(2, 601, 2), *range(601, 900, 2)], ["--ell", "899"], 2, INTERNAL, None),
     ], ids=["certified", "zero", "negative", "over-cap", "workers-option", "missing-ell",
-            "gap-above-bound", "multiplicity-exceeded"])
+            "gap-above-bound", "internal-contract"])
     def test_exit_codes(self, tmp_path, capsys, monkeypatch, values, flags, code, error,
                         detail):
         inp = tmp_path / "in.txt"
         inp.write_text(" ".join(map(str, values)) + "\n")
         if error == INTERNAL:
-            monkeypatch.setattr(apcert.subsetsum_ap, "residue_ladder", _ladder_exceeds_multiplicity)
+            monkeypatch.setattr(apcert.subsetsum_ap, "residue_ladder", _ladder_breaks_a_contract)
         got = main(["ap-subsetsum", "--input", str(inp), *flags, "--seed", "0", "--json"])
         captured = capsys.readouterr()
         assert got == code

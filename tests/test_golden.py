@@ -55,7 +55,7 @@ def test_certificate_hashes(case):
 def test_inputs_take_the_pinned_paths():
     # the ladder input lengthens its progression through a residue ladder
     ladder = corpus.build_witness("ap-subsetsum", "evens_odds", 899, None)
-    assert any(type(layer).__name__ == "LadderLayer" for layer in ladder.layers)
+    assert any(type(layer).__name__ == "ResidueLadderAccessor" for layer in ladder.layers)
     # the bridge progression of the gcd-2 input has difference gcd(gaps) = 2,
     # and that of the consecutive input difference 1
     assert corpus.build_witness("ap-subsetsum", "one_evens", 600, None).leaf.ap.diff == 2
@@ -92,9 +92,8 @@ def test_top_input_has_a_positive_endpoint(monkeypatch):
 
 
 def test_subsetsum_rounds_resolve_in_one_call(monkeypatch):
-    from apcert.augment import LadderLayer
     from apcert.core import RandomSource
-    from apcert.subsetsum_ap import PairRun
+    from apcert.subsetsum_ap import PairRun, ResidueLadderAccessor
 
     # 14 rounds of divisible pairs at diff 1 make one run
     w = corpus.build_witness("ap-subsetsum", "consecutive10k", 10**4, None)
@@ -111,7 +110,7 @@ def test_subsetsum_rounds_resolve_in_one_call(monkeypatch):
     assert len(calls) == 1
     # a ladder round ends a run: the rounds before and after it stay apart
     w = corpus.build_witness("ap-subsetsum", "evens_odds", 1798, None)
-    assert [type(layer) for layer in w.layers] == [PairRun, LadderLayer, PairRun]
+    assert [type(layer) for layer in w.layers] == [PairRun, ResidueLadderAccessor, PairRun]
 
 
 def test_dense_cases_take_the_pinned_paths():

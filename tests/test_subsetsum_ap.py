@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apcert.subsetsum_ap
-from apcert.augment import ApWitness, LadderLayer
+from apcert.augment import ApWitness
 from apcert.core import (
     ApcertError,
     ArithProgression,
@@ -33,6 +33,7 @@ from apcert.subsetsum_ap import (
     GapScan,
     Gone,
     PairRun,
+    ResidueLadderAccessor,
     SubsetWitness,
     ap_by_pairs,
     ap_in_subset_sums,
@@ -363,8 +364,8 @@ class TestFlipMatchesReference:
         _, _, inp, length, _ = case
         res, banks = banks_drawn_by(
             lambda: ap_in_subset_sums(corpus.INPUTS[inp](), length, TUNED, corpus.SEED))
-        kept = [res.witness.leaf] + [layer.ladder.bank for layer in res.witness.layers
-                                     if isinstance(layer, LadderLayer)]
+        kept = [res.witness.leaf] + [layer.bank for layer in res.witness.layers
+                                     if isinstance(layer, ResidueLadderAccessor)]
         assert all(any(bank is got for got, _, _ in banks) for bank in kept)
         if inp == "evens_odds":  # the golden case with a residue ladder
             assert len(kept) > 1
@@ -903,49 +904,57 @@ class TestResidueLadder:
     def test_rungs_cover_residues(self):
         pairs = tuple((20 * i + 1, 20 * i + 2 + (i % 2)) for i in range(40))
         # gaps alternate 1, 2 -> residues mod 4 are 1 and 2
-        ladder = residue_ladder(pairs, 4, TUNED, seed=9)
-        d, dp = 4, ladder.dp
-        assert 4 % dp == 0 and dp < 4
-        base = S(itertools.chain.from_iterable(ladder.bank.pairs))
+        ladder = residue_ladder(ArithProgression(0, 4, 50), pairs, TUNED, seed=9)
+        bank, d, dp = ladder.bank, 4, ladder.outer.diff
+        assert 4 % dp == 0 and dp < 4 and ladder.pairs == bank.pairs
+        base = S(itertools.chain.from_iterable(ladder.pairs))
         for i in range(d // dp):
             q, flips = ladder.lookup(i)
-            parts = parts_of_flips(ladder.bank.pairs, flips)
-            assert (q - ladder.s_q) % d == (i * dp) % d
+            parts = parts_of_flips(ladder.pairs, flips)
+            assert (q - bank.ap.start) % d == (i * dp) % d
             assert sum(v * c for v, c in parts) == q
             vals = [v for v, _ in parts]
             assert len(vals) == len(set(vals))
             assert all(v in base for v in vals)
         # every banked certificate, not only the d/d' rungs, lands on its residue
-        bank = ladder.bank
         for i, q in enumerate(bank.sums):
             assert (q - bank.ap.start) % d == i * dp % d
 
     def test_window_is_the_rung_heights(self):
-        # gaps 7, 9, 14 leave residues 1, 3, 2 modulo 6; rungs reach height 4
+        # gaps 7, 9, 14 leave residues 1, 3, 2 modulo 6; rungs reach height 4,
+        # so an inner progression of length 4 leaves an outer one of length 0
         pairs = tuple((100 * i + 1, 100 * i + 1 + (7, 9, 14)[i % 3]) for i in range(60))
         ladder, ((bank, args, certs),) = banks_drawn_by(
-            lambda: residue_ladder(pairs, 6, TUNED, seed=3))
-        heights = [(ladder.lookup(i)[0] - ladder.s_q) // 6 for i in range(6 // ladder.dp)]
-        assert (ladder.h_min, ladder.h_max) == (min(heights), max(heights)) == (0, 4)
+            lambda: residue_ladder(ArithProgression(0, 6, 4), pairs, TUNED, seed=3))
+        dp, s_q = ladder.outer.diff, bank.ap.start
+        heights = [(ladder.lookup(i)[0] - s_q) // 6 for i in range(6 // dp)]
+        assert (min(heights), max(heights)) == (0, 4)
+        assert ladder.outer == ArithProgression(s_q + 4 * 6, dp, 0)
+        with pytest.raises(Exhausted) as exc:
+            residue_ladder(ArithProgression(0, 6, 3), pairs, TUNED, seed=3)
+        assert exc.value.reason == "ladder window 4 exceeds progression length 3"
         assert bank is ladder.bank
         assert_bank_reserves_its_use(bank, args, certs)
 
     def test_divisible_gap_rejected(self):
         with pytest.raises(PreconditionViolated):
-            residue_ladder(((0, 4),), 4, TUNED)
+            residue_ladder(ArithProgression(0, 4, 10), ((0, 4),), TUNED)
 
     @pytest.mark.parametrize("pairs, d, seed", [
         (tuple((20 * i + 1, 20 * i + 2 + (i % 2)) for i in range(40)), 4, 9),
         (tuple((100 * i + 1, 100 * i + 1 + (7, 9, 14)[i % 3]) for i in range(60)), 6, 3),
     ], ids=["d4", "d6"])
     def test_layer_resolves_every_outer_index(self, pairs, d, seed):
-        ladder = residue_ladder(pairs, d, TUNED, seed=seed)
-        inner = ArithProgression(5, d, ladder.h_max - ladder.h_min + 3)
-        layer = LadderLayer(inner, ladder)
-        endpoints = set(itertools.chain.from_iterable(ladder.bank.pairs))
+        # the window is what a long progression loses; the inner one keeps 3 past it
+        probe = residue_ladder(ArithProgression(5, d, 100), pairs, TUNED, seed=seed)
+        window = 100 - probe.outer.length // (d // probe.outer.diff)
+        inner = ArithProgression(5, d, window + 3)
+        layer = residue_ladder(inner, pairs, TUNED, seed=seed)
+        assert layer.inner == inner
+        endpoints = set(itertools.chain.from_iterable(layer.pairs))
         for j in range(layer.outer.length + 1):
             inner_j, flips = layer.resolve(j)
-            parts = parts_of_flips(ladder.bank.pairs, flips)
+            parts = parts_of_flips(layer.pairs, flips)
             vals = [v for v, c in parts if c == 1]
             assert len(vals) == len(parts) == len(set(vals))
             assert endpoints.issuperset(vals)
