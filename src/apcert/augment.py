@@ -154,7 +154,8 @@ class LadderLayer:
         k = (j * dp % d) // dp * self.jstar % w
         p = self.outer.term(j) - self.s_q - k * self.g
         off = p - self.inner.start
-        contract(off >= 0 and off % d == 0, f"ladder residual {p} not on inner progression")
+        if off < 0 or off % d:
+            raise InternalContract(f"ladder residual {p} not on inner progression")
         inner_j = off // d
         contract(inner_j <= self.inner.length, "ladder residual beyond inner progression")
         if not k:

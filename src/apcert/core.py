@@ -299,16 +299,16 @@ class CompactSolution:
 def check_solution(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
     """Return None if the certificate is valid against `base`, else a reason code.
 
-    Subset mode accepts in C-level passes (counts, order, membership in
-    `base.members`, sum). When one fails, the per-part loop runs and names
-    the reason, so in both modes the code is that of the first fault in part
-    order. A fold budget below 0 declares neither mode and fails before any
-    part is read."""
+    Subset mode accepts in one pass that keeps the values of count 1, then
+    C-level passes (order, membership in `base.members`, sum). When one
+    fails, the per-part loop runs and names the reason, so in both modes the
+    code is that of the first fault in part order. A fold budget below 0
+    declares neither mode and fails before any part is read."""
     parts = sol.parts
     subset_mode = sol.fold_budget == 0
     if subset_mode and parts:
-        values, counts = zip(*parts)
-        if (counts.count(1) == len(counts) and all(map(lt, values, islice(values, 1, None)))
+        values = [v for v, c in parts if c == 1]
+        if (len(values) == len(parts) and all(map(lt, values, islice(values, 1, None)))
                 and base.members.issuperset(values) and sum(values) == sol.target):
             return None
     if sol.fold_budget < 0:

@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 from .core import (
     Exhausted,
+    InternalContract,
     OutOfRegion,
     RandomSource,
     SortedIntSet,
@@ -389,7 +390,8 @@ def _search_reduced(d: DenseDecomposition, z: int, rng: RandomSource) -> list[in
     t_p = z - acc - sum(r_taken)
     contract((t_p - s) % diff == 0, "progression residue mismatch")
     j = (t_p - s) // diff
-    contract(0 <= j <= ap.length, f"progression index {j} out of range")
+    if not 0 <= j <= ap.length:
+        raise InternalContract(f"progression index {j} out of range")
     sol = d.progression.witness.query(j, rng)
     g_taken += r_taken
     g_taken += [v for v, _ in sol.parts]

@@ -20,6 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from copy import copy
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, compress, filterfalse, repeat, starmap
 from math import gcd
@@ -499,7 +500,8 @@ class ResidueLadderAccessor:
         q_i, flips = self.lookup((j * dp % d) // dp)
         p = self.outer.term(j) - q_i
         off = p - self.inner.start
-        contract(off >= 0 and off % d == 0, f"ladder residual {p} not on inner progression")
+        if off < 0 or off % d:
+            raise InternalContract(f"ladder residual {p} not on inner progression")
         inner_j = off // d
         contract(inner_j <= self.inner.length, "ladder residual beyond inner progression")
         return inner_j, flips
@@ -571,27 +573,47 @@ class PairRun:
         """This run's steps followed by those of inner_run, which it must sit
         on; no step is checked again."""
         contract(self.inner == inner_run.outer, "layer chain mismatch")
-        run = copy(self)
-        run.inner, run.pairs = inner_run.inner, self.pairs + inner_run.pairs
-        run.gains = self.gains + inner_run.gains
+        run = PairRun.__new__(PairRun)
+        run.inner, run.outer = inner_run.inner, self.outer
+        run.pairs, run.gains = self.pairs + inner_run.pairs, self.gains + inner_run.gains
         run.prefix = (0, *accumulate(run.gains))
         return run
 
-    def resolve(self, j: int) -> tuple[int, list[int]]:
-        """(the inner index, the indices of the steps that take their pair's
-        hi end). One bisect over `prefix` skips the leading steps that take
-        it; after the first that does not, each step takes it when the index
-        left reaches its gain."""
-        prefix, gains = self.prefix, self.gains
+    @cached_property
+    def smaller(self) -> list[int]:
+        """For each step i, and for i = the step count, the first step after i
+        with a smaller gain, else the step count; built on first use, not by join."""
+        gains, stack = self.gains, []
+        nxt = [len(gains)] * (len(gains) + 1)
+        for i, g in enumerate(gains):
+            while stack and gains[stack[-1]] > g:
+                nxt[stack.pop()] = i
+            stack.append(i)
+        return nxt
+
+    def tail(self, j: int) -> tuple[int, int, list[int]]:
+        """(k, the inner index, the steps after step k that take their pair's
+        hi end): one bisect over `prefix` finds the k leading steps that take
+        it. A step takes it when the index left reaches its gain, so from one
+        that does not, the walk jumps to the next step with a smaller gain."""
+        prefix, gains, smaller = self.prefix, self.gains, self.smaller
         k = bisect_right(prefix, j) - 1
         j -= prefix[k]
-        flips = list(range(k))
-        for i in range(k + 1, len(gains)):
+        n, flips, i = len(gains), [], smaller[k]
+        while i < n:
             t = gains[i]
             if j >= t:
                 j -= t
                 flips.append(i)
-        return j, flips
+                i += 1
+            else:
+                i = smaller[i]
+        return k, j, flips
+
+    def resolve(self, j: int) -> tuple[int, list[int]]:
+        """(the inner index, the steps that take their pair's hi end)."""
+        k, j, flips = self.tail(j)
+        return j, [*range(k), *flips]
 
 
 SubsetLayer = Union[PairRun, ResidueLadderAccessor]
@@ -607,7 +629,9 @@ class SubsetWitness:
     `end_parts`), the byte mask `lo_mask` of the lo ends and, per source, the
     ranks of its pairs' ends (`sources`). A query copies the mask and patches
     two bytes per pair that a source's resolve(j) -> (inner j, flipped pair
-    indices) names."""
+    indices) names. If the outermost layer is a PairRun, `lead[k]` is the
+    mask with its first k steps flipped, and a query copies the one that
+    the run's tail(j) names instead."""
 
     fold_budget = 0
 
@@ -625,11 +649,28 @@ class SubsetWitness:
         self.lo_mask = bytes(map(lo_ends.__contains__, ends))
         self.sources = tuple((source, tuple(rank(lo) for lo, _ in pairs),
                               tuple(rank(hi) for _, hi in pairs)) for source, pairs in sources)
+        self.lead = ()
+        if self.layers and isinstance(self.layers[0], PairRun):
+            _, lo, hi = self.sources[0]
+            mask, lead = bytearray(self.lo_mask), [self.lo_mask]
+            for i, h in zip(lo, hi):
+                mask[i], mask[h] = 0, 1
+                lead.append(bytes(mask))
+            self.lead = tuple(lead)
 
     def query(self, j: int, rng: RandomSource) -> CompactSolution:
         target = self.ap.term(j)
-        mask = bytearray(self.lo_mask)
-        for source, lo, hi in self.sources:
+        sources = iter(self.sources)
+        if self.lead:
+            run, lo, hi = next(sources)
+            k, j, flips = run.tail(j)
+            mask = bytearray(self.lead[k])
+            for i in flips:
+                mask[lo[i]] = 0
+                mask[hi[i]] = 1
+        else:
+            mask = bytearray(self.lo_mask)
+        for source, lo, hi in sources:
             j, flips = source.resolve(j)
             for i in flips:
                 mask[lo[i]] = 0

@@ -8,6 +8,9 @@ every step of a `PairRun` must match part for part, the pair-ladder rung,
 with j* found by search, that `LadderLayer` must match part for part, the
 per-element input checks, the per-part certificate check and the pair
 harvest that the C-level passes of the package must match error for error,
+the subset-mode accept that unzips the parts, which the one-pass accept
+must match reason for reason, the run walk that visits every step after its
+prefix bisect, which the jumping `PairRun.resolve` must match flip for flip,
 the select-by-index uniformize whose selection the pair bank's one grouping pass must bank pair
 for pair, the flip of a k-fold certificate that rebuilds a part for every
 banked pair, which the flip lists and sums that `bank_pairs` stores must
@@ -35,8 +38,9 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from apcert.core import (
@@ -109,6 +113,37 @@ def check_solution_loop(base: SortedIntSet, sol: CompactSolution) -> Optional[st
     if sol.fold_budget > 0 and total > sol.fold_budget:
         return "budget-exceeded"
     return None
+
+
+def check_solution_by_zip(base: SortedIntSet, sol: CompactSolution) -> Optional[str]:
+    """`core.check_solution` as it accepted subset-mode parts before its
+    one-pass accept: the parts unzipped into values and counts, every count
+    1, then the order, membership and sum passes; a certificate they do not
+    accept goes to the per-part loop, as it did there. `zip` cuts mixed 2-
+    and 3-tuple parts to their first two fields, so it may accept them."""
+    parts = sol.parts
+    if sol.fold_budget == 0 and parts:
+        values, counts = zip(*parts)
+        if (counts.count(1) == len(counts) and all(map(lt, values, islice(values, 1, None)))
+                and base.members.issuperset(values) and sum(values) == sol.target):
+            return None
+    return check_solution_loop(base, sol)
+
+
+def run_resolve_by_steps(run, j: int) -> tuple[int, list[int]]:
+    """`PairRun.resolve(j)` step by step: one bisect over `prefix` skips the
+    leading steps that take their pair's hi end, then every later step takes
+    it when the index left reaches its gain."""
+    prefix, gains = run.prefix, run.gains
+    k = bisect_right(prefix, j) - 1
+    j -= prefix[k]
+    flips = list(range(k))
+    for i in range(k + 1, len(gains)):
+        t = gains[i]
+        if j >= t:
+            j -= t
+            flips.append(i)
+    return j, flips
 
 
 def merge_counts(*part_groups: Iterable[tuple[int, int]]) -> dict[int, int]:

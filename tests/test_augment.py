@@ -30,6 +30,7 @@ from oracle import (
     fold_query_by_merge,
     pair_ladder_rung,
     query_or_message,
+    run_resolve_by_steps,
     subset_query_by_set,
     verify_solution,
 )
@@ -99,6 +100,18 @@ class TestPairLadder:
     def test_divisible_gap_rejected(self):
         with pytest.raises(PreconditionViolated):
             LadderLayer(AP(0, 4, 10), 0, 8)
+
+    def test_residual_off_the_inner_progression_is_named(self):
+        # a rung sum tampered one up leaves a residual one below the inner term
+        layer = LadderLayer(AP(5, 6, 8), 1, 4)
+        for j in range(layer.outer.length + 1):
+            inner_j, _ = layer.resolve(j)
+            layer.s_q += 1
+            with pytest.raises(InternalContract) as exc:
+                layer.resolve(j)
+            layer.s_q -= 1
+            residual = layer.inner.term(inner_j) - 1
+            assert str(exc.value) == f"ladder residual {residual} not on inner progression"
 
 
 class TestAugmentByLadder:
@@ -204,6 +217,24 @@ def one_copy_runs(draw):
     return inner, pairs
 
 
+@st.composite
+def gain_runs(draw):
+    """An inner progression and 1-12 one-copy divisible pairs on it,
+    innermost first, whose gains, outermost first, are drawn from one to
+    three small values, so they tie and rise as well as fall; each gain is
+    cut to at most the length the steps before it reach."""
+    d = draw(st.integers(1, 4))
+    inner = AP(draw(st.integers(0, 20)), d, draw(st.integers(1, 12)))
+    pool = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    length, pairs = inner.length, []
+    for gain in reversed(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))):
+        gain = min(gain, length)
+        a = draw(st.integers(0, 30))
+        pairs.append((a, a + d * gain))
+        length += gain
+    return inner, pairs
+
+
 class TestDivPairRunMatchesSteps:
     @settings(max_examples=200, deadline=None)
     @given(div_pair_steps())
@@ -240,6 +271,31 @@ class TestDivPairRunMatchesSteps:
         joined = PairRun(lower.outer, pairs[cut:]).join(lower)
         assert (joined.inner, joined.outer, joined.pairs) == (inner, run.outer, run.pairs)
         assert all(joined.resolve(j) == run.resolve(j) for j in range(run.outer.length + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(gain_runs(), st.data())
+    @example((AP(0, 1, 3), [(0, 2)]), None)  # a single step
+    @example((AP(0, 1, 2), [(0, 2), (0, 1), (0, 1), (0, 4)]), None)  # ties and a rise
+    def test_jumps_match_the_step_by_step_walk(self, drawn, data):
+        # every outer index, on the run and on it split in two and joined
+        # again; the parts resolve before the join, so a jump table built
+        # on them must not carry over to the joined run
+        inner, pairs = drawn
+        run = PairRun(inner, pairs)
+        for j in range(run.outer.length + 1):
+            assert run.resolve(j) == run_resolve_by_steps(run, j), j
+        if len(pairs) < 2:
+            return
+        cut = data.draw(st.integers(1, len(pairs) - 1)) if data else len(pairs) // 2
+        lower = PairRun(inner, pairs[:cut])
+        upper = PairRun(lower.outer, pairs[cut:])
+        lower.resolve(0)
+        upper.resolve(0)
+        joined = upper.join(lower)
+        assert (joined.inner, joined.outer, joined.pairs) == (inner, run.outer, run.pairs)
+        assert joined.smaller == run.smaller
+        for j in range(run.outer.length + 1):
+            assert joined.resolve(j) == run_resolve_by_steps(run, j), j
 
     def test_join_checks_the_chain(self):
         inner = PairRun(AP(0, 2, 5), [(1, 5)])

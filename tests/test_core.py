@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apcert.core
@@ -29,6 +29,7 @@ from apcert.core import (
 )
 from apcert.density_witness import density_with_argmin
 from oracle import (
+    check_solution_by_zip,
     check_solution_loop,
     check_sorted_elems,
     density,
@@ -355,6 +356,30 @@ def tampered_certificates(draw):
     return S(base), sol, bool(kinds)
 
 
+@st.composite
+def subset_part_lists(draw):
+    """(base, certificate) in subset mode: distinct values of the base,
+    sorted, maybe with a value from around the base among them, one value
+    repeated and one swapped with its neighbour, each with a count among 0,
+    1, 2 and True, and a target that sums the values or misses by one; the
+    parts may be empty."""
+    base = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    values = draw(st.sets(st.sampled_from(base), max_size=len(base)))
+    sometimes = st.sampled_from([False] * 3 + [True])
+    if draw(sometimes):
+        values.add(draw(st.integers(-3, 45)))
+    values = sorted(values)
+    if values and draw(sometimes):
+        i = draw(st.integers(0, len(values) - 1))
+        values.insert(i, values[i])
+    if len(values) > 1 and draw(sometimes):
+        i = draw(st.integers(1, len(values) - 1))
+        values[i - 1], values[i] = values[i], values[i - 1]
+    counts = [draw(st.sampled_from([1] * 8 + [0, 2, True])) for _ in values]
+    target = sum(values) + draw(st.sampled_from([0] * 4 + [-1, 1]))
+    return S(base), CompactSolution(tuple(zip(values, counts)), target, 0)
+
+
 class TestVerifySolution:
     def test_examples(self):
         a = S([0, 1, 3])
@@ -422,6 +447,23 @@ class TestVerifySolution:
         assert check_solution(base, sol) == check_solution_loop(base, sol)
         if not tampered and sol.fold_budget == 0:
             assert check_solution(base, sol) is None
+
+    @settings(max_examples=500)
+    @given(subset_part_lists())
+    def test_one_pass_accept_matches_the_unzip(self, case):
+        base, sol = case
+        assert check_solution(base, sol) == check_solution_by_zip(base, sol)
+
+    def test_mixed_part_widths_raise_like_the_loop(self):
+        # the unzip cut a 3-tuple part to its first two fields and accepted
+        # it; the one-pass accept unpacks each part, as the per-part loop does
+        base = S([1, 3])
+        for parts in (((1, 1), (3, 1, 0)), ((1, 1, 0), (3, 1))):
+            sol = CompactSolution(parts, 4, 0)
+            assert check_solution_by_zip(base, sol) is None
+            for check in (check_solution, check_solution_loop):
+                with pytest.raises(ValueError):
+                    check(base, sol)
 
     def test_fold_mode_builds_no_member_set(self):
         base = S(range(0, 300, 3))

@@ -536,6 +536,28 @@ class TestSearchContracts:
         monkeypatch.setattr(SubsetWitness, "query", off_by_one)
         expect_contract(d, targets, "^reduced subset misses its target$")
 
+    def test_progression_index_past_the_end(self, name, d, targets, monkeypatch):
+        # the progression cut one term below the index a search lands on:
+        # the contract names that index
+        query, seen = SubsetWitness.query, []
+
+        def spy(self, j, rng):
+            seen.append(j)
+            return query(self, j, rng)
+
+        monkeypatch.setattr(SubsetWitness, "query", spy)
+        for t in targets:
+            dense_search(d, t, RandomSource(3))
+        assert any(seen)
+        for t, j in zip(targets, seen):
+            if not j:
+                continue
+            ap = d.progression.ap.truncate(j - 1)
+            cut = dataclasses.replace(d, progression=dataclasses.replace(d.progression, ap=ap))
+            with pytest.raises(InternalContract) as exc:
+                dense_search(cut, t, RandomSource(3))
+            assert str(exc.value) == f"progression index {j} out of range"
+
 
 @pytest.mark.parametrize("name, d, targets", [CASE["gamma1"], CASE["gamma2"]],
                          ids=["gamma1", "gamma2"])

@@ -99,18 +99,22 @@ def test_subsetsum_rounds_resolve_in_one_call(monkeypatch):
     w = corpus.build_witness("ap-subsetsum", "consecutive10k", 10**4, None)
     assert [type(layer) for layer in w.layers] == [PairRun]
     calls = []
-    resolve = PairRun.resolve
+    tail = PairRun.tail
 
     def spy(self, j):
         calls.append(j)
-        return resolve(self, j)
+        return tail(self, j)
 
-    monkeypatch.setattr(PairRun, "resolve", spy)
+    monkeypatch.setattr(PairRun, "tail", spy)
     w.query(w.ap.length // 3, RandomSource(corpus.SEED))
     assert len(calls) == 1
-    # a ladder round ends a run: the rounds before and after it stay apart
+    # a ladder round ends a run: the rounds before and after it stay apart,
+    # and each of the two runs is walked once
     w = corpus.build_witness("ap-subsetsum", "evens_odds", 1798, None)
     assert [type(layer) for layer in w.layers] == [PairRun, ResidueLadderAccessor, PairRun]
+    calls.clear()
+    w.query(w.ap.length // 3, RandomSource(corpus.SEED))
+    assert len(calls) == 2
 
 
 def test_dense_cases_take_the_pinned_paths():

@@ -395,6 +395,16 @@ class TestQueryMatchesReference:
             assert got == query_or_message(subset_query_by_set, witness, j), j
             assert not isinstance(got, str)
 
+    def test_density_half_build_every_term(self):
+        # the outermost layer is a run, so every query starts from a lead mask
+        m = 10**4
+        a = sorted(random.Random(5).sample(range(1, m + 1), m // 2))
+        witness = ap_in_subset_sums(a, m, TUNED, seed=5).witness
+        assert len(witness.lead) == len(witness.layers[0].pairs) + 1
+        for j in range(witness.ap.length + 1):
+            got = query_or_message(SubsetWitness.query, witness, j)
+            assert got == query_or_message(subset_query_by_set, witness, j), j
+
     @pytest.mark.parametrize("m", [10**5, 10**6])
     def test_density_half_builds_on_seeded_terms(self, m):
         # at these sizes the lo ends, source by source, are not in value
@@ -419,8 +429,9 @@ class TestQueryMatchesReference:
     def test_stored_parts_are_left_as_they_are(self):
         # the bank's pairs are not in value order and a run stores its steps
         # with values falling; the witness's mask marks their lo ends, and a
-        # query patches a copy of it, so what the witness stores stays as
-        # it is while every certificate comes out in value order
+        # query patches a copy of it or of a lead mask, so what the witness
+        # stores stays as it is while every certificate comes out in value
+        # order
         witness = golden_witness("half10k", 10**4)
         bank = witness.leaf
         runs = [layer for layer in witness.layers if isinstance(layer, PairRun)]
@@ -428,9 +439,11 @@ class TestQueryMatchesReference:
         assert runs and lows != sorted(lows)
         lows += [lo for run in runs for lo, _ in run.pairs]
         assert list(itertools.compress(witness.ends, witness.lo_mask)) == sorted(lows)
-        stored = (witness.lo_mask, witness.ends, witness.end_parts,
+        assert witness.layers[0] is runs[0] and witness.lead[0] == witness.lo_mask
+        assert len(witness.lead) == len(runs[0].pairs) + 1
+        stored = (witness.lo_mask, witness.lead, witness.ends, witness.end_parts,
                   [(lo, hi) for _, lo, hi in witness.sources],
-                  [(run.pairs, run.gains, run.prefix) for run in runs], bank.flips)
+                  [(run.pairs, run.gains, run.prefix, run.smaller) for run in runs], bank.flips)
         kept = copy.deepcopy(stored)
         for j in range(0, witness.ap.length + 1, 97):
             first = witness.query(j, RandomSource(j))
@@ -939,6 +952,20 @@ class TestResidueLadder:
     def test_divisible_gap_rejected(self):
         with pytest.raises(PreconditionViolated):
             residue_ladder(ArithProgression(0, 4, 10), ((0, 4),), TUNED)
+
+    def test_residual_off_the_inner_progression_is_named(self):
+        # a rung sum tampered one up leaves a residual one below the inner term
+        pairs = tuple((20 * i + 1, 20 * i + 2 + (i % 2)) for i in range(40))
+        layer = residue_ladder(ArithProgression(5, 4, 50), pairs, TUNED, seed=9)
+        lookup = layer.lookup
+        for j in range(0, layer.outer.length + 1, 7):
+            inner_j, _ = layer.resolve(j)
+            layer.lookup = lambda i: (lookup(i)[0] + 1, lookup(i)[1])
+            with pytest.raises(InternalContract) as exc:
+                layer.resolve(j)
+            del layer.lookup
+            residual = layer.inner.term(inner_j) - 1
+            assert str(exc.value) == f"ladder residual {residual} not on inner progression"
 
     @pytest.mark.parametrize("pairs, d, seed", [
         (tuple((20 * i + 1, 20 * i + 2 + (i % 2)) for i in range(40)), 4, 9),
