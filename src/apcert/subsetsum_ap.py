@@ -573,9 +573,10 @@ class PairRun:
         """This run's steps followed by those of inner_run, which it must sit
         on; no step is checked again."""
         contract(self.inner == inner_run.outer, "layer chain mismatch")
-        run = PairRun.__new__(PairRun)
-        run.inner, run.outer = inner_run.inner, self.outer
-        run.pairs, run.gains = self.pairs + inner_run.pairs, self.gains + inner_run.gains
+        run = copy(self)
+        vars(run).pop("smaller", None)
+        run.inner, run.pairs = inner_run.inner, self.pairs + inner_run.pairs
+        run.gains = self.gains + inner_run.gains
         run.prefix = (0, *accumulate(run.gains))
         return run
 
@@ -592,10 +593,9 @@ class PairRun:
         return nxt
 
     def tail(self, j: int) -> tuple[int, int, list[int]]:
-        """(k, the inner index, the steps after step k that take their pair's
-        hi end): one bisect over `prefix` finds the k leading steps that take
-        it. A step takes it when the index left reaches its gain, so from one
-        that does not, the walk jumps to the next step with a smaller gain."""
+        """(k, the inner index, the later steps that take their pair's hi end): one
+        bisect over `prefix` finds the k leading steps that take it. A step takes it
+        when the index left reaches its gain, else the walk jumps to the next smaller gain."""
         prefix, gains, smaller = self.prefix, self.gains, self.smaller
         k = bisect_right(prefix, j) - 1
         j -= prefix[k]
@@ -627,11 +627,11 @@ class SubsetWitness:
     each holds its `pairs`, and a term takes exactly one end of each. Set-up
     stores the pair ends, checked distinct, sorted (`ends`, with their (v, 1)
     `end_parts`), the byte mask `lo_mask` of the lo ends and, per source, the
-    ranks of its pairs' ends (`sources`). A query copies the mask and patches
-    two bytes per pair that a source's resolve(j) -> (inner j, flipped pair
-    indices) names. If the outermost layer is a PairRun, `lead[k]` is the
-    mask with its first k steps flipped, and a query copies the one that
-    the run's tail(j) names instead."""
+    ranks of its pairs' ends. The outermost layer, if a PairRun, else an
+    empty run, is the `head`, with `lead[k]` the mask with its first k steps
+    flipped; the other sources are the `sources`. A query copies the lead
+    mask that the head's tail(j) names, and patches two bytes per pair that
+    it or a source's resolve(j) -> (inner j, flipped pair indices) names."""
 
     fold_budget = 0
 
@@ -647,31 +647,26 @@ class SubsetWitness:
         self.ends = tuple(ends)
         self.end_parts = tuple(zip(ends, repeat(1)))
         self.lo_mask = bytes(map(lo_ends.__contains__, ends))
-        self.sources = tuple((source, tuple(rank(lo) for lo, _ in pairs),
-                              tuple(rank(hi) for _, hi in pairs)) for source, pairs in sources)
-        self.lead = ()
-        if self.layers and isinstance(self.layers[0], PairRun):
-            _, lo, hi = self.sources[0]
-            mask, lead = bytearray(self.lo_mask), [self.lo_mask]
-            for i, h in zip(lo, hi):
-                mask[i], mask[h] = 0, 1
-                lead.append(bytes(mask))
-            self.lead = tuple(lead)
+        sources = [(source, tuple(rank(lo) for lo, _ in pairs),
+                    tuple(rank(hi) for _, hi in pairs)) for source, pairs in sources]
+        if not isinstance(sources[0][0], PairRun):
+            sources.insert(0, (PairRun(self.ap, ()), (), ()))
+        self.head, self.sources = sources[0], tuple(sources[1:])
+        mask, lead = bytearray(self.lo_mask), [self.lo_mask]
+        for i, h in zip(*self.head[1:]):
+            mask[i], mask[h] = 0, 1
+            lead.append(bytes(mask))
+        self.lead = tuple(lead)
 
     def query(self, j: int, rng: RandomSource) -> CompactSolution:
         target = self.ap.term(j)
-        sources = iter(self.sources)
-        if self.lead:
-            run, lo, hi = next(sources)
-            k, j, flips = run.tail(j)
-            mask = bytearray(self.lead[k])
-            for i in flips:
-                mask[lo[i]] = 0
-                mask[hi[i]] = 1
-        else:
-            mask = bytearray(self.lo_mask)
-        for source, lo, hi in sources:
+        run, lo, hi = self.head
+        k, j, flips = run.tail(j)
+        mask, patches = bytearray(self.lead[k]), [(flips, lo, hi)]
+        for source, lo, hi in self.sources:
             j, flips = source.resolve(j)
+            patches.append((flips, lo, hi))
+        for flips, lo, hi in patches:
             for i in flips:
                 mask[lo[i]] = 0
                 mask[hi[i]] = 1

@@ -395,6 +395,16 @@ class TestQueryMatchesReference:
             assert got == query_or_message(subset_query_by_set, witness, j), j
             assert not isinstance(got, str)
 
+    def test_ladder_outermost_starts_from_an_empty_run(self):
+        # the golden ladder build's outermost layer is a residue ladder, so
+        # its head is a run of no steps and every query copies the lo mask
+        witness = golden_witness("evens_odds", 899)
+        assert isinstance(witness.layers[0], ResidueLadderAccessor)
+        run, lo, hi = witness.head
+        assert (run.pairs, lo, hi) == ((), (), ()) and run.outer == witness.layers[0].outer
+        assert witness.lead == (witness.lo_mask,)
+        assert [source for source, _, _ in witness.sources] == [*witness.layers, witness.leaf]
+
     def test_density_half_build_every_term(self):
         # the outermost layer is a run, so every query starts from a lead mask
         m = 10**4
@@ -439,10 +449,11 @@ class TestQueryMatchesReference:
         assert runs and lows != sorted(lows)
         lows += [lo for run in runs for lo, _ in run.pairs]
         assert list(itertools.compress(witness.ends, witness.lo_mask)) == sorted(lows)
-        assert witness.layers[0] is runs[0] and witness.lead[0] == witness.lo_mask
+        assert witness.head[0] is witness.layers[0] is runs[0]
+        assert witness.lead[0] == witness.lo_mask
         assert len(witness.lead) == len(runs[0].pairs) + 1
         stored = (witness.lo_mask, witness.lead, witness.ends, witness.end_parts,
-                  [(lo, hi) for _, lo, hi in witness.sources],
+                  [(lo, hi) for _, lo, hi in (witness.head, *witness.sources)],
                   [(run.pairs, run.gains, run.prefix, run.smaller) for run in runs], bank.flips)
         kept = copy.deepcopy(stored)
         for j in range(0, witness.ap.length + 1, 97):
